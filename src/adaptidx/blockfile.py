@@ -74,7 +74,6 @@ class BlockFileHeader:
     index: Optional[SparseClusteredIndex]
     perm_count: int
     perm_offset: int  # 0 when absent
-    header_bytes: int
 
     @property
     def sort_attribute(self) -> Optional[str]:
@@ -208,7 +207,6 @@ def read_header(f: BinaryIO, counter: Optional[ReadCounter] = None) -> BlockFile
         index=index,
         perm_count=perm_count,
         perm_offset=perm_offset,
-        header_bytes=f.tell() if not perm_present else perm_offset + 8 * perm_count,
     )
 
 

@@ -153,9 +153,6 @@ class SparseClusteredIndex:
     def entry_count(self) -> int:
         return len(self.start_records)
 
-    def entries(self) -> list[tuple]:
-        return list(zip(self.first_keys.tolist(), self.start_records.tolist()))
-
     def page_bounds(self, page: int) -> tuple[int, int]:
         lo = int(self.start_records[page])
         hi = (
@@ -181,22 +178,6 @@ class SparseClusteredIndex:
         if int(self.start_records[-1]) >= self.record_count:
             raise SchemaError("last index entry starts beyond record count")
 
-    def candidate_page_span(self, low, high) -> tuple[int, int]:
-        """Row span [lo, hi) of the pages that may hold keys in [low, high].
-
-        Purely directory-based: no column data is consulted, so the span is
-        page-granular and may over-approximate.
-        """
-        if self.record_count == 0 or self.entry_count == 0:
-            return 0, 0
-        # Rows >= low can start in the last page whose first key is < low.
-        p_lo = max(int(np.searchsorted(self.first_keys, low, side="left")) - 1, 0)
-        # Rows <= high end within the last page whose first key is <= high.
-        p_hi = int(np.searchsorted(self.first_keys, high, side="right")) - 1
-        if p_hi < 0:
-            return 0, 0
-        return self.page_bounds(p_lo)[0], self.page_bounds(p_hi)[1]
-
 
 @dataclass
 class DataBlock:
@@ -213,9 +194,6 @@ class DataBlock:
     def record_count(self) -> int:
         first = self.schema.attributes[0].name
         return len(self.columns[first])
-
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
 
     def validate(self) -> None:
         if set(self.columns) != set(self.schema.names):
@@ -248,18 +226,6 @@ class DataBlock:
                 raise SchemaError("index keys are not a subsequence of the column")
         if self.permutation is not None and len(self.permutation) != n:
             raise SchemaError("permutation vector length does not match block")
-
-    def project(self, names: Iterable[str]) -> "DataBlock":
-        sub = self.schema.subset(names)
-        keep_sort = self.sort_attribute if self.sort_attribute in sub.names else None
-        return DataBlock(
-            block_id=self.block_id,
-            schema=sub,
-            columns={n: self.columns[n] for n in sub.names},
-            sort_attribute=keep_sort,
-            index=self.index if keep_sort and self.index is not None else None,
-            permutation=self.permutation,
-        )
 
     def checksum(self) -> int:
         """Order-sensitive checksum of the column payloads (torn-read guard)."""

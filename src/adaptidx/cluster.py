@@ -20,7 +20,7 @@ from .blocks import DataBlock, Schema
 from .blockfile import write_block
 from .errors import ConfigError, RegistryError
 from .execution import JobSpec, TaskContext, TaskResult, record_reader_scan
-from .indexer import AdaptiveIndexer, OfferState, build_index
+from .indexer import AdaptiveIndexer, build_index
 from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 
 REGISTRY_JOURNAL = "registry.journal"
@@ -79,16 +79,6 @@ class ClusterConfig:
     def save(self, path: Path | str) -> None:
         with open(path, "w") as f:
             json.dump(asdict(self), f, indent=2)
-
-
-@dataclass
-class NodeState:
-    """A point-in-time view of one node, derived from the registry."""
-
-    node_id: int
-    normal_replica_ids: set[int]
-    pseudo_replica_counts: dict[str, int]
-    busy_slots: int = 0
 
 
 class Cluster:
@@ -202,7 +192,6 @@ class Cluster:
         self,
         assignments: Sequence,
         job: JobSpec,
-        offer_state: Optional[OfferState] = None,
         will_offer_blocks: Optional[frozenset[int]] = None,
     ) -> list[TaskResult]:
         """Run task assignments in waves of at most n_slots concurrent tasks.
@@ -223,7 +212,6 @@ class Cluster:
                     schema=self.registry.schema,
                     registry=self.registry,
                     indexer=self.indexers.get(a.node_id),
-                    offer_state=offer_state,
                     will_offer_blocks=will_offer_blocks,
                     projection_mode=self.config.projection_mode,
                 )
@@ -260,19 +248,6 @@ class Cluster:
     def drain_indexers(self) -> None:
         for indexer in self.indexers.values():
             indexer.drain()
-
-    def node_state(self, node_id: int) -> NodeState:
-        normal_ids: set[int] = set()
-        pseudo: dict[str, int] = {}
-        if self.registry is not None:
-            for block_id, info in self.registry.iter_replicas():
-                if info.node_id != node_id:
-                    continue
-                if info.kind == ReplicaKind.NORMAL:
-                    normal_ids.add(block_id)
-                elif info.indexed_attribute is not None:
-                    pseudo[info.indexed_attribute] = pseudo.get(info.indexed_attribute, 0) + 1
-        return NodeState(node_id=node_id, normal_replica_ids=normal_ids, pseudo_replica_counts=pseudo)
 
     def close(self) -> None:
         for indexer in self.indexers.values():

@@ -30,9 +30,7 @@ from .indexer import (
     COMPLETE,
     AdaptiveIndexer,
     IndexWork,
-    OfferOutcome,
     OfferPolicy,
-    OfferState,
     SELECTIVITY,
     apply_permutation,
 )
@@ -153,7 +151,6 @@ class TaskContext:
     schema: Schema
     registry: ReplicaRegistry
     indexer: Optional[AdaptiveIndexer]
-    offer_state: Optional[OfferState]
     will_offer_blocks: Optional[frozenset[int]]  # pre-picked blocks (offer-rate mode)
     projection_mode: str = "invisible"  # or "lazy"
 
@@ -238,37 +235,35 @@ def _scan_indexed_block(
         perm = read_permutation(f, header, counter)
 
     normal = _normal_replica_for(ctx, ref.block_id)
-    raw_missing: dict[str, np.ndarray] = {}
+    aligned: dict[str, np.ndarray] = {}
     with open(normal.path, "rb") as nf:
         nheader = read_header(nf, counter)
         for name in missing:
-            raw_missing[name] = read_column_range(
-                nf, nheader, name, 0, nheader.record_count, counter
-            )
+            raw = read_column_range(nf, nheader, name, 0, nheader.record_count, counter)
+            aligned[name] = apply_permutation(perm, raw)
     if normal.node_id != ctx.node_id:
         result.remote_column_reads += len(missing)
 
     for name in missing:
-        aligned = apply_permutation(perm, raw_missing[name])
-        columns[name] = aligned[r_lo:r_hi]
+        columns[name] = aligned[name][r_lo:r_hi]
     columns = {n: columns[n] for n in wanted}
     _emit(job, result, columns, ctx.schema, count)
 
-    # Incremental completion: append the freshly read attributes to the
+    # Incremental completion: append the freshly aligned attributes to the
     # partial replica, but only when the normal replica was local.
     if normal.node_id != ctx.node_id:
         result.completions_skipped += 1
         return
     if ctx.indexer is not None:
         sub = ctx.registry.schema.subset(missing)
+        completion = DataBlock(ref.block_id, sub, {n: aligned[n] for n in sub.names})
         work = IndexWork(
             kind=COMPLETE,
             block_id=ref.block_id,
             attribute=ref.replica.indexed_attribute,
             schema=sub,
-            columns={n: raw_missing[n] for n in sub.names},
-            checksum=DataBlock(ref.block_id, sub, {n: raw_missing[n] for n in sub.names}).checksum(),
-            perm=perm,
+            columns=completion.columns,
+            checksum=completion.checksum(),
         )
         if not ctx.indexer.offer(work):
             result.completions_skipped += 1
@@ -291,10 +286,9 @@ def _scan_full_block(
     else:
         candidate = ctx.will_offer_blocks is not None and ref.block_id in ctx.will_offer_blocks
 
-    if ctx.projection_mode == "lazy":
-        read_cols = invisible_projection_columns(job, False, ctx.schema)
-    else:
-        read_cols = invisible_projection_columns(job, candidate, ctx.schema)
+    # Lazy projection reads only what the job needs, even for offered blocks.
+    widen = candidate and ctx.projection_mode != "lazy"
+    read_cols = invisible_projection_columns(job, widen, ctx.schema)
 
     block = read_block(ref.replica.path, read_cols, counter=counter)
     n = block.record_count
@@ -312,21 +306,18 @@ def _scan_full_block(
 
     if not candidate or ctx.indexer is None:
         return
-    if policy.mode == SELECTIVITY and ctx.offer_state is not None:
-        decision = ctx.offer_state.decide(fraction)
-        if decision != OfferOutcome.ACCEPTED:
-            return
+    if policy.mode == SELECTIVITY and not policy.admits(fraction):
+        return
 
     # Hand over only after the map function consumed the block; the checksum
     # lets the builder assert nothing mutated in between.
-    offer_schema = ctx.schema.subset(read_cols) if len(read_cols) < len(ctx.schema.names) else ctx.schema
     work = IndexWork(
         kind=BUILD,
         block_id=ref.block_id,
         attribute=job.predicate.attribute,
-        schema=offer_schema,
-        columns={name: block.columns[name] for name in offer_schema.names},
-        checksum=DataBlock(ref.block_id, offer_schema, block.columns).checksum(),
+        schema=block.schema,
+        columns=block.columns,
+        checksum=block.checksum(),
     )
     result.blocks_offered += 1
     if ctx.indexer.offer(work):

@@ -8,11 +8,15 @@ full queue rejects the block and a later job gets another chance at it.
 Index building sorts the target attribute (stable), derives the
 old-position -> new-position permutation vector, reorders every other present
 column with it, and cuts a sparse page directory over the sorted column.
+
+Which scanned blocks reach the indexer is decided in two places: offer-rate
+blocks are picked at plan time (`scheduler.choose_offer_blocks`), and in
+selectivity mode each full scan asks `OfferPolicy.admits` with its
+qualifying fraction.
 """
 
 from __future__ import annotations
 
-import math
 import queue
 import threading
 import uuid
@@ -23,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import lazy
 from .blocks import DataBlock, Schema, SparseClusteredIndex
 from .blockfile import publish_block_once, pseudo_replica_path, pseudo_temp_path
 from .errors import AdaptidxError, SchemaError
@@ -37,12 +42,6 @@ def apply_permutation(perm: np.ndarray, column: np.ndarray) -> np.ndarray:
     out = np.empty_like(column)
     out[perm.astype(np.int64)] = column
     return out
-
-
-def invert_permutation(perm: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(perm)
-    inv[perm.astype(np.int64)] = np.arange(len(perm), dtype=perm.dtype)
-    return inv
 
 
 def build_index(
@@ -74,17 +73,10 @@ def build_index(
     return sorted_block, perm, index
 
 
-# -- offer policies ---------------------------------------------------------
+# -- offer policy -----------------------------------------------------------
 
 OFFER_RATE = "offer_rate"
 SELECTIVITY = "selectivity"
-
-
-class OfferOutcome(Enum):
-    ACCEPTED = "accepted"
-    REJECTED_QUOTA = "rejected_quota"
-    REJECTED_SELECTIVITY = "rejected_selectivity"
-    REJECTED_QUEUE_FULL = "rejected_queue_full"
 
 
 @dataclass
@@ -92,9 +84,10 @@ class OfferPolicy:
     """Which scanned blocks get handed to the Adaptive Indexer.
 
     offer_rate: at most ceil(rho * blocks in the job), spread evenly over the
-    scanned blocks (one out of every 1/rho, generalised to exact quotas).
+    scanned blocks; the picks are made at plan time by
+    `scheduler.choose_offer_blocks`.
     selectivity: blocks whose qualifying fraction clears the threshold
-    (>= by default; <= when index_low_fraction is set).
+    (>= by default; <= when index_low_fraction is set), see `admits`.
     """
 
     mode: str = OFFER_RATE
@@ -102,46 +95,11 @@ class OfferPolicy:
     selectivity_threshold: float = 0.8
     index_low_fraction: bool = False
 
-
-class OfferState:
-    """Per-job offer bookkeeping, shared by all of the job's map tasks."""
-
-    def __init__(self, policy: OfferPolicy, n_blocks_in_job: int, expected_scans: int):
-        self.policy = policy
-        self.quota = min(
-            math.ceil(policy.rho * n_blocks_in_job),
-            max(expected_scans, 0),
-        )
-        self.expected_scans = max(expected_scans, 1)
-        self._scanned = 0
-        self._accepted = 0
-        self._lock = threading.Lock()
-
-    def decide(self, qualifying_fraction: Optional[float] = None) -> OfferOutcome:
-        """Policy decision for the next scanned block (queue not consulted)."""
-        if self.policy.mode == SELECTIVITY:
-            if qualifying_fraction is None:
-                raise AdaptidxError("selectivity policy needs the qualifying fraction")
-            ok = (
-                qualifying_fraction <= self.policy.selectivity_threshold
-                if self.policy.index_low_fraction
-                else qualifying_fraction >= self.policy.selectivity_threshold
-            )
-            return OfferOutcome.ACCEPTED if ok else OfferOutcome.REJECTED_SELECTIVITY
-        with self._lock:
-            self._scanned += 1
-            if self._accepted >= self.quota:
-                return OfferOutcome.REJECTED_QUOTA
-            s, q, e = self._scanned, self.quota, self.expected_scans
-            if (s * q) // e > ((s - 1) * q) // e:
-                self._accepted += 1
-                return OfferOutcome.ACCEPTED
-            return OfferOutcome.REJECTED_QUOTA
-
-    @property
-    def accepted(self) -> int:
-        with self._lock:
-            return self._accepted
+    def admits(self, qualifying_fraction: float) -> bool:
+        """The selectivity test for one scanned block."""
+        if self.index_low_fraction:
+            return qualifying_fraction <= self.selectivity_threshold
+        return qualifying_fraction >= self.selectivity_threshold
 
 
 # -- pseudo-replica persistence ---------------------------------------------
@@ -204,13 +162,14 @@ COMPLETE = "complete"
 class IndexWork:
     """One unit handed from a map task to a node's Adaptive Indexer."""
 
-    kind: str  # BUILD (sort + index the columns) or COMPLETE (append to a partial)
+    # BUILD: sort + index the columns. COMPLETE: append columns, already
+    # aligned with the partial replica's permutation vector, to that replica.
+    kind: str
     block_id: int
     attribute: str
     schema: Schema
     columns: dict[str, np.ndarray]
     checksum: int
-    perm: Optional[np.ndarray] = None  # COMPLETE: stored permutation to align with
 
     def block(self) -> DataBlock:
         return DataBlock(block_id=self.block_id, schema=self.schema, columns=self.columns)
@@ -318,18 +277,16 @@ class AdaptiveIndexer:
             raise AdaptidxError(
                 f"block {work.block_id} changed between hand-off and indexing"
             )
-        if work.kind == BUILD:
-            sorted_block, perm, _ = build_index(block, work.attribute, self.page_size_records)
-            if set(block.schema.names) != set(self.registry.schema.names):
-                sorted_block.permutation = perm
-            with self._stats_lock:
-                self.stats.built += 1
-            return work, sorted_block
-        # COMPLETE: align the new columns with the stored permutation.
-        aligned = {
-            name: apply_permutation(work.perm, col) for name, col in work.columns.items()
-        }
-        return work, DataBlock(block_id=work.block_id, schema=work.schema, columns=aligned)
+        if work.kind == COMPLETE:
+            return work, block
+        # A subset of the schema makes a partial replica, which keeps the
+        # permutation vector so later jobs can align the missing columns.
+        sorted_block, perm, _ = build_index(block, work.attribute, self.page_size_records)
+        if set(block.schema.names) != set(self.registry.schema.names):
+            sorted_block.permutation = perm
+        with self._stats_lock:
+            self.stats.built += 1
+        return work, sorted_block
 
     def _write_loop(self) -> None:
         while True:
@@ -356,9 +313,9 @@ class AdaptiveIndexer:
                 else:
                     self.stats.failures += 1
         else:
-            from .lazy import append_aligned_columns
-
-            changed = append_aligned_columns(
+            # Looked up on the module at call time, so wrappers installed on
+            # lazy.append_aligned_columns see every completion.
+            changed = lazy.append_aligned_columns(
                 self.node_root, self.node_id, self.registry, work.block_id,
                 work.attribute, block,
             )

@@ -3,10 +3,14 @@
 A partial pseudo replica stores the sorted index attribute, whichever other
 attributes the triggering job projected (already aligned), the sparse index,
 and the permutation vector that maps normal-replica row positions to sorted
-positions. Later jobs that project additional attributes read them from the
-co-located normal replica, align them with the stored vector, and append them
-to the replica. Once every schema attribute is present the permutation vector
-is dropped and the replica is promoted to a full pseudo replica.
+positions. The node's Adaptive Indexer builds it like any pseudo replica,
+keeping the vector because the schema is incomplete. Later index scans that
+project additional attributes read them from the normal replica and align
+them with the stored vector to serve the job; when that normal replica is
+local, the record reader hands the aligned columns to the indexer, whose
+writer appends them here. Once every schema attribute is present the
+permutation vector is dropped and the replica is promoted to a full pseudo
+replica.
 
 Replica files stay write-once: appends rewrite to a temp file and rename over
 the old one, serialized by the owning node's single index-writer thread.
@@ -17,7 +21,7 @@ from __future__ import annotations
 import os
 import uuid
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from .blocks import DataBlock
 from .blockfile import (
@@ -26,28 +30,7 @@ from .blockfile import (
     read_block,
     write_block,
 )
-from .errors import RegistryError
-from .indexer import WriteResult, apply_permutation, build_index, write_pseudo_replica
 from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
-
-
-def build_partial(
-    block: DataBlock,
-    attribute: str,
-    node_root: Path | str,
-    node_id: int,
-    registry: ReplicaRegistry,
-    page_size_records: int = 1024,
-) -> WriteResult:
-    """Index a (possibly attribute-subset) block and persist it.
-
-    With the full schema present this degenerates to an ordinary pseudo
-    replica and no permutation vector is stored.
-    """
-    sorted_block, perm, _ = build_index(block, attribute, page_size_records)
-    if set(block.schema.names) != set(registry.schema.names):
-        sorted_block.permutation = perm
-    return write_pseudo_replica(sorted_block, node_root, node_id, registry)
 
 
 def _partial_info(registry: ReplicaRegistry, block_id: int, attribute: str) -> Optional[BlockReplicaInfo]:
@@ -69,7 +52,8 @@ def append_aligned_columns(
 
     Appending an attribute that is already present is a no-op. When the merge
     covers the whole schema the permutation vector is removed and the registry
-    entry is upgraded to a full pseudo replica.
+    entry is upgraded to a full pseudo replica. A storage failure removes the
+    temp file and re-raises, leaving the old replica and its registry entry.
     """
     info = _partial_info(registry, block_id, attribute)
     if info is None:
@@ -106,7 +90,7 @@ def append_aligned_columns(
             os.unlink(temp)
         except OSError:
             pass
-        return False
+        raise
 
     registry.register_index(
         block_id,
@@ -120,45 +104,3 @@ def append_aligned_columns(
         ),
     )
     return True
-
-
-def complete_partial(
-    node_root: Path | str,
-    node_id: int,
-    registry: ReplicaRegistry,
-    block_id: int,
-    attribute: str,
-    newly_projected: Iterable[str],
-) -> bool:
-    """Pull missing attributes from the local normal replica into a partial.
-
-    Reads each missing column from the block's normal replica on this node,
-    aligns it with the stored permutation vector, and appends it. Returns
-    False (and changes nothing) when there is no local normal replica or
-    nothing is missing.
-    """
-    info = _partial_info(registry, block_id, attribute)
-    if info is None:
-        return False
-    missing = [n for n in newly_projected if n not in info.available_attributes]
-    if not missing:
-        return False
-    normals = [
-        r for r in registry.normal_replicas(block_id) if r.node_id == node_id
-    ]
-    if not normals:
-        return False
-
-    partial = read_block(info.path)
-    if partial.permutation is None:
-        raise RegistryError(f"partial replica for block {block_id} lost its permutation vector")
-    normal = read_block(normals[0].path, projection=missing)
-    sub = registry.schema.subset(missing)
-    aligned = DataBlock(
-        block_id=block_id,
-        schema=sub,
-        columns={
-            n: apply_permutation(partial.permutation, normal.columns[n]) for n in sub.names
-        },
-    )
-    return append_aligned_columns(node_root, node_id, registry, block_id, attribute, aligned)

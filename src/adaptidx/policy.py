@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -94,16 +96,27 @@ class Calibration:
         )
 
     def save(self, path: Path | str) -> None:
-        with open(path, "w") as f:
-            json.dump(
-                {
-                    "t_fsw": self.t_fsw,
-                    "t_idx_overhead": self.t_idx_overhead,
-                    "t_target": self.t_target,
-                },
-                f,
-                indent=2,
-            )
+        """Write to a temp file beside `path`, then rename it over `path`.
+
+        A crash mid-write leaves the previous calibration in place.
+        """
+        path = Path(path)
+        temp = path.with_name(f".{path.name}.tmp.{uuid.uuid4().hex[:12]}")
+        try:
+            with open(temp, "w") as f:
+                json.dump(
+                    {
+                        "t_fsw": self.t_fsw,
+                        "t_idx_overhead": self.t_idx_overhead,
+                        "t_target": self.t_target,
+                    },
+                    f,
+                    indent=2,
+                )
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: Path | str) -> "Calibration":

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .cluster import Cluster, ClusterConfig
 from .errors import AdaptidxError
 from .execution import JobSpec, Predicate, ScanKind, TaskResult
-from .indexer import OFFER_RATE, SELECTIVITY, OfferPolicy, OfferState
+from .indexer import OFFER_RATE, SELECTIVITY, OfferPolicy
 from .policy import Calibration, CostModelParams, compute_rho, predict_T_job
 from .scheduler import (
     choose_offer_blocks,
@@ -182,9 +182,6 @@ class WorkloadRunner:
         metrics.rho_used = None if policy.mode == SELECTIVITY else rho_used
 
         will_offer = None
-        offer_state = OfferState(
-            policy, metrics.blocks_total, expected_scans=len(full_assignments)
-        )
         if policy.mode == OFFER_RATE:
             quota = min(
                 math.ceil(rho_used * metrics.blocks_total), len(full_assignments)
@@ -194,7 +191,7 @@ class WorkloadRunner:
             )
 
         # Phase 2: full scans, offering blocks to the indexers as they finish.
-        full_results = self.cluster.run_wave(full_assignments, job, offer_state, will_offer)
+        full_results = self.cluster.run_wave(full_assignments, job, will_offer)
         results.extend(full_results)
         t_scan = _phase_time(full_results)
         failed = self._collect_failures(full_results, metrics)
@@ -223,9 +220,7 @@ class WorkloadRunner:
         self, job: JobSpec, mode: str, metrics: JobMetrics, t_is: float
     ) -> tuple[float, OfferPolicy]:
         policy = job.policy
-        if policy.mode == SELECTIVITY:
-            return policy.rho, policy
-        if mode != EAGER:
+        if policy.mode == SELECTIVITY or mode != EAGER:
             return policy.rho, policy
         cal = self.calibration
         if not cal.usable:

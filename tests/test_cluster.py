@@ -153,16 +153,21 @@ def test_reopen_cluster_replays_registry(tmp_path):
     again.close()
 
 
-def test_node_state_matches_registry(tmp_path):
+def test_pseudo_counts_match_indexed_blocks(tmp_path):
     cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=1000)
     cluster.upload_dataset(gen_synthetic(3_000, seed=8))
     from adaptidx.runner import WorkloadRunner
 
     runner = WorkloadRunner(cluster)
     job = JobSpec("n", Predicate("b", 0.0, 0.1), ("b",), policy=OfferPolicy(rho=1.0))
-    runner.run_job(job)
+    outcome = runner.run_job(job)
+    registry = cluster.registry
     for node in cluster.node_ids():
-        state = cluster.node_state(node)
-        assert state.pseudo_replica_counts.get("b", 0) == cluster.registry.pseudo_count(node, "b")
-        assert state.busy_slots == 0
+        on_node = [
+            r for _, r in registry.iter_replicas()
+            if r.node_id == node and r.kind != ReplicaKind.NORMAL and r.indexed_attribute == "b"
+        ]
+        assert len(on_node) == registry.pseudo_count(node, "b")
+    total = sum(registry.pseudo_count(node, "b") for node in cluster.node_ids())
+    assert total == outcome.metrics.blocks_indexed_after == registry.block_count
     cluster.close()

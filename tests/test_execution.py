@@ -14,7 +14,7 @@ from adaptidx.execution import (
     invisible_projection_columns,
     record_reader_scan,
 )
-from adaptidx.indexer import OfferPolicy, OfferState, SELECTIVITY, build_index
+from adaptidx.indexer import OfferPolicy, SELECTIVITY, build_index
 from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 from adaptidx.runner import WorkloadRunner
 
@@ -86,7 +86,6 @@ def _single_block_fixture(tmp_path, rows=4096, page=1024):
         schema=schema,
         registry=registry,
         indexer=None,
-        offer_state=None,
         will_offer_blocks=frozenset(),
     )
     return schema, base, registry, normal, pseudo, ctx
@@ -185,7 +184,6 @@ def test_selectivity_mode_reads_full_schema_and_filters_offers(tmp_path):
     indexer = AdaptiveIndexer(0, tmp_path / "node_0", registry, page_size_records=1024)
     policy = OfferPolicy(mode=SELECTIVITY, selectivity_threshold=0.8)
     ctx.indexer = indexer
-    ctx.offer_state = OfferState(policy, 1, 1)
     ctx.will_offer_blocks = None
 
     # ~25% of rows qualify: below the threshold, so no offer
@@ -200,7 +198,6 @@ def test_selectivity_mode_reads_full_schema_and_filters_offers(tmp_path):
 
     # ~90% qualify: offered
     j2 = JobSpec("s2", Predicate("d", 0, 3700), ("a",), policy=policy)
-    ctx.offer_state = OfferState(policy, 1, 1)
     result2 = record_reader_scan(
         InputSplit(0, (BlockRef(42, normal),), ScanKind.FULL_SCAN), j2, ctx
     )

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -13,17 +14,15 @@ from adaptidx.indexer import (
     BUILD,
     AdaptiveIndexer,
     IndexWork,
-    OfferOutcome,
     OfferPolicy,
-    OfferState,
     SELECTIVITY,
     WriteResult,
     apply_permutation,
     build_index,
-    invert_permutation,
     write_pseudo_replica,
 )
 from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
+from adaptidx.scheduler import choose_offer_blocks
 
 from conftest import make_block
 
@@ -90,12 +89,10 @@ def test_build_index_matches_comparison_sort_oracle(seed, rows):
         out = sorted_block.columns[name]
         assert np.array_equal(out[perm.astype(np.int64)], src)
 
-    # bijectivity and round trip through the inverse
+    # bijectivity, and apply_permutation reproduces the sorted columns
     assert sorted(perm.tolist()) == list(range(rows))
-    inv = invert_permutation(perm)
     for name in schema.names:
-        back = apply_permutation(inv, sorted_block.columns[name])
-        assert np.array_equal(back, block.columns[name])
+        assert np.array_equal(apply_permutation(perm, block.columns[name]), sorted_block.columns[name])
 
     index.validate()
 
@@ -126,57 +123,46 @@ def test_sparse_lookup_equals_linear_filter(tmp_path_factory, seed, rows, lo, sp
 
 
 def test_offer_rate_hundred_blocks_ten_accepted():
-    state = OfferState(OfferPolicy(rho=0.1), n_blocks_in_job=100, expected_scans=100)
-    outcomes = [state.decide() for _ in range(100)]
-    accepted = [i for i, o in enumerate(outcomes, start=1) if o == OfferOutcome.ACCEPTED]
-    assert len(accepted) == 10
-    assert accepted == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]  # every tenth
+    picked = choose_offer_blocks({0: list(range(1, 101))}, quota=math.ceil(0.1 * 100))
+    assert sorted(picked) == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]  # every tenth
 
 
 def test_offer_rate_zero_accepts_nothing():
-    state = OfferState(OfferPolicy(rho=0.0), 50, 50)
-    assert all(state.decide() == OfferOutcome.REJECTED_QUOTA for _ in range(50))
+    assert choose_offer_blocks({0: list(range(50))}, quota=math.ceil(0.0 * 50)) == frozenset()
 
 
 def test_offer_rate_quota_with_fewer_scans_than_spacing():
-    # 4 unindexed blocks, quota 4: all must be accepted
-    state = OfferState(OfferPolicy(rho=0.1), n_blocks_in_job=40, expected_scans=4)
-    assert [state.decide() for _ in range(4)] == [OfferOutcome.ACCEPTED] * 4
+    # 40 blocks, 4 of them unindexed, rho 0.1: quota 4, all must be picked
+    scans = {0: [3, 17], 1: [22, 39]}
+    assert choose_offer_blocks(scans, quota=min(math.ceil(0.1 * 40), 4)) == {3, 17, 22, 39}
 
 
 def test_selectivity_threshold_boundary():
     policy = OfferPolicy(mode=SELECTIVITY, selectivity_threshold=0.8)
-    state = OfferState(policy, 10, 10)
-    outcomes = [state.decide(f) for f in (0.79, 0.80, 0.95)]
-    assert outcomes == [
-        OfferOutcome.REJECTED_SELECTIVITY,
-        OfferOutcome.ACCEPTED,
-        OfferOutcome.ACCEPTED,
-    ]
+    assert [policy.admits(f) for f in (0.79, 0.80, 0.95)] == [False, True, True]
 
 
 def test_selectivity_direction_flip():
     policy = OfferPolicy(mode=SELECTIVITY, selectivity_threshold=0.2, index_low_fraction=True)
-    state = OfferState(policy, 10, 10)
-    assert state.decide(0.05) == OfferOutcome.ACCEPTED
-    assert state.decide(0.5) == OfferOutcome.REJECTED_SELECTIVITY
+    assert policy.admits(0.05)
+    assert not policy.admits(0.5)
 
 
 @given(
     st.floats(0.0, 1.0),
     st.integers(1, 400),
-    st.integers(0, 400),
+    st.lists(st.integers(0, 60), max_size=8),
 )
 @settings(max_examples=120, deadline=None)
-def test_offer_quota_bound(rho, n_blocks, scans):
-    import math
-
-    state = OfferState(OfferPolicy(rho=rho), n_blocks, scans)
-    accepted = sum(1 for _ in range(scans) if state.decide() == OfferOutcome.ACCEPTED)
-    assert accepted <= math.ceil(rho * n_blocks)
-    # quota is met exactly whenever enough blocks get scanned
-    if scans >= n_blocks:
-        assert accepted == min(math.ceil(rho * n_blocks), scans)
+def test_offer_quota_bound(rho, n_blocks, scans_per_node):
+    ids = iter(range(sum(scans_per_node)))
+    scans = {node: [next(ids) for _ in range(k)] for node, k in enumerate(scans_per_node)}
+    total = sum(scans_per_node)
+    quota = math.ceil(rho * n_blocks)
+    picked = choose_offer_blocks(scans, quota)
+    # the quota is met exactly whenever enough blocks get scanned
+    assert len(picked) == min(quota, total)
+    assert picked <= {b for blocks in scans.values() for b in blocks}
 
 
 # -- pseudo replica writes ----------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 
+import adaptidx.lazy as lazy
 from adaptidx.blocks import DataBlock, Schema, blocks_equal
 from adaptidx.blockfile import pseudo_replica_path, read_block, write_block
 from adaptidx.execution import (
@@ -11,8 +12,8 @@ from adaptidx.execution import (
     TaskContext,
     record_reader_scan,
 )
-from adaptidx.indexer import AdaptiveIndexer, OfferPolicy, WriteResult, build_index
-from adaptidx.lazy import append_aligned_columns, build_partial, complete_partial
+from adaptidx.indexer import BUILD, AdaptiveIndexer, IndexWork, OfferPolicy, build_index
+from adaptidx.lazy import append_aligned_columns
 from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 from adaptidx.runner import WorkloadRunner
 from adaptidx.workloads import gen_synthetic
@@ -35,10 +36,46 @@ def fixture_registry(tmp_path, rows=600, block_id=0, node=0, seed=1):
     return base, registry
 
 
-def test_build_partial_stores_sorted_subset_and_perm(tmp_path):
+def _subset(block, names):
+    sub = SCHEMA.subset(names)
+    return DataBlock(block.block_id, sub, {n: block.columns[n] for n in sub.names})
+
+
+def index_on_d(tmp_path, registry, block, node=0):
+    """Hand `block` to node's Adaptive Indexer as a BUILD on d; returns its stats."""
+    indexer = AdaptiveIndexer(node, tmp_path / f"node_{node}", registry, page_size_records=64)
+    work = IndexWork(BUILD, block.block_id, "d", block.schema, block.columns, block.checksum())
+    assert indexer.offer(work)
+    indexer.drain()
+    indexer.close()
+    return indexer.stats
+
+
+def lazy_index_scan(tmp_path, registry, projection, node=0, lo=-1000, hi=1000):
+    """One lazy index scan of block 0's d replica on `node`; returns (result, stats)."""
+    info = registry.find_index(0, "d")
+    indexer = AdaptiveIndexer(node, tmp_path / f"node_{node}", registry, page_size_records=64)
+    ctx = TaskContext(
+        node_id=node,
+        node_root=tmp_path / f"node_{node}",
+        schema=SCHEMA,
+        registry=registry,
+        indexer=indexer,
+        will_offer_blocks=frozenset(),
+        projection_mode="lazy",
+    )
+    job = JobSpec("scan", Predicate("d", lo, hi), tuple(projection), policy=OfferPolicy(rho=0.0))
+    split = InputSplit(node, (BlockRef(0, info),), ScanKind.INDEX_SCAN)
+    result = record_reader_scan(split, job, ctx)
+    indexer.drain()
+    indexer.close()
+    return result, indexer.stats
+
+
+def test_subset_build_stores_sorted_subset_and_perm(tmp_path):
     base, registry = fixture_registry(tmp_path)
-    subset = base.project(["b", "d"])
-    assert build_partial(subset, "d", tmp_path / "node_0", 0, registry, 64) == WriteResult.WON
+    subset = _subset(base, ["b", "d"])
+    assert index_on_d(tmp_path, registry, subset).written == 1
 
     info = registry.find_index(0, "d")
     assert info.kind == ReplicaKind.PARTIAL_PSEUDO
@@ -54,9 +91,9 @@ def test_build_partial_stores_sorted_subset_and_perm(tmp_path):
     assert np.array_equal(replica.columns["b"][perm], base.columns["b"])
 
 
-def test_build_partial_full_schema_degenerates_to_pseudo(tmp_path):
+def test_full_schema_build_degenerates_to_pseudo(tmp_path):
     base, registry = fixture_registry(tmp_path)
-    assert build_partial(base, "d", tmp_path / "node_0", 0, registry, 64) == WriteResult.WON
+    assert index_on_d(tmp_path, registry, base).written == 1
     info = registry.find_index(0, "d")
     assert info.kind == ReplicaKind.PSEUDO
     assert not info.has_permutation_vector
@@ -64,20 +101,20 @@ def test_build_partial_full_schema_degenerates_to_pseudo(tmp_path):
     assert replica.permutation is None
 
 
-def test_build_partial_minimal_predicate_only(tmp_path):
+def test_subset_build_minimal_predicate_only(tmp_path):
     base, registry = fixture_registry(tmp_path)
-    subset = base.project(["d"])
-    assert build_partial(subset, "d", tmp_path / "node_0", 0, registry, 64) == WriteResult.WON
+    subset = _subset(base, ["d"])
+    assert index_on_d(tmp_path, registry, subset).written == 1
     replica = read_block(pseudo_replica_path(tmp_path / "node_0", 0, "d"))
     assert set(replica.schema.names) == {"d"}
     assert replica.permutation is not None
 
 
-def test_complete_partial_appends_aligned_attribute(tmp_path):
+def test_index_scan_completion_appends_aligned_attribute(tmp_path):
     base, registry = fixture_registry(tmp_path)
-    build_partial(base.project(["b", "d"]), "d", tmp_path / "node_0", 0, registry, 64)
-    changed = complete_partial(tmp_path / "node_0", 0, registry, 0, "d", ["c"])
-    assert changed
+    index_on_d(tmp_path, registry, _subset(base, ["b", "d"]))
+    _, stats = lazy_index_scan(tmp_path, registry, ["b", "c"])
+    assert stats.completed == 1
 
     info = registry.find_index(0, "d")
     assert info.available_attributes == {"b", "c", "d"}
@@ -87,20 +124,21 @@ def test_complete_partial_appends_aligned_attribute(tmp_path):
     assert replica.permutation is not None  # still one attribute short
 
 
-def test_complete_partial_noop_when_nothing_missing(tmp_path):
+def test_index_scan_completion_noop_when_nothing_missing(tmp_path):
     base, registry = fixture_registry(tmp_path)
-    build_partial(base.project(["b", "d"]), "d", tmp_path / "node_0", 0, registry, 64)
+    index_on_d(tmp_path, registry, _subset(base, ["b", "d"]))
     before = read_block(registry.find_index(0, "d").path)
-    assert complete_partial(tmp_path / "node_0", 0, registry, 0, "d", ["b"]) is False
+    _, stats = lazy_index_scan(tmp_path, registry, ["b"])
+    assert stats.enqueued == 0 and stats.completed == 0
     after = read_block(registry.find_index(0, "d").path)
     assert blocks_equal(before, after)
 
 
 def test_completion_sequence_converges_to_full_pseudo(tmp_path):
     base, registry = fixture_registry(tmp_path)
-    build_partial(base.project(["b", "d"]), "d", tmp_path / "node_0", 0, registry, 64)
-    assert complete_partial(tmp_path / "node_0", 0, registry, 0, "d", ["c"])
-    assert complete_partial(tmp_path / "node_0", 0, registry, 0, "d", ["a"])
+    index_on_d(tmp_path, registry, _subset(base, ["b", "d"]))
+    assert lazy_index_scan(tmp_path, registry, ["c"])[1].completed == 1
+    assert lazy_index_scan(tmp_path, registry, ["a"])[1].completed == 1
 
     info = registry.find_index(0, "d")
     assert info.kind == ReplicaKind.PSEUDO
@@ -113,7 +151,7 @@ def test_completion_sequence_converges_to_full_pseudo(tmp_path):
 
 def test_append_is_idempotent(tmp_path):
     base, registry = fixture_registry(tmp_path)
-    build_partial(base.project(["b", "d"]), "d", tmp_path / "node_0", 0, registry, 64)
+    index_on_d(tmp_path, registry, _subset(base, ["b", "d"]))
     oracle_sorted, _, _ = build_index(base, "d", 64)
     sub = SCHEMA.subset(["c"])
     aligned = DataBlock(0, sub, {"c": oracle_sorted.columns["c"]})
@@ -123,34 +161,41 @@ def test_append_is_idempotent(tmp_path):
 
 def test_completion_skipped_without_local_normal(tmp_path):
     base, registry = fixture_registry(tmp_path)
-    build_partial(base.project(["b", "d"]), "d", tmp_path / "node_1", 1, registry, 64)
+    index_on_d(tmp_path, registry, _subset(base, ["b", "d"]), node=1)
     # node 1 holds the partial but not the normal replica
-    assert complete_partial(tmp_path / "node_1", 1, registry, 0, "d", ["c"]) is False
+    result, stats = lazy_index_scan(tmp_path, registry, ["c"], node=1)
+    assert result.remote_column_reads == 1
+    assert result.completions_skipped == 1
+    assert stats.enqueued == 0
     assert registry.find_index(0, "d").available_attributes == {"b", "d"}
+
+
+def test_failed_completion_is_counted(tmp_path, monkeypatch):
+    base, registry = fixture_registry(tmp_path)
+    index_on_d(tmp_path, registry, _subset(base, ["b", "d"]))
+    info_before = registry.find_index(0, "d")
+    replica_before = read_block(info_before.path)
+
+    def no_rename(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(lazy.os, "replace", no_rename)
+    _, stats = lazy_index_scan(tmp_path, registry, ["b", "c"])
+    monkeypatch.undo()
+
+    assert stats.failures == 1
+    assert stats.completed == 0
+    assert not list((tmp_path / "node_0" / "pseudo").rglob("*.tmp.*"))
+    assert registry.find_index(0, "d") == info_before
+    assert blocks_equal(read_block(info_before.path), replica_before)
 
 
 def test_record_reader_serves_and_completes_partial(tmp_path):
     base, registry = fixture_registry(tmp_path, rows=500)
-    build_partial(base.project(["b", "d"]), "d", tmp_path / "node_0", 0, registry, 64)
-    info = registry.find_index(0, "d")
+    index_on_d(tmp_path, registry, _subset(base, ["b", "d"]))
 
-    indexer = AdaptiveIndexer(0, tmp_path / "node_0", registry, page_size_records=64)
-    ctx = TaskContext(
-        node_id=0,
-        node_root=tmp_path / "node_0",
-        schema=SCHEMA,
-        registry=registry,
-        indexer=indexer,
-        offer_state=None,
-        will_offer_blocks=frozenset(),
-        projection_mode="lazy",
-    )
     lo, hi = -400, 400
-    job = JobSpec("jd2", Predicate("d", lo, hi), ("b", "c"), policy=OfferPolicy(rho=0.0))
-    split = InputSplit(0, (BlockRef(0, info),), ScanKind.INDEX_SCAN)
-    result = record_reader_scan(split, job, ctx)
-    indexer.drain()
-    indexer.close()
+    result, stats = lazy_index_scan(tmp_path, registry, ["b", "c"], lo=lo, hi=hi)
 
     # emitted rows match the brute-force filter over the raw block
     mask = (base.columns["d"] >= lo) & (base.columns["d"] <= hi)
@@ -164,7 +209,7 @@ def test_record_reader_serves_and_completes_partial(tmp_path):
     # the scan also completed attribute c in the background
     info_after = registry.find_index(0, "d")
     assert "c" in info_after.available_attributes
-    assert indexer.stats.completed == 1
+    assert stats.completed == 1
 
 
 def test_mode_equivalence_invisible_vs_lazy_vs_full(tmp_path):

@@ -135,3 +135,22 @@ def test_calibration_round_trip(tmp_path):
     again = Calibration.load(tmp_path / "cal.json")
     assert again == cal
     assert not Calibration().usable
+
+
+def test_calibration_save_failure_keeps_previous_file(tmp_path, monkeypatch):
+    import adaptidx.policy as policy
+
+    path = tmp_path / "calibration.json"
+    Calibration(t_fsw=1.5, t_idx_overhead=0.25, t_target=12.0).save(path)
+
+    def torn_dump(obj, f, **kwargs):
+        f.write('{"t_fsw": 9')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(policy.json, "dump", torn_dump)
+    with pytest.raises(OSError):
+        Calibration(t_fsw=9.0, t_idx_overhead=9.0, t_target=9.0).save(path)
+    monkeypatch.undo()
+
+    assert Calibration.load(path) == Calibration(t_fsw=1.5, t_idx_overhead=0.25, t_target=12.0)
+    assert [p.name for p in tmp_path.iterdir()] == ["calibration.json"]
