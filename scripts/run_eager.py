@@ -17,8 +17,8 @@ from pathlib import Path
 
 from adaptidx.cluster import Cluster, ClusterConfig
 from adaptidx.execution import JobSpec, Predicate
-from adaptidx.indexer import OFFER_RATE, OfferPolicy
-from adaptidx.runner import CONSTANT, EAGER, WorkloadRunner, derive_eager_timing
+from adaptidx.indexer import EAGER, OFFER_RATE, OfferPolicy
+from adaptidx.runner import WorkloadRunner, derive_eager_timing
 from adaptidx.workloads import gen_synthetic
 
 N_BLOCKS = 100
@@ -46,10 +46,10 @@ def run_mode(workdir: Path, dataset, timing: dict, mode: str, rho: float, jobs: 
             f"{mode}{j}",
             Predicate("b", 0.001 * j, 0.001 * j + 0.0004),
             cluster.registry.schema.names,
-            policy=OfferPolicy(mode=OFFER_RATE, rho=rho),
+            policy=OfferPolicy(mode=mode, rho=rho),
             collect_output=False,
         )
-        rows.append(runner.run_job(job, mode).metrics)
+        rows.append(runner.run_job(job).metrics)
     cluster.close()
     return rows
 
@@ -71,8 +71,8 @@ def main() -> None:
     dataset = gen_synthetic(N_BLOCKS * ROWS_PER_BLOCK, seed=97)
     runs = {
         "eager": run_mode(workdir, dataset, timing, EAGER, 0.1, args.jobs),
-        "rate 0.1": run_mode(workdir, dataset, timing, CONSTANT, 0.1, args.jobs),
-        "rate 1.0": run_mode(workdir, dataset, timing, CONSTANT, 1.0, args.jobs),
+        "rate 0.1": run_mode(workdir, dataset, timing, OFFER_RATE, 0.1, args.jobs),
+        "rate 1.0": run_mode(workdir, dataset, timing, OFFER_RATE, 1.0, args.jobs),
     }
 
     header = f"{'job':>4} " + "".join(f"{name:>22}" for name in runs)

@@ -242,13 +242,11 @@ def read_column_range(
 def read_block(
     path: Path | str,
     projection: Optional[Iterable[str]] = None,
-    row_range: Optional[tuple[int, int]] = None,
     counter: Optional[ReadCounter] = None,
 ) -> DataBlock:
-    """Read a block, restricted to `projection` columns and `row_range` rows.
+    """Read a block, restricted to `projection` columns.
 
-    Unprojected columns are never fetched. When a row range is given the
-    sparse index is dropped (its offsets address the whole block).
+    Unprojected columns are never fetched.
     """
     with open(path, "rb") as f:
         header = read_header(f, counter)
@@ -258,18 +256,17 @@ def read_block(
                 raise SchemaError(f"unknown attribute {name!r} in projection")
         sub = header.schema.subset(names)
 
-        start, stop = row_range if row_range is not None else (0, header.record_count)
         columns = {
-            a.name: read_column_range(f, header, a.name, start, stop, counter)
+            a.name: read_column_range(f, header, a.name, 0, header.record_count, counter)
             for a in sub.attributes
         }
 
         sort_attr = header.sort_attribute if header.sort_attribute in sub.names else None
         index = None
-        if sort_attr is not None and row_range is None:
+        if sort_attr is not None:
             index = header.index
         perm = None
-        if header.has_permutation_vector and row_range is None:
+        if header.has_permutation_vector:
             perm = read_permutation(f, header, counter)
 
         return DataBlock(

@@ -20,7 +20,8 @@ A jobs file is a JSON document: either a list of job objects or
     }
 
 The workload-level "policy" object supplies defaults: mode
-(constant|eager|selectivity), rho, target_seconds, t_fsw, t_idx_overhead,
+(constant|eager|selectivity, the values of the report's mode column; any
+other value is an error), rho, target_seconds, t_fsw, t_idx_overhead,
 selectivity_threshold.
 """
 
@@ -34,8 +35,8 @@ from pathlib import Path
 from .cluster import Cluster, ClusterConfig
 from .errors import AdaptidxError
 from .execution import JobSpec, Predicate
-from .indexer import OFFER_RATE, SELECTIVITY, OfferPolicy
-from .runner import CONSTANT, EAGER, WorkloadRunner, write_reports
+from .indexer import EAGER, OFFER_RATE, SELECTIVITY, OfferPolicy
+from .runner import WorkloadRunner, write_reports
 from .workloads import Dataset, gen_synthetic, gen_uservisits_like
 
 
@@ -67,78 +68,74 @@ def _cmd_upload(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_job(doc: dict, index: int, defaults: dict, schema) -> tuple[JobSpec, str]:
+def _parse_job(doc: dict, index: int, defaults: dict, schema) -> JobSpec:
     pred = doc["predicate"]
     predicate = Predicate(pred["attribute"], pred["low"], pred["high"])
     projection = doc.get("projection", "all")
-    mode = defaults.get("mode", CONSTANT)
+    mode = defaults.get("mode", OFFER_RATE)
     rho = float(doc.get("rho", defaults.get("rho", 0.1)))
     threshold = float(
         doc.get("selectivity_threshold", defaults.get("selectivity_threshold", 0.8))
     )
     if "offer_rate" in doc:
-        mode, rho = CONSTANT, float(doc["offer_rate"])
+        mode, rho = OFFER_RATE, float(doc["offer_rate"])
     elif doc.get("eager"):
         mode = EAGER
     elif "selectivity_threshold" in doc:
         mode = SELECTIVITY
-    policy = OfferPolicy(
-        mode=SELECTIVITY if mode == SELECTIVITY else OFFER_RATE,
-        rho=rho,
-        selectivity_threshold=threshold,
-    )
-    job = JobSpec(
+    return JobSpec(
         job_id=str(doc.get("id", f"job{index}")),
         predicate=predicate,
         projection=schema.names if projection == "all" else tuple(projection),
-        policy=policy,
+        policy=OfferPolicy(mode=mode, rho=rho, selectivity_threshold=threshold),
         collect_output=False,
     )
-    return job, mode
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cluster = Cluster.open(args.root)
-    if cluster.registry is None:
-        print(f"error: no dataset uploaded under {args.root}", file=sys.stderr)
-        return 2
-    with open(args.jobs) as f:
-        raw = json.load(f)
-    docs = raw["jobs"] if isinstance(raw, dict) else raw
-    defaults = raw.get("policy", {}) if isinstance(raw, dict) else {}
+    try:
+        if cluster.registry is None:
+            print(f"error: no dataset uploaded under {args.root}", file=sys.stderr)
+            return 2
+        with open(args.jobs) as f:
+            raw = json.load(f)
+        docs = raw["jobs"] if isinstance(raw, dict) else raw
+        defaults = raw.get("policy", {}) if isinstance(raw, dict) else {}
 
-    schema = cluster.registry.schema
-    jobs = [
-        _parse_job(doc, i, defaults, schema) for i, doc in enumerate(docs, start=1)
-    ]
+        schema = cluster.registry.schema
+        jobs = [
+            _parse_job(doc, i, defaults, schema) for i, doc in enumerate(docs, start=1)
+        ]
 
-    runner = WorkloadRunner(cluster)
-    runner.apply_policy_overrides(
-        t_fsw=defaults.get("t_fsw"),
-        t_idx_overhead=defaults.get("t_idx_overhead"),
-        target_seconds=defaults.get("target_seconds"),
-    )
-
-    rows = []
-    failed = False
-    for job, mode in jobs:
-        outcome = runner.run_job(job, mode, plan_dump=args.plan_dump)
-        rows.append(outcome.metrics)
-        print(
-            f"{outcome.metrics.job_id}: indexed {outcome.metrics.blocks_indexed_after}"
-            f"/{outcome.metrics.blocks_total} blocks, "
-            f"emitted {outcome.metrics.records_emitted} records, "
-            f"simulated {outcome.metrics.simulated_seconds:.3f}s"
+        runner = WorkloadRunner(cluster)
+        runner.apply_policy_overrides(
+            t_fsw=defaults.get("t_fsw"),
+            t_idx_overhead=defaults.get("t_idx_overhead"),
+            target_seconds=defaults.get("target_seconds"),
         )
-        if outcome.metrics.failed:
-            print(f"{outcome.metrics.job_id} failed: {outcome.metrics.error}", file=sys.stderr)
-            failed = True
-            break
 
-    csv_path, json_path = write_reports(rows, args.report)
-    print(f"report: {csv_path} {json_path}")
-    cluster.close()
-    return 1 if failed else 0
+        rows = []
+        failed = False
+        for job in jobs:
+            outcome = runner.run_job(job, plan_dump=args.plan_dump)
+            rows.append(outcome.metrics)
+            print(
+                f"{outcome.metrics.job_id}: indexed {outcome.metrics.blocks_indexed_after}"
+                f"/{outcome.metrics.blocks_total} blocks, "
+                f"emitted {outcome.metrics.records_emitted} records, "
+                f"simulated {outcome.metrics.simulated_seconds:.3f}s"
+            )
+            if outcome.metrics.failed:
+                print(f"{outcome.metrics.job_id} failed: {outcome.metrics.error}", file=sys.stderr)
+                failed = True
+                break
+
+        csv_path, json_path = write_reports(rows, args.report)
+        print(f"report: {csv_path} {json_path}")
+        return 1 if failed else 0
+    finally:
+        cluster.close()
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -40,7 +40,6 @@ class ClusterConfig:
     write_queue_capacity: int = 4
     per_byte_cost: float = 1e-8  # simulated seconds per byte read
     per_block_index_cost: float = 0.05  # simulated seconds per block indexed
-    balance_total_index_counts: bool = False
     projection_mode: str = "invisible"  # or "lazy"
 
     def __post_init__(self) -> None:

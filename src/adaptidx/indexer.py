@@ -9,10 +9,10 @@ Index building sorts the target attribute (stable), derives the
 old-position -> new-position permutation vector, reorders every other present
 column with it, and cuts a sparse page directory over the sorted column.
 
-Which scanned blocks reach the indexer is decided in two places: offer-rate
-blocks are picked at plan time (`scheduler.choose_offer_blocks`), and in
-selectivity mode each full scan asks `OfferPolicy.admits` with its
-qualifying fraction.
+Which scanned blocks reach the indexer is decided in two places: in constant
+and eager mode the blocks are picked at plan time
+(`scheduler.choose_offer_blocks`), and in selectivity mode each full scan
+asks `OfferPolicy.admits` with its qualifying fraction.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from . import lazy
 from .blocks import DataBlock, Schema, SparseClusteredIndex
 from .blockfile import publish_block_once, pseudo_replica_path, pseudo_temp_path
-from .errors import AdaptidxError, SchemaError
+from .errors import AdaptidxError, ConfigError, SchemaError
 from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 
 DEFAULT_PAGE_SIZE = 1024
@@ -75,7 +75,8 @@ def build_index(
 
 # -- offer policy -----------------------------------------------------------
 
-OFFER_RATE = "offer_rate"
+OFFER_RATE = "constant"
+EAGER = "eager"
 SELECTIVITY = "selectivity"
 
 
@@ -83,22 +84,25 @@ SELECTIVITY = "selectivity"
 class OfferPolicy:
     """Which scanned blocks get handed to the Adaptive Indexer.
 
-    offer_rate: at most ceil(rho * blocks in the job), spread evenly over the
+    constant: at most ceil(rho * blocks in the job), spread evenly over the
     scanned blocks; the picks are made at plan time by
     `scheduler.choose_offer_blocks`.
-    selectivity: blocks whose qualifying fraction clears the threshold
-    (>= by default; <= when index_low_fraction is set), see `admits`.
+    eager: like constant, but the rate is solved from the cost model once it
+    is calibrated (rho is the rate until then).
+    selectivity: blocks whose qualifying fraction reaches the threshold, see
+    `admits`.
     """
 
     mode: str = OFFER_RATE
     rho: float = 0.1
     selectivity_threshold: float = 0.8
-    index_low_fraction: bool = False
+
+    def __post_init__(self) -> None:
+        if self.mode not in (OFFER_RATE, EAGER, SELECTIVITY):
+            raise ConfigError(f"unknown offer mode {self.mode!r}")
 
     def admits(self, qualifying_fraction: float) -> bool:
         """The selectivity test for one scanned block."""
-        if self.index_low_fraction:
-            return qualifying_fraction <= self.selectivity_threshold
         return qualifying_fraction >= self.selectivity_threshold
 
 
@@ -146,7 +150,6 @@ def write_pseudo_replica(
         indexed_attribute=attribute,
         available_attributes=frozenset(sorted_block.schema.names),
         path=str(final),
-        has_permutation_vector=sorted_block.permutation is not None,
     )
     registry.register_index(sorted_block.block_id, info)
     return WriteResult.WON

@@ -100,7 +100,6 @@ def append_aligned_columns(
             indexed_attribute=attribute,
             available_attributes=frozenset(schema.names),
             path=str(final),
-            has_permutation_vector=not complete,
         ),
     )
     return True

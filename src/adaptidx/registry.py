@@ -35,7 +35,11 @@ class BlockReplicaInfo:
     indexed_attribute: Optional[str]
     available_attributes: frozenset[str]
     path: str
-    has_permutation_vector: bool = False
+
+    @property
+    def has_permutation_vector(self) -> bool:
+        """Only a partial pseudo replica keeps the vector, to align later columns."""
+        return self.kind == ReplicaKind.PARTIAL_PSEUDO
 
     def validate(self, schema: Schema) -> None:
         full = set(schema.names)
@@ -44,8 +48,6 @@ class BlockReplicaInfo:
         if self.kind == ReplicaKind.NORMAL:
             if self.available_attributes != full:
                 raise SchemaError("normal replicas carry the full schema")
-            if self.has_permutation_vector:
-                raise SchemaError("normal replicas never store a permutation vector")
         elif self.kind == ReplicaKind.PSEUDO:
             if self.indexed_attribute is None:
                 raise SchemaError("pseudo replicas must name their indexed attribute")
@@ -56,8 +58,6 @@ class BlockReplicaInfo:
                 raise SchemaError("partial pseudo replicas must name their indexed attribute")
             if self.indexed_attribute not in self.available_attributes:
                 raise SchemaError("partial pseudo replicas must contain the indexed attribute")
-            if not self.has_permutation_vector:
-                raise SchemaError("partial pseudo replicas must keep the permutation vector")
 
     def to_json(self) -> dict:
         return {
@@ -66,18 +66,18 @@ class BlockReplicaInfo:
             "indexed_attribute": self.indexed_attribute,
             "available_attributes": sorted(self.available_attributes),
             "path": self.path,
-            "has_permutation_vector": self.has_permutation_vector,
         }
 
     @classmethod
     def from_json(cls, d: dict) -> "BlockReplicaInfo":
+        # Older journals also carry "has_permutation_vector"; it is derived
+        # from the kind, so the key is ignored.
         return cls(
             node_id=d["node_id"],
             kind=ReplicaKind(d["kind"]),
             indexed_attribute=d["indexed_attribute"],
             available_attributes=frozenset(d["available_attributes"]),
             path=d["path"],
-            has_permutation_vector=d["has_permutation_vector"],
         )
 
 
@@ -251,15 +251,15 @@ class ReplicaRegistry:
                 1 for b in self._replicas if self.find_index(b, attribute) is not None
             )
 
-    def pseudo_count(self, node_id: int, attribute: Optional[str] = None) -> int:
-        """Pseudo/partial replicas hosted on a node, optionally for one attribute."""
+    def pseudo_count(self, node_id: int, attribute: str) -> int:
+        """Pseudo/partial replicas indexed on `attribute` hosted on a node."""
         with self._lock:
             total = 0
             for entry in self._replicas.values():
                 for r in entry:
                     if r.kind == ReplicaKind.NORMAL or r.node_id != node_id:
                         continue
-                    if attribute is None or r.indexed_attribute == attribute:
+                    if r.indexed_attribute == attribute:
                         total += 1
             return total
 

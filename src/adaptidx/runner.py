@@ -2,9 +2,10 @@
 
 Each job runs in two phases. Indexed splits go first, which yields the
 measured index-scan time T_is; the offer rate for the remaining full scans is
-then fixed (constant, eager via the cost model, or selectivity-driven) and
-the full-scan waves run with it. After the node indexers drain, the registry
-delta gives the blocks actually indexed by the job.
+then fixed by the job's `OfferPolicy.mode` (constant, eager via the cost
+model, or selectivity-driven) and the full-scan waves run with it. After the
+node indexers drain, the registry delta gives the blocks actually indexed by
+the job.
 
 Simulated job time = T_is + sum of full-scan wave times + indexing overhead,
 where each wave costs its slowest task and the overhead charges the
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 from .cluster import Cluster, ClusterConfig
 from .errors import AdaptidxError
 from .execution import JobSpec, Predicate, ScanKind, TaskResult
-from .indexer import OFFER_RATE, SELECTIVITY, OfferPolicy
+from .indexer import EAGER, SELECTIVITY, OfferPolicy
 from .policy import Calibration, CostModelParams, compute_rho, predict_T_job
 from .scheduler import (
     choose_offer_blocks,
@@ -34,8 +35,6 @@ from .scheduler import (
     plan_job,
 )
 
-CONSTANT = "constant"
-EAGER = "eager"
 CALIBRATION_FILE = "calibration.json"
 
 CSV_COLUMNS = [
@@ -107,11 +106,10 @@ def _wave_count(results: Sequence[TaskResult]) -> int:
 
 
 class WorkloadRunner:
-    def __init__(self, cluster: Cluster, default_policy: Optional[OfferPolicy] = None):
+    def __init__(self, cluster: Cluster):
         if cluster.registry is None:
             raise AdaptidxError("cluster has no dataset; upload one first")
         self.cluster = cluster
-        self.default_policy = default_policy or OfferPolicy()
         self._cal_path = cluster.root / CALIBRATION_FILE
         if self._cal_path.exists():
             self.calibration = Calibration.load(self._cal_path)
@@ -135,7 +133,7 @@ class WorkloadRunner:
 
     # -- single job ----------------------------------------------------------
 
-    def run_job(self, job: JobSpec, mode: str = CONSTANT, plan_dump: bool = False) -> JobOutcome:
+    def run_job(self, job: JobSpec, plan_dump: bool = False) -> JobOutcome:
         registry = self.cluster.registry
         config = self.cluster.config
         attr = job.predicate.attribute
@@ -143,7 +141,7 @@ class WorkloadRunner:
         metrics = JobMetrics(
             job_id=job.job_id,
             predicate_attribute=attr,
-            mode=mode,
+            mode=job.policy.mode,
             blocks_total=registry.block_count,
         )
         try:
@@ -155,10 +153,7 @@ class WorkloadRunner:
         metrics.blocks_indexed_before = registry.indexed_block_count(attr)
 
         assignments = plan_job(
-            job,
-            registry,
-            max_blocks_per_split=config.max_blocks_per_split,
-            balance_total=config.balance_total_index_counts,
+            job, registry, max_blocks_per_split=config.max_blocks_per_split
         )
         if plan_dump:
             print(format_plan(assignments))
@@ -178,11 +173,10 @@ class WorkloadRunner:
             return self._finalize(job, metrics, results)
 
         # Decide the offer rate for the full-scan phase.
-        rho_used, policy = self._decide_rate(job, mode, metrics, t_is)
-        metrics.rho_used = None if policy.mode == SELECTIVITY else rho_used
-
+        rho_used = self._decide_rate(job, metrics, t_is)
         will_offer = None
-        if policy.mode == OFFER_RATE:
+        if job.policy.mode != SELECTIVITY:
+            metrics.rho_used = rho_used
             quota = min(
                 math.ceil(rho_used * metrics.blocks_total), len(full_assignments)
             )
@@ -216,36 +210,28 @@ class WorkloadRunner:
         self._jobs_run += 1
         return self._finalize(job, metrics, results)
 
-    def _decide_rate(
-        self, job: JobSpec, mode: str, metrics: JobMetrics, t_is: float
-    ) -> tuple[float, OfferPolicy]:
-        policy = job.policy
-        if policy.mode == SELECTIVITY or mode != EAGER:
-            return policy.rho, policy
+    def _cost_params(self, metrics: JobMetrics, t_is: float) -> CostModelParams:
         cal = self.calibration
-        if not cal.usable:
-            if self._jobs_run > 0:
-                metrics.warnings.append(
-                    "eager mode without calibration; falling back to constant rate"
-                )
-            return policy.rho, policy
-        params = CostModelParams(
+        return CostModelParams(
             n_slots=self.cluster.config.n_slots,
             n_blocks=metrics.blocks_total,
             n_idx_blocks=metrics.blocks_indexed_before,
             t_fsw=cal.t_fsw,
             t_idx_overhead=cal.t_idx_overhead,
             T_is=t_is,
-            T_target=cal.t_target,
+            T_target=cal.t_target or 0.0,
         )
-        rho = compute_rho(params)
-        eager_policy = OfferPolicy(
-            mode=OFFER_RATE,
-            rho=rho,
-            selectivity_threshold=policy.selectivity_threshold,
-            index_low_fraction=policy.index_low_fraction,
-        )
-        return rho, eager_policy
+
+    def _decide_rate(self, job: JobSpec, metrics: JobMetrics, t_is: float) -> float:
+        if job.policy.mode != EAGER:
+            return job.policy.rho
+        if not self.calibration.usable:
+            if self._jobs_run > 0:
+                metrics.warnings.append(
+                    "eager mode without calibration; falling back to constant rate"
+                )
+            return job.policy.rho
+        return compute_rho(self._cost_params(metrics, t_is))
 
     def _update_calibration(
         self,
@@ -277,16 +263,9 @@ class WorkloadRunner:
         cal = self.calibration
         if cal.t_fsw is None or cal.t_idx_overhead is None:
             return None
-        params = CostModelParams(
-            n_slots=self.cluster.config.n_slots,
-            n_blocks=metrics.blocks_total,
-            n_idx_blocks=metrics.blocks_indexed_before,
-            t_fsw=cal.t_fsw,
-            t_idx_overhead=cal.t_idx_overhead,
-            T_is=t_is,
-            T_target=cal.t_target or 0.0,
+        return predict_T_job(
+            self._cost_params(metrics, t_is), min(max(rho_used, 0.0), 1.0)
         )
-        return predict_T_job(params, min(max(rho_used, 0.0), 1.0))
 
     @staticmethod
     def _collect_failures(results: Sequence[TaskResult], metrics: JobMetrics) -> bool:
@@ -301,19 +280,6 @@ class WorkloadRunner:
             metrics.records_emitted = sum(r.records_emitted for r in results)
             metrics.bytes_read = sum(r.bytes_read for r in results)
         return JobOutcome(metrics=metrics, results=results)
-
-    # -- sequences -------------------------------------------------------------
-
-    def run_sequence(
-        self, jobs: Sequence[tuple[JobSpec, str]], stop_on_failure: bool = True
-    ) -> list[JobMetrics]:
-        rows = []
-        for job, mode in jobs:
-            outcome = self.run_job(job, mode)
-            rows.append(outcome.metrics)
-            if outcome.metrics.failed and stop_on_failure:
-                break
-        return rows
 
 
 def run_eager_sequence(
@@ -333,10 +299,10 @@ def run_eager_sequence(
             job_id=f"job{j}",
             predicate=Predicate(attribute, low, high),
             projection=schema.names,
-            policy=OfferPolicy(mode=OFFER_RATE, rho=initial_rho),
+            policy=OfferPolicy(mode=EAGER, rho=initial_rho),
             collect_output=False,
         )
-        outcome = runner.run_job(job, EAGER)
+        outcome = runner.run_job(job)
         rows.append(outcome.metrics)
         if outcome.metrics.failed:
             break

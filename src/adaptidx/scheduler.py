@@ -6,14 +6,12 @@ one split never outweighs a single-block full scan by much). Every other
 block becomes a single full-scan task assigned to whichever of its replica
 nodes currently holds the fewest adaptively created indexes, counting
 assignments made earlier in the same plan; ties go to the lowest node id.
-Balancing counts indexes on the predicate attribute by default, or across
-all attributes when balance_total is set.
+Balancing counts only indexes on the predicate attribute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import PlanningError
 from .execution import BlockRef, InputSplit, JobSpec, ScanKind
@@ -34,7 +32,6 @@ def plan_job(
     registry: ReplicaRegistry,
     *,
     max_blocks_per_split: int = 16,
-    balance_total: bool = False,
 ) -> list[TaskAssignment]:
     """Plan a job: index-scan splits first, then greedily placed full scans."""
     attr = job.predicate.attribute
@@ -57,7 +54,6 @@ def plan_job(
             )
 
     planned: dict[int, int] = {}
-    count_attr: Optional[str] = None if balance_total else attr
     for block_id in unindexed:
         normals = registry.normal_replicas(block_id)
         if not normals:
@@ -65,7 +61,7 @@ def plan_job(
         candidates = {r.node_id: r for r in normals}
         node = min(
             candidates,
-            key=lambda n: (registry.pseudo_count(n, count_attr) + planned.get(n, 0), n),
+            key=lambda n: (registry.pseudo_count(n, attr) + planned.get(n, 0), n),
         )
         planned[node] = planned.get(node, 0) + 1
         assignments.append(

@@ -119,6 +119,20 @@ def test_job_failure_nonzero_exit_partial_report(tmp_path):
     assert rows[1]["failed"] == "True"
 
 
+def test_unknown_policy_mode_exits_2(tmp_path, capsys):
+    root = gen_and_upload(tmp_path)
+    jobs = write_jobs(
+        tmp_path / "jobs.json",
+        [{"predicate": {"attribute": "b", "low": 0.1, "high": 0.2}, "projection": "all"}],
+        policy={"mode": "eagre"},
+    )
+    report = tmp_path / "report"
+    code = main(["run", "--root", str(root), "--jobs", str(jobs), "--report", str(report)])
+    assert code == 2
+    assert "error: unknown offer mode 'eagre'" in capsys.readouterr().err
+    assert not report.with_suffix(".csv").exists()
+
+
 def test_run_without_upload_fails(tmp_path):
     (tmp_path / "cluster").mkdir()
     write_config(tmp_path / "config.json")

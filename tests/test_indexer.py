@@ -9,9 +9,11 @@ import hypothesis.strategies as st
 import adaptidx.blockfile as blockfile
 from adaptidx.blocks import DataBlock, Schema
 from adaptidx.blockfile import pseudo_replica_path, read_block
-from adaptidx.errors import SchemaError
+from adaptidx.errors import ConfigError, SchemaError
 from adaptidx.indexer import (
     BUILD,
+    EAGER,
+    OFFER_RATE,
     AdaptiveIndexer,
     IndexWork,
     OfferPolicy,
@@ -142,10 +144,11 @@ def test_selectivity_threshold_boundary():
     assert [policy.admits(f) for f in (0.79, 0.80, 0.95)] == [False, True, True]
 
 
-def test_selectivity_direction_flip():
-    policy = OfferPolicy(mode=SELECTIVITY, selectivity_threshold=0.2, index_low_fraction=True)
-    assert policy.admits(0.05)
-    assert not policy.admits(0.5)
+def test_unknown_offer_mode_rejected():
+    for mode in (OFFER_RATE, EAGER, SELECTIVITY):
+        assert OfferPolicy(mode=mode).mode == mode
+    with pytest.raises(ConfigError, match="unknown offer mode 'offer_rate'"):
+        OfferPolicy(mode="offer_rate")
 
 
 @given(

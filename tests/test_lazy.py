@@ -2,7 +2,7 @@ import numpy as np
 
 import adaptidx.lazy as lazy
 from adaptidx.blocks import DataBlock, Schema, blocks_equal
-from adaptidx.blockfile import pseudo_replica_path, read_block, write_block
+from adaptidx.blockfile import pseudo_replica_path, read_block, read_header, write_block
 from adaptidx.execution import (
     BlockRef,
     InputSplit,
@@ -134,11 +134,23 @@ def test_index_scan_completion_noop_when_nothing_missing(tmp_path):
     assert blocks_equal(before, after)
 
 
+def assert_headers_match_registry(registry):
+    """Each index replica file stores a permutation vector iff its entry says so."""
+    for _, info in registry.iter_replicas():
+        if info.kind == ReplicaKind.NORMAL:
+            continue
+        with open(info.path, "rb") as f:
+            assert read_header(f).has_permutation_vector == info.has_permutation_vector
+
+
 def test_completion_sequence_converges_to_full_pseudo(tmp_path):
     base, registry = fixture_registry(tmp_path)
     index_on_d(tmp_path, registry, _subset(base, ["b", "d"]))
+    assert_headers_match_registry(registry)
     assert lazy_index_scan(tmp_path, registry, ["c"])[1].completed == 1
+    assert_headers_match_registry(registry)
     assert lazy_index_scan(tmp_path, registry, ["a"])[1].completed == 1
+    assert_headers_match_registry(registry)
 
     info = registry.find_index(0, "d")
     assert info.kind == ReplicaKind.PSEUDO

@@ -1,3 +1,4 @@
+import json
 import threading
 
 import pytest
@@ -22,7 +23,6 @@ def pseudo(node, attr, path="q", available=FULL, partial=False):
         attr,
         available,
         path,
-        has_permutation_vector=partial,
     )
 
 
@@ -109,11 +109,11 @@ def test_replica_invariants_validated():
         BlockReplicaInfo(0, ReplicaKind.PSEUDO, None, FULL, "p").validate(SCHEMA)
     with pytest.raises(SchemaError):
         BlockReplicaInfo(
-            0, ReplicaKind.PARTIAL_PSEUDO, "d", frozenset({"b"}), "p", True
+            0, ReplicaKind.PARTIAL_PSEUDO, "d", frozenset({"b"}), "p"
         ).validate(SCHEMA)
     with pytest.raises(SchemaError):
         BlockReplicaInfo(
-            0, ReplicaKind.PARTIAL_PSEUDO, "d", frozenset({"d", "b"}), "p", False
+            0, ReplicaKind.PARTIAL_PSEUDO, None, frozenset({"d", "b"}), "p"
         ).validate(SCHEMA)
 
 
@@ -152,6 +152,26 @@ def test_journal_replay_keeps_partial_upgrade(tmp_path):
     assert not hits[0].has_permutation_vector
 
 
+def test_permutation_vector_follows_kind_and_old_journals_load(tmp_path):
+    assert pseudo(0, "d", available=frozenset({"d"}), partial=True).has_permutation_vector
+    assert not pseudo(0, "d").has_permutation_vector
+    assert not normal(0).has_permutation_vector
+    assert "has_permutation_vector" not in pseudo(0, "d").to_json()
+
+    # A journal written when the flag was still stored keeps loading.
+    journal = tmp_path / "registry.journal"
+    ReplicaRegistry(SCHEMA, replication_factor=1, journal_path=journal).add_block(
+        0, 100, [normal(0)]
+    )
+    old_entry = pseudo(0, "d", available=frozenset({"d"}), partial=True).to_json()
+    old_entry["has_permutation_vector"] = True
+    with open(journal, "a") as f:
+        f.write(json.dumps({"event": "register", "block_id": 0, "replica": old_entry}) + "\n")
+    again = ReplicaRegistry.load(journal)
+    info = again.find_index(0, "d")
+    assert info.kind == ReplicaKind.PARTIAL_PSEUDO and info.has_permutation_vector
+
+
 def test_concurrent_registration_stays_unique(registry):
     barrier = threading.Barrier(8)
 
@@ -174,4 +194,3 @@ def test_pseudo_count_per_node_and_attribute(registry):
     assert registry.pseudo_count(1, "d") == 1
     assert registry.pseudo_count(1, "b") == 0
     assert registry.pseudo_count(0, "d") == 0
-    assert registry.pseudo_count(1) == 1

@@ -3,26 +3,20 @@ import math
 import pytest
 
 from adaptidx.execution import JobSpec, Predicate
-from adaptidx.indexer import OFFER_RATE, SELECTIVITY, OfferPolicy
-from adaptidx.runner import (
-    CONSTANT,
-    EAGER,
-    CSV_COLUMNS,
-    WorkloadRunner,
-    write_reports,
-)
+from adaptidx.indexer import EAGER, OFFER_RATE, SELECTIVITY, OfferPolicy
+from adaptidx.runner import CSV_COLUMNS, WorkloadRunner, write_reports
 from adaptidx.workloads import gen_synthetic
 
 from conftest import make_cluster
 
 
-def seq_job(j, rho, attr="b", proj=("a", "b"), collect=False):
+def seq_job(j, rho, attr="b", proj=("a", "b"), collect=False, mode=OFFER_RATE):
     lo = 0.01 * j
     return JobSpec(
         job_id=f"job{j}",
         predicate=Predicate(attr, lo, lo + 0.005),
         projection=proj,
-        policy=OfferPolicy(mode=OFFER_RATE, rho=rho),
+        policy=OfferPolicy(mode=mode, rho=rho),
         collect_output=collect,
     )
 
@@ -64,11 +58,12 @@ def test_eager_first_job_uses_initial_rate_and_sets_target(tmp_path):
     cluster = make_cluster(tmp_path / "c", nodes=4, slots=1, replication=2, block_records=500)
     cluster.upload_dataset(gen_synthetic(8_000, seed=19))  # 16 blocks
     runner = WorkloadRunner(cluster)
-    metrics = runner.run_job(seq_job(1, 0.25), EAGER).metrics
+    metrics = runner.run_job(seq_job(1, 0.25, mode=EAGER)).metrics
+    assert metrics.mode == EAGER
     assert metrics.rho_used == 0.25
     assert runner.calibration.t_target == pytest.approx(metrics.simulated_seconds)
     assert runner.calibration.usable
-    metrics2 = runner.run_job(seq_job(2, 0.25), EAGER).metrics
+    metrics2 = runner.run_job(seq_job(2, 0.25, mode=EAGER)).metrics
     assert metrics2.rho_used >= 0.25  # savings reinvested
     cluster.close()
 
@@ -78,9 +73,9 @@ def test_eager_fallback_warns_without_calibration(tmp_path):
     cluster.upload_dataset(gen_synthetic(2_000, seed=23))
     runner = WorkloadRunner(cluster)
     # rho=0 on the first job: nothing indexed, so t_idx_overhead never calibrates
-    first = runner.run_job(seq_job(1, 0.0), EAGER).metrics
+    first = runner.run_job(seq_job(1, 0.0, mode=EAGER)).metrics
     assert first.rho_used == 0.0 and not first.warnings
-    second = runner.run_job(seq_job(2, 0.0), EAGER).metrics
+    second = runner.run_job(seq_job(2, 0.0, mode=EAGER)).metrics
     assert second.warnings and "calibration" in second.warnings[0]
     cluster.close()
 
@@ -91,7 +86,7 @@ def test_user_overrides_feed_the_model(tmp_path):
     runner = WorkloadRunner(cluster)
     runner.apply_policy_overrides(t_fsw=1.0, t_idx_overhead=0.5, target_seconds=3.0)
     assert runner.calibration.usable
-    metrics = runner.run_job(seq_job(1, 0.1), EAGER).metrics
+    metrics = runner.run_job(seq_job(1, 0.1, mode=EAGER)).metrics
     # model-driven from the very first job: budget = 3 - T_is - 2*1.0
     assert metrics.rho_used == pytest.approx(
         min(max((3.0 - metrics.t_is_seconds - 2.0) / (0.5 * 2), 0.0), 1.0)
@@ -121,7 +116,9 @@ def test_selectivity_sequence_indexes_matching_blocks_only(tmp_path):
         ("a",),
         policy=OfferPolicy(mode=SELECTIVITY, selectivity_threshold=0.8),
     )
-    metrics = runner.run_job(job, CONSTANT).metrics
+    metrics = runner.run_job(job).metrics
+    assert metrics.mode == SELECTIVITY
+    assert metrics.rho_used is None
     assert metrics.blocks_offered == metrics.blocks_total
     assert metrics.blocks_indexed_after == metrics.blocks_total
 
@@ -135,24 +132,11 @@ def test_selectivity_sequence_indexes_matching_blocks_only(tmp_path):
         ("a",),
         policy=OfferPolicy(mode=SELECTIVITY, selectivity_threshold=0.8),
     )
-    metrics2 = runner2.run_job(job2, CONSTANT).metrics
+    metrics2 = runner2.run_job(job2).metrics
     assert metrics2.blocks_offered == 0
     assert metrics2.blocks_indexed_after == 0
     cluster.close()
     cluster2.close()
-
-
-def test_run_sequence_stops_on_failure(tmp_path):
-    cluster = make_cluster(tmp_path / "c", nodes=2, slots=1, replication=1, block_records=500)
-    cluster.upload_dataset(gen_synthetic(2_000, seed=43))
-    runner = WorkloadRunner(cluster)
-    bad = JobSpec("bad", Predicate("nope", 0, 1), ("a",), policy=OfferPolicy(rho=0.0))
-    rows = runner.run_sequence(
-        [(seq_job(1, 0.5), CONSTANT), (bad, CONSTANT), (seq_job(3, 0.5), CONSTANT)]
-    )
-    assert [m.job_id for m in rows] == ["job1", "bad"]
-    assert not rows[0].failed and rows[1].failed
-    cluster.close()
 
 
 def test_report_files_round_trip(tmp_path):

@@ -119,16 +119,12 @@ def test_unreachable_block_raises():
         plan_job(job(), reg)
 
 
-def test_balance_total_counts_other_attributes():
+def test_balance_ignores_indexes_on_other_attributes():
     reg = build_registry(2, nodes=3, r=3)
     reg.register_index(0, BlockReplicaInfo(0, ReplicaKind.PSEUDO, "a", FULL, "pa"))
-    assignments = plan_job(job("d"), reg, balance_total=True)
-    # node 0 carries an index on another attribute; total-count mode avoids it
-    full = [a for a in assignments if a.split.scan_kind == ScanKind.FULL_SCAN]
-    assert full[0].node_id == 1
-    per_attr = plan_job(job("d"), reg, balance_total=False)
-    full2 = [a for a in per_attr if a.split.scan_kind == ScanKind.FULL_SCAN]
-    assert full2[0].node_id == 0  # per-attribute mode ignores the "a" index
+    # node 0 carries an index on "a"; balancing on "d" does not count it
+    full = [a for a in plan_job(job("d"), reg) if a.split.scan_kind == ScanKind.FULL_SCAN]
+    assert full[0].node_id == 0
 
 
 def test_choose_offer_blocks_spreads_quota():

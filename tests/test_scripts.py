@@ -1,0 +1,20 @@
+"""The experiment scripts import only names the library still provides."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+
+
+def test_scripts_found():
+    assert SCRIPTS
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(path):
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # main() only runs under __main__
+    assert callable(module.main)
