@@ -22,7 +22,8 @@ A jobs file is a JSON document: either a list of job objects or
 The workload-level "policy" object supplies defaults: mode
 (constant|eager|selectivity, the values of the report's mode column; any
 other value is an error), rho, target_seconds, t_fsw, t_idx_overhead,
-selectivity_threshold.
+selectivity_threshold. A key outside these lists, in the document, a job
+object or the policy object, is an error (exit status 2).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import sys
 from pathlib import Path
 
 from .cluster import Cluster, ClusterConfig
-from .errors import AdaptidxError
+from .errors import AdaptidxError, ConfigError
 from .execution import JobSpec, Predicate
 from .indexer import EAGER, OFFER_RATE, SELECTIVITY, OfferPolicy
 from .runner import WorkloadRunner, write_reports
@@ -68,7 +69,24 @@ def _cmd_upload(args: argparse.Namespace) -> int:
     return 0
 
 
+JOB_KEYS = frozenset(
+    {"id", "predicate", "projection", "rho", "offer_rate", "eager", "selectivity_threshold"}
+)
+POLICY_KEYS = frozenset(
+    {"mode", "rho", "selectivity_threshold", "t_fsw", "t_idx_overhead", "target_seconds"}
+)
+
+
+def _check_keys(doc: dict, allowed: frozenset[str], where: str) -> None:
+    for key in doc:
+        if key not in allowed:
+            raise ConfigError(
+                f"unknown key {key!r} in {where} (allowed: {', '.join(sorted(allowed))})"
+            )
+
+
 def _parse_job(doc: dict, index: int, defaults: dict, schema) -> JobSpec:
+    _check_keys(doc, JOB_KEYS, f"job {index}")
     pred = doc["predicate"]
     predicate = Predicate(pred["attribute"], pred["low"], pred["high"])
     projection = doc.get("projection", "all")
@@ -100,8 +118,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         with open(args.jobs) as f:
             raw = json.load(f)
-        docs = raw["jobs"] if isinstance(raw, dict) else raw
-        defaults = raw.get("policy", {}) if isinstance(raw, dict) else {}
+        if isinstance(raw, dict):
+            _check_keys(raw, frozenset({"policy", "jobs"}), "jobs file")
+            docs, defaults = raw["jobs"], raw.get("policy", {})
+        else:
+            docs, defaults = raw, {}
+        _check_keys(defaults, POLICY_KEYS, "policy")
 
         schema = cluster.registry.schema
         jobs = [

@@ -25,6 +25,8 @@ from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 
 REGISTRY_JOURNAL = "registry.journal"
 CLUSTER_CONFIG = "cluster.json"
+# Keys older cluster.json files may still carry; they are read and ignored.
+RETIRED_CONFIG_KEYS = frozenset({"balance_total_index_counts"})
 
 
 @dataclass
@@ -68,8 +70,12 @@ class ClusterConfig:
     def from_file(cls, path: Path | str) -> "ClusterConfig":
         with open(path) as f:
             raw = json.load(f)
-        known = {k: v for k, v in raw.items() if k in cls.__dataclass_fields__}
         aliases = {"nodes": "node_count", "replication": "replication_factor"}
+        allowed = {*cls.__dataclass_fields__, *aliases, *RETIRED_CONFIG_KEYS}
+        for k in raw:
+            if k not in allowed:
+                raise ConfigError(f"unknown key {k!r} in cluster config {path}")
+        known = {k: v for k, v in raw.items() if k in cls.__dataclass_fields__}
         for k, attr in aliases.items():
             if k in raw:
                 known[attr] = raw[k]

@@ -3,7 +3,15 @@
 The registry is the single shared mutable structure in the engine. All
 mutations and lookups take one lock, which gives register/lookup linearizable
 semantics. Every mutation is appended to a journal file (one JSON record per
-line) so a cluster directory can be reopened and replayed.
+line) so a cluster directory can be reopened and replayed; a torn last line
+(a crash mid-append) is dropped on load.
+
+Two derived tables, updated under the same lock by `add_block` and
+`register_index`, make the planner's lookups O(1): the number of adaptive
+(pseudo or partial) replicas per (node, indexed attribute), and per attribute
+the set of blocks with any replica indexed on it, upload-time indexes
+included. Replicas are never removed, so the sets only grow; a widening
+re-registration that lands on another node moves its count there.
 """
 
 from __future__ import annotations
@@ -94,6 +102,8 @@ class ReplicaRegistry:
         self._lock = threading.RLock()
         self._replicas: dict[int, list[BlockReplicaInfo]] = {}
         self._record_counts: dict[int, int] = {}
+        self._pseudo_counts: dict[tuple[int, str], int] = {}
+        self._indexed: dict[str, set[int]] = {}
         if self._journal_path is not None and not self._journal_path.exists():
             self._journal_path.parent.mkdir(parents=True, exist_ok=True)
             self._append_journal(
@@ -110,19 +120,13 @@ class ReplicaRegistry:
     def load(cls, journal_path: Path | str) -> "ReplicaRegistry":
         """Rebuild a registry by replaying its journal."""
         journal_path = Path(journal_path)
-        with open(journal_path) as f:
-            lines = [json.loads(line) for line in f if line.strip()]
-        if not lines or lines[0].get("event") != "dataset":
+        records = _read_journal(journal_path)
+        if not records or records[0].get("event") != "dataset":
             raise RegistryError(f"journal {journal_path} does not start with a dataset record")
-        head = lines[0]
-        reg = cls.__new__(cls)
-        reg.schema = Schema.from_json(head["schema"])
-        reg.replication_factor = head["replication"]
-        reg._journal_path = None  # suppress re-journaling during replay
-        reg._lock = threading.RLock()
-        reg._replicas = {}
-        reg._record_counts = {}
-        for rec in lines[1:]:
+        head = records[0]
+        # No journal path yet: replay must not re-journal what it reads.
+        reg = cls(Schema.from_json(head["schema"]), head["replication"])
+        for rec in records[1:]:
             info = BlockReplicaInfo.from_json(rec["replica"])
             if rec["event"] == "block":
                 reg.add_block(rec["block_id"], rec["record_count"], [info])
@@ -148,15 +152,17 @@ class ReplicaRegistry:
                 if info.kind != ReplicaKind.NORMAL:
                     raise RegistryError("add_block only accepts normal replicas")
                 info.validate(self.schema)
-            entry = self._replicas.setdefault(block_id, [])
+            entry = self._replicas.get(block_id, ())
             normals = sum(1 for r in entry if r.kind == ReplicaKind.NORMAL)
             if normals + len(replicas) > self.replication_factor:
                 raise RegistryError(
                     f"block {block_id} would exceed replication factor {self.replication_factor}"
                 )
-            entry.extend(replicas)
+            self._replicas.setdefault(block_id, []).extend(replicas)
             self._record_counts[block_id] = record_count
             for info in replicas:
+                if info.indexed_attribute is not None:
+                    self._indexed.setdefault(info.indexed_attribute, set()).add(block_id)
                 self._append_journal(
                     {
                         "event": "block",
@@ -171,7 +177,8 @@ class ReplicaRegistry:
 
         Re-registering the same (block, attribute) is a no-op unless the new
         entry widens a partial replica (more attributes, or an upgrade to a
-        full pseudo replica), in which case it replaces the old entry.
+        full pseudo replica), in which case it replaces the old entry, on
+        whichever node that entry sits, and its count moves to the new node.
         """
         with self._lock:
             if block_id not in self._replicas:
@@ -192,14 +199,22 @@ class ReplicaRegistry:
                     if not widens:
                         return
                     entry[i] = info
+                    self._pseudo_counts[(existing.node_id, existing.indexed_attribute)] -= 1
+                    self._count_pseudo(info)
                     self._append_journal(
                         {"event": "register", "block_id": block_id, "replica": info.to_json()}
                     )
                     return
             entry.append(info)
+            self._count_pseudo(info)
+            self._indexed.setdefault(info.indexed_attribute, set()).add(block_id)
             self._append_journal(
                 {"event": "register", "block_id": block_id, "replica": info.to_json()}
             )
+
+    def _count_pseudo(self, info: BlockReplicaInfo) -> None:
+        key = (info.node_id, info.indexed_attribute)
+        self._pseudo_counts[key] = self._pseudo_counts.get(key, 0) + 1
 
     # -- lookup ------------------------------------------------------------
 
@@ -247,21 +262,12 @@ class ReplicaRegistry:
 
     def indexed_block_count(self, attribute: str) -> int:
         with self._lock:
-            return sum(
-                1 for b in self._replicas if self.find_index(b, attribute) is not None
-            )
+            return len(self._indexed.get(attribute, ()))
 
     def pseudo_count(self, node_id: int, attribute: str) -> int:
         """Pseudo/partial replicas indexed on `attribute` hosted on a node."""
         with self._lock:
-            total = 0
-            for entry in self._replicas.values():
-                for r in entry:
-                    if r.kind == ReplicaKind.NORMAL or r.node_id != node_id:
-                        continue
-                    if r.indexed_attribute == attribute:
-                        total += 1
-            return total
+            return self._pseudo_counts.get((node_id, attribute), 0)
 
     def iter_replicas(self) -> Iterator[tuple[int, BlockReplicaInfo]]:
         with self._lock:
@@ -269,3 +275,35 @@ class ReplicaRegistry:
         for block_id, rs in snapshot:
             for r in rs:
                 yield block_id, r
+
+
+def _read_journal(path: Path) -> list[dict]:
+    """Parse a journal, dropping a torn last line left by a crash mid-append.
+
+    Each append writes one record followed by its newline, so a crash can
+    tear only the last line, which then has no newline: an unparsable one is
+    truncated away and a complete one gets its newline back, so the next
+    append starts on a clean line. An unparsable line anywhere else is
+    corruption.
+    """
+    data = path.read_bytes()
+    lines = data.split(b"\n")
+    tail = lines.pop()  # b"" when the file ends with a newline
+    records = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except ValueError as exc:
+            raise RegistryError(f"journal {path} line {number} is corrupt: {exc}") from None
+    if tail.strip():
+        try:
+            records.append(json.loads(tail))
+        except ValueError:
+            with open(path, "r+b") as f:
+                f.truncate(len(data) - len(tail))
+        else:
+            with open(path, "ab") as f:
+                f.write(b"\n")
+    return records

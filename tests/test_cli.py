@@ -133,6 +133,41 @@ def test_unknown_policy_mode_exits_2(tmp_path, capsys):
     assert not report.with_suffix(".csv").exists()
 
 
+def test_unknown_job_key_exits_2(tmp_path, capsys):
+    root = gen_and_upload(tmp_path)
+    # "mode" is a policy key; a job picks its mode through offer_rate, eager
+    # or selectivity_threshold.
+    jobs = write_jobs(
+        tmp_path / "jobs.json",
+        [{"predicate": {"attribute": "b", "low": 0.1, "high": 0.2}, "projection": "all",
+          "mode": "selectivity"}],
+    )
+    report = tmp_path / "report"
+    code = main(["run", "--root", str(root), "--jobs", str(jobs), "--report", str(report)])
+    assert code == 2
+    assert "error: unknown key 'mode' in job 1" in capsys.readouterr().err
+    assert not report.with_suffix(".csv").exists()
+
+
+def test_unknown_policy_key_exits_2(tmp_path, capsys):
+    root = gen_and_upload(tmp_path)
+    jobs = write_jobs(
+        tmp_path / "jobs.json",
+        [{"predicate": {"attribute": "b", "low": 0.1, "high": 0.2}, "projection": "all"}],
+        policy={"mode": "constant", "offer_rate": 0.5},
+    )
+    code = main(["run", "--root", str(root), "--jobs", str(jobs),
+                 "--report", str(tmp_path / "report")])
+    assert code == 2
+    assert "error: unknown key 'offer_rate' in policy" in capsys.readouterr().err
+
+    jobs.write_text(json.dumps({"polcy": {"mode": "eager"}, "jobs": []}))
+    code = main(["run", "--root", str(root), "--jobs", str(jobs),
+                 "--report", str(tmp_path / "report")])
+    assert code == 2
+    assert "error: unknown key 'polcy' in jobs file" in capsys.readouterr().err
+
+
 def test_run_without_upload_fails(tmp_path):
     (tmp_path / "cluster").mkdir()
     write_config(tmp_path / "config.json")

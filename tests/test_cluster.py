@@ -1,10 +1,14 @@
+import json
+from dataclasses import replace
+
 import pytest
 
-from adaptidx.cluster import Cluster, ClusterConfig
+from adaptidx.cluster import CLUSTER_CONFIG, REGISTRY_JOURNAL, Cluster, ClusterConfig
 from adaptidx.errors import ConfigError
 from adaptidx.execution import JobSpec, Predicate, ScanKind
 from adaptidx.indexer import OfferPolicy
-from adaptidx.registry import ReplicaKind
+from adaptidx.registry import ReplicaKind, ReplicaRegistry
+from adaptidx.runner import WorkloadRunner
 from adaptidx.scheduler import plan_job
 from adaptidx.workloads import gen_synthetic
 
@@ -156,8 +160,6 @@ def test_reopen_cluster_replays_registry(tmp_path):
 def test_pseudo_counts_match_indexed_blocks(tmp_path):
     cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=1000)
     cluster.upload_dataset(gen_synthetic(3_000, seed=8))
-    from adaptidx.runner import WorkloadRunner
-
     runner = WorkloadRunner(cluster)
     job = JobSpec("n", Predicate("b", 0.0, 0.1), ("b",), policy=OfferPolicy(rho=1.0))
     outcome = runner.run_job(job)
@@ -171,3 +173,55 @@ def test_pseudo_counts_match_indexed_blocks(tmp_path):
     total = sum(registry.pseudo_count(node, "b") for node in cluster.node_ids())
     assert total == outcome.metrics.blocks_indexed_after == registry.block_count
     cluster.close()
+
+
+def test_unknown_config_key_rejected(tmp_path):
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps({"nodes": 3, "slots_per_nod": 3}))
+    with pytest.raises(ConfigError, match="slots_per_nod"):
+        ClusterConfig.from_file(path)
+
+
+def test_retired_config_key_still_opens(tmp_path):
+    root = tmp_path / "c"
+    make_cluster(root, nodes=3, slots=2, replication=2).close()
+    raw = json.loads((root / CLUSTER_CONFIG).read_text())
+    raw["balance_total_index_counts"] = True
+    (root / CLUSTER_CONFIG).write_text(json.dumps(raw))
+
+    again = Cluster.open(root)
+    assert again.config.node_count == 3 and again.config.slots_per_node == 2
+    again.close()
+
+
+def _counts(registry, nodes):
+    pseudo = {n: registry.pseudo_count(n, "b") for n in nodes}
+    return pseudo, registry.indexed_block_count("b")
+
+
+def test_torn_journal_tail_is_dropped_on_open(tmp_path):
+    root = tmp_path / "c"
+    cluster = make_cluster(root, nodes=3, replication=2, block_records=1000)
+    cluster.upload_dataset(gen_synthetic(4_000, seed=9))
+    cluster.close()
+    # A crash mid-append leaves half a register record with no newline.
+    journal = root / REGISTRY_JOURNAL
+    info = replace(cluster.registry.normal_replicas(0)[0], kind=ReplicaKind.PSEUDO,
+                   indexed_attribute="b")
+    record = {"event": "register", "block_id": 0, "replica": info.to_json()}
+    with open(journal, "a") as f:
+        f.write(json.dumps(record)[:50])
+
+    cluster = Cluster.open(root)
+    job = JobSpec("t", Predicate("b", 0.0, 0.1), ("b",), policy=OfferPolicy(rho=0.5))
+    assert not WorkloadRunner(cluster).run_job(job).metrics.failed
+    nodes = cluster.node_ids()
+    live = _counts(cluster.registry, nodes)
+    cluster.close()
+
+    assert live[1] == 2  # half of the four blocks
+    reopened = Cluster.open(root)
+    assert _counts(reopened.registry, nodes) == live
+    reopened.close()
+    assert _counts(ReplicaRegistry.load(journal), nodes) == live
+    assert journal.read_bytes().endswith(b"\n")

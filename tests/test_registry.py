@@ -1,7 +1,12 @@
 import json
+import sys
+import tempfile
 import threading
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from adaptidx.blocks import Schema
 from adaptidx.errors import RegistryError, SchemaError
@@ -194,3 +199,164 @@ def test_pseudo_count_per_node_and_attribute(registry):
     assert registry.pseudo_count(1, "d") == 1
     assert registry.pseudo_count(1, "b") == 0
     assert registry.pseudo_count(0, "d") == 0
+
+
+NODES = range(4)
+
+
+def _counts(reg):
+    pseudo = {(n, a): reg.pseudo_count(n, a) for n in NODES for a in SCHEMA.names}
+    indexed = {a: reg.indexed_block_count(a) for a in SCHEMA.names}
+    return pseudo, indexed
+
+
+def _assert_counts_match_replicas(reg):
+    for n in NODES:
+        for a in SCHEMA.names:
+            expected = sum(
+                1
+                for _, r in reg.iter_replicas()
+                if r.node_id == n and r.kind != ReplicaKind.NORMAL and r.indexed_attribute == a
+            )
+            assert reg.pseudo_count(n, a) == expected, (n, a)
+    for a in SCHEMA.names:
+        expected = sum(1 for b in reg.block_ids if reg.find_index(b, a) is not None)
+        assert reg.indexed_block_count(a) == expected, a
+
+
+_add_block = st.tuples(
+    st.just("block"),
+    st.integers(0, 3),
+    st.lists(st.sampled_from(NODES), min_size=1, max_size=3, unique=True),
+    st.sampled_from([None, *SCHEMA.names]),
+)
+_register = st.tuples(
+    st.just("index"),
+    st.integers(0, 3),
+    st.sampled_from(NODES),
+    st.sampled_from(SCHEMA.names),
+    st.booleans(),  # partial
+    st.sets(st.sampled_from(SCHEMA.names)),  # extra attributes of a partial replica
+)
+
+
+@given(st.lists(st.one_of(_add_block, _register), max_size=25))
+@settings(max_examples=150, deadline=None)
+# A partial replica widened to a pseudo replica on another node, then a
+# non-widening re-registration on a third node.
+@example(
+    [
+        ("block", 0, [0, 1], None),
+        ("index", 0, 1, "d", True, set()),
+        ("index", 0, 2, "d", False, set()),
+        ("index", 0, 3, "d", True, {"b"}),
+    ]
+)
+# A partial replica widened by one attribute on another node.
+@example(
+    [
+        ("block", 1, [0, 1, 2], "a"),
+        ("index", 1, 0, "b", True, set()),
+        ("index", 1, 3, "b", True, {"a"}),
+    ]
+)
+def test_derived_counts_match_brute_force(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = Path(tmp) / "registry.journal"
+        reg = ReplicaRegistry(SCHEMA, replication_factor=3, journal_path=journal)
+        for op in ops:
+            try:
+                if op[0] == "block":
+                    _, block_id, nodes, upload_attr = op
+                    reg.add_block(
+                        block_id, 10, [normal(n, attr=upload_attr if i == 0 else None)
+                                       for i, n in enumerate(nodes)]
+                    )
+                else:
+                    _, block_id, node, attr, partial, extra = op
+                    available = frozenset({attr, *extra}) if partial else FULL
+                    reg.register_index(block_id, pseudo(node, attr, available=available,
+                                                        partial=partial))
+            except RegistryError:
+                pass  # unknown block or replication cap: rejected, nothing recorded
+            _assert_counts_match_replicas(reg)
+        assert _counts(ReplicaRegistry.load(journal)) == _counts(reg)
+
+
+def test_corrupt_journal_line_names_its_line(tmp_path):
+    journal = tmp_path / "registry.journal"
+    reg = ReplicaRegistry(SCHEMA, replication_factor=2, journal_path=journal)
+    reg.add_block(0, 100, [normal(0)])
+    reg.add_block(1, 100, [normal(1)])
+    lines = journal.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+    journal.write_text("".join(lines))
+    with pytest.raises(RegistryError, match="line 2"):
+        ReplicaRegistry.load(journal)
+
+
+def test_torn_last_journal_line_is_dropped(tmp_path):
+    journal = tmp_path / "registry.journal"
+    reg = ReplicaRegistry(SCHEMA, replication_factor=2, journal_path=journal)
+    reg.add_block(0, 100, [normal(0), normal(1)])
+    intact = journal.read_bytes()
+    record = {"event": "register", "block_id": 0, "replica": pseudo(1, "d").to_json()}
+    with open(journal, "a") as f:
+        f.write(json.dumps(record)[:40])
+
+    again = ReplicaRegistry.load(journal)
+    assert journal.read_bytes() == intact  # truncated back to the last newline
+    assert again.find_index(0, "d") is None
+    again.register_index(0, pseudo(1, "d"))
+    assert ReplicaRegistry.load(journal).pseudo_count(1, "d") == 1
+
+
+def test_unterminated_complete_last_line_is_kept(tmp_path):
+    journal = tmp_path / "registry.journal"
+    reg = ReplicaRegistry(SCHEMA, replication_factor=2, journal_path=journal)
+    reg.add_block(0, 100, [normal(0), normal(1)])
+    reg.register_index(0, pseudo(1, "d"))
+    journal.write_bytes(journal.read_bytes().rstrip(b"\n"))
+
+    again = ReplicaRegistry.load(journal)
+    assert again.pseudo_count(1, "d") == 1
+    again.register_index(0, pseudo(0, "b"))
+    final = ReplicaRegistry.load(journal)
+    assert final.pseudo_count(1, "d") == 1 and final.pseudo_count(0, "b") == 1
+
+
+def test_rejected_add_block_leaves_no_empty_block():
+    reg = ReplicaRegistry(SCHEMA, replication_factor=2)
+    with pytest.raises(RegistryError):
+        reg.add_block(7, 10, [normal(0), normal(1), normal(2)])
+    assert reg.block_ids == []
+
+
+def test_concurrent_cross_node_widening_keeps_counts():
+    reg = ReplicaRegistry(SCHEMA, replication_factor=3)
+    for block_id in range(20):
+        reg.add_block(block_id, 10, [normal(0), normal(1), normal(2)])
+    barrier = threading.Barrier(8)
+
+    def register(node):
+        barrier.wait()
+        for block_id in range(20):
+            reg.register_index(block_id, pseudo(node, "d", available=frozenset({"d"}),
+                                                partial=True))
+            reg.register_index(block_id, pseudo(node, "d", available=frozenset({"d", "b"}),
+                                                partial=True))
+            reg.register_index(block_id, pseudo(node, "d"))
+
+    threads = [threading.Thread(target=register, args=(k % 4,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    _assert_counts_match_replicas(reg)
+    assert sum(reg.pseudo_count(n, "d") for n in NODES) == reg.indexed_block_count("d") == 20
