@@ -12,9 +12,17 @@ File layout, all little-endian:
     if present: [perm_count u64][perm u64 x perm_count]
     [columnar data: one contiguous run per attribute, in header order]
 
-Column offsets are absolute file offsets, so projected reads seek straight to
-the needed columns and never touch the rest. Every read helper takes an
-optional ReadCounter; tests use it to verify projection isolation.
+Column offsets are absolute file offsets, so projected reads go straight to
+the needed columns and never touch the rest. Readers use positional reads
+only, never the file position: the header comes from one `os.pread` of the
+first 4 KiB (extended only for longer headers), and column ranges and the
+permutation vector are read with one `os.preadv` straight into a fresh
+array. Open files with `buffering=0`; a buffer would only be bypassed.
+
+Every read helper takes an optional ReadCounter, charged exactly the bytes
+the format needs (the header's own length, not the probe's), which is what
+the simulated cost model bills; tests use it to verify projection isolation.
+A file that ends early raises BlockFormatError from every reader.
 
 A block file is write-once: publication goes through a temp file in the same
 directory followed by a hard link, so concurrent writers of the same path
@@ -23,11 +31,13 @@ cannot clobber each other (at most one link succeeds).
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Optional
+from types import MappingProxyType
+from typing import BinaryIO, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -41,8 +51,12 @@ _TAG_BY_KIND = {INT64: 1, FLOAT64: 2, STRING: 3}
 _KIND_BY_TAG = {v: k for k, v in _TAG_BY_KIND.items()}
 
 _PREFIX = struct.Struct("<4sHQQH")
+_COUNTS = struct.Struct("<QH")  # the prefix's tail: record_count, attr_count
+_U16 = struct.Struct("<H")
+_U64 = struct.Struct("<Q")
 _ATTR_FIXED = struct.Struct("<BQQ")
 _INDEX_HEAD = struct.Struct("<HIQ")
+_PROBE = 4096  # bytes of the first header read; covers typical headers whole
 
 
 @dataclass
@@ -55,22 +69,13 @@ class ReadCounter:
         self.bytes_read += n
 
 
-def _read_exact(f: BinaryIO, n: int, counter: Optional[ReadCounter]) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise BlockFormatError(f"truncated block file: wanted {n} bytes, got {len(data)}")
-    if counter is not None:
-        counter.add(n)
-    return data
-
-
 @dataclass
 class BlockFileHeader:
     block_id: int
     record_count: int
-    schema: Schema
-    column_offsets: dict[str, int]
-    column_lengths: dict[str, int]
+    schema: Schema  # schema and both mappings are shared between headers: read-only
+    column_offsets: Mapping[str, int]
+    column_lengths: Mapping[str, int]
     index: Optional[SparseClusteredIndex]
     perm_count: int
     perm_offset: int  # 0 when absent
@@ -144,21 +149,42 @@ def write_block(block: DataBlock, path: Path | str) -> int:
     return len(payload)
 
 
-def read_header(f: BinaryIO, counter: Optional[ReadCounter] = None) -> BlockFileHeader:
-    raw = _read_exact(f, _PREFIX.size, counter)
-    magic, version, block_id, record_count, n_attrs = _PREFIX.unpack(raw)
-    if magic != MAGIC:
-        raise BlockFormatError(f"bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise BlockFormatError(f"unsupported format version {version}")
+def _cover(fd: int, buf: bytes, end: int) -> bytes:
+    """The file's leading bytes `buf`, extended to at least `end` bytes.
 
+    Afterwards the result holds at least `end` bytes, or BlockFormatError was
+    raised; `read_header` covers every byte before it indexes or unpacks it.
+    An extension is sized from the file, so a corrupt length cannot ask for
+    more than the file holds.
+    """
+    if end <= len(buf):
+        return buf
+    size = os.fstat(fd).st_size
+    if end > size:
+        raise BlockFormatError(f"truncated block file: header needs {end} bytes, file has {size}")
+    more = os.pread(fd, min(size, max(end, 2 * len(buf))) - len(buf), len(buf))
+    if len(buf) + len(more) < end:
+        raise BlockFormatError(f"truncated block file: header needs {end} bytes")
+    return buf + more
+
+
+@functools.lru_cache(maxsize=256)
+def _attribute_table(raw: bytes) -> tuple[Schema, Mapping[str, int], Mapping[str, int]]:
+    """Parse [record_count][attr_count][attribute table] into read-only objects.
+
+    Memoised on the bytes themselves, so replicas with the same layout share
+    one parse and a rewritten replica can never be served a stale one.
+    """
+    record_count, n_attrs = _COUNTS.unpack_from(raw)
+    pos = _COUNTS.size
     attrs: list[Attribute] = []
     offsets: dict[str, int] = {}
     lengths: dict[str, int] = {}
     for _ in range(n_attrs):
-        (name_len,) = struct.unpack("<H", _read_exact(f, 2, counter))
-        name = _read_exact(f, name_len, counter).decode("utf-8")
-        tag, col_offset, col_len = _ATTR_FIXED.unpack(_read_exact(f, _ATTR_FIXED.size, counter))
+        (name_len,) = _U16.unpack_from(raw, pos)
+        name = raw[pos + 2 : pos + 2 + name_len].decode("utf-8")
+        tag, col_offset, col_len = _ATTR_FIXED.unpack_from(raw, pos + 2 + name_len)
+        pos += 2 + name_len + _ATTR_FIXED.size
         if tag not in _KIND_BY_TAG:
             raise BlockFormatError(f"unknown type tag {tag} for attribute {name!r}")
         kind = _KIND_BY_TAG[tag]
@@ -170,18 +196,46 @@ def read_header(f: BinaryIO, counter: Optional[ReadCounter] = None) -> BlockFile
         attrs.append(Attribute(name, kind, width))
         offsets[name] = col_offset
         lengths[name] = col_len
-    schema = Schema(tuple(attrs))
+    return Schema(tuple(attrs)), MappingProxyType(offsets), MappingProxyType(lengths)
+
+
+def read_header(f: BinaryIO, counter: Optional[ReadCounter] = None) -> BlockFileHeader:
+    """Parse the header at the start of `f` with one positional read.
+
+    A single probe covers the typical header; longer ones are extended. The
+    counter is charged the header's own length, not the probe's. The file
+    position is not used or moved.
+    """
+    fd = f.fileno()
+    buf = _cover(fd, os.pread(fd, _PROBE, 0), _PREFIX.size)
+    magic, version, block_id, record_count, n_attrs = _PREFIX.unpack_from(buf)
+    if magic != MAGIC:
+        raise BlockFormatError(f"bad magic {magic!r}")
+    if version != FORMAT_VERSION:
+        raise BlockFormatError(f"unsupported format version {version}")
+
+    pos = _PREFIX.size
+    for _ in range(n_attrs):
+        buf = _cover(fd, buf, pos + 2)
+        (name_len,) = _U16.unpack_from(buf, pos)
+        pos += 2 + name_len + _ATTR_FIXED.size
+    buf = _cover(fd, buf, pos + 1)
+    schema, offsets, lengths = _attribute_table(buf[_PREFIX.size - _COUNTS.size : pos])
 
     index: Optional[SparseClusteredIndex] = None
-    (index_present,) = _read_exact(f, 1, counter)
+    index_present = buf[pos]
+    pos += 1
     if index_present:
-        ordinal, page_size, entry_count = _INDEX_HEAD.unpack(
-            _read_exact(f, _INDEX_HEAD.size, counter)
-        )
+        buf = _cover(fd, buf, pos + _INDEX_HEAD.size)
+        ordinal, page_size, entry_count = _INDEX_HEAD.unpack_from(buf, pos)
+        pos += _INDEX_HEAD.size
+        if ordinal >= len(schema.attributes):
+            raise BlockFormatError(f"index attribute ordinal {ordinal} out of range")
         attr = schema.attributes[ordinal]
         dt = _entry_dtype(attr)
-        raw_entries = _read_exact(f, entry_count * dt.itemsize, counter)
-        entries = np.frombuffer(raw_entries, dtype=dt)
+        buf = _cover(fd, buf, pos + entry_count * dt.itemsize)
+        entries = np.frombuffer(buf, dtype=dt, count=entry_count, offset=pos)
+        pos += entry_count * dt.itemsize
         index = SparseClusteredIndex(
             attribute=attr.name,
             page_size_records=page_size,
@@ -190,14 +244,19 @@ def read_header(f: BinaryIO, counter: Optional[ReadCounter] = None) -> BlockFile
             record_count=record_count,
         )
 
-    (perm_present,) = _read_exact(f, 1, counter)
+    buf = _cover(fd, buf, pos + 1)
+    perm_present = buf[pos]
+    pos += 1
     perm_count = 0
     perm_offset = 0
     if perm_present:
-        (perm_count,) = struct.unpack("<Q", _read_exact(f, 8, counter))
-        perm_offset = f.tell()
-        f.seek(8 * perm_count, os.SEEK_CUR)
+        buf = _cover(fd, buf, pos + 8)
+        (perm_count,) = _U64.unpack_from(buf, pos)
+        pos += 8
+        perm_offset = pos
 
+    if counter is not None:
+        counter.add(pos)
     return BlockFileHeader(
         block_id=block_id,
         record_count=record_count,
@@ -210,14 +269,25 @@ def read_header(f: BinaryIO, counter: Optional[ReadCounter] = None) -> BlockFile
     )
 
 
+def _pread_into(f: BinaryIO, out: np.ndarray, offset: int, counter: Optional[ReadCounter]) -> np.ndarray:
+    """Fill `out` with the file's bytes at `offset`; a file that ends first raises."""
+    got = os.preadv(f.fileno(), [out], offset)
+    if got != out.nbytes:
+        raise BlockFormatError(
+            f"truncated block file: wanted {out.nbytes} bytes at {offset}, got {got}"
+        )
+    if counter is not None:
+        counter.add(got)
+    return out
+
+
 def read_permutation(
     f: BinaryIO, header: BlockFileHeader, counter: Optional[ReadCounter] = None
 ) -> np.ndarray:
     if not header.has_permutation_vector:
         raise BlockFormatError("block file has no permutation-vector section")
-    f.seek(header.perm_offset)
-    raw = _read_exact(f, 8 * header.perm_count, counter)
-    return np.frombuffer(raw, dtype="<u8").copy()
+    out = np.empty(header.perm_count, dtype="<u8")
+    return _pread_into(f, out, header.perm_offset, counter)
 
 
 def read_column_range(
@@ -228,15 +298,17 @@ def read_column_range(
     stop: int,
     counter: Optional[ReadCounter] = None,
 ) -> np.ndarray:
-    """Read rows [start, stop) of one column; only those bytes are fetched."""
+    """Read rows [start, stop) of one column; only those bytes are fetched.
+
+    The rows are read straight into a new array, which the caller owns.
+    """
     attr = header.schema.attribute(name)
     start = max(0, start)
     stop = min(stop, header.record_count)
     if stop <= start:
         return np.empty(0, dtype=attr.dtype)
-    f.seek(header.column_offsets[name] + start * attr.item_size)
-    raw = _read_exact(f, (stop - start) * attr.item_size, counter)
-    return np.frombuffer(raw, dtype=attr.dtype).copy()
+    out = np.empty(stop - start, dtype=attr.dtype)
+    return _pread_into(f, out, header.column_offsets[name] + start * attr.item_size, counter)
 
 
 def read_block(
@@ -248,7 +320,7 @@ def read_block(
 
     Unprojected columns are never fetched.
     """
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=0) as f:
         header = read_header(f, counter)
         names = header.schema.names if projection is None else tuple(projection)
         for name in names:

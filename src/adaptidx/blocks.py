@@ -7,6 +7,7 @@ creation by convention, cheap to hand between workers.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -36,7 +37,7 @@ class Attribute:
         if self.kind == STRING and self.width <= 0:
             raise SchemaError(f"string attribute {self.name!r} needs width > 0")
 
-    @property
+    @functools.cached_property
     def dtype(self) -> np.dtype:
         if self.kind == INT64:
             return np.dtype("<i8")

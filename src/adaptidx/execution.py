@@ -159,18 +159,19 @@ def _emit(
     job: JobSpec,
     result: TaskResult,
     columns: dict[str, np.ndarray],
-    schema: Schema,
     count: int,
 ) -> None:
-    """Feed `count` selected rows to the map function and collect its output."""
-    proj = [n for n in schema.names if n in set(job.projection)]
+    """Feed `count` selected rows to the map function and collect its output.
+
+    `columns` holds exactly the projected attributes, in schema order.
+    """
     if job.map_fn is None:
         result.records_emitted += count
         if job.collect_output and count:
-            result.emitted.append({name: columns[name] for name in proj})
+            result.emitted.append(columns)
         return
     for i in range(count):
-        record = {name: columns[name][i] for name in proj}
+        record = {name: col[i] for name, col in columns.items()}
         out = job.map_fn(record)
         if out is not None:
             result.records_emitted += 1
@@ -190,44 +191,50 @@ def _refine_row_range(f, header, lo, hi, counter) -> tuple[int, int]:
     keys = idx.first_keys
     attr = idx.attribute
 
-    q = int(np.searchsorted(keys, lo, side="left"))
+    q = int(keys.searchsorted(lo, side="left"))
     if q == 0:
         r_lo = 0
     else:
         page = q - 1
         p_start, p_end = idx.page_bounds(page)
         vals = read_column_range(f, header, attr, p_start, p_end, counter)
-        r_lo = p_start + int(np.searchsorted(vals, lo, side="left"))
+        r_lo = p_start + int(vals.searchsorted(lo, side="left"))
 
-    p = int(np.searchsorted(keys, hi, side="right")) - 1
+    p = int(keys.searchsorted(hi, side="right")) - 1
     if p < 0:
         return 0, 0
     p_start, p_end = idx.page_bounds(p)
     vals = read_column_range(f, header, attr, p_start, p_end, counter)
-    r_hi = p_start + int(np.searchsorted(vals, hi, side="right"))
+    r_hi = p_start + int(vals.searchsorted(hi, side="right"))
     return r_lo, max(r_hi, r_lo)
 
 
 def _scan_indexed_block(
-    ref: BlockRef, job: JobSpec, ctx: TaskContext, result: TaskResult, counter: ReadCounter
+    ref: BlockRef,
+    job: JobSpec,
+    ctx: TaskContext,
+    result: TaskResult,
+    counter: ReadCounter,
+    bounds: tuple,
+    wanted: tuple[str, ...],
 ) -> None:
-    with open(ref.replica.path, "rb") as f:
+    """Serve one indexed block: `bounds` are the job's coerced predicate
+    bounds and `wanted` its projected attributes in schema order, both fixed
+    per task."""
+    with open(ref.replica.path, "rb", buffering=0) as f:
         header = read_header(f, counter)
-        lo, hi = job.predicate.bounds(header.schema)
-        r_lo, r_hi = _refine_row_range(f, header, lo, hi, counter)
+        r_lo, r_hi = _refine_row_range(f, header, bounds[0], bounds[1], counter)
         count = r_hi - r_lo
         result.records_read += count
 
-        available = set(header.schema.names)
-        wanted = [n for n in ctx.schema.names if n in set(job.projection)]
-        missing = [n for n in wanted if n not in available]
+        missing = [n for n in wanted if n not in header.column_offsets]
         columns = {
             name: read_column_range(f, header, name, r_lo, r_hi, counter)
             for name in wanted
-            if name in available
+            if name in header.column_offsets
         }
         if not missing:
-            _emit(job, result, columns, ctx.schema, count)
+            _emit(job, result, columns, count)
             return
 
         # Partial pseudo replica: serve missing attributes from the normal
@@ -236,7 +243,7 @@ def _scan_indexed_block(
 
     normal = _normal_replica_for(ctx, ref.block_id)
     aligned: dict[str, np.ndarray] = {}
-    with open(normal.path, "rb") as nf:
+    with open(normal.path, "rb", buffering=0) as nf:
         nheader = read_header(nf, counter)
         for name in missing:
             raw = read_column_range(nf, nheader, name, 0, nheader.record_count, counter)
@@ -247,10 +254,12 @@ def _scan_indexed_block(
     for name in missing:
         columns[name] = aligned[name][r_lo:r_hi]
     columns = {n: columns[n] for n in wanted}
-    _emit(job, result, columns, ctx.schema, count)
+    _emit(job, result, columns, count)
 
     # Incremental completion: append the freshly aligned attributes to the
-    # partial replica, but only when the normal replica was local.
+    # partial replica, but only when the normal replica was local. The
+    # hand-off waits for queue space, so whether a replica gets completed
+    # does not depend on how fast the indexer keeps up.
     if normal.node_id != ctx.node_id:
         result.completions_skipped += 1
         return
@@ -265,8 +274,7 @@ def _scan_indexed_block(
             columns=completion.columns,
             checksum=completion.checksum(),
         )
-        if not ctx.indexer.offer(work):
-            result.completions_skipped += 1
+        ctx.indexer.hand_off(work)
 
 
 def _normal_replica_for(ctx: TaskContext, block_id: int) -> BlockReplicaInfo:
@@ -297,12 +305,9 @@ def _scan_full_block(
     mask = job.predicate.mask(block.columns[job.predicate.attribute], ctx.schema)
     qualifying = int(mask.sum())
     fraction = qualifying / n if n else 0.0
-    selected = {
-        name: block.columns[name][mask]
-        for name in block.schema.names
-        if name in set(job.projection)
-    }
-    _emit(job, result, selected, ctx.schema, qualifying)
+    projected = set(job.projection)
+    selected = {name: block.columns[name][mask] for name in block.schema.names if name in projected}
+    _emit(job, result, selected, qualifying)
 
     if not candidate or ctx.indexer is None:
         return
@@ -340,10 +345,14 @@ def record_reader_scan(split: InputSplit, job: JobSpec, ctx: TaskContext) -> Tas
         block_ids=tuple(ref.block_id for ref in split.blocks),
     )
     counter = ReadCounter()
-    for ref in split.blocks:
-        if split.scan_kind == ScanKind.INDEX_SCAN:
-            _scan_indexed_block(ref, job, ctx, result, counter)
-        else:
+    if split.scan_kind == ScanKind.INDEX_SCAN:
+        bounds = job.predicate.bounds(ctx.schema)
+        projected = set(job.projection)
+        wanted = tuple(n for n in ctx.schema.names if n in projected)
+        for ref in split.blocks:
+            _scan_indexed_block(ref, job, ctx, result, counter, bounds, wanted)
+    else:
+        for ref in split.blocks:
             _scan_full_block(ref, job, ctx, result, counter)
     result.bytes_read = counter.bytes_read
     return result

@@ -2,8 +2,11 @@
 
 Per node there is one indexer instance shared by all map tasks: a bounded
 build queue feeding an index-builder thread, and a bounded write queue feeding
-an index-writer thread. Offering a block never blocks the producing task; a
-full queue rejects the block and a later job gets another chance at it.
+an index-writer thread. Only BUILD offers never block: a full-scan task's
+`offer` of a block is rejected by a full queue, and a later job gets another
+chance at it. COMPLETE work from index scans goes through `hand_off`, which
+waits for queue space, so a lazy completion is never dropped because the
+indexer fell behind the readers.
 
 Index building sorts the target attribute (stable), derives the
 old-position -> new-position permutation vector, reorders every other present
@@ -209,6 +212,7 @@ class AdaptiveIndexer:
         self._build_queue: queue.Queue = queue.Queue(maxsize=build_capacity)
         self._write_queue: queue.Queue = queue.Queue(maxsize=write_capacity)
         self._pending = 0
+        self._putting = 0  # hand-offs blocked in put, which close waits for
         self._cond = threading.Condition()
         self._stats_lock = threading.Lock()
         self._closed = False
@@ -224,7 +228,11 @@ class AdaptiveIndexer:
     # producer side
 
     def offer(self, work: IndexWork) -> bool:
-        """Non-blocking enqueue; False means the build queue was full."""
+        """Non-blocking enqueue; False means the build queue was full.
+
+        Used for BUILD offers: a map task never waits for the indexer, and a
+        rejected block gets another chance in a later job.
+        """
         with self._cond:
             if self._closed:
                 return False
@@ -239,6 +247,26 @@ class AdaptiveIndexer:
             self.stats.enqueued += 1
         return True
 
+    def hand_off(self, work: IndexWork) -> bool:
+        """Blocking enqueue: wait for build-queue space; False only when closed.
+
+        Used for COMPLETE work, so that a completion is never dropped for a
+        full queue. The put happens outside `_cond`, because the writer needs
+        that lock to finish the items that free the queue.
+        """
+        with self._cond:
+            if self._closed:
+                return False
+            self._pending += 1
+            self._putting += 1
+        self._build_queue.put(work)
+        with self._cond:
+            self._putting -= 1
+            self._cond.notify_all()
+        with self._stats_lock:
+            self.stats.enqueued += 1
+        return True
+
     def drain(self) -> None:
         """Block until every enqueued work item has been fully processed."""
         with self._cond:
@@ -249,6 +277,9 @@ class AdaptiveIndexer:
             if self._closed:
                 return
             self._closed = True
+            # A hand-off already past the closed check must land before the
+            # stop marker, or the builder would exit without its work.
+            self._cond.wait_for(lambda: self._putting == 0)
         self._build_queue.put(None)
 
     # worker side

@@ -4,7 +4,12 @@ The registry is the single shared mutable structure in the engine. All
 mutations and lookups take one lock, which gives register/lookup linearizable
 semantics. Every mutation is appended to a journal file (one JSON record per
 line) so a cluster directory can be reopened and replayed; a torn last line
-(a crash mid-append) is dropped on load.
+(a crash mid-append) is dropped on load. A journal whose dataset record
+carries `"paths": "journal_dir"` stores replica paths under its directory
+relative to that directory, so the cluster can be reopened from any working
+directory or after being moved. Journals without the marker (written before
+it existed) keep their convention: paths as given, relative ones resolved
+against the working directory, both on load and on later appends.
 
 Two derived tables, updated under the same lock by `add_block` and
 `register_index`, make the planner's lookups O(1): the number of adaptive
@@ -17,8 +22,9 @@ re-registration that lands on another node moves its count there.
 from __future__ import annotations
 
 import json
+import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Optional
@@ -34,6 +40,8 @@ class ReplicaKind(str, Enum):
 
 
 _KIND_PREFERENCE = {ReplicaKind.NORMAL: 0, ReplicaKind.PSEUDO: 1, ReplicaKind.PARTIAL_PSEUDO: 2}
+# Dataset-record marker: relative replica paths are relative to the journal's directory.
+_JOURNAL_DIR_PATHS = "journal_dir"
 
 
 @dataclass(frozen=True)
@@ -98,7 +106,10 @@ class ReplicaRegistry:
     ) -> None:
         self.schema = schema
         self.replication_factor = replication_factor
-        self._journal_path = Path(journal_path) if journal_path else None
+        self._journal_path: Optional[Path] = None
+        self._journal_root: Optional[str] = None  # None: paths journaled as given
+        if journal_path:
+            self._attach_journal(Path(journal_path), journal_dir_paths=True)
         self._lock = threading.RLock()
         self._replicas: dict[int, list[BlockReplicaInfo]] = {}
         self._record_counts: dict[int, int] = {}
@@ -111,6 +122,7 @@ class ReplicaRegistry:
                     "event": "dataset",
                     "schema": schema.to_json(),
                     "replication": replication_factor,
+                    "paths": _JOURNAL_DIR_PATHS,
                 }
             )
 
@@ -124,22 +136,38 @@ class ReplicaRegistry:
         if not records or records[0].get("event") != "dataset":
             raise RegistryError(f"journal {journal_path} does not start with a dataset record")
         head = records[0]
+        journal_dir_paths = head.get("paths") == _JOURNAL_DIR_PATHS
         # No journal path yet: replay must not re-journal what it reads.
         reg = cls(Schema.from_json(head["schema"]), head["replication"])
         for rec in records[1:]:
             info = BlockReplicaInfo.from_json(rec["replica"])
+            if journal_dir_paths and not os.path.isabs(info.path):
+                info = replace(info, path=str(journal_path.parent / info.path))
             if rec["event"] == "block":
                 reg.add_block(rec["block_id"], rec["record_count"], [info])
             elif rec["event"] == "register":
                 reg.register_index(rec["block_id"], info)
             else:
                 raise RegistryError(f"unknown journal event {rec['event']!r}")
-        reg._journal_path = journal_path
+        reg._attach_journal(journal_path, journal_dir_paths)
         return reg
 
+    def _attach_journal(self, journal_path: Path, journal_dir_paths: bool) -> None:
+        self._journal_path = journal_path
+        self._journal_root = os.path.abspath(journal_path.parent) if journal_dir_paths else None
+
     def _append_journal(self, record: dict) -> None:
+        """Append one record. In a journal with the `journal_dir` marker a
+        replica path is stored relative to the journal's directory when it
+        lies under it, else absolute; an older journal gets it as given."""
         if self._journal_path is None:
             return
+        replica = record.get("replica")
+        if replica is not None and self._journal_root is not None:
+            path = os.path.abspath(replica["path"])
+            rel = os.path.relpath(path, self._journal_root)
+            outside = rel == os.pardir or rel.startswith(os.pardir + os.sep)
+            replica["path"] = path if outside else rel
         with open(self._journal_path, "a") as f:
             f.write(json.dumps(record) + "\n")
 

@@ -13,10 +13,21 @@ from adaptidx.blockfile import (
     read_block,
     read_column_range,
     read_header,
+    read_permutation,
     write_block,
 )
 from adaptidx.errors import BlockFormatError, SchemaError
+from adaptidx.execution import (
+    BlockRef,
+    InputSplit,
+    JobSpec,
+    Predicate,
+    ScanKind,
+    TaskContext,
+    record_reader_scan,
+)
 from adaptidx.indexer import build_index
+from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 from adaptidx.workloads import USERVISITS_SCHEMA, gen_uservisits_like
 
 from conftest import make_block
@@ -201,3 +212,159 @@ def test_round_trip_property(tmp_path_factory, block):
     path = tmp_path_factory.mktemp("rt") / "blk"
     write_block(block, path)
     assert blocks_equal(block, read_block(path))
+
+
+# -- the positional read path ----------------------------------------------------
+
+
+def _header_length(schema: Schema, index_entries: int = 0, key_size: int = 0, perm: bool = False) -> int:
+    """Header bytes by the documented layout: what a reader must be charged."""
+    length = 24 + sum(2 + len(a.name.encode()) + 17 for a in schema.attributes) + 1
+    if index_entries:
+        length += 14 + index_entries * (key_size + 8)
+    return length + 1 + (8 if perm else 0)
+
+
+def test_header_longer_than_the_probe(tmp_path):
+    long_name = "k" * 3000
+    schema = Schema.of((long_name, "int64"), ("v", "string", 5), ("w", "float64"))
+    block = make_block(schema, rows=700, seed=4)
+    indexed, perm, _ = build_index(block, long_name, page_size_records=2)  # 350 entries
+    indexed.permutation = perm
+    path = tmp_path / "blk"
+    write_block(indexed, path)
+    expected_length = _header_length(schema, 350, 8, perm=True)
+    assert expected_length > 2 * 4096
+
+    counter = ReadCounter()
+    with open(path, "rb", buffering=0) as f:
+        header = read_header(f, counter)
+        assert counter.bytes_read == expected_length
+        assert read_permutation(f, header).tolist() == perm.tolist()
+    assert header.schema == schema
+    assert header.record_count == 700
+    assert header.perm_count == 700
+    assert header.index.entry_count == 350
+    assert np.array_equal(header.index.first_keys, indexed.index.first_keys)
+    assert np.array_equal(header.index.start_records, indexed.index.start_records)
+    assert header.column_offsets[long_name] == expected_length + 8 * 700
+    again = read_block(path)
+    assert blocks_equal(indexed, again)
+    assert np.array_equal(again.permutation, perm)
+
+
+def _truncations(path, data, offsets):
+    for cut in offsets:
+        path.write_bytes(data[:cut])
+        yield cut
+
+
+@pytest.mark.parametrize("long_header,indexed", [(False, True), (True, True), (False, False)])
+def test_truncated_file_raises_block_format_error(tmp_path, long_header, indexed):
+    name = "k" * 5000 if long_header else "k"
+    schema = Schema.of((name, "int64"), ("v", "string", 3))
+    block = make_block(schema, rows=40, seed=2)
+    if indexed:
+        block, perm, _ = build_index(block, name, page_size_records=8)
+        block.permutation = perm
+    full = tmp_path / "full"
+    size = write_block(block, full)
+    data = full.read_bytes()
+    header_end = _header_length(schema, 5 if indexed else 0, 8, perm=indexed)
+    if long_header:  # every offset near the probe's end, a stride elsewhere
+        offsets = sorted(set(range(0, size, 53)) | set(range(4000, 4200)) | {header_end - 1})
+    else:
+        offsets = range(size)
+
+    cut_file = tmp_path / "cut"
+    for cut in _truncations(cut_file, data, offsets):
+        if cut < header_end:
+            with open(cut_file, "rb", buffering=0) as f, pytest.raises(BlockFormatError):
+                read_header(f)
+        with pytest.raises(BlockFormatError):
+            read_block(cut_file)
+    # Inside one column's range: the range read itself raises.
+    column_start = header_end + (8 * 40 if indexed else 0)  # after the permutation vector
+    for cut in _truncations(cut_file, data, range(column_start, column_start + 8 * 40, 7)):
+        with open(cut_file, "rb", buffering=0) as f:
+            header = read_header(f)
+            intact = read_column_range(f, header, name, 0, (cut - column_start) // 8)
+            assert np.array_equal(intact, block.columns[name][: len(intact)])
+            with pytest.raises(BlockFormatError):
+                read_column_range(f, header, name, 0, 40)
+
+
+# Name lengths that put the header's last byte, the perm_present flag, at
+# offsets 4095-4097: just inside, just past and one past the 4 KiB probe.
+@pytest.mark.parametrize(
+    "name_len,indexed",
+    [(n, False) for n in (4051, 4052, 4053)] + [(n, True) for n in (4021, 4022, 4023)],
+)
+def test_section_flag_at_the_probe_end(tmp_path, name_len, indexed):
+    name = "k" * name_len
+    schema = Schema.of((name, "int64"))
+    block = make_block(schema, rows=8, seed=5)
+    if indexed:
+        block, _, _ = build_index(block, name, page_size_records=8)
+    path = tmp_path / "blk"
+    write_block(block, path)
+    header_end = _header_length(schema, 1 if indexed else 0, 8)
+    assert header_end - 1 - 4096 in (-1, 0, 1)
+
+    counter = ReadCounter()
+    with open(path, "rb", buffering=0) as f:
+        header = read_header(f, counter)
+    assert counter.bytes_read == header_end
+    assert header.schema == schema and not header.has_permutation_vector
+    assert (header.index is not None) == indexed
+    assert blocks_equal(block, read_block(path))
+
+    cut_file = tmp_path / "cut"
+    for _ in _truncations(cut_file, path.read_bytes(), range(header_end - 3, header_end)):
+        with open(cut_file, "rb", buffering=0) as f, pytest.raises(BlockFormatError):
+            read_header(f)
+
+
+def test_column_ranges_are_writable_and_unshared(tmp_path, simple_schema):
+    path = tmp_path / "blk"
+    write_block(make_block(simple_schema, rows=300, seed=8), path)
+    with open(path, "rb", buffering=0) as f:
+        header = read_header(f)
+        arrays = [read_column_range(f, header, n, 10, 200) for n in simple_schema.names]
+        arrays += [read_column_range(f, header, "a", 10, 200), read_column_range(f, header, "a", 0, 0)]
+    for i, a in enumerate(arrays):
+        assert a.flags.writeable and a.flags.owndata
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+    before = arrays[5].copy()
+    arrays[0][:] = 0
+    assert np.array_equal(arrays[5], before)
+
+
+@pytest.mark.parametrize("low,high", [(300, 1000), (512, 513), (5, 4000)])
+def test_index_scan_charges_header_boundary_pages_and_rows(tmp_path, low, high):
+    # Sort column 0..rows-1 with pages of 256 rows: the range [low, high]
+    # touches the page before `low`'s first row and the page holding `high`.
+    rows, page = 4096, 256
+    schema = Schema.of(("a", "int64"), ("s", "string", 12), ("d", "int64"), ("e", "float64"))
+    block = make_block(schema, rows, seed=1)
+    block.columns["d"] = np.random.default_rng(3).permutation(rows).astype("<i8")
+    indexed, _, _ = build_index(block, "d", page_size_records=page)
+    path = tmp_path / "blk"
+    write_block(indexed, path)
+
+    registry = ReplicaRegistry(schema, replication_factor=1)
+    info = BlockReplicaInfo(0, ReplicaKind.NORMAL, "d", frozenset(schema.names), str(path))
+    registry.add_block(0, rows, [info])
+    ctx = TaskContext(0, tmp_path, schema, registry, indexer=None, will_offer_blocks=None)
+    job = JobSpec("scan", Predicate("d", low, high), ("s", "e"), collect_output=False)
+    result = record_reader_scan(InputSplit(0, (BlockRef(0, info),), ScanKind.INDEX_SCAN), job, ctx)
+
+    qualifying = high - low + 1
+    assert result.records_read == qualifying
+    expected = (
+        _header_length(schema, rows // page, 8)
+        + 2 * page * 8  # the two boundary pages of the sort column
+        + qualifying * (12 + 8)  # the projected rows of s and e
+    )
+    assert result.bytes_read == expected

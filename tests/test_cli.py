@@ -247,3 +247,76 @@ def test_eager_and_selectivity_job_parsing(tmp_path):
     assert rows[2]["rho_used"] is None
     # value 10 covers ~90% of rows: every scanned block clears the 0.8 threshold
     assert rows[2]["blocks_offered"] == rows[2]["full_scan_tasks"]
+
+
+def test_cluster_uploaded_with_relative_root_runs_from_another_directory(tmp_path, monkeypatch):
+    data = tmp_path / "data.adxd"
+    assert main(["gen-synthetic", "--rows", "4000", "--seed", "7", "--out", str(data)]) == 0
+    config = write_config(tmp_path / "config.json")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    upload = ["upload", "--dataset", str(data), "--root", "cl", "--config", str(config)]
+    assert main(upload) == 0
+
+    monkeypatch.chdir(tmp_path / "b")
+    jobs = write_jobs(
+        tmp_path / "jobs.json",
+        [{"predicate": {"attribute": "b", "low": 0.1, "high": 0.3}, "projection": "all",
+          "offer_rate": 0.5}] * 2,
+    )
+    code = main(["run", "--root", "../a/cl", "--jobs", str(jobs), "--report", "report"])
+    assert code == 0
+    with open("report.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["failed"] for r in rows] == ["False", "False"]
+    assert int(rows[1]["blocks_indexed_after"]) == 8
+
+    # The pseudo replicas the run registered reopen from yet another directory.
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--root", "a/cl", "--jobs", str(jobs), "--report", "again"])
+    assert code == 0
+    with open("again.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert rows[0]["index_scan_tasks"] != "0" and rows[0]["failed"] == "False"
+
+
+def _to_pre_marker_journal(journal, root_as_given):
+    """Rewrite a journal as engines before the `paths` marker wrote it: no
+    marker, and replica paths as the cluster gave them (here cwd-relative)."""
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    records[0].pop("paths", None)
+    for rec in records[1:]:
+        rec["replica"]["path"] = f"{root_as_given}/{rec['replica']['path']}"
+    journal.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+
+
+def test_pre_marker_cluster_with_relative_root_runs_from_its_directory(tmp_path, monkeypatch):
+    data = tmp_path / "data.adxd"
+    assert main(["gen-synthetic", "--rows", "4000", "--seed", "7", "--out", str(data)]) == 0
+    config = write_config(tmp_path / "config.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(["upload", "--dataset", str(data), "--root", "cl", "--config", str(config)]) == 0
+    journal = tmp_path / "cl" / "registry.journal"
+    _to_pre_marker_journal(journal, "cl")
+    assert '"cl/node_0/blocks/blk_0_r0"' in journal.read_text()
+
+    jobs = write_jobs(
+        tmp_path / "jobs.json",
+        [{"predicate": {"attribute": "b", "low": 0.1, "high": 0.3}, "projection": "all",
+          "offer_rate": 0.5}] * 2,
+    )
+    assert main(["run", "--root", "cl", "--jobs", str(jobs), "--report", "report"]) == 0
+    with open("report.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["failed"] for r in rows] == ["False", "False"]
+    assert int(rows[1]["blocks_indexed_after"]) == 8
+    # Appends keep the journal's own convention.
+    lines = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert "paths" not in lines[0]
+    assert all(rec["replica"]["path"].startswith("cl/node_") for rec in lines[1:])
+
+    assert main(["run", "--root", "cl", "--jobs", str(jobs), "--report", "again"]) == 0
+    with open("again.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert rows[0]["index_scan_tasks"] != "0" and rows[0]["failed"] == "False"

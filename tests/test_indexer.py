@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import adaptidx.blockfile as blockfile
+import adaptidx.lazy as lazy
 from adaptidx.blocks import DataBlock, Schema
 from adaptidx.blockfile import pseudo_replica_path, read_block
 from adaptidx.errors import ConfigError, SchemaError
 from adaptidx.indexer import (
     BUILD,
+    COMPLETE,
     EAGER,
     OFFER_RATE,
     AdaptiveIndexer,
@@ -306,3 +309,72 @@ def test_torn_handoff_detected(tmp_path):
     assert indexer.stats.failures == 1
     assert indexer.stats.written == 0
     indexer.close()
+
+
+def _completion(schema, block):
+    return IndexWork(COMPLETE, block.block_id, "d", schema, dict(block.columns), block.checksum())
+
+
+def _stalled_completions(tmp_path, monkeypatch):
+    """An indexer with capacity 1 whose writer blocks until the returned gate
+    is set, and a started producer handing it five completions. The stalled
+    writer holds one item, the write queue one, the builder one (blocked
+    putting it) and the build queue one, so the fifth hand-off has to wait."""
+    schema = Schema.of(("d", "int64"), ("x", "float64"))
+    indexer = AdaptiveIndexer(0, tmp_path, fresh_registry(schema), build_capacity=1, write_capacity=1)
+    gate = threading.Event()
+    written = []
+
+    def stalled_append(node_root, node_id, registry, block_id, attribute, aligned):
+        gate.wait(timeout=10)
+        written.append(block_id)
+        return True
+
+    monkeypatch.setattr(lazy, "append_aligned_columns", stalled_append)
+    blocks = [make_block(schema, 20, seed=i, block_id=i) for i in range(5)]
+    producer = threading.Thread(
+        target=lambda: [indexer.hand_off(_completion(schema, b)) for b in blocks]
+    )
+    producer.start()
+    deadline = time.monotonic() + 10
+    while indexer.stats.enqueued < 4 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    producer.join(timeout=0.3)
+    assert producer.is_alive()  # blocked in the fifth hand-off, not rejected
+    assert indexer.stats.enqueued == 4
+    return indexer, gate, producer, written
+
+
+def test_completion_waits_for_queue_space(tmp_path, monkeypatch):
+    indexer, gate, producer, written = _stalled_completions(tmp_path, monkeypatch)
+    gate.set()
+    producer.join(timeout=10)
+    assert not producer.is_alive()
+    indexer.drain()
+    assert written == [0, 1, 2, 3, 4]
+    assert indexer.stats.enqueued == indexer.stats.completed == 5
+    assert indexer.stats.rejected_full == 0
+    indexer.close()
+
+
+def test_close_lets_a_waiting_completion_land(tmp_path, monkeypatch):
+    indexer, gate, producer, written = _stalled_completions(tmp_path, monkeypatch)
+    closer = threading.Thread(target=indexer.close)
+    closer.start()
+    closer.join(timeout=0.3)
+    assert closer.is_alive()  # waits for the hand-off already past its check
+    gate.set()
+    for thread in (producer, closer):
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    indexer.drain()
+    assert written == [0, 1, 2, 3, 4]
+    assert indexer.stats.rejected_full == 0
+
+
+def test_closed_indexer_refuses_completions(tmp_path):
+    schema = Schema.of(("d", "int64"), ("x", "float64"))
+    indexer = AdaptiveIndexer(0, tmp_path, fresh_registry(schema))
+    indexer.close()
+    assert indexer.hand_off(_completion(schema, make_block(schema, 20))) is False
+    assert indexer.stats.enqueued == 0

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 
 import adaptidx.lazy as lazy
@@ -15,8 +17,13 @@ from adaptidx.execution import (
 from adaptidx.indexer import BUILD, AdaptiveIndexer, IndexWork, OfferPolicy, build_index
 from adaptidx.lazy import append_aligned_columns
 from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
-from adaptidx.runner import WorkloadRunner
-from adaptidx.workloads import gen_synthetic
+from adaptidx.runner import WorkloadRunner, write_reports
+from adaptidx.workloads import (
+    USERVISITS_SCHEMA,
+    gen_synthetic,
+    gen_uservisits_like,
+    search_word_predicate,
+)
 
 from conftest import make_block, make_cluster
 
@@ -264,3 +271,40 @@ def test_mode_equivalence_invisible_vs_lazy_vs_full(tmp_path):
             }
             assert kinds == {ReplicaKind.PARTIAL_PSEUDO}
         cluster.close()
+
+
+def test_lazy_sequence_reports_repeat_exactly(tmp_path, monkeypatch):
+    # Index-scan splits of up to 16 blocks per node hand their completions
+    # to an indexer whose writer is slowed down, so the default-size queues
+    # overflow: completions must wait for space instead of being dropped, or
+    # the reports vary with thread timing.
+    rewrite = lazy.append_aligned_columns
+
+    def slow_rewrite(*args):
+        time.sleep(0.002)
+        return rewrite(*args)
+
+    monkeypatch.setattr(lazy, "append_aligned_columns", slow_rewrite)
+    dataset = gen_uservisits_like(80 * 128, seed=5)
+    reports = []
+    for run in ("one", "two"):
+        cluster = make_cluster(
+            tmp_path / run, nodes=4, slots=1, replication=2, block_records=128, page_size=32,
+            projection_mode="lazy", build_queue_capacity=4, write_queue_capacity=4,
+        )
+        cluster.upload_dataset(dataset)
+        runner = WorkloadRunner(cluster)
+        projections = [("search_word", "ad_revenue"), ("search_word", "duration")]
+        projections += [USERVISITS_SCHEMA.names] * 2
+        rows = []
+        for j, projection in enumerate(projections):
+            low, high = search_word_predicate(10 * j, 2)
+            job = JobSpec(f"job{j}", Predicate("search_word", low, high), projection,
+                          policy=OfferPolicy(rho=1.0), collect_output=False)
+            rows.append(runner.run_job(job).metrics)
+        stats = [indexer.stats for indexer in cluster.indexers.values()]
+        cluster.close()
+        assert sum(s.rejected_full for s in stats) == 0
+        assert sum(s.completed for s in stats) > 0
+        reports.append(write_reports(rows, tmp_path / f"report_{run}")[0].read_bytes())
+    assert reports[0] == reports[1]

@@ -360,3 +360,65 @@ def test_concurrent_cross_node_widening_keeps_counts():
     assert not any(t.is_alive() for t in threads)
     _assert_counts_match_replicas(reg)
     assert sum(reg.pseudo_count(n, "d") for n in NODES) == reg.indexed_block_count("d") == 20
+
+
+def _journal_with_replicas(root: Path) -> Path:
+    journal = root / "registry.journal"
+    reg = ReplicaRegistry(SCHEMA, replication_factor=2, journal_path=journal)
+    reg.add_block(0, 100, [normal(0, path=str(root / "node_0" / "blocks" / "blk_0_r0")),
+                           normal(1, path=str(root / "node_1" / "blocks" / "blk_0_r1"))])
+    reg.register_index(0, pseudo(1, "d", path=str(root / "node_1" / "pseudo" / "blk_0" / "d")))
+    return journal
+
+
+def test_journal_paths_do_not_depend_on_the_root(tmp_path):
+    short = _journal_with_replicas(tmp_path / "r")
+    long = _journal_with_replicas(tmp_path / "a_much_longer_cluster_root" / "nested")
+    assert short.read_bytes() == long.read_bytes()
+    assert str(tmp_path) not in short.read_text()
+
+    again = ReplicaRegistry.load(long)
+    assert again.find_index(0, "d").path == str(long.parent / "node_1" / "pseudo" / "blk_0" / "d")
+    assert {r.path for r in again.normal_replicas(0)} == {
+        str(long.parent / "node_0" / "blocks" / "blk_0_r0"),
+        str(long.parent / "node_1" / "blocks" / "blk_0_r1"),
+    }
+
+
+def _pre_marker_journal(journal: Path, path: str) -> None:
+    """A journal as engines before the `paths` marker wrote it."""
+    head = {"event": "dataset", "schema": SCHEMA.to_json(), "replication": 1}
+    block = {"event": "block", "block_id": 0, "record_count": 100,
+             "replica": normal(0, path=path).to_json()}
+    journal.write_text(json.dumps(head) + "\n" + json.dumps(block) + "\n")
+
+
+def test_journal_with_absolute_paths_still_opens(tmp_path):
+    journal = tmp_path / "registry.journal"
+    elsewhere = "/data/old_cluster/node_0/blocks/blk_0_r0"
+    _pre_marker_journal(journal, elsewhere)
+    again = ReplicaRegistry.load(journal)
+    assert again.normal_replicas(0)[0].path == elsewhere
+
+
+def test_pre_marker_journal_keeps_paths_as_given(tmp_path):
+    journal = tmp_path / "cl" / "registry.journal"
+    journal.parent.mkdir()
+    _pre_marker_journal(journal, "cl/node_0/blocks/blk_0_r0")
+    reg = ReplicaRegistry.load(journal)
+    assert reg.normal_replicas(0)[0].path == "cl/node_0/blocks/blk_0_r0"
+    reg.register_index(0, pseudo(0, "d", path="cl/node_0/pseudo/blk_0/d"))
+    last = json.loads(journal.read_text().splitlines()[-1])
+    assert last["replica"]["path"] == "cl/node_0/pseudo/blk_0/d"
+    again = ReplicaRegistry.load(journal)
+    assert again.find_index(0, "d").path == "cl/node_0/pseudo/blk_0/d"
+    assert "paths" not in json.loads(journal.read_text().splitlines()[0])
+
+
+def test_replica_outside_the_journal_directory_is_journaled_absolute(tmp_path):
+    journal = tmp_path / "cluster" / "registry.journal"
+    reg = ReplicaRegistry(SCHEMA, replication_factor=1, journal_path=journal)
+    outside = tmp_path / "elsewhere" / "blk_0_r0"
+    reg.add_block(0, 100, [normal(0, path=str(outside))])
+    assert json.loads(journal.read_text().splitlines()[1])["replica"]["path"] == str(outside)
+    assert ReplicaRegistry.load(journal).normal_replicas(0)[0].path == str(outside)
