@@ -27,8 +27,6 @@ def run_sequence(workdir: Path, dataset, rho: float, jobs: int) -> list:
         replication_factor=3,
         block_records=dataset.row_count // 40,
         page_size_records=256,
-        build_queue_capacity=1000,
-        write_queue_capacity=1000,
         per_byte_cost=1e-6,
         per_block_index_cost=0.012,
     )

@@ -32,8 +32,6 @@ def run_mode(workdir: Path, dataset, timing: dict, mode: str, rho: float, jobs: 
         replication_factor=2,
         block_records=ROWS_PER_BLOCK,
         page_size_records=64,
-        build_queue_capacity=N_BLOCKS,
-        write_queue_capacity=N_BLOCKS,
         per_byte_cost=timing["per_byte_cost"],
         per_block_index_cost=timing["per_block_index_cost"],
     )

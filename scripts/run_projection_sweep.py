@@ -40,8 +40,6 @@ def bytes_for(workdir: Path, dataset, proj, rho: float, tag: str) -> int:
         replication_factor=2,
         block_records=max(dataset.row_count // 10, 1),
         page_size_records=256,
-        build_queue_capacity=64,
-        write_queue_capacity=64,
     )
     cluster = Cluster(config, workdir / tag)
     cluster.upload_dataset(dataset)

@@ -131,8 +131,7 @@ class TaskResult:
     records_emitted: int = 0
     bytes_read: int = 0
     blocks_offered: int = 0
-    blocks_indexed: int = 0
-    blocks_rejected: int = 0
+    blocks_rejected: int = 0  # offers refused by a closed indexer
     completions_skipped: int = 0
     remote_column_reads: int = 0
     elapsed: float = 0.0
@@ -257,9 +256,7 @@ def _scan_indexed_block(
     _emit(job, result, columns, count)
 
     # Incremental completion: append the freshly aligned attributes to the
-    # partial replica, but only when the normal replica was local. The
-    # hand-off waits for queue space, so whether a replica gets completed
-    # does not depend on how fast the indexer keeps up.
+    # partial replica, but only when the normal replica was local.
     if normal.node_id != ctx.node_id:
         result.completions_skipped += 1
         return
@@ -325,9 +322,7 @@ def _scan_full_block(
         checksum=block.checksum(),
     )
     result.blocks_offered += 1
-    if ctx.indexer.offer(work):
-        result.blocks_indexed += 1
-    else:
+    if not ctx.indexer.hand_off(work):
         result.blocks_rejected += 1
 
 

@@ -2,11 +2,13 @@
 
 Per node there is one indexer instance shared by all map tasks: a bounded
 build queue feeding an index-builder thread, and a bounded write queue feeding
-an index-writer thread. Only BUILD offers never block: a full-scan task's
-`offer` of a block is rejected by a full queue, and a later job gets another
-chance at it. COMPLETE work from index scans goes through `hand_off`, which
-waits for queue space, so a lazy completion is never dropped because the
-indexer fell behind the readers.
+an index-writer thread. Every unit of work, a full scan's BUILD offer or an
+index scan's lazy COMPLETE, enters through `hand_off`, which waits for
+build-queue space and refuses work only once the indexer is closed. So the
+plan alone decides which blocks get indexed, never how far the indexer has
+fallen behind the readers; the queue capacities only bound memory. Waiting
+costs no simulated time: the cost model charges a fixed per-block indexing
+cost for every enqueued block.
 
 Index building sorts the target attribute (stable), derives the
 old-position -> new-position permutation vector, reorders every other present
@@ -184,7 +186,7 @@ class IndexWork:
 @dataclass
 class IndexerStats:
     enqueued: int = 0
-    rejected_full: int = 0
+    rejected_full: int = 0  # work refused because the indexer was closed
     built: int = 0
     written: int = 0
     completed: int = 0
@@ -227,35 +229,17 @@ class AdaptiveIndexer:
 
     # producer side
 
-    def offer(self, work: IndexWork) -> bool:
-        """Non-blocking enqueue; False means the build queue was full.
+    def hand_off(self, work: IndexWork) -> bool:
+        """Enqueue one unit of work, waiting for build-queue space.
 
-        Used for BUILD offers: a map task never waits for the indexer, and a
-        rejected block gets another chance in a later job.
+        Returns False, counted in `stats.rejected_full`, only when the
+        indexer is closed. The put happens outside `_cond`, because the
+        writer needs that lock to finish the items that free the queue.
         """
         with self._cond:
             if self._closed:
-                return False
-            try:
-                self._build_queue.put_nowait(work)
-            except queue.Full:
                 with self._stats_lock:
                     self.stats.rejected_full += 1
-                return False
-            self._pending += 1
-        with self._stats_lock:
-            self.stats.enqueued += 1
-        return True
-
-    def hand_off(self, work: IndexWork) -> bool:
-        """Blocking enqueue: wait for build-queue space; False only when closed.
-
-        Used for COMPLETE work, so that a completion is never dropped for a
-        full queue. The put happens outside `_cond`, because the writer needs
-        that lock to finish the items that free the queue.
-        """
-        with self._cond:
-            if self._closed:
                 return False
             self._pending += 1
             self._putting += 1

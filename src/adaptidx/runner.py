@@ -193,8 +193,8 @@ class WorkloadRunner:
         self.cluster.drain_indexers()
 
         metrics.blocks_offered = sum(r.blocks_offered for r in full_results)
-        metrics.blocks_enqueued = sum(r.blocks_indexed for r in full_results)
         metrics.blocks_rejected = sum(r.blocks_rejected for r in full_results)
+        metrics.blocks_enqueued = metrics.blocks_offered - metrics.blocks_rejected
         metrics.records_emitted = sum(r.records_emitted for r in results)
         metrics.bytes_read = sum(r.bytes_read for r in results)
         metrics.blocks_indexed_after = registry.indexed_block_count(attr)
@@ -349,8 +349,6 @@ def derive_eager_timing(
             replication_factor=2,
             block_records=rows_per_block,
             page_size_records=64,
-            build_queue_capacity=n_blocks,
-            write_queue_capacity=n_blocks,
             per_byte_cost=per_byte_cost,
             per_block_index_cost=candidate,
         )

@@ -48,8 +48,6 @@ def make_cluster(
         replication_factor=replication,
         block_records=block_records,
         page_size_records=page_size,
-        build_queue_capacity=overrides.pop("build_queue_capacity", 64),
-        write_queue_capacity=overrides.pop("write_queue_capacity", 64),
         **overrides,
     )
     return Cluster(config, root)

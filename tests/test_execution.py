@@ -206,12 +206,14 @@ def test_selectivity_mode_reads_full_schema_and_filters_offers(tmp_path):
     indexer.close()
 
 
-def test_queue_full_counts_rejection_but_task_succeeds(tmp_path):
+def test_full_queue_makes_the_offering_task_wait(tmp_path):
     import threading
+    import time
 
     from adaptidx.indexer import AdaptiveIndexer
 
     schema, base, registry, normal, pseudo, ctx = _single_block_fixture(tmp_path)
+    assert registry.find_index(42, "a") is None
     indexer = AdaptiveIndexer(
         0, tmp_path / "node_0", registry, build_capacity=1, write_capacity=1
     )
@@ -223,16 +225,48 @@ def test_queue_full_counts_rejection_but_task_succeeds(tmp_path):
 
     j = job(Predicate("a", 0, 100), projection=("a",), rho=1.0)
     split = InputSplit(0, (BlockRef(42, normal),), ScanKind.FULL_SCAN)
-    first = record_reader_scan(split, j, ctx)   # occupies the builder
-    second = record_reader_scan(split, j, ctx)  # fills the queue
-    third = record_reader_scan(split, j, ctx)   # rejected, task still fine
+    results = []
+    # The first offer occupies the builder, the second fills the queue and
+    # the third waits for space.
+    producer = threading.Thread(
+        target=lambda: [results.append(record_reader_scan(split, j, ctx)) for _ in range(3)]
+    )
+    producer.start()
+    deadline = time.monotonic() + 10
+    while indexer.stats.enqueued < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    producer.join(timeout=0.3)
+    assert producer.is_alive()
+    assert len(results) == 2
     gate.set()
+    producer.join(timeout=10)
+    assert not producer.is_alive()
     indexer.drain()
     indexer.close()
-    assert not (first.failed or second.failed or third.failed)
-    assert third.blocks_rejected == 1
-    assert third.blocks_indexed == 0
+    third = results[2]
+    assert not any(r.failed for r in results)
+    assert (third.blocks_offered, third.blocks_rejected) == (1, 0)
     assert third.records_read == base.record_count
+    assert registry.find_index(42, "a") is not None
+
+
+def test_offer_to_a_closed_indexer_is_rejected_but_task_succeeds(tmp_path):
+    from adaptidx.indexer import AdaptiveIndexer
+
+    schema, base, registry, normal, pseudo, ctx = _single_block_fixture(tmp_path)
+    indexer = AdaptiveIndexer(0, tmp_path / "node_0", registry)
+    indexer.close()
+    ctx.indexer = indexer
+    ctx.will_offer_blocks = frozenset({42})
+
+    j = job(Predicate("a", 0, 100), projection=("a",), rho=1.0)
+    split = InputSplit(0, (BlockRef(42, normal),), ScanKind.FULL_SCAN)
+    result = record_reader_scan(split, j, ctx)
+    assert not result.failed
+    assert (result.blocks_offered, result.blocks_rejected) == (1, 1)
+    assert result.records_read == base.record_count
+    assert indexer.stats.rejected_full == 1
+    assert registry.find_index(42, "a") is None
 
 
 def test_io_monotonicity_property(tmp_path):

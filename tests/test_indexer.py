@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import adaptidx.blockfile as blockfile
+import adaptidx.indexer as indexer_module
 import adaptidx.lazy as lazy
 from adaptidx.blocks import DataBlock, Schema
 from adaptidx.blockfile import pseudo_replica_path, read_block
@@ -265,35 +267,12 @@ def test_indexer_processes_offer_end_to_end(tmp_path):
     registry = fresh_registry(schema)
     indexer = AdaptiveIndexer(0, tmp_path, registry, page_size_records=32)
     block = make_block(schema, 300, seed=1)
-    assert indexer.offer(make_work(schema, block)) is True
+    assert indexer.hand_off(make_work(schema, block)) is True
     indexer.drain()
     assert indexer.stats.written == 1
     assert registry.find_index(0, "d") is not None
     got = read_block(pseudo_replica_path(tmp_path, 0, "d"))
     assert np.all(got.columns["d"][:-1] <= got.columns["d"][1:])
-    indexer.close()
-
-
-def test_indexer_rejects_when_queue_full(tmp_path):
-    schema = Schema.of(("d", "int64"), ("x", "float64"))
-    registry = fresh_registry(schema)
-    indexer = AdaptiveIndexer(0, tmp_path, registry, build_capacity=1, write_capacity=1)
-
-    # Stall the builder so the bounded queue actually fills.
-    gate = threading.Event()
-    original = indexer._build_one
-
-    def slow_build(work):
-        gate.wait(timeout=10)
-        return original(work)
-
-    indexer._build_one = slow_build
-    block = make_block(schema, 50, seed=3)
-    outcomes = [indexer.offer(make_work(schema, block)) for _ in range(4)]
-    gate.set()
-    indexer.drain()
-    assert outcomes.count(False) >= 1  # overflow rejected, producer never blocked
-    assert indexer.stats.rejected_full >= 1
     indexer.close()
 
 
@@ -304,7 +283,7 @@ def test_torn_handoff_detected(tmp_path):
     block = make_block(schema, 100, seed=6)
     work = make_work(schema, block)
     work.columns["d"][0] += 1  # mutate after the checksum was taken
-    assert indexer.offer(work)
+    assert indexer.hand_off(work)
     indexer.drain()
     assert indexer.stats.failures == 1
     assert indexer.stats.written == 0
@@ -315,11 +294,13 @@ def _completion(schema, block):
     return IndexWork(COMPLETE, block.block_id, "d", schema, dict(block.columns), block.checksum())
 
 
-def _stalled_completions(tmp_path, monkeypatch):
+def _stalled_handoffs(tmp_path, monkeypatch, kind):
     """An indexer with capacity 1 whose writer blocks until the returned gate
-    is set, and a started producer handing it five completions. The stalled
-    writer holds one item, the write queue one, the builder one (blocked
-    putting it) and the build queue one, so the fifth hand-off has to wait."""
+    is set, and a started producer handing it five units of `kind` work. The
+    stalled writer holds one item, the write queue one, the builder one
+    (blocked putting it) and the build queue one, so the fifth hand-off has
+    to wait. Returns the indexer, the gate, the producer and the list of
+    block ids the writer has finished, in order."""
     schema = Schema.of(("d", "int64"), ("x", "float64"))
     indexer = AdaptiveIndexer(0, tmp_path, fresh_registry(schema), build_capacity=1, write_capacity=1)
     gate = threading.Event()
@@ -330,10 +311,17 @@ def _stalled_completions(tmp_path, monkeypatch):
         written.append(block_id)
         return True
 
+    def stalled_publish(sorted_block, node_root, node_id, registry):
+        gate.wait(timeout=10)
+        written.append(sorted_block.block_id)
+        return WriteResult.WON
+
     monkeypatch.setattr(lazy, "append_aligned_columns", stalled_append)
+    monkeypatch.setattr(indexer_module, "write_pseudo_replica", stalled_publish)
+    work = make_work if kind == BUILD else _completion
     blocks = [make_block(schema, 20, seed=i, block_id=i) for i in range(5)]
     producer = threading.Thread(
-        target=lambda: [indexer.hand_off(_completion(schema, b)) for b in blocks]
+        target=lambda: [indexer.hand_off(work(schema, b)) for b in blocks]
     )
     producer.start()
     deadline = time.monotonic() + 10
@@ -345,20 +333,23 @@ def _stalled_completions(tmp_path, monkeypatch):
     return indexer, gate, producer, written
 
 
-def test_completion_waits_for_queue_space(tmp_path, monkeypatch):
-    indexer, gate, producer, written = _stalled_completions(tmp_path, monkeypatch)
+@pytest.mark.parametrize("kind", [BUILD, COMPLETE])
+def test_handoff_waits_for_queue_space(tmp_path, monkeypatch, kind):
+    indexer, gate, producer, written = _stalled_handoffs(tmp_path, monkeypatch, kind)
     gate.set()
     producer.join(timeout=10)
     assert not producer.is_alive()
     indexer.drain()
     assert written == [0, 1, 2, 3, 4]
-    assert indexer.stats.enqueued == indexer.stats.completed == 5
-    assert indexer.stats.rejected_full == 0
+    landed = indexer.stats.written if kind == BUILD else indexer.stats.completed
+    assert indexer.stats.enqueued == landed == 5
+    assert indexer.stats.rejected_full == indexer.stats.failures == 0
     indexer.close()
 
 
-def test_close_lets_a_waiting_completion_land(tmp_path, monkeypatch):
-    indexer, gate, producer, written = _stalled_completions(tmp_path, monkeypatch)
+@pytest.mark.parametrize("kind", [BUILD, COMPLETE])
+def test_close_lets_a_waiting_handoff_land(tmp_path, monkeypatch, kind):
+    indexer, gate, producer, written = _stalled_handoffs(tmp_path, monkeypatch, kind)
     closer = threading.Thread(target=indexer.close)
     closer.start()
     closer.join(timeout=0.3)
@@ -372,9 +363,48 @@ def test_close_lets_a_waiting_completion_land(tmp_path, monkeypatch):
     assert indexer.stats.rejected_full == 0
 
 
+def test_concurrent_offers_all_land(tmp_path):
+    # More producers than cores on capacity-1 queues with a short switch
+    # interval: every offer waits its turn, none is lost, and drain returns.
+    schema = Schema.of(("d", "int64"), ("x", "float64"))
+    registry = ReplicaRegistry(schema, replication_factor=1)
+    blocks = [make_block(schema, 20, seed=i, block_id=i) for i in range(48)]
+    for b in blocks:
+        normal = BlockReplicaInfo(0, ReplicaKind.NORMAL, None, frozenset(schema.names), "n")
+        registry.add_block(b.block_id, 20, [normal])
+    indexer = AdaptiveIndexer(
+        0, tmp_path, registry, build_capacity=1, write_capacity=1, page_size_records=8
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        producers = [
+            threading.Thread(
+                target=lambda k=k: [indexer.hand_off(make_work(schema, b)) for b in blocks[k::6]]
+            )
+            for k in range(6)
+        ]
+        for thread in producers:
+            thread.start()
+        for thread in producers:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        drainer = threading.Thread(target=indexer.drain)
+        drainer.start()
+        drainer.join(timeout=30)
+        assert not drainer.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    indexer.close()
+    assert indexer.stats.enqueued == indexer.stats.written == len(blocks)
+    assert indexer.stats.rejected_full == indexer.stats.failures == 0
+    assert all(registry.find_index(b.block_id, "d") is not None for b in blocks)
+
+
 def test_closed_indexer_refuses_completions(tmp_path):
     schema = Schema.of(("d", "int64"), ("x", "float64"))
     indexer = AdaptiveIndexer(0, tmp_path, fresh_registry(schema))
     indexer.close()
     assert indexer.hand_off(_completion(schema, make_block(schema, 20))) is False
     assert indexer.stats.enqueued == 0
+    assert indexer.stats.rejected_full == 1

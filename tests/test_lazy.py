@@ -1,7 +1,9 @@
 import time
 
 import numpy as np
+import pytest
 
+import adaptidx.indexer as indexer_module
 import adaptidx.lazy as lazy
 from adaptidx.blocks import DataBlock, Schema, blocks_equal
 from adaptidx.blockfile import pseudo_replica_path, read_block, read_header, write_block
@@ -52,7 +54,7 @@ def index_on_d(tmp_path, registry, block, node=0):
     """Hand `block` to node's Adaptive Indexer as a BUILD on d; returns its stats."""
     indexer = AdaptiveIndexer(node, tmp_path / f"node_{node}", registry, page_size_records=64)
     work = IndexWork(BUILD, block.block_id, "d", block.schema, block.columns, block.checksum())
-    assert indexer.offer(work)
+    assert indexer.hand_off(work)
     indexer.drain()
     indexer.close()
     return indexer.stats
@@ -273,24 +275,29 @@ def test_mode_equivalence_invisible_vs_lazy_vs_full(tmp_path):
         cluster.close()
 
 
-def test_lazy_sequence_reports_repeat_exactly(tmp_path, monkeypatch):
-    # Index-scan splits of up to 16 blocks per node hand their completions
-    # to an indexer whose writer is slowed down, so the default-size queues
-    # overflow: completions must wait for space instead of being dropped, or
-    # the reports vary with thread timing.
-    rewrite = lazy.append_aligned_columns
+@pytest.mark.parametrize(
+    "module, stage", [(lazy, "append_aligned_columns"), (indexer_module, "build_index")],
+    ids=["slow_writer", "slow_builder"],
+)
+def test_lazy_sequence_reports_repeat_exactly(tmp_path, monkeypatch, module, stage):
+    # Full scans offer BUILDs and index-scan splits of up to 16 blocks per
+    # node hand over completions to an indexer whose writer or builder is
+    # slowed down, so the default-size queues overflow: both kinds of work
+    # must wait for space instead of being dropped, or the reports vary with
+    # thread timing.
+    original = getattr(module, stage)
 
-    def slow_rewrite(*args):
-        time.sleep(0.002)
-        return rewrite(*args)
+    def slowed(*args):
+        time.sleep(0.01)
+        return original(*args)
 
-    monkeypatch.setattr(lazy, "append_aligned_columns", slow_rewrite)
+    monkeypatch.setattr(module, stage, slowed)
     dataset = gen_uservisits_like(80 * 128, seed=5)
     reports = []
     for run in ("one", "two"):
         cluster = make_cluster(
             tmp_path / run, nodes=4, slots=1, replication=2, block_records=128, page_size=32,
-            projection_mode="lazy", build_queue_capacity=4, write_queue_capacity=4,
+            projection_mode="lazy",
         )
         cluster.upload_dataset(dataset)
         runner = WorkloadRunner(cluster)
