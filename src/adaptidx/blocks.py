@@ -1,8 +1,10 @@
 """In-memory columnar block model.
 
 A data block stores all values of one attribute contiguously (PAX-style
-within-block columnar layout). Blocks are value-like: immutable after
-creation by convention, cheap to hand between workers.
+within-block columnar layout). Blocks are value-like and cheap to hand
+between workers: they are immutable after creation by convention, and a block
+handed to an Adaptive Indexer has its columns marked read-only, so the
+convention is enforced from the hand-off on.
 """
 
 from __future__ import annotations
@@ -51,13 +53,14 @@ class Attribute:
 
     def coerce(self, value) -> object:
         """Coerce a predicate bound to this attribute's comparison domain."""
-        if self.kind == INT64:
-            return int(value)
-        if self.kind == FLOAT64:
-            return float(value)
-        if isinstance(value, str):
-            value = value.encode("utf-8")
-        return np.bytes_(value)
+        if self.kind == STRING:
+            return np.bytes_(value.encode("utf-8") if isinstance(value, str) else value)
+        try:
+            return int(value) if self.kind == INT64 else float(value)
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f"cannot compare {value!r} with {self.kind} attribute {self.name!r}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -228,8 +231,9 @@ class DataBlock:
         if self.permutation is not None and len(self.permutation) != n:
             raise SchemaError("permutation vector length does not match block")
 
+    # Unused by the engine; kept because bench/spans.py wraps it by name.
     def checksum(self) -> int:
-        """Order-sensitive checksum of the column payloads (torn-read guard)."""
+        """Order-sensitive checksum of the column payloads."""
         crc = 0
         for name in self.schema.names:
             crc = zlib.crc32(self.columns[name].tobytes(), crc)

@@ -23,7 +23,8 @@ The workload-level "policy" object supplies defaults: mode
 (constant|eager|selectivity, the values of the report's mode column; any
 other value is an error), rho, target_seconds, t_fsw, t_idx_overhead,
 selectivity_threshold. A key outside these lists, in the document, a job
-object or the policy object, is an error (exit status 2).
+object or the policy object, is an error (exit status 2), and so is a
+missing or mistyped one.
 """
 
 from __future__ import annotations
@@ -85,18 +86,37 @@ def _check_keys(doc: dict, allowed: frozenset[str], where: str) -> None:
             )
 
 
+def _number(value, key: str, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_job(doc: dict, index: int, defaults: dict, schema) -> JobSpec:
-    _check_keys(doc, JOB_KEYS, f"job {index}")
-    pred = doc["predicate"]
+    where = f"job {index}"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    _check_keys(doc, JOB_KEYS, where)
+    pred = doc.get("predicate")
+    if not isinstance(pred, dict):
+        raise ConfigError(f"{where} needs a 'predicate' object")
+    for key in ("attribute", "low", "high"):
+        if key not in pred:
+            raise ConfigError(f"{where}: predicate needs {key!r}")
     predicate = Predicate(pred["attribute"], pred["low"], pred["high"])
     projection = doc.get("projection", "all")
+    if projection != "all" and not (
+        isinstance(projection, list) and all(isinstance(n, str) for n in projection)
+    ):
+        raise ConfigError(f"{where}: 'projection' must be \"all\" or a list of attribute names")
     mode = defaults.get("mode", OFFER_RATE)
-    rho = float(doc.get("rho", defaults.get("rho", 0.1)))
-    threshold = float(
-        doc.get("selectivity_threshold", defaults.get("selectivity_threshold", 0.8))
+    rho = _number(doc.get("rho", defaults.get("rho", 0.1)), "rho", where)
+    threshold = _number(
+        doc.get("selectivity_threshold", defaults.get("selectivity_threshold", 0.8)),
+        "selectivity_threshold", where,
     )
     if "offer_rate" in doc:
-        mode, rho = OFFER_RATE, float(doc["offer_rate"])
+        mode, rho = OFFER_RATE, _number(doc["offer_rate"], "offer_rate", where)
     elif doc.get("eager"):
         mode = EAGER
     elif "selectivity_threshold" in doc:
@@ -117,13 +137,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"error: no dataset uploaded under {args.root}", file=sys.stderr)
             return 2
         with open(args.jobs) as f:
-            raw = json.load(f)
+            try:
+                raw = json.load(f)
+            except ValueError as exc:
+                raise ConfigError(f"jobs file {args.jobs} is not valid JSON: {exc}") from None
         if isinstance(raw, dict):
             _check_keys(raw, frozenset({"policy", "jobs"}), "jobs file")
-            docs, defaults = raw["jobs"], raw.get("policy", {})
+            docs, defaults = raw.get("jobs"), raw.get("policy", {})
         else:
             docs, defaults = raw, {}
+        if not isinstance(docs, list):
+            raise ConfigError("jobs file must be a list of jobs or {\"jobs\": [...]}")
+        if not isinstance(defaults, dict):
+            raise ConfigError("'policy' in the jobs file must be a JSON object")
         _check_keys(defaults, POLICY_KEYS, "policy")
+        for key in POLICY_KEYS - {"mode"}:
+            if key in defaults:
+                _number(defaults[key], key, "policy")
 
         schema = cluster.registry.schema
         jobs = [

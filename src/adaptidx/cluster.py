@@ -27,6 +27,8 @@ REGISTRY_JOURNAL = "registry.journal"
 CLUSTER_CONFIG = "cluster.json"
 # Keys older cluster.json files may still carry; they are read and ignored.
 RETIRED_CONFIG_KEYS = frozenset({"balance_total_index_counts"})
+# JSON value types accepted per ClusterConfig field annotation.
+_VALUE_KINDS = {"int": int, "Optional[int]": (int, type(None)), "float": (int, float), "str": str}
 
 
 @dataclass
@@ -68,17 +70,31 @@ class ClusterConfig:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "ClusterConfig":
+        """Load a JSON config; a malformed one raises ConfigError naming the key."""
         with open(path) as f:
-            raw = json.load(f)
+            try:
+                raw = json.load(f)
+            except ValueError as exc:
+                raise ConfigError(f"cluster config {path} is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"cluster config {path} must be a JSON object")
         aliases = {"nodes": "node_count", "replication": "replication_factor"}
-        allowed = {*cls.__dataclass_fields__, *aliases, *RETIRED_CONFIG_KEYS}
-        for k in raw:
-            if k not in allowed:
-                raise ConfigError(f"unknown key {k!r} in cluster config {path}")
-        known = {k: v for k, v in raw.items() if k in cls.__dataclass_fields__}
-        for k, attr in aliases.items():
-            if k in raw:
-                known[attr] = raw[k]
+        fields = cls.__dataclass_fields__
+        known = {}
+        for key, value in raw.items():
+            name = aliases.get(key, key)
+            if name not in fields:
+                if key in RETIRED_CONFIG_KEYS:
+                    continue
+                raise ConfigError(f"unknown key {key!r} in cluster config {path}")
+            if isinstance(value, bool) or not isinstance(value, _VALUE_KINDS[fields[name].type]):
+                raise ConfigError(
+                    f"key {key!r} in cluster config {path} must be {fields[name].type}, "
+                    f"got {value!r}"
+                )
+            known[name] = value
+        if "node_count" not in known:
+            raise ConfigError(f"cluster config {path} needs 'nodes'")
         return cls(**known)
 
     def save(self, path: Path | str) -> None:
@@ -213,7 +229,6 @@ class Cluster:
             if a.node_id not in contexts:
                 contexts[a.node_id] = TaskContext(
                     node_id=a.node_id,
-                    node_root=self.node_root(a.node_id),
                     schema=self.registry.schema,
                     registry=self.registry,
                     indexer=self.indexers.get(a.node_id),

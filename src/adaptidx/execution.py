@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -146,7 +145,6 @@ class TaskContext:
     """Per-node execution context handed to every task of a job."""
 
     node_id: int
-    node_root: Path
     schema: Schema
     registry: ReplicaRegistry
     indexer: Optional[AdaptiveIndexer]
@@ -250,8 +248,9 @@ def _scan_indexed_block(
     if normal.node_id != ctx.node_id:
         result.remote_column_reads += len(missing)
 
+    # Copies, because `aligned` is handed to the indexer below and frozen.
     for name in missing:
-        columns[name] = aligned[name][r_lo:r_hi]
+        columns[name] = aligned[name][r_lo:r_hi].copy()
     columns = {n: columns[n] for n in wanted}
     _emit(job, result, columns, count)
 
@@ -263,15 +262,7 @@ def _scan_indexed_block(
     if ctx.indexer is not None:
         sub = ctx.registry.schema.subset(missing)
         completion = DataBlock(ref.block_id, sub, {n: aligned[n] for n in sub.names})
-        work = IndexWork(
-            kind=COMPLETE,
-            block_id=ref.block_id,
-            attribute=ref.replica.indexed_attribute,
-            schema=sub,
-            columns=completion.columns,
-            checksum=completion.checksum(),
-        )
-        ctx.indexer.hand_off(work)
+        ctx.indexer.hand_off(IndexWork(COMPLETE, ref.replica.indexed_attribute, completion))
 
 
 def _normal_replica_for(ctx: TaskContext, block_id: int) -> BlockReplicaInfo:
@@ -311,18 +302,10 @@ def _scan_full_block(
     if policy.mode == SELECTIVITY and not policy.admits(fraction):
         return
 
-    # Hand over only after the map function consumed the block; the checksum
-    # lets the builder assert nothing mutated in between.
-    work = IndexWork(
-        kind=BUILD,
-        block_id=ref.block_id,
-        attribute=job.predicate.attribute,
-        schema=block.schema,
-        columns=block.columns,
-        checksum=block.checksum(),
-    )
+    # Hand over only after the map function consumed the block; the hand-off
+    # freezes its columns.
     result.blocks_offered += 1
-    if not ctx.indexer.hand_off(work):
+    if not ctx.indexer.hand_off(IndexWork(BUILD, job.predicate.attribute, block)):
         result.blocks_rejected += 1
 
 

@@ -10,6 +10,10 @@ fallen behind the readers; the queue capacities only bound memory. Waiting
 costs no simulated time: the cost model charges a fixed per-block indexing
 cost for every enqueued block.
 
+The work carries the map task's own DataBlock, not a copy. `hand_off` marks
+its columns read-only, so a later write by the map task raises ValueError at
+the writing line instead of corrupting the index being built.
+
 Index building sorts the target attribute (stable), derives the
 old-position -> new-position permutation vector, reorders every other present
 column with it, and cuts a sparse page directory over the sorted column.
@@ -33,9 +37,9 @@ from typing import Optional
 import numpy as np
 
 from . import lazy
-from .blocks import DataBlock, Schema, SparseClusteredIndex
+from .blocks import DataBlock, SparseClusteredIndex
 from .blockfile import publish_block_once, pseudo_replica_path, pseudo_temp_path
-from .errors import AdaptidxError, ConfigError, SchemaError
+from .errors import ConfigError, SchemaError
 from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 
 DEFAULT_PAGE_SIZE = 1024
@@ -166,21 +170,16 @@ BUILD = "build"
 COMPLETE = "complete"
 
 
-@dataclass
+@dataclass(frozen=True)
 class IndexWork:
     """One unit handed from a map task to a node's Adaptive Indexer."""
 
-    # BUILD: sort + index the columns. COMPLETE: append columns, already
-    # aligned with the partial replica's permutation vector, to that replica.
+    # BUILD: sort + index the block. COMPLETE: append the block's columns,
+    # already aligned with the partial replica's permutation vector, to the
+    # replica indexed on `attribute`.
     kind: str
-    block_id: int
     attribute: str
-    schema: Schema
-    columns: dict[str, np.ndarray]
-    checksum: int
-
-    def block(self) -> DataBlock:
-        return DataBlock(block_id=self.block_id, schema=self.schema, columns=self.columns)
+    block: DataBlock
 
 
 @dataclass
@@ -233,8 +232,9 @@ class AdaptiveIndexer:
         """Enqueue one unit of work, waiting for build-queue space.
 
         Returns False, counted in `stats.rejected_full`, only when the
-        indexer is closed. The put happens outside `_cond`, because the
-        writer needs that lock to finish the items that free the queue.
+        indexer is closed. Accepted work has its block's columns marked
+        read-only first. The put happens outside `_cond`, because the writer
+        needs that lock to finish the items that free the queue.
         """
         with self._cond:
             if self._closed:
@@ -243,6 +243,8 @@ class AdaptiveIndexer:
                 return False
             self._pending += 1
             self._putting += 1
+        for column in work.block.columns.values():
+            column.setflags(write=False)
         self._build_queue.put(work)
         with self._cond:
             self._putting -= 1
@@ -290,11 +292,7 @@ class AdaptiveIndexer:
             self._write_queue.put(built)
 
     def _build_one(self, work: IndexWork) -> tuple[IndexWork, DataBlock]:
-        block = work.block()
-        if block.checksum() != work.checksum:
-            raise AdaptidxError(
-                f"block {work.block_id} changed between hand-off and indexing"
-            )
+        block = work.block
         if work.kind == COMPLETE:
             return work, block
         # A subset of the schema makes a partial replica, which keeps the
@@ -334,7 +332,7 @@ class AdaptiveIndexer:
             # Looked up on the module at call time, so wrappers installed on
             # lazy.append_aligned_columns see every completion.
             changed = lazy.append_aligned_columns(
-                self.node_root, self.node_id, self.registry, work.block_id,
+                self.node_root, self.node_id, self.registry, block.block_id,
                 work.attribute, block,
             )
             with self._stats_lock:

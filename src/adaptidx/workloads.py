@@ -11,23 +11,20 @@ Two generators mirror the benchmark shapes used throughout the experiments:
   two-word range predicates select ~0.2% and ~0.4% of the rows.
 
 Both are fully deterministic in (rows, seed): the same inputs produce
-byte-identical files.
+byte-identical files. A dataset file is a single block file (see
+`blockfile`), written as block 0.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .blocks import Attribute, FLOAT64, INT64, STRING, Schema
-from .errors import BlockFormatError, ConfigError
-
-DATASET_MAGIC = b"ADXD"
-_HEAD = struct.Struct("<4sHQH")
-_ATTR = struct.Struct("<BH")
+from .blockfile import read_block, write_block
+from .blocks import DataBlock, FLOAT64, INT64, STRING, Schema
+from .errors import ConfigError
 
 SYNTHETIC_SCHEMA = Schema.of(
     ("a", INT64),
@@ -63,47 +60,14 @@ class Dataset:
         return len(self.columns[self.schema.attributes[0].name])
 
     def to_file(self, path: Path | str) -> int:
-        parts = [_HEAD.pack(DATASET_MAGIC, 1, self.row_count, len(self.schema.attributes))]
-        for a in self.schema.attributes:
-            name = a.name.encode("utf-8")
-            parts.append(struct.pack("<H", len(name)))
-            parts.append(name)
-            tag = {INT64: 1, FLOAT64: 2, STRING: 3}[a.kind]
-            parts.append(_ATTR.pack(tag, a.width))
-        for a in self.schema.attributes:
-            parts.append(np.ascontiguousarray(self.columns[a.name], dtype=a.dtype).tobytes())
-        payload = b"".join(parts)
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(payload)
-        return len(payload)
+        """Write the dataset as one block file; returns the byte count."""
+        return write_block(DataBlock(0, self.schema, self.columns), path)
 
     @classmethod
     def from_file(cls, path: Path | str) -> "Dataset":
-        raw = Path(path).read_bytes()
-        magic, version, rows, n_attrs = _HEAD.unpack_from(raw, 0)
-        if magic != DATASET_MAGIC:
-            raise BlockFormatError(f"not a dataset file: bad magic {magic!r}")
-        if version != 1:
-            raise BlockFormatError(f"unsupported dataset version {version}")
-        pos = _HEAD.size
-        attrs = []
-        for _ in range(n_attrs):
-            (name_len,) = struct.unpack_from("<H", raw, pos)
-            pos += 2
-            name = raw[pos : pos + name_len].decode("utf-8")
-            pos += name_len
-            tag, width = _ATTR.unpack_from(raw, pos)
-            pos += _ATTR.size
-            kind = {1: INT64, 2: FLOAT64, 3: STRING}[tag]
-            attrs.append(Attribute(name, kind, width))
-        schema = Schema(tuple(attrs))
-        columns = {}
-        for a in schema.attributes:
-            nbytes = rows * a.item_size
-            columns[a.name] = np.frombuffer(raw[pos : pos + nbytes], dtype=a.dtype).copy()
-            pos += nbytes
-        return cls(schema, columns)
+        """Read a dataset file; a truncated or foreign file raises BlockFormatError."""
+        block = read_block(path)
+        return cls(block.schema, block.columns)
 
 
 def exponential_value_counts(rows: int) -> np.ndarray:

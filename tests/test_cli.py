@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from adaptidx.cli import main
 
 
@@ -148,6 +150,21 @@ def test_unknown_job_key_exits_2(tmp_path, capsys):
     assert "error: unknown key 'mode' in job 1" in capsys.readouterr().err
     assert not report.with_suffix(".csv").exists()
 
+    good = {"predicate": {"attribute": "b", "low": 0.1, "high": 0.2}, "projection": "all"}
+    for bad, message in [
+        ({"projection": "all"}, "job 2 needs a 'predicate' object"),
+        ({"predicate": ["b", 0.1, 0.2]}, "job 2 needs a 'predicate' object"),
+        ({"predicate": {"attribute": "b", "low": 0.1}}, "job 2: predicate needs 'high'"),
+        ("job", "job 2 must be a JSON object"),
+        (dict(good, rho="x"), "job 2: 'rho' must be a number, got 'x'"),
+        (dict(good, projection=5), "job 2: 'projection' must be \"all\" or a list"),
+    ]:
+        write_jobs(jobs, [good, bad])
+        code = main(["run", "--root", str(root), "--jobs", str(jobs), "--report", str(report)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not report.with_suffix(".csv").exists()
+
 
 def test_unknown_policy_key_exits_2(tmp_path, capsys):
     root = gen_and_upload(tmp_path)
@@ -166,6 +183,56 @@ def test_unknown_policy_key_exits_2(tmp_path, capsys):
                  "--report", str(tmp_path / "report")])
     assert code == 2
     assert "error: unknown key 'polcy' in jobs file" in capsys.readouterr().err
+
+    for raw, message in [
+        ({"policy": {}}, "jobs file must be a list of jobs or {\"jobs\": [...]}"),
+        (5, "jobs file must be a list of jobs"),
+        ({"jobs": {"predicate": {}}}, "jobs file must be a list of jobs"),
+        ({"policy": [], "jobs": []}, "'policy' in the jobs file must be a JSON object"),
+        ({"policy": {"t_fsw": "x"}, "jobs": []}, "policy: 't_fsw' must be a number, got 'x'"),
+    ]:
+        jobs.write_text(json.dumps(raw))
+        code = main(["run", "--root", str(root), "--jobs", str(jobs),
+                     "--report", str(tmp_path / "report")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    jobs.write_text('{"jobs": [')
+    assert main(["run", "--root", str(root), "--jobs", str(jobs)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+def test_malformed_cluster_config_exits_2(tmp_path, capsys):
+    data = tmp_path / "data.adxd"
+    assert main(["gen-synthetic", "--rows", "1000", "--out", str(data)]) == 0
+    config = tmp_path / "config.json"
+    root = tmp_path / "cluster"
+    for raw, message in [
+        ({"slots_per_node": 2}, "needs 'nodes'"),
+        ({"nodes": "2"}, "key 'nodes' in cluster config"),
+        ({"nodes": 3, "block_records": 1.5}, "key 'block_records' in cluster config"),
+        ({"nodes": 3, "projection_mode": None}, "key 'projection_mode' in cluster config"),
+        ([3], "must be a JSON object"),
+    ]:
+        config.write_text(json.dumps(raw))
+        code = main(["upload", "--dataset", str(data), "--root", str(root), "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not root.exists()
+
+
+@pytest.mark.parametrize("keep", [10, 200, -8 * 10, -3])
+def test_truncated_dataset_upload_exits_2(tmp_path, capsys, keep):
+    data = tmp_path / "data.adxd"
+    assert main(["gen-synthetic", "--rows", "1000", "--out", str(data)]) == 0
+    data.write_bytes(data.read_bytes()[:keep])
+    root = tmp_path / "cluster"
+    config = write_config(tmp_path / "config.json")
+    code = main(["upload", "--dataset", str(data), "--root", str(root), "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: truncated block file")
+    assert not root.exists()
 
 
 def test_run_without_upload_fails(tmp_path):

@@ -55,6 +55,13 @@ def test_split_invariants():
         InputSplit(1, (), ScanKind.INDEX_SCAN)
 
 
+def test_predicate_bound_of_the_wrong_type_is_a_schema_error():
+    schema = Schema.of(("a", "int64"), ("b", "float64"))
+    for pred in (Predicate("a", "abc", 3), Predicate("b", 0.1, [1])):
+        with pytest.raises(SchemaError, match="cannot compare"):
+            pred.validate(schema)
+
+
 def _single_block_fixture(tmp_path, rows=4096, page=1024):
     """One indexed pseudo replica whose sort column is 0..rows-1."""
     schema = Schema.of(("a", "int64"), ("b", "int64"), ("c", "int64"), ("d", "int64"))
@@ -82,7 +89,6 @@ def _single_block_fixture(tmp_path, rows=4096, page=1024):
     registry.register_index(42, pseudo)
     ctx = TaskContext(
         node_id=0,
-        node_root=tmp_path / "node_0",
         schema=schema,
         registry=registry,
         indexer=None,

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import adaptidx.blockfile as blockfile
 import adaptidx.indexer as indexer_module
 import adaptidx.lazy as lazy
-from adaptidx.blocks import DataBlock, Schema
+from adaptidx.blocks import DataBlock, Schema, blocks_equal
 from adaptidx.blockfile import pseudo_replica_path, read_block
 from adaptidx.errors import ConfigError, SchemaError
 from adaptidx.indexer import (
@@ -251,15 +251,8 @@ def test_write_failure_leaves_no_trace(tmp_path, monkeypatch):
 # -- the queue pipeline --------------------------------------------------------
 
 
-def make_work(schema, block, attribute="d"):
-    return IndexWork(
-        kind=BUILD,
-        block_id=block.block_id,
-        attribute=attribute,
-        schema=schema,
-        columns=dict(block.columns),
-        checksum=block.checksum(),
-    )
+def make_work(block):
+    return IndexWork(BUILD, "d", block)
 
 
 def test_indexer_processes_offer_end_to_end(tmp_path):
@@ -267,7 +260,7 @@ def test_indexer_processes_offer_end_to_end(tmp_path):
     registry = fresh_registry(schema)
     indexer = AdaptiveIndexer(0, tmp_path, registry, page_size_records=32)
     block = make_block(schema, 300, seed=1)
-    assert indexer.hand_off(make_work(schema, block)) is True
+    assert indexer.hand_off(make_work(block)) is True
     indexer.drain()
     assert indexer.stats.written == 1
     assert registry.find_index(0, "d") is not None
@@ -276,22 +269,25 @@ def test_indexer_processes_offer_end_to_end(tmp_path):
     indexer.close()
 
 
-def test_torn_handoff_detected(tmp_path):
+def test_handed_off_columns_are_read_only(tmp_path):
     schema = Schema.of(("d", "int64"), ("x", "float64"))
     registry = fresh_registry(schema)
     indexer = AdaptiveIndexer(0, tmp_path, registry, page_size_records=32)
     block = make_block(schema, 100, seed=6)
-    work = make_work(schema, block)
-    work.columns["d"][0] += 1  # mutate after the checksum was taken
-    assert indexer.hand_off(work)
+    offered = DataBlock(0, schema, {n: c.copy() for n, c in block.columns.items()})
+    assert indexer.hand_off(make_work(block))
+    with pytest.raises(ValueError):
+        block.columns["d"][0] += 1  # the write fails where it happens
     indexer.drain()
-    assert indexer.stats.failures == 1
-    assert indexer.stats.written == 0
     indexer.close()
+    assert indexer.stats.written == 1
+    assert indexer.stats.failures == 0
+    expected, _, _ = build_index(offered, "d")
+    assert blocks_equal(read_block(pseudo_replica_path(tmp_path, 0, "d")), expected)
 
 
-def _completion(schema, block):
-    return IndexWork(COMPLETE, block.block_id, "d", schema, dict(block.columns), block.checksum())
+def _completion(block):
+    return IndexWork(COMPLETE, "d", block)
 
 
 def _stalled_handoffs(tmp_path, monkeypatch, kind):
@@ -320,9 +316,7 @@ def _stalled_handoffs(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(indexer_module, "write_pseudo_replica", stalled_publish)
     work = make_work if kind == BUILD else _completion
     blocks = [make_block(schema, 20, seed=i, block_id=i) for i in range(5)]
-    producer = threading.Thread(
-        target=lambda: [indexer.hand_off(work(schema, b)) for b in blocks]
-    )
+    producer = threading.Thread(target=lambda: [indexer.hand_off(work(b)) for b in blocks])
     producer.start()
     deadline = time.monotonic() + 10
     while indexer.stats.enqueued < 4 and time.monotonic() < deadline:
@@ -380,7 +374,7 @@ def test_concurrent_offers_all_land(tmp_path):
     try:
         producers = [
             threading.Thread(
-                target=lambda k=k: [indexer.hand_off(make_work(schema, b)) for b in blocks[k::6]]
+                target=lambda k=k: [indexer.hand_off(make_work(b)) for b in blocks[k::6]]
             )
             for k in range(6)
         ]
@@ -405,6 +399,8 @@ def test_closed_indexer_refuses_completions(tmp_path):
     schema = Schema.of(("d", "int64"), ("x", "float64"))
     indexer = AdaptiveIndexer(0, tmp_path, fresh_registry(schema))
     indexer.close()
-    assert indexer.hand_off(_completion(schema, make_block(schema, 20))) is False
+    block = make_block(schema, 20)
+    assert indexer.hand_off(_completion(block)) is False
+    assert block.columns["d"].flags.writeable  # refused work is not frozen
     assert indexer.stats.enqueued == 0
     assert indexer.stats.rejected_full == 1

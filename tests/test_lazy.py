@@ -53,8 +53,7 @@ def _subset(block, names):
 def index_on_d(tmp_path, registry, block, node=0):
     """Hand `block` to node's Adaptive Indexer as a BUILD on d; returns its stats."""
     indexer = AdaptiveIndexer(node, tmp_path / f"node_{node}", registry, page_size_records=64)
-    work = IndexWork(BUILD, block.block_id, "d", block.schema, block.columns, block.checksum())
-    assert indexer.hand_off(work)
+    assert indexer.hand_off(IndexWork(BUILD, "d", block))
     indexer.drain()
     indexer.close()
     return indexer.stats
@@ -66,7 +65,6 @@ def lazy_index_scan(tmp_path, registry, projection, node=0, lo=-1000, hi=1000):
     indexer = AdaptiveIndexer(node, tmp_path / f"node_{node}", registry, page_size_records=64)
     ctx = TaskContext(
         node_id=node,
-        node_root=tmp_path / f"node_{node}",
         schema=SCHEMA,
         registry=registry,
         indexer=indexer,
@@ -141,6 +139,29 @@ def test_index_scan_completion_noop_when_nothing_missing(tmp_path):
     assert stats.enqueued == 0 and stats.completed == 0
     after = read_block(registry.find_index(0, "d").path)
     assert blocks_equal(before, after)
+
+
+def test_index_scan_emits_arrays_apart_from_the_completion(tmp_path, monkeypatch):
+    base, registry = fixture_registry(tmp_path)
+    index_on_d(tmp_path, registry, _subset(base, ["b", "d"]))
+    handed = []
+    hand_off = AdaptiveIndexer.hand_off
+
+    def capture(self, work):
+        handed.append(work)
+        return hand_off(self, work)
+
+    monkeypatch.setattr(AdaptiveIndexer, "hand_off", capture)
+    result, stats = lazy_index_scan(tmp_path, registry, ["b", "c"], lo=-400, hi=400)
+    assert stats.completed == 1
+    (work,) = handed
+    frozen = work.block.columns["c"]
+    assert not frozen.flags.writeable
+    assert result.emitted
+    for columns in result.emitted:
+        for column in columns.values():
+            assert column.flags.writeable
+            assert not np.shares_memory(column, frozen)
 
 
 def assert_headers_match_registry(registry):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptidx.errors import ConfigError
+from adaptidx.errors import BlockFormatError, ConfigError
 from adaptidx.workloads import (
     Dataset,
     SEARCH_WORD_VALUES,
@@ -115,4 +115,20 @@ def test_dataset_file_bad_magic(tmp_path):
     path = tmp_path / "junk"
     path.write_bytes(b"WAT?" + b"\x00" * 32)
     with pytest.raises(BlockFormatError):
+        Dataset.from_file(path)
+
+
+@pytest.mark.parametrize("cut", ["header", "first_column", "element_boundary", "mid_element"])
+def test_truncated_dataset_file_raises(tmp_path, cut):
+    ds = gen_synthetic(1_000, seed=2)
+    path = tmp_path / "data.adxd"
+    size = ds.to_file(path)
+    keep = {
+        "header": 20,
+        "first_column": size - 6 * 8 * 1_000 + 100,
+        "element_boundary": size - 8 * 10,  # last column ten values short
+        "mid_element": size - 3,
+    }[cut]
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(BlockFormatError, match="truncated block file"):
         Dataset.from_file(path)
