@@ -34,8 +34,8 @@ import json
 import sys
 from pathlib import Path
 
-from .cluster import Cluster, ClusterConfig
-from .errors import AdaptidxError, ConfigError
+from .cluster import CLUSTER_CONFIG, REGISTRY_JOURNAL, Cluster, ClusterConfig
+from .errors import AdaptidxError, ConfigError, RegistryError
 from .execution import JobSpec, Predicate
 from .indexer import EAGER, OFFER_RATE, SELECTIVITY, OfferPolicy
 from .runner import WorkloadRunner, write_reports
@@ -56,7 +56,18 @@ def _cmd_gen_uservisits(args: argparse.Namespace) -> int:
     return 0
 
 
+def _need_file(path: Path, what: str) -> None:
+    """Refuse a missing input before anything is opened or created."""
+    if not path.is_file():
+        raise ConfigError(f"{what} not found: {path}")
+
+
 def _cmd_upload(args: argparse.Namespace) -> int:
+    _need_file(args.config, "cluster config")
+    _need_file(args.dataset, "dataset")
+    if (args.root / REGISTRY_JOURNAL).exists():
+        # Checked before Cluster() rewrites cluster.json.
+        raise RegistryError(f"cluster {args.root} already holds a dataset")
     config = ClusterConfig.from_file(args.config)
     dataset = Dataset.from_file(args.dataset)
     cluster = Cluster(config, args.root)
@@ -131,6 +142,8 @@ def _parse_job(doc: dict, index: int, defaults: dict, schema) -> JobSpec:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    _need_file(args.root / CLUSTER_CONFIG, "cluster config")
+    _need_file(args.jobs, "jobs file")
     cluster = Cluster.open(args.root)
     try:
         if cluster.registry is None:
@@ -191,9 +204,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    _need_file(args.json, "report")
     with open(args.json) as f:
-        data = json.load(f)
-    rows = data["jobs"]
+        try:
+            data = json.load(f)
+        except ValueError as exc:
+            raise ConfigError(f"report {args.json} is not valid JSON: {exc}") from None
+    rows = data.get("jobs") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise ConfigError(f"report {args.json} must be {{\"jobs\": [<job objects>]}}")
     if not rows:
         print("empty report")
         return 0

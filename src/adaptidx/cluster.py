@@ -1,17 +1,19 @@
 """Simulated cluster substrate: nodes, replica placement, and map waves.
 
 Nodes are directories under one storage root; "network transfer" is a byte
-counter, not sockets. Tasks run on real threads, one per map slot, with a
-barrier between waves. Time is simulated deterministically: a task costs its
-bytes read times a configured per-byte cost, so the adaptive-indexing cost
-model can be checked exactly instead of against noisy wall clocks.
+counter, not sockets. Map slots and waves are simulated bookkeeping: tasks run
+one after another on the calling thread, and a task's wave is its position in
+the plan divided by the slot count. The only real concurrency is each node's
+indexer builder and writer threads, which index beside the map tasks. Time is
+simulated deterministically: a task costs its bytes read times a configured
+per-byte cost, so the adaptive-indexing cost model can be checked exactly
+instead of against noisy wall clocks.
 """
 
 from __future__ import annotations
 
 import json
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional, Sequence
@@ -162,8 +164,8 @@ class Cluster:
         for attr in upload_index_attributes:
             schema.attribute(attr)  # raises SchemaError if unknown
 
-        if self.registry is not None:
-            raise RegistryError("cluster already holds a dataset")
+        if self.registry is not None or (self.root / REGISTRY_JOURNAL).exists():
+            raise RegistryError(f"cluster {self.root} already holds a dataset")
         self.registry = ReplicaRegistry(
             schema, r, journal_path=self.root / REGISTRY_JOURNAL
         )
@@ -215,17 +217,19 @@ class Cluster:
         job: JobSpec,
         will_offer_blocks: Optional[frozenset[int]] = None,
     ) -> list[TaskResult]:
-        """Run task assignments in waves of at most n_slots concurrent tasks.
+        """Run task assignments in plan order on the calling thread.
 
-        Slots form one cluster-wide pool: each wave takes the next n_slots
-        pending tasks, runs them concurrently, and a barrier separates waves
-        (so wave count = ceil(tasks / n_slots)). Task failures become failure
-        results, not exceptions: there is no re-execution, the job simply
-        fails.
+        Waves are simulated: n_slots tasks share a wave, so task i gets wave
+        i // n_slots and wave count = ceil(tasks / n_slots). A hand-off that
+        waits for indexer queue space cannot deadlock, because the node's
+        builder and writer threads free it without the map thread. Task
+        failures become failure results, not exceptions: there is no
+        re-execution, the job simply fails.
         """
-        assignments = list(assignments)
         contexts: dict[int, TaskContext] = {}
-        for a in assignments:
+        results: list[TaskResult] = []
+        n_slots = self.config.n_slots
+        for position, a in enumerate(assignments):
             if a.node_id not in contexts:
                 contexts[a.node_id] = TaskContext(
                     node_id=a.node_id,
@@ -235,21 +239,10 @@ class Cluster:
                     will_offer_blocks=will_offer_blocks,
                     projection_mode=self.config.projection_mode,
                 )
-
-        results: list[TaskResult] = []
-        n_slots = self.config.n_slots
-        for wave_index, start in enumerate(range(0, len(assignments), n_slots)):
-            wave = assignments[start : start + n_slots]
-            with ThreadPoolExecutor(max_workers=len(wave)) as pool:
-                futures = [
-                    pool.submit(self._run_task, a, job, contexts[a.node_id])
-                    for a in wave
-                ]
-                wave_results = [f.result() for f in futures]
-            for res in wave_results:
-                res.wave_index = wave_index
-                res.elapsed = res.bytes_read * self.config.per_byte_cost
-                results.append(res)
+            res = self._run_task(a, job, contexts[a.node_id])
+            res.wave_index = position // n_slots
+            res.elapsed = res.bytes_read * self.config.per_byte_cost
+            results.append(res)
         return results
 
     @staticmethod

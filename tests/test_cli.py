@@ -201,6 +201,22 @@ def test_unknown_policy_key_exits_2(tmp_path, capsys):
     assert main(["run", "--root", str(root), "--jobs", str(jobs)]) == 2
     assert "is not valid JSON" in capsys.readouterr().err
 
+    # The same malformed documents, read as run reports.
+    for text, message in [
+        ('{"jobs": [', "is not valid JSON"),
+        ("{}", 'must be {"jobs": [<job objects>]}'),
+        ('{"jobs": 5}', 'must be {"jobs": [<job objects>]}'),
+        ('{"jobs": [5]}', 'must be {"jobs": [<job objects>]}'),
+        ("[]", 'must be {"jobs": [<job objects>]}'),
+    ]:
+        jobs.write_text(text)
+        assert main(["report", "--json", str(jobs)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: report {jobs} ") and message in err
+    missing = tmp_path / "nope.json"
+    assert main(["report", "--json", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: report not found: {missing}\n"
+
 
 def test_malformed_cluster_config_exits_2(tmp_path, capsys):
     data = tmp_path / "data.adxd"
@@ -221,6 +237,33 @@ def test_malformed_cluster_config_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and message in err
         assert not root.exists()
 
+    write_config(config)
+    missing = tmp_path / "nope"
+    for dataset, cfg, message in [
+        (missing, config, f"error: dataset not found: {missing}"),
+        (data, missing, f"error: cluster config not found: {missing}"),
+    ]:
+        code = main(["upload", "--dataset", str(dataset), "--root", str(root), "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not root.exists()
+
+    # A second upload into a root that holds a dataset leaves it untouched.
+    upload = ["upload", "--dataset", str(data), "--root", str(root), "--config", str(config)]
+    assert main(upload) == 0
+    before = [(root / name).read_bytes() for name in ("cluster.json", "registry.journal")]
+    write_config(config, replication=3)
+    assert main(upload) == 2
+    assert capsys.readouterr().err == f"error: cluster {root} already holds a dataset\n"
+    assert [(root / name).read_bytes() for name in ("cluster.json", "registry.journal")] == before
+    jobs = write_jobs(
+        tmp_path / "jobs.json",
+        [{"predicate": {"attribute": "b", "low": 0.1, "high": 0.3}, "projection": "all",
+          "offer_rate": 0.5}],
+    )
+    assert main(["run", "--root", str(root), "--jobs", str(jobs),
+                 "--report", str(tmp_path / "report")]) == 0
+
 
 @pytest.mark.parametrize("keep", [10, 200, -8 * 10, -3])
 def test_truncated_dataset_upload_exits_2(tmp_path, capsys, keep):
@@ -235,7 +278,7 @@ def test_truncated_dataset_upload_exits_2(tmp_path, capsys, keep):
     assert not root.exists()
 
 
-def test_run_without_upload_fails(tmp_path):
+def test_run_without_upload_fails(tmp_path, capsys):
     (tmp_path / "cluster").mkdir()
     write_config(tmp_path / "config.json")
     # config exists but no dataset was uploaded
@@ -245,6 +288,19 @@ def test_run_without_upload_fails(tmp_path):
     jobs = write_jobs(tmp_path / "jobs.json", [])
     code = main(["run", "--root", str(tmp_path / "cluster"), "--jobs", str(jobs)])
     assert code == 2
+    assert "error: no dataset uploaded under" in capsys.readouterr().err
+
+    missing, report = tmp_path / "nothere", tmp_path / "report"
+    for root, jobs_file, message in [
+        (missing, jobs, f"cluster config not found: {missing / 'cluster.json'}"),
+        (tmp_path / "cluster", missing, f"jobs file not found: {missing}"),
+    ]:
+        code = main(["run", "--root", str(root), "--jobs", str(jobs_file),
+                     "--report", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not report.with_suffix(".csv").exists()
+    assert not missing.exists()
 
 
 def test_upload_with_index_attrs_enables_index_scans(tmp_path):

@@ -1,10 +1,13 @@
 import json
+import threading
+import time
 from dataclasses import replace
 
 import pytest
 
 from adaptidx.cluster import CLUSTER_CONFIG, REGISTRY_JOURNAL, Cluster, ClusterConfig
-from adaptidx.errors import ConfigError
+import adaptidx.indexer as indexer_module
+from adaptidx.errors import ConfigError, RegistryError
 from adaptidx.execution import JobSpec, Predicate, ScanKind
 from adaptidx.indexer import OfferPolicy
 from adaptidx.registry import ReplicaKind, ReplicaRegistry
@@ -84,6 +87,70 @@ def test_wave_counting_balanced_tasks(tmp_path):
     cluster.close()
 
 
+def test_run_wave_runs_every_task_on_the_calling_thread(tmp_path):
+    cluster = make_cluster(tmp_path / "c", nodes=5, slots=2, replication=2, block_records=100)
+    cluster.upload_dataset(gen_synthetic(2_500, seed=5))
+    seen_threads, seen_counts = set(), set()
+
+    def map_fn(record):
+        seen_threads.add(threading.get_ident())
+        seen_counts.add(threading.active_count())
+        return record
+
+    job = JobSpec("t", Predicate("a", 10, 10), ("a",), map_fn=map_fn,
+                  policy=OfferPolicy(rho=0.0), collect_output=False)
+    assignments = plan_job(job, cluster.registry)
+    before = threading.active_count()
+    results = cluster.run_wave(assignments, job)
+    assert not any(r.failed for r in results)
+    assert seen_threads == {threading.get_ident()}
+    assert seen_counts == {before} and threading.active_count() == before
+    cluster.close()
+
+
+def test_wave_index_is_plan_position_over_slots(tmp_path):
+    cluster = make_cluster(tmp_path / "c", nodes=5, slots=2, replication=2, block_records=100)
+    cluster.upload_dataset(gen_synthetic(2_500, seed=5))  # 25 blocks, 10 slots
+    job = JobSpec("w", Predicate("a", 1, 10), ("a",), policy=OfferPolicy(rho=0.0))
+    assignments = plan_job(job, cluster.registry)
+    assert len(assignments) == 25
+    results = cluster.run_wave(assignments, job)
+    assert [r.wave_index for r in results] == [0] * 10 + [1] * 10 + [2] * 5
+    assert [r.block_ids for r in results] == [
+        tuple(ref.block_id for ref in a.split.blocks) for a in assignments
+    ]
+    cluster.close()
+
+
+def test_full_queues_and_a_slow_writer_do_not_deadlock_the_map_thread(tmp_path, monkeypatch):
+    # One-slot queues and a slowed writer: every offer waits for space that
+    # only the node's builder and writer threads can free.
+    original = indexer_module.write_pseudo_replica
+
+    def slowed(*args):
+        time.sleep(0.005)
+        return original(*args)
+
+    monkeypatch.setattr(indexer_module, "write_pseudo_replica", slowed)
+    cluster = make_cluster(tmp_path / "c", nodes=3, slots=2, replication=2, block_records=100,
+                           build_queue_capacity=1, write_queue_capacity=1)
+    cluster.upload_dataset(gen_synthetic(4_000, seed=12))  # 40 blocks
+    job = JobSpec("d", Predicate("b", 0.0, 0.1), ("b",), policy=OfferPolicy(rho=1.0))
+    outcome = []
+    worker = threading.Thread(target=lambda: outcome.append(WorkloadRunner(cluster).run_job(job)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "run_job did not finish: hand-off deadlocked"
+    metrics = outcome[0].metrics
+    assert not metrics.failed
+    assert metrics.blocks_offered == metrics.blocks_enqueued == 40
+    assert metrics.blocks_indexed_after == 40 == cluster.registry.indexed_block_count("b")
+    stats = [ix.stats for ix in cluster.indexers.values()]
+    assert sum(s.rejected_full for s in stats) == 0
+    assert sum(s.written for s in stats) == 40
+    cluster.close()
+
+
 def test_wave_zero_tasks(small_cluster):
     job = JobSpec("w", Predicate("a", 1, 10), ("a",), policy=OfferPolicy(rho=0.0))
     assert small_cluster.run_wave([], job) == []
@@ -155,6 +222,14 @@ def test_reopen_cluster_replays_registry(tmp_path):
     assert again.registry.find_index(0, "a") is not None
     assert again.config.node_count == 3
     again.close()
+
+    # A fresh Cluster on the same root refuses a second dataset.
+    journal = (root / REGISTRY_JOURNAL).read_bytes()
+    fresh = make_cluster(root, nodes=3, replication=2, block_records=1000)
+    with pytest.raises(RegistryError, match="already holds a dataset"):
+        fresh.upload_dataset(gen_synthetic(4_000, seed=7))
+    fresh.close()
+    assert (root / REGISTRY_JOURNAL).read_bytes() == journal
 
 
 def test_pseudo_counts_match_indexed_blocks(tmp_path):
