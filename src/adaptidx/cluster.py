@@ -4,8 +4,9 @@ Nodes are directories under one storage root; "network transfer" is a byte
 counter, not sockets. Map slots and waves are simulated bookkeeping: tasks run
 one after another on the calling thread, and a task's wave is its position in
 the plan divided by the slot count. The only real concurrency is each node's
-indexer builder and writer threads, which index beside the map tasks. Time is
-simulated deterministically: a task costs its bytes read times a configured
+indexer thread, which builds and writes indexes beside the map tasks; `close`
+returns once every indexer has landed the work it accepted. Time is simulated
+deterministically: a task costs its bytes read times a configured
 per-byte cost, so the adaptive-indexing cost model can be checked exactly
 instead of against noisy wall clocks.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import json
 import traceback
-from dataclasses import dataclass, asdict
+from dataclasses import InitVar, asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,7 +29,9 @@ from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 REGISTRY_JOURNAL = "registry.journal"
 CLUSTER_CONFIG = "cluster.json"
 # Keys older cluster.json files may still carry; they are read and ignored.
-RETIRED_CONFIG_KEYS = frozenset({"balance_total_index_counts"})
+RETIRED_CONFIG_KEYS = frozenset(
+    {"balance_total_index_counts", "build_queue_capacity", "write_queue_capacity"}
+)
 # JSON value types accepted per ClusterConfig field annotation.
 _VALUE_KINDS = {"int": int, "Optional[int]": (int, type(None)), "float": (int, float), "str": str}
 
@@ -42,13 +45,15 @@ class ClusterConfig:
     block_bytes: Optional[int] = None  # overrides block_records when set
     max_blocks_per_split: int = 16
     page_size_records: int = 1024
-    build_queue_capacity: int = 4
-    write_queue_capacity: int = 4
     per_byte_cost: float = 1e-8  # simulated seconds per byte read
     per_block_index_cost: float = 0.05  # simulated seconds per block indexed
     projection_mode: str = "invisible"  # or "lazy"
+    # Retired: accepted for older callers and ignored; indexer.QUEUE_CAPACITY
+    # sizes every node's queue.
+    build_queue_capacity: InitVar[Optional[int]] = None
+    write_queue_capacity: InitVar[Optional[int]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, *_retired) -> None:
         if self.node_count < 1:
             raise ConfigError("need at least one node")
         if self.slots_per_node < 1:
@@ -60,6 +65,14 @@ class ClusterConfig:
             )
         if self.projection_mode not in ("invisible", "lazy"):
             raise ConfigError(f"unknown projection mode {self.projection_mode!r}")
+        for name in ("block_records", "block_bytes", "max_blocks_per_split", "page_size_records"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value!r}")
+        for name in ("per_byte_cost", "per_block_index_cost"):
+            value = getattr(self, name)
+            if not value >= 0:  # also refuses NaN
+                raise ConfigError(f"{name} must be non-negative, got {value!r}")
 
     @property
     def n_slots(self) -> int:
@@ -84,10 +97,10 @@ class ClusterConfig:
         fields = cls.__dataclass_fields__
         known = {}
         for key, value in raw.items():
+            if key in RETIRED_CONFIG_KEYS:
+                continue
             name = aliases.get(key, key)
             if name not in fields:
-                if key in RETIRED_CONFIG_KEYS:
-                    continue
                 raise ConfigError(f"unknown key {key!r} in cluster config {path}")
             if isinstance(value, bool) or not isinstance(value, _VALUE_KINDS[fields[name].type]):
                 raise ConfigError(
@@ -139,8 +152,6 @@ class Cluster:
                     node_id=k,
                     node_root=self.node_root(k),
                     registry=self.registry,
-                    build_capacity=self.config.build_queue_capacity,
-                    write_capacity=self.config.write_queue_capacity,
                     page_size_records=self.config.page_size_records,
                 )
 
@@ -222,9 +233,9 @@ class Cluster:
         Waves are simulated: n_slots tasks share a wave, so task i gets wave
         i // n_slots and wave count = ceil(tasks / n_slots). A hand-off that
         waits for indexer queue space cannot deadlock, because the node's
-        builder and writer threads free it without the map thread. Task
-        failures become failure results, not exceptions: there is no
-        re-execution, the job simply fails.
+        indexer thread frees it without the map thread. Task failures become
+        failure results, not exceptions: there is no re-execution, the job
+        simply fails.
         """
         contexts: dict[int, TaskContext] = {}
         results: list[TaskResult] = []

@@ -1,14 +1,16 @@
 """Adaptive Indexer: builds and persists block indexes as a job side effect.
 
-Per node there is one indexer instance shared by all map tasks: a bounded
-build queue feeding an index-builder thread, and a bounded write queue feeding
-an index-writer thread. Every unit of work, a full scan's BUILD offer or an
-index scan's lazy COMPLETE, enters through `hand_off`, which waits for
-build-queue space and refuses work only once the indexer is closed. So the
-plan alone decides which blocks get indexed, never how far the indexer has
-fallen behind the readers; the queue capacities only bound memory. Waiting
-costs no simulated time: the cost model charges a fixed per-block indexing
-cost for every enqueued block.
+Per node there is one indexer instance: a bounded queue feeding one worker
+thread, which builds each unit and then writes it, in hand-off order. Every
+unit of work, a full scan's BUILD offer or an index scan's lazy COMPLETE,
+enters through `hand_off`, which waits for queue space and refuses work only
+once the indexer is closed. So the plan alone decides which blocks get
+indexed, never how far the indexer has fallen behind the readers; the queue
+capacity only bounds memory. Waiting costs no simulated time: the cost model
+charges a fixed per-block indexing cost for every enqueued block. The worker
+runs beside the map tasks, which run on the calling thread, so index builds
+and replica writes overlap with scanning. `drain` returns once every accepted
+unit has been processed, and `close` also stops the worker.
 
 The work carries the map task's own DataBlock, not a copy. `hand_off` marks
 its columns read-only, so a later write by the map task raises ValueError at
@@ -43,7 +45,9 @@ from .errors import ConfigError, SchemaError
 from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 
 DEFAULT_PAGE_SIZE = 1024
-DEFAULT_QUEUE_CAPACITY = 4
+# Work units one node's queue holds. It bounds memory only: hand-offs wait for
+# space, so reports never depend on it.
+QUEUE_CAPACITY = 8
 
 
 def apply_permutation(perm: np.ndarray, column: np.ndarray) -> np.ndarray:
@@ -164,7 +168,7 @@ def write_pseudo_replica(
     return WriteResult.WON
 
 
-# -- the per-node indexer pipeline -------------------------------------------
+# -- the per-node indexer ----------------------------------------------------
 
 BUILD = "build"
 COMPLETE = "complete"
@@ -184,6 +188,10 @@ class IndexWork:
 
 @dataclass
 class IndexerStats:
+    """Counts of one node's indexer. `enqueued` and `rejected_full` are
+    written by the map thread that hands work off, the rest by the node's
+    worker thread, so no field has two writers."""
+
     enqueued: int = 0
     rejected_full: int = 0  # work refused because the indexer was closed
     built: int = 0
@@ -194,15 +202,13 @@ class IndexerStats:
 
 
 class AdaptiveIndexer:
-    """One per node: build queue -> builder thread -> write queue -> writer thread."""
+    """One per node: a bounded queue feeding one worker that builds, then writes."""
 
     def __init__(
         self,
         node_id: int,
         node_root: Path | str,
         registry: ReplicaRegistry,
-        build_capacity: int = DEFAULT_QUEUE_CAPACITY,
-        write_capacity: int = DEFAULT_QUEUE_CAPACITY,
         page_size_records: int = DEFAULT_PAGE_SIZE,
     ) -> None:
         self.node_id = node_id
@@ -210,131 +216,76 @@ class AdaptiveIndexer:
         self.registry = registry
         self.page_size_records = page_size_records
         self.stats = IndexerStats()
-        self._build_queue: queue.Queue = queue.Queue(maxsize=build_capacity)
-        self._write_queue: queue.Queue = queue.Queue(maxsize=write_capacity)
-        self._pending = 0
-        self._putting = 0  # hand-offs blocked in put, which close waits for
-        self._cond = threading.Condition()
-        self._stats_lock = threading.Lock()
+        self._queue: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)
         self._closed = False
-        self._builder = threading.Thread(
-            target=self._build_loop, name=f"index-builder-{node_id}", daemon=True
+        self._worker = threading.Thread(
+            target=self._work_loop, name=f"indexer-{node_id}", daemon=True
         )
-        self._writer = threading.Thread(
-            target=self._write_loop, name=f"index-writer-{node_id}", daemon=True
-        )
-        self._builder.start()
-        self._writer.start()
-
-    # producer side
+        self._worker.start()
 
     def hand_off(self, work: IndexWork) -> bool:
-        """Enqueue one unit of work, waiting for build-queue space.
+        """Enqueue one unit of work, waiting for queue space.
 
         Returns False, counted in `stats.rejected_full`, only when the
         indexer is closed. Accepted work has its block's columns marked
-        read-only first. The put happens outside `_cond`, because the writer
-        needs that lock to finish the items that free the queue.
+        read-only first. One thread hands work off and closes the indexer:
+        the engine's map thread, which runs every map task. Hand-offs from
+        several threads, or a `close` racing a hand-off, are not supported.
         """
-        with self._cond:
-            if self._closed:
-                with self._stats_lock:
-                    self.stats.rejected_full += 1
-                return False
-            self._pending += 1
-            self._putting += 1
+        if self._closed:
+            self.stats.rejected_full += 1
+            return False
         for column in work.block.columns.values():
             column.setflags(write=False)
-        self._build_queue.put(work)
-        with self._cond:
-            self._putting -= 1
-            self._cond.notify_all()
-        with self._stats_lock:
-            self.stats.enqueued += 1
+        self._queue.put(work)
+        self.stats.enqueued += 1
         return True
 
     def drain(self) -> None:
         """Block until every enqueued work item has been fully processed."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._pending == 0)
+        self._queue.join()
 
     def close(self) -> None:
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            # A hand-off already past the closed check must land before the
-            # stop marker, or the builder would exit without its work.
-            self._cond.wait_for(lambda: self._putting == 0)
-        self._build_queue.put(None)
+        """Refuse further work and return once all accepted work has landed."""
+        if self._closed:
+            return
+        self._closed = True
+        self._queue.put(None)
+        self._worker.join()
 
-    # worker side
-
-    def _finish_one(self) -> None:
-        with self._cond:
-            self._pending -= 1
-            if self._pending == 0:
-                self._cond.notify_all()
-
-    def _build_loop(self) -> None:
+    def _work_loop(self) -> None:
         while True:
-            work = self._build_queue.get()
-            if work is None:
-                self._write_queue.put(None)
-                return
+            work = self._queue.get()
             try:
-                built = self._build_one(work)
+                if work is None:
+                    return
+                self._index_one(work)
             except Exception:
-                with self._stats_lock:
-                    self.stats.failures += 1
-                self._finish_one()
-                continue
-            self._write_queue.put(built)
+                self.stats.failures += 1
+            finally:
+                self._queue.task_done()
 
-    def _build_one(self, work: IndexWork) -> tuple[IndexWork, DataBlock]:
+    def _index_one(self, work: IndexWork) -> None:
         block = work.block
         if work.kind == COMPLETE:
-            return work, block
+            # Looked up on the module at call time, so wrappers installed on
+            # lazy.append_aligned_columns see every completion.
+            if lazy.append_aligned_columns(
+                self.node_root, self.node_id, self.registry, block.block_id,
+                work.attribute, block,
+            ):
+                self.stats.completed += 1
+            return
         # A subset of the schema makes a partial replica, which keeps the
         # permutation vector so later jobs can align the missing columns.
         sorted_block, perm, _ = build_index(block, work.attribute, self.page_size_records)
         if set(block.schema.names) != set(self.registry.schema.names):
             sorted_block.permutation = perm
-        with self._stats_lock:
-            self.stats.built += 1
-        return work, sorted_block
-
-    def _write_loop(self) -> None:
-        while True:
-            item = self._write_queue.get()
-            if item is None:
-                return
-            work, block = item
-            try:
-                self._write_one(work, block)
-            except Exception:
-                with self._stats_lock:
-                    self.stats.failures += 1
-            finally:
-                self._finish_one()
-
-    def _write_one(self, work: IndexWork, block: DataBlock) -> None:
-        if work.kind == BUILD:
-            result = write_pseudo_replica(block, self.node_root, self.node_id, self.registry)
-            with self._stats_lock:
-                if result == WriteResult.WON:
-                    self.stats.written += 1
-                elif result == WriteResult.LOST:
-                    self.stats.lost_races += 1
-                else:
-                    self.stats.failures += 1
+        self.stats.built += 1
+        result = write_pseudo_replica(sorted_block, self.node_root, self.node_id, self.registry)
+        if result == WriteResult.WON:
+            self.stats.written += 1
+        elif result == WriteResult.LOST:
+            self.stats.lost_races += 1
         else:
-            # Looked up on the module at call time, so wrappers installed on
-            # lazy.append_aligned_columns see every completion.
-            changed = lazy.append_aligned_columns(
-                self.node_root, self.node_id, self.registry, block.block_id,
-                work.attribute, block,
-            )
-            with self._stats_lock:
-                if changed:
-                    self.stats.completed += 1
+            self.stats.failures += 1

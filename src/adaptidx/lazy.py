@@ -8,14 +8,14 @@ keeping the vector because the schema is incomplete. Later index scans that
 project additional attributes read them from the normal replica and align
 them with the stored vector to serve the job; when that normal replica is
 local, the record reader hands the aligned columns to the indexer, whose
-writer appends them here. The hand-off is the indexer's only enqueue path
+thread appends them here. The hand-off is the indexer's only enqueue path
 (`AdaptiveIndexer.hand_off`, as for a full scan's BUILD offer): it waits for
 queue space, so only a remote normal replica skips a completion. Once every
 schema attribute is present the permutation vector is dropped and the replica
 is promoted to a full pseudo replica.
 
 Replica files stay write-once: appends rewrite to a temp file and rename over
-the old one, serialized by the owning node's single index-writer thread.
+the old one, serialized by the owning node's single indexer thread.
 """
 
 from __future__ import annotations

@@ -120,10 +120,25 @@ class Calibration:
 
     @classmethod
     def load(cls, path: Path | str) -> "Calibration":
+        """Read a saved calibration; a malformed file raises ConfigError naming it."""
         with open(path) as f:
-            raw = json.load(f)
-        return cls(
-            t_fsw=raw.get("t_fsw"),
-            t_idx_overhead=raw.get("t_idx_overhead"),
-            t_target=raw.get("t_target"),
-        )
+            try:
+                raw = json.load(f)
+            except ValueError as exc:
+                raise ConfigError(f"calibration {path} is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"calibration {path} must be a JSON object")
+        values = {}
+        for name in ("t_fsw", "t_idx_overhead", "t_target"):
+            value = raw.get(name)
+            if value is not None and (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not value >= 0  # also refuses NaN
+            ):
+                raise ConfigError(
+                    f"calibration {path}: {name!r} must be null or a non-negative number, "
+                    f"got {value!r}"
+                )
+            values[name] = value
+        return cls(**values)

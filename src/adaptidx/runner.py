@@ -5,7 +5,8 @@ measured index-scan time T_is; the offer rate for the remaining full scans is
 then fixed by the job's `OfferPolicy.mode` (constant, eager via the cost
 model, or selectivity-driven) and the full-scan waves run with it. After the
 node indexers drain, the registry delta gives the blocks actually indexed by
-the job.
+the job. A job whose index-scan phase fails returns without that drain; its
+accepted index work still lands, at the latest when the cluster is closed.
 
 Simulated job time = T_is + sum of full-scan wave times + indexing overhead,
 where each wave costs its slowest task and the overhead charges the

@@ -13,8 +13,6 @@ def write_config(path, **overrides):
         "replication": 2,
         "block_records": 500,
         "page_size_records": 64,
-        "build_queue_capacity": 64,
-        "write_queue_capacity": 64,
     }
     config.update(overrides)
     path.write_text(json.dumps(config))
@@ -201,6 +199,25 @@ def test_unknown_policy_key_exits_2(tmp_path, capsys):
     assert main(["run", "--root", str(root), "--jobs", str(jobs)]) == 2
     assert "is not valid JSON" in capsys.readouterr().err
 
+    # A damaged calibration.json beside the registry, under an eager job.
+    write_jobs(jobs, [{"predicate": {"attribute": "b", "low": 0.1, "high": 0.2},
+                       "projection": "all", "eager": True}])
+    calibration = root / "calibration.json"
+    for text, message in [
+        ('{"t_fsw": 0.1, "t_idx', "is not valid JSON"),
+        ("[0.1, 0.2]", "must be a JSON object"),
+        ('{"t_fsw": "fast"}', "'t_fsw' must be null or a non-negative number, got 'fast'"),
+        ('{"t_target": true}', "'t_target' must be null or a non-negative number, got True"),
+        ('{"t_idx_overhead": -1}', "'t_idx_overhead' must be null or a non-negative number"),
+    ]:
+        calibration.write_text(text)
+        code = main(["run", "--root", str(root), "--jobs", str(jobs),
+                     "--report", str(tmp_path / "report")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: calibration {calibration}") and message in err
+    calibration.unlink()
+
     # The same malformed documents, read as run reports.
     for text, message in [
         ('{"jobs": [', "is not valid JSON"),
@@ -228,6 +245,14 @@ def test_malformed_cluster_config_exits_2(tmp_path, capsys):
         ({"nodes": "2"}, "key 'nodes' in cluster config"),
         ({"nodes": 3, "block_records": 1.5}, "key 'block_records' in cluster config"),
         ({"nodes": 3, "projection_mode": None}, "key 'projection_mode' in cluster config"),
+        ({"nodes": 3, "block_records": -5}, "block_records must be at least 1, got -5"),
+        ({"nodes": 3, "block_records": 0}, "block_records must be at least 1, got 0"),
+        ({"nodes": 3, "block_bytes": 0}, "block_bytes must be at least 1, got 0"),
+        ({"nodes": 3, "page_size_records": 0}, "page_size_records must be at least 1"),
+        ({"nodes": 3, "max_blocks_per_split": 0}, "max_blocks_per_split must be at least 1"),
+        ({"nodes": 3, "per_byte_cost": -1e-8}, "per_byte_cost must be non-negative"),
+        ({"nodes": 3, "per_byte_cost": float("nan")}, "per_byte_cost must be non-negative"),
+        ({"nodes": 3, "per_block_index_cost": -0.5}, "per_block_index_cost must be non-negative"),
         ([3], "must be a JSON object"),
     ]:
         config.write_text(json.dumps(raw))

@@ -123,8 +123,8 @@ def test_wave_index_is_plan_position_over_slots(tmp_path):
 
 
 def test_full_queues_and_a_slow_writer_do_not_deadlock_the_map_thread(tmp_path, monkeypatch):
-    # One-slot queues and a slowed writer: every offer waits for space that
-    # only the node's builder and writer threads can free.
+    # A one-slot queue and a slowed write step: every offer waits for space
+    # that only the node's indexer thread can free.
     original = indexer_module.write_pseudo_replica
 
     def slowed(*args):
@@ -132,8 +132,8 @@ def test_full_queues_and_a_slow_writer_do_not_deadlock_the_map_thread(tmp_path, 
         return original(*args)
 
     monkeypatch.setattr(indexer_module, "write_pseudo_replica", slowed)
-    cluster = make_cluster(tmp_path / "c", nodes=3, slots=2, replication=2, block_records=100,
-                           build_queue_capacity=1, write_queue_capacity=1)
+    monkeypatch.setattr(indexer_module, "QUEUE_CAPACITY", 1)
+    cluster = make_cluster(tmp_path / "c", nodes=3, slots=2, replication=2, block_records=100)
     cluster.upload_dataset(gen_synthetic(4_000, seed=12))  # 40 blocks
     job = JobSpec("d", Predicate("b", 0.0, 0.1), ("b",), policy=OfferPolicy(rho=1.0))
     outcome = []
@@ -261,12 +261,14 @@ def test_retired_config_key_still_opens(tmp_path):
     root = tmp_path / "c"
     make_cluster(root, nodes=3, slots=2, replication=2).close()
     raw = json.loads((root / CLUSTER_CONFIG).read_text())
-    raw["balance_total_index_counts"] = True
-    (root / CLUSTER_CONFIG).write_text(json.dumps(raw))
-
-    again = Cluster.open(root)
-    assert again.config.node_count == 3 and again.config.slots_per_node == 2
-    again.close()
+    capacities = {"build_queue_capacity": 4, "write_queue_capacity": 4}
+    assert not capacities.keys() & raw.keys()
+    for retired in ({"balance_total_index_counts": True}, capacities):
+        (root / CLUSTER_CONFIG).write_text(json.dumps({**raw, **retired}))
+        again = Cluster.open(root)
+        assert again.config.node_count == 3 and again.config.slots_per_node == 2
+        again.close()
+        assert json.loads((root / CLUSTER_CONFIG).read_text()) == raw  # rewritten without them
 
 
 def _counts(registry, nodes):

@@ -212,27 +212,27 @@ def test_selectivity_mode_reads_full_schema_and_filters_offers(tmp_path):
     indexer.close()
 
 
-def test_full_queue_makes_the_offering_task_wait(tmp_path):
+def test_full_queue_makes_the_offering_task_wait(tmp_path, monkeypatch):
     import threading
     import time
 
+    import adaptidx.indexer as indexer_module
     from adaptidx.indexer import AdaptiveIndexer
 
     schema, base, registry, normal, pseudo, ctx = _single_block_fixture(tmp_path)
     assert registry.find_index(42, "a") is None
-    indexer = AdaptiveIndexer(
-        0, tmp_path / "node_0", registry, build_capacity=1, write_capacity=1
-    )
+    monkeypatch.setattr(indexer_module, "QUEUE_CAPACITY", 1)
+    indexer = AdaptiveIndexer(0, tmp_path / "node_0", registry)
     gate = threading.Event()
-    original = indexer._build_one
-    indexer._build_one = lambda work: (gate.wait(10), original(work))[1]
+    original = indexer._index_one
+    indexer._index_one = lambda work: (gate.wait(10), original(work))[1]
     ctx.indexer = indexer
     ctx.will_offer_blocks = frozenset({42})
 
     j = job(Predicate("a", 0, 100), projection=("a",), rho=1.0)
     split = InputSplit(0, (BlockRef(42, normal),), ScanKind.FULL_SCAN)
     results = []
-    # The first offer occupies the builder, the second fills the queue and
+    # The first offer occupies the worker, the second fills the queue and
     # the third waits for space.
     producer = threading.Thread(
         target=lambda: [results.append(record_reader_scan(split, j, ctx)) for _ in range(3)]

@@ -1,5 +1,4 @@
 import math
-import sys
 import threading
 import time
 
@@ -291,14 +290,14 @@ def _completion(block):
 
 
 def _stalled_handoffs(tmp_path, monkeypatch, kind):
-    """An indexer with capacity 1 whose writer blocks until the returned gate
-    is set, and a started producer handing it five units of `kind` work. The
-    stalled writer holds one item, the write queue one, the builder one
-    (blocked putting it) and the build queue one, so the fifth hand-off has
-    to wait. Returns the indexer, the gate, the producer and the list of
-    block ids the writer has finished, in order."""
+    """An indexer with capacity 1 whose write step blocks until the returned
+    gate is set, and a started producer handing it five units of `kind`
+    work. The stalled worker holds one item and the queue one, so the third
+    hand-off has to wait. Returns the indexer, the gate, the producer and
+    the list of block ids the worker has finished, in order."""
     schema = Schema.of(("d", "int64"), ("x", "float64"))
-    indexer = AdaptiveIndexer(0, tmp_path, fresh_registry(schema), build_capacity=1, write_capacity=1)
+    monkeypatch.setattr(indexer_module, "QUEUE_CAPACITY", 1)
+    indexer = AdaptiveIndexer(0, tmp_path, fresh_registry(schema))
     gate = threading.Event()
     written = []
 
@@ -319,11 +318,11 @@ def _stalled_handoffs(tmp_path, monkeypatch, kind):
     producer = threading.Thread(target=lambda: [indexer.hand_off(work(b)) for b in blocks])
     producer.start()
     deadline = time.monotonic() + 10
-    while indexer.stats.enqueued < 4 and time.monotonic() < deadline:
+    while indexer.stats.enqueued < 2 and time.monotonic() < deadline:
         time.sleep(0.01)
     producer.join(timeout=0.3)
-    assert producer.is_alive()  # blocked in the fifth hand-off, not rejected
-    assert indexer.stats.enqueued == 4
+    assert producer.is_alive()  # blocked in the third hand-off, not rejected
+    assert indexer.stats.enqueued == 2
     return indexer, gate, producer, written
 
 
@@ -341,58 +340,24 @@ def test_handoff_waits_for_queue_space(tmp_path, monkeypatch, kind):
     indexer.close()
 
 
-@pytest.mark.parametrize("kind", [BUILD, COMPLETE])
-def test_close_lets_a_waiting_handoff_land(tmp_path, monkeypatch, kind):
-    indexer, gate, producer, written = _stalled_handoffs(tmp_path, monkeypatch, kind)
-    closer = threading.Thread(target=indexer.close)
-    closer.start()
-    closer.join(timeout=0.3)
-    assert closer.is_alive()  # waits for the hand-off already past its check
-    gate.set()
-    for thread in (producer, closer):
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-    indexer.drain()
-    assert written == [0, 1, 2, 3, 4]
-    assert indexer.stats.rejected_full == 0
-
-
-def test_concurrent_offers_all_land(tmp_path):
-    # More producers than cores on capacity-1 queues with a short switch
-    # interval: every offer waits its turn, none is lost, and drain returns.
+def test_failed_build_is_counted_and_the_worker_keeps_going(tmp_path):
     schema = Schema.of(("d", "int64"), ("x", "float64"))
-    registry = ReplicaRegistry(schema, replication_factor=1)
-    blocks = [make_block(schema, 20, seed=i, block_id=i) for i in range(48)]
-    for b in blocks:
-        normal = BlockReplicaInfo(0, ReplicaKind.NORMAL, None, frozenset(schema.names), "n")
-        registry.add_block(b.block_id, 20, [normal])
-    indexer = AdaptiveIndexer(
-        0, tmp_path, registry, build_capacity=1, write_capacity=1, page_size_records=8
-    )
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        producers = [
-            threading.Thread(
-                target=lambda k=k: [indexer.hand_off(make_work(b)) for b in blocks[k::6]]
-            )
-            for k in range(6)
-        ]
-        for thread in producers:
-            thread.start()
-        for thread in producers:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
-        drainer = threading.Thread(target=indexer.drain)
-        drainer.start()
-        drainer.join(timeout=30)
-        assert not drainer.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
+    registry = fresh_registry(schema)
+    indexer = AdaptiveIndexer(0, tmp_path, registry, page_size_records=32)
+    block = make_block(schema, 50, seed=3)
+    assert indexer.hand_off(IndexWork(BUILD, "missing", block))  # raises in the worker
+    drainer = threading.Thread(target=indexer.drain)
+    drainer.start()
+    drainer.join(timeout=10)
+    assert not drainer.is_alive()
+    assert indexer.stats.failures == 1
+    assert indexer.stats.built == indexer.stats.written == 0
+
+    assert indexer.hand_off(make_work(make_block(schema, 50, seed=4)))
+    indexer.drain()
     indexer.close()
-    assert indexer.stats.enqueued == indexer.stats.written == len(blocks)
-    assert indexer.stats.rejected_full == indexer.stats.failures == 0
-    assert all(registry.find_index(b.block_id, "d") is not None for b in blocks)
+    assert indexer.stats.written == 1 and indexer.stats.failures == 1
+    assert registry.find_index(0, "d") is not None
 
 
 def test_closed_indexer_refuses_completions(tmp_path):

@@ -1,3 +1,4 @@
+import threading
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ from adaptidx.execution import (
     TaskContext,
     record_reader_scan,
 )
-from adaptidx.indexer import BUILD, AdaptiveIndexer, IndexWork, OfferPolicy, build_index
+from adaptidx.indexer import BUILD, COMPLETE, AdaptiveIndexer, IndexWork, OfferPolicy, build_index
 from adaptidx.lazy import append_aligned_columns
 from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 from adaptidx.runner import WorkloadRunner, write_reports
@@ -201,6 +202,31 @@ def test_append_is_idempotent(tmp_path):
     assert append_aligned_columns(tmp_path / "node_0", 0, registry, 0, "d", aligned) is False
 
 
+def test_close_lands_a_completion_without_drain(tmp_path, monkeypatch):
+    # A job whose index scan fails returns without draining the indexers, so
+    # close alone must wait until the completion it handed off is registered.
+    base, registry = fixture_registry(tmp_path)
+    index_on_d(tmp_path, registry, _subset(base, ["b", "d"]))
+    original = lazy.append_aligned_columns
+
+    def slowed(*args):
+        time.sleep(0.2)
+        return original(*args)
+
+    monkeypatch.setattr(lazy, "append_aligned_columns", slowed)
+    threads_before = set(threading.enumerate())
+    indexer = AdaptiveIndexer(0, tmp_path / "node_0", registry, page_size_records=64)
+    oracle_sorted, _, _ = build_index(base, "d", 64)
+    aligned = DataBlock(0, SCHEMA.subset(["a", "c"]),
+                        {n: oracle_sorted.columns[n] for n in ("a", "c")})
+    assert indexer.hand_off(IndexWork(COMPLETE, "d", aligned))
+    indexer.close()
+    info = registry.find_index(0, "d")
+    assert info.kind == ReplicaKind.PSEUDO and info.available_attributes == set(SCHEMA.names)
+    assert indexer.stats.completed == 1
+    assert set(threading.enumerate()) <= threads_before
+
+
 def test_completion_skipped_without_local_normal(tmp_path):
     base, registry = fixture_registry(tmp_path)
     index_on_d(tmp_path, registry, _subset(base, ["b", "d"]), node=1)
@@ -302,7 +328,7 @@ def test_mode_equivalence_invisible_vs_lazy_vs_full(tmp_path):
 )
 def test_lazy_sequence_reports_repeat_exactly(tmp_path, monkeypatch, module, stage):
     # Full scans offer BUILDs and index-scan splits of up to 16 blocks per
-    # node hand over completions to an indexer whose writer or builder is
+    # node hand over completions to an indexer whose write or build step is
     # slowed down, so the default-size queues overflow: both kinds of work
     # must wait for space instead of being dropped, or the reports vary with
     # thread timing.
