@@ -20,10 +20,11 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .blocks import DataBlock, Schema
-from .blockfile import write_block
+from .blockfile import HeaderCache, write_block
 from .errors import ConfigError, RegistryError
 from .execution import JobSpec, TaskContext, TaskResult, record_reader_scan
 from .indexer import AdaptiveIndexer, build_index
+from .policy import save_json
 from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 
 REGISTRY_JOURNAL = "registry.journal"
@@ -113,8 +114,18 @@ class ClusterConfig:
         return cls(**known)
 
     def save(self, path: Path | str) -> None:
-        with open(path, "w") as f:
-            json.dump(asdict(self), f, indent=2)
+        """Write the config through `save_json`, unless `path` holds its text already.
+
+        So reopening a cluster leaves a canonical cluster.json untouched, and
+        only an older one, say with retired keys, is replaced.
+        """
+        data = asdict(self)
+        try:
+            if Path(path).read_bytes() == json.dumps(data, indent=2).encode():
+                return
+        except FileNotFoundError:
+            pass
+        save_json(path, data)
 
 
 class Cluster:
@@ -123,6 +134,7 @@ class Cluster:
         self.root = Path(root)
         self.registry: Optional[ReplicaRegistry] = None
         self.indexers: dict[int, AdaptiveIndexer] = {}
+        self.headers = HeaderCache()  # read by map tasks, which run on one thread
         for k in range(config.node_count):
             (self.node_root(k) / "blocks").mkdir(parents=True, exist_ok=True)
         config.save(self.root / CLUSTER_CONFIG)
@@ -249,6 +261,7 @@ class Cluster:
                     indexer=self.indexers.get(a.node_id),
                     will_offer_blocks=will_offer_blocks,
                     projection_mode=self.config.projection_mode,
+                    headers=self.headers,
                 )
             res = self._run_task(a, job, contexts[a.node_id])
             res.wave_index = position // n_slots

@@ -5,6 +5,12 @@ indexed replica (normal or pseudo) is served by a sparse-index range lookup
 that touches only qualifying rows, while unindexed blocks fall back to a full
 scan and are offered to the node's Adaptive Indexer afterwards. Map functions
 never see the difference.
+
+Index scans read both of their headers (the indexed replica's, and the
+normal replica's when a partial replica fills missing columns from it)
+through the cluster's HeaderCache, so a replica read job after job is parsed
+once; each read still costs one header-length `pread` and is billed the
+header's length, so reports do not depend on the cache.
 """
 
 from __future__ import annotations
@@ -17,10 +23,10 @@ import numpy as np
 
 from .blocks import DataBlock, Schema
 from .blockfile import (
+    HeaderCache,
     ReadCounter,
     read_block,
     read_column_range,
-    read_header,
     read_permutation,
 )
 from .errors import SchemaError
@@ -150,6 +156,7 @@ class TaskContext:
     indexer: Optional[AdaptiveIndexer]
     will_offer_blocks: Optional[frozenset[int]]  # pre-picked blocks (offer-rate mode)
     projection_mode: str = "invisible"  # or "lazy"
+    headers: HeaderCache = field(default_factory=HeaderCache)  # index-scan header reads
 
 
 def _emit(
@@ -219,7 +226,7 @@ def _scan_indexed_block(
     bounds and `wanted` its projected attributes in schema order, both fixed
     per task."""
     with open(ref.replica.path, "rb", buffering=0) as f:
-        header = read_header(f, counter)
+        header = ctx.headers.read(f, counter)
         r_lo, r_hi = _refine_row_range(f, header, bounds[0], bounds[1], counter)
         count = r_hi - r_lo
         result.records_read += count
@@ -241,7 +248,7 @@ def _scan_indexed_block(
     normal = _normal_replica_for(ctx, ref.block_id)
     aligned: dict[str, np.ndarray] = {}
     with open(normal.path, "rb", buffering=0) as nf:
-        nheader = read_header(nf, counter)
+        nheader = ctx.headers.read(nf, counter)
         for name in missing:
             raw = read_column_range(nf, nheader, name, 0, nheader.record_count, counter)
             aligned[name] = apply_permutation(perm, raw)

@@ -79,6 +79,23 @@ def compute_rho(params: CostModelParams) -> float:
     return min(max(rho, 0.0), 1.0)
 
 
+def save_json(path: Path | str, data: dict) -> None:
+    """Write `data` as JSON to a temp file beside `path`, then rename it over `path`.
+
+    A crash or an error mid-write leaves the previous file in place, and an
+    error removes the temp file.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.tmp.{uuid.uuid4().hex[:12]}")
+    try:
+        with open(temp, "w") as f:
+            json.dump(data, f, indent=2)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 @dataclass
 class Calibration:
     """Measured wave costs, persisted next to the registry journal."""
@@ -96,27 +113,11 @@ class Calibration:
         )
 
     def save(self, path: Path | str) -> None:
-        """Write to a temp file beside `path`, then rename it over `path`.
-
-        A crash mid-write leaves the previous calibration in place.
-        """
-        path = Path(path)
-        temp = path.with_name(f".{path.name}.tmp.{uuid.uuid4().hex[:12]}")
-        try:
-            with open(temp, "w") as f:
-                json.dump(
-                    {
-                        "t_fsw": self.t_fsw,
-                        "t_idx_overhead": self.t_idx_overhead,
-                        "t_target": self.t_target,
-                    },
-                    f,
-                    indent=2,
-                )
-            os.replace(temp, path)
-        except BaseException:
-            temp.unlink(missing_ok=True)
-            raise
+        """Replace `path` through `save_json`: a crash leaves the previous calibration."""
+        save_json(
+            path,
+            {"t_fsw": self.t_fsw, "t_idx_overhead": self.t_idx_overhead, "t_target": self.t_target},
+        )
 
     @classmethod
     def load(cls, path: Path | str) -> "Calibration":

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import hypothesis.strategies as st
 
 from adaptidx.blocks import DataBlock, Schema, blocks_equal
 from adaptidx.blockfile import (
+    HeaderCache,
     ReadCounter,
     pseudo_replica_path,
     publish_block_once,
@@ -368,3 +371,83 @@ def test_index_scan_charges_header_boundary_pages_and_rows(tmp_path, low, high):
         + qualifying * (12 + 8)  # the projected rows of s and e
     )
     assert result.bytes_read == expected
+
+
+def _cached_header(cache, path, counter=None):
+    with open(path, "rb", buffering=0) as f:
+        return cache.read(f, counter)
+
+
+def test_header_cache_rereads_a_replica_renamed_over_its_path(tmp_path, simple_schema):
+    # A lazy completion writes the wider replica beside the old one and
+    # renames it over the path whose header is cached.
+    block = make_block(simple_schema, rows=300, seed=8)
+    partial, perm, _ = build_index(
+        DataBlock(0, simple_schema.subset(("a", "b")), {n: block.columns[n] for n in ("a", "b")}),
+        "b",
+        page_size_records=64,
+    )
+    partial.permutation = perm
+    path = tmp_path / "b"
+    write_block(partial, path)
+    cache = HeaderCache()
+    assert _cached_header(cache, path).schema.names == ("a", "b")
+
+    wider = dataclasses.replace(
+        partial,
+        schema=simple_schema.subset(("a", "b", "d")),
+        columns={**partial.columns, "d": block.columns["d"][perm]},
+    )
+    write_block(wider, tmp_path / ".b.tmp")
+    os.replace(tmp_path / ".b.tmp", path)
+    header = _cached_header(cache, path)
+    with open(path, "rb", buffering=0) as f:
+        parsed = read_header(f)
+    assert header.schema.names == ("a", "b", "d")
+    assert header.column_offsets == parsed.column_offsets
+    assert header.column_lengths == parsed.column_lengths
+    assert header.perm_offset == parsed.perm_offset
+    assert _cached_header(cache, path) is header  # unchanged bytes: served from the cache
+
+
+def test_header_cache_raises_for_a_file_truncated_inside_its_header(tmp_path, simple_schema):
+    block, _, _ = build_index(make_block(simple_schema, rows=300, seed=8), "b", page_size_records=64)
+    path = tmp_path / "blk"
+    write_block(block, path)
+    data = path.read_bytes()
+    header_end = _header_length(simple_schema, 5, 8)
+    cache = HeaderCache()
+    for cut in (0, 1, header_end // 2, header_end - 1):
+        path.write_bytes(data)
+        _cached_header(cache, path)
+        path.write_bytes(data[:cut])
+        with pytest.raises(BlockFormatError):
+            _cached_header(cache, path)
+
+
+@pytest.mark.parametrize("name", ["k", "k" * 5000], ids=["short", "longer_than_the_probe"])
+def test_header_cache_charges_a_hit_like_a_miss(tmp_path, name):
+    schema = Schema.of((name, "int64"), ("v", "string", 3))
+    block, perm, _ = build_index(make_block(schema, rows=40, seed=2), name, page_size_records=8)
+    block.permutation = perm
+    path = tmp_path / "blk"
+    write_block(block, path)
+    cache = HeaderCache()
+    miss, hit = ReadCounter(), ReadCounter()
+    first = _cached_header(cache, path, miss)
+    assert _cached_header(cache, path, hit) is first
+    assert miss.bytes_read == hit.bytes_read == _header_length(schema, 5, 8, perm=True)
+
+
+def test_headers_are_read_only(tmp_path, simple_schema):
+    block, _, _ = build_index(make_block(simple_schema, rows=300, seed=8), "b", page_size_records=64)
+    path = tmp_path / "blk"
+    write_block(block, path)
+    with open(path, "rb", buffering=0) as f:
+        for header in (read_header(f), HeaderCache().read(f)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                header.record_count = 0
+            for array in (header.index.first_keys, header.index.start_records):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1

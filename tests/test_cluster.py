@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 import time
 from dataclasses import replace
@@ -269,6 +270,35 @@ def test_retired_config_key_still_opens(tmp_path):
         assert again.config.node_count == 3 and again.config.slots_per_node == 2
         again.close()
         assert json.loads((root / CLUSTER_CONFIG).read_text()) == raw  # rewritten without them
+
+
+def test_open_leaves_a_canonical_config_untouched(tmp_path):
+    root = tmp_path / "c"
+    make_cluster(root, nodes=3, slots=2, replication=2).close()
+    path = root / CLUSTER_CONFIG
+    os.utime(path, ns=(1_000_000_000, 1_000_000_000))  # any rewrite moves it
+    before = path.read_bytes()
+    Cluster.open(root).close()
+    assert path.read_bytes() == before
+    assert path.stat().st_mtime_ns == 1_000_000_000
+
+
+def test_config_save_failure_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / CLUSTER_CONFIG
+    ClusterConfig(node_count=3).save(path)
+    before = path.read_bytes()
+
+    def torn_dump(obj, f, **kwargs):
+        f.write('{"node_count": 5')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(OSError):
+        ClusterConfig(node_count=5).save(path)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [CLUSTER_CONFIG]
 
 
 def _counts(registry, nodes):

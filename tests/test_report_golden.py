@@ -1,11 +1,14 @@
 """Byte-for-byte report regression: the simulated cost model must not move.
 
-Two tiny sequences, a constant-rate cold one that indexes every block during
-full scans and an upload-indexed warm one served by index scans, write their
-CSV reports, which must equal the golden files in tests/data/. The simulated
-seconds and bytes read in those reports come straight from the byte
-accounting of the block readers, so a read-path rewrite that charges one
-byte more or less fails here.
+Three tiny sequences write their CSV reports, which must equal the golden
+files in tests/data/: a constant-rate cold one that indexes every block
+during full scans, an upload-indexed warm one served by index scans, and a
+lazy-projection one whose partial replicas are completed column by column.
+The simulated seconds and bytes read in those reports come straight from the
+byte accounting of the block readers, so a read-path rewrite that charges one
+byte more or less fails here. In the lazy sequence, job 2's completions
+rewrite replicas at the paths whose headers job 2 has just read, and job 3
+reads them again, so a reader that served a stale header fails here too.
 
 The golden files were written by an earlier engine, not by the code under
 test. After a deliberate change to the cost model, regenerate them with
@@ -18,8 +21,9 @@ from pathlib import Path
 
 from adaptidx.execution import JobSpec, Predicate
 from adaptidx.indexer import OfferPolicy
+from adaptidx.registry import ReplicaKind
 from adaptidx.runner import WorkloadRunner, write_reports
-from adaptidx.workloads import gen_synthetic
+from adaptidx.workloads import gen_synthetic, gen_uservisits_like, search_word_predicate
 
 sys.path.insert(0, str(Path(__file__).parent))
 from conftest import make_cluster  # noqa: E402
@@ -46,20 +50,60 @@ def warm_jobs(names) -> list[JobSpec]:
     return [_job(f"job{j}", 0.13 * j, ("b", "c")) for j in range(1, 7)]
 
 
+def lazy_jobs(names) -> list[JobSpec]:
+    four = ("search_word", "ad_revenue", "duration", "visit_date")
+    projections = [("search_word", "ad_revenue"), four, four, names, names]
+    jobs = []
+    for j, projection in enumerate(projections, start=1):
+        low, high = search_word_predicate(start=60 * j, words=2)
+        jobs.append(
+            JobSpec(
+                job_id=f"job{j}",
+                predicate=Predicate("search_word", low, high),
+                projection=tuple(projection),
+                policy=OfferPolicy(rho=1.0),
+                collect_output=False,
+            )
+        )
+    return jobs
+
+
+# kind: (dataset, upload indexes, jobs, projection mode); 20 blocks each.
 SEQUENCES = {
-    "cold": ((), cold_jobs),
-    "warm": (("b",), warm_jobs),
+    "cold": (lambda: gen_synthetic(10_000, seed=23), (), cold_jobs, "invisible"),
+    "warm": (lambda: gen_synthetic(10_000, seed=23), ("b",), warm_jobs, "invisible"),
+    "lazy": (lambda: gen_uservisits_like(4_000, seed=23), (), lazy_jobs, "lazy"),
 }
 
 
-def report(kind: str, work: Path) -> bytes:
-    """Run one sequence on a fresh cluster; returns its CSV report."""
-    upload_indexes, jobs = SEQUENCES[kind]
-    cluster = make_cluster(work / kind, nodes=4, slots=2, replication=2, block_records=500, page_size=64)
+def pseudo_widths(registry) -> int:
+    """Attributes held by pseudo replicas, summed over the cluster."""
+    return sum(
+        len(info.available_attributes)
+        for _, info in registry.iter_replicas()
+        if info.kind != ReplicaKind.NORMAL
+    )
+
+
+def report(kind: str, work: Path, widths: list | None = None) -> bytes:
+    """Run one sequence on a fresh cluster; returns its CSV report.
+
+    `widths`, when given, receives `pseudo_widths` after every job.
+    """
+    dataset, upload_indexes, jobs, mode = SEQUENCES[kind]
+    data = dataset()
+    cluster = make_cluster(
+        work / kind, nodes=4, slots=2, replication=2, block_records=data.row_count // 20,
+        page_size=64, projection_mode=mode,
+    )
     try:
-        cluster.upload_dataset(gen_synthetic(10_000, seed=23), upload_indexes)  # 20 blocks
+        cluster.upload_dataset(data, upload_indexes)
         runner = WorkloadRunner(cluster)
-        rows = [runner.run_job(job).metrics for job in jobs(cluster.registry.schema.names)]
+        rows = []
+        for job in jobs(cluster.registry.schema.names):
+            rows.append(runner.run_job(job).metrics)
+            if widths is not None:
+                widths.append(pseudo_widths(cluster.registry))
     finally:
         cluster.close()
     csv_path, _ = write_reports(rows, work / f"{kind}_report")
@@ -72,6 +116,13 @@ def test_cold_report_matches_golden(tmp_path):
 
 def test_warm_report_matches_golden(tmp_path):
     assert report("warm", tmp_path) == (DATA / "golden_warm.csv").read_bytes()
+
+
+def test_lazy_report_matches_golden(tmp_path):
+    widths: list[int] = []
+    assert report("lazy", tmp_path, widths) == (DATA / "golden_lazy.csv").read_bytes()
+    # Job 2 completed replicas in place, so job 3 read rewritten files.
+    assert widths[0] < widths[1] == widths[2] < widths[4]
 
 
 if __name__ == "__main__":
