@@ -33,9 +33,12 @@ or cached), which is what the simulated cost model bills; tests use it to
 verify projection isolation. A file that ends early raises BlockFormatError
 from every reader.
 
-A block file is write-once: publication goes through a temp file in the same
-directory followed by a hard link, so concurrent writers of the same path
-cannot clobber each other (at most one link succeeds).
+A block file is never modified in place. A new pseudo replica is published
+through a temp file in the same directory followed by a hard link, so
+concurrent writers of the same path cannot clobber each other (at most one
+link succeeds). A lazy completion, which only the owning node's indexer
+thread makes, replaces a published partial replica whole: it writes the
+wider replica to a temp file and renames it over the old path.
 """
 
 from __future__ import annotations

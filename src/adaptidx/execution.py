@@ -36,7 +36,6 @@ from .indexer import (
     AdaptiveIndexer,
     IndexWork,
     OfferPolicy,
-    SELECTIVITY,
     apply_permutation,
 )
 from .registry import BlockReplicaInfo, ReplicaRegistry
@@ -154,7 +153,7 @@ class TaskContext:
     schema: Schema
     registry: ReplicaRegistry
     indexer: Optional[AdaptiveIndexer]
-    will_offer_blocks: Optional[frozenset[int]]  # pre-picked blocks (offer-rate mode)
+    will_offer_blocks: Optional[frozenset[int]]  # offer candidates; None: every block
     projection_mode: str = "invisible"  # or "lazy"
     headers: HeaderCache = field(default_factory=HeaderCache)  # index-scan header reads
 
@@ -283,11 +282,8 @@ def _normal_replica_for(ctx: TaskContext, block_id: int) -> BlockReplicaInfo:
 def _scan_full_block(
     ref: BlockRef, job: JobSpec, ctx: TaskContext, result: TaskResult, counter: ReadCounter
 ) -> None:
-    policy = job.policy
-    if policy.mode == SELECTIVITY:
-        candidate = True
-    else:
-        candidate = ctx.will_offer_blocks is not None and ref.block_id in ctx.will_offer_blocks
+    offers = ctx.will_offer_blocks
+    candidate = offers is None or ref.block_id in offers
 
     # Lazy projection reads only what the job needs, even for offered blocks.
     widen = candidate and ctx.projection_mode != "lazy"
@@ -304,9 +300,7 @@ def _scan_full_block(
     selected = {name: block.columns[name][mask] for name in block.schema.names if name in projected}
     _emit(job, result, selected, qualifying)
 
-    if not candidate or ctx.indexer is None:
-        return
-    if policy.mode == SELECTIVITY and not policy.admits(fraction):
+    if not candidate or ctx.indexer is None or not job.policy.admits(fraction):
         return
 
     # Hand over only after the map function consumed the block; the hand-off

@@ -20,10 +20,15 @@ Index building sorts the target attribute (stable), derives the
 old-position -> new-position permutation vector, reorders every other present
 column with it, and cuts a sparse page directory over the sorted column.
 
-Which scanned blocks reach the indexer is decided in two places: in constant
-and eager mode the blocks are picked at plan time
-(`scheduler.choose_offer_blocks`), and in selectivity mode each full scan
-asks `OfferPolicy.admits` with its qualifying fraction.
+A full scan offers its block when the block is an offer candidate and
+`OfferPolicy.admits` its qualifying fraction (`execution._scan_full_block`).
+The candidates are picked at plan time by `scheduler.choose_offer_blocks` in
+constant and eager mode; in selectivity mode every block is one, and `admits`
+alone decides.
+
+The worker writes to the registry only through
+`ReplicaRegistry.register_pseudo`, which makes a replica pseudo or partial
+from the attributes it holds.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from . import lazy
 from .blocks import DataBlock, SparseClusteredIndex
 from .blockfile import publish_block_once, pseudo_replica_path, pseudo_temp_path
 from .errors import ConfigError, SchemaError
-from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
+from .registry import ReplicaRegistry
 
 DEFAULT_PAGE_SIZE = 1024
 # Work units one node's queue holds. It bounds memory only: hand-offs wait for
@@ -97,13 +102,15 @@ SELECTIVITY = "selectivity"
 class OfferPolicy:
     """Which scanned blocks get handed to the Adaptive Indexer.
 
-    constant: at most ceil(rho * blocks in the job), spread evenly over the
-    scanned blocks; the picks are made at plan time by
-    `scheduler.choose_offer_blocks`.
+    A full-scanned block is offered when it is an offer candidate and
+    `admits` its qualifying fraction. The mode decides both:
+    constant: the candidates are at most ceil(rho * blocks in the job),
+    spread evenly over the scanned blocks at plan time by
+    `scheduler.choose_offer_blocks`; `admits` passes every one.
     eager: like constant, but the rate is solved from the cost model once it
     is calibrated (rho is the rate until then).
-    selectivity: blocks whose qualifying fraction reaches the threshold, see
-    `admits`.
+    selectivity: every scanned block is a candidate, and `admits` passes
+    those whose qualifying fraction reaches the threshold.
     """
 
     mode: str = OFFER_RATE
@@ -115,8 +122,9 @@ class OfferPolicy:
             raise ConfigError(f"unknown offer mode {self.mode!r}")
 
     def admits(self, qualifying_fraction: float) -> bool:
-        """The selectivity test for one scanned block."""
-        return qualifying_fraction >= self.selectivity_threshold
+        """Whether a full-scanned offer candidate goes to the indexer: always,
+        but in selectivity mode only when its fraction reaches the threshold."""
+        return self.mode != SELECTIVITY or qualifying_fraction >= self.selectivity_threshold
 
 
 # -- pseudo-replica persistence ---------------------------------------------
@@ -156,15 +164,9 @@ def write_pseudo_replica(
     if not won:
         return WriteResult.LOST
 
-    partial = set(sorted_block.schema.names) != set(registry.schema.names)
-    info = BlockReplicaInfo(
-        node_id=node_id,
-        kind=ReplicaKind.PARTIAL_PSEUDO if partial else ReplicaKind.PSEUDO,
-        indexed_attribute=attribute,
-        available_attributes=frozenset(sorted_block.schema.names),
-        path=str(final),
+    registry.register_pseudo(
+        sorted_block.block_id, node_id, attribute, sorted_block.schema.names, final
     )
-    registry.register_index(sorted_block.block_id, info)
     return WriteResult.WON
 
 
@@ -179,8 +181,8 @@ class IndexWork:
     """One unit handed from a map task to a node's Adaptive Indexer."""
 
     # BUILD: sort + index the block. COMPLETE: append the block's columns,
-    # already aligned with the partial replica's permutation vector, to the
-    # replica indexed on `attribute`.
+    # already aligned with the partial replica's permutation vector, to this
+    # node's replica indexed on `attribute`.
     kind: str
     attribute: str
     block: DataBlock

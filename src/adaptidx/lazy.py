@@ -14,8 +14,14 @@ queue space, so only a remote normal replica skips a completion. Once every
 schema attribute is present the permutation vector is dropped and the replica
 is promoted to a full pseudo replica.
 
-Replica files stay write-once: appends rewrite to a temp file and rename over
-the old one, serialized by the owning node's single indexer thread.
+A completion finds its replica by layout, not by a registry lookup: it is
+handed to the indexer of the node whose split read the partial replica, and
+a split's replicas live on its node (`InputSplit`), so the file is that
+node's `pseudo_replica_path(node_root, block_id, attribute)`.
+
+A published replica is never written in place: an append writes the merged
+replica to a temp file and renames it over the old one, serialized by the
+owning node's single indexer thread.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from __future__ import annotations
 import os
 import uuid
 from pathlib import Path
-from typing import Optional
 
 from .blocks import DataBlock
 from .blockfile import (
@@ -32,14 +37,7 @@ from .blockfile import (
     read_block,
     write_block,
 )
-from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
-
-
-def _partial_info(registry: ReplicaRegistry, block_id: int, attribute: str) -> Optional[BlockReplicaInfo]:
-    for info in registry.replicas(block_id):
-        if info.kind == ReplicaKind.PARTIAL_PSEUDO and info.indexed_attribute == attribute:
-            return info
-    return None
+from .registry import ReplicaRegistry
 
 
 def append_aligned_columns(
@@ -52,15 +50,15 @@ def append_aligned_columns(
 ) -> bool:
     """Append already-aligned columns to a partial replica; returns True on change.
 
-    Appending an attribute that is already present is a no-op. When the merge
-    covers the whole schema the permutation vector is removed and the registry
-    entry is upgraded to a full pseudo replica. A storage failure removes the
-    temp file and re-raises, leaving the old replica and its registry entry.
+    The replica is the node's own file at `pseudo_replica_path`; without one
+    this raises FileNotFoundError. Appending an attribute that is already
+    present is a no-op. When the merge covers the whole schema the permutation
+    vector is removed and the registry entry is upgraded to a full pseudo
+    replica. A storage failure removes the temp file and re-raises, leaving the
+    old replica and its registry entry.
     """
-    info = _partial_info(registry, block_id, attribute)
-    if info is None:
-        return False
-    existing = read_block(info.path)
+    final = pseudo_replica_path(node_root, block_id, attribute)
+    existing = read_block(final)
     new_names = [n for n in aligned.schema.names if n not in existing.schema.names]
     if not new_names:
         return False
@@ -82,7 +80,6 @@ def append_aligned_columns(
         permutation=None if complete else existing.permutation,
     )
 
-    final = pseudo_replica_path(node_root, block_id, attribute)
     temp = pseudo_temp_path(node_root, block_id, attribute, uuid.uuid4().hex[:12])
     try:
         write_block(merged, temp)
@@ -94,14 +91,5 @@ def append_aligned_columns(
             pass
         raise
 
-    registry.register_index(
-        block_id,
-        BlockReplicaInfo(
-            node_id=node_id,
-            kind=ReplicaKind.PSEUDO if complete else ReplicaKind.PARTIAL_PSEUDO,
-            indexed_attribute=attribute,
-            available_attributes=frozenset(schema.names),
-            path=str(final),
-        ),
-    )
+    registry.register_pseudo(block_id, node_id, attribute, schema.names, final)
     return True

@@ -27,7 +27,7 @@ import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .blocks import Schema
 from .errors import RegistryError, SchemaError
@@ -228,21 +228,25 @@ class ReplicaRegistry:
                         return
                     entry[i] = info
                     self._pseudo_counts[(existing.node_id, existing.indexed_attribute)] -= 1
-                    self._count_pseudo(info)
-                    self._append_journal(
-                        {"event": "register", "block_id": block_id, "replica": info.to_json()}
-                    )
-                    return
-            entry.append(info)
-            self._count_pseudo(info)
-            self._indexed.setdefault(info.indexed_attribute, set()).add(block_id)
+                    break
+            else:
+                entry.append(info)
+                self._indexed.setdefault(info.indexed_attribute, set()).add(block_id)
+            key = (info.node_id, info.indexed_attribute)
+            self._pseudo_counts[key] = self._pseudo_counts.get(key, 0) + 1
             self._append_journal(
                 {"event": "register", "block_id": block_id, "replica": info.to_json()}
             )
 
-    def _count_pseudo(self, info: BlockReplicaInfo) -> None:
-        key = (info.node_id, info.indexed_attribute)
-        self._pseudo_counts[key] = self._pseudo_counts.get(key, 0) + 1
+    def register_pseudo(
+        self, block_id: int, node_id: int, attribute: str, names: Iterable[str], path: Path | str
+    ) -> None:
+        """Register an adaptive replica on `attribute` that holds `names`, via
+        `register_index`: pseudo when they cover the schema, else partial."""
+        names = frozenset(names)
+        full = names == set(self.schema.names)
+        kind = ReplicaKind.PSEUDO if full else ReplicaKind.PARTIAL_PSEUDO
+        self.register_index(block_id, BlockReplicaInfo(node_id, kind, attribute, names, str(path)))
 
     # -- lookup ------------------------------------------------------------
 

@@ -5,8 +5,9 @@ measured index-scan time T_is; the offer rate for the remaining full scans is
 then fixed by the job's `OfferPolicy.mode` (constant, eager via the cost
 model, or selectivity-driven) and the full-scan waves run with it. After the
 node indexers drain, the registry delta gives the blocks actually indexed by
-the job. A job whose index-scan phase fails returns without that drain; its
-accepted index work still lands, at the latest when the cluster is closed.
+the job. A job whose index-scan phase fails skips the full scans but still
+drains, so every job's accepted index work has landed when it returns and the
+next job plans from a settled registry.
 
 Simulated job time = T_is + sum of full-scan wave times + indexing overhead,
 where each wave costs its slowest task and the overhead charges the
@@ -171,6 +172,7 @@ class WorkloadRunner:
         t_is = _phase_time(index_results)
         metrics.t_is_seconds = t_is
         if self._collect_failures(index_results, metrics):
+            self.cluster.drain_indexers()  # land handed-off completions
             return self._finalize(job, metrics, results)
 
         # Decide the offer rate for the full-scan phase.

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import adaptidx.execution as execution
 from adaptidx.blocks import DataBlock, Schema
 from adaptidx.blockfile import write_block
 from adaptidx.errors import SchemaError
@@ -14,7 +15,7 @@ from adaptidx.execution import (
     invisible_projection_columns,
     record_reader_scan,
 )
-from adaptidx.indexer import OfferPolicy, SELECTIVITY, build_index
+from adaptidx.indexer import EAGER, OFFER_RATE, OfferPolicy, SELECTIVITY, build_index
 from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 from adaptidx.runner import WorkloadRunner
 
@@ -210,6 +211,49 @@ def test_selectivity_mode_reads_full_schema_and_filters_offers(tmp_path):
     assert result2.blocks_offered == 1
     indexer.drain()
     indexer.close()
+
+
+class _HandOffRecorder:
+    """Stands in for a node's indexer: accepts and keeps every hand-off."""
+
+    def __init__(self):
+        self.work = []
+
+    def hand_off(self, work):
+        self.work.append(work)
+        return True
+
+
+# d holds 0..4095, so [0, 1023] qualifies 25% of the rows and [0, 3700] 90%.
+@pytest.mark.parametrize("high", [1023, 3700], ids=["below_threshold", "above_threshold"])
+@pytest.mark.parametrize(
+    "offers", [None, frozenset(), frozenset({42})], ids=["all", "none", "picked"]
+)
+@pytest.mark.parametrize("mode", [OFFER_RATE, EAGER, SELECTIVITY])
+def test_offer_rule_matrix(tmp_path, monkeypatch, mode, offers, high):
+    # A full-scanned block is offered when it is a plan-time candidate (None
+    # makes every block one) and the policy admits its qualifying fraction;
+    # under invisible projection a candidate reads the whole schema.
+    schema, base, registry, normal, pseudo, ctx = _single_block_fixture(tmp_path)
+    indexer = _HandOffRecorder()
+    ctx.indexer = indexer
+    ctx.will_offer_blocks = offers
+    reads = []
+    read_block = execution.read_block
+
+    def recording_read_block(path, columns, **kwargs):
+        reads.append(columns)
+        return read_block(path, columns, **kwargs)
+
+    monkeypatch.setattr(execution, "read_block", recording_read_block)
+    policy = OfferPolicy(mode=mode, rho=1.0, selectivity_threshold=0.8)
+    j = JobSpec("m", Predicate("d", 0, high), ("a",), policy=policy)
+    result = record_reader_scan(InputSplit(0, (BlockRef(42, normal),), ScanKind.FULL_SCAN), j, ctx)
+
+    candidate = offers is None or 42 in offers
+    admitted = mode != SELECTIVITY or high == 3700
+    assert result.blocks_offered == len(indexer.work) == int(candidate and admitted)
+    assert reads == [schema.names if candidate else ("a", "d")]
 
 
 def test_full_queue_makes_the_offering_task_wait(tmp_path, monkeypatch):

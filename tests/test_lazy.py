@@ -8,6 +8,7 @@ import adaptidx.indexer as indexer_module
 import adaptidx.lazy as lazy
 from adaptidx.blocks import DataBlock, Schema, blocks_equal
 from adaptidx.blockfile import pseudo_replica_path, read_block, read_header, write_block
+from adaptidx.cluster import Cluster
 from adaptidx.execution import (
     BlockRef,
     InputSplit,
@@ -203,8 +204,8 @@ def test_append_is_idempotent(tmp_path):
 
 
 def test_close_lands_a_completion_without_drain(tmp_path, monkeypatch):
-    # A job whose index scan fails returns without draining the indexers, so
-    # close alone must wait until the completion it handed off is registered.
+    # A caller may hand work off and close without draining, so close alone
+    # must wait until the completion it accepted is registered.
     base, registry = fixture_registry(tmp_path)
     index_on_d(tmp_path, registry, _subset(base, ["b", "d"]))
     original = lazy.append_aligned_columns
@@ -225,6 +226,65 @@ def test_close_lands_a_completion_without_drain(tmp_path, monkeypatch):
     assert info.kind == ReplicaKind.PSEUDO and info.available_attributes == set(SCHEMA.names)
     assert indexer.stats.completed == 1
     assert set(threading.enumerate()) <= threads_before
+
+
+def _files(root):
+    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize(
+    "node, attribute", [(1, "d"), (0, "a")], ids=["file_on_another_node", "no_such_replica"]
+)
+def test_completion_without_the_nodes_replica_fails_and_changes_nothing(
+    tmp_path, node, attribute
+):
+    # A completion rewrites the replica the layout puts on its own node; with
+    # no such file it is a counted failure, not a write elsewhere.
+    base, registry = fixture_registry(tmp_path)
+    index_on_d(tmp_path, registry, _subset(base, ["b", "d"]))
+    entries = list(registry.iter_replicas())
+    files = _files(tmp_path)
+    indexer = AdaptiveIndexer(node, tmp_path / f"node_{node}", registry, page_size_records=64)
+    aligned = DataBlock(0, SCHEMA.subset(["c"]), {"c": base.columns["c"].copy()})
+    assert indexer.hand_off(IndexWork(COMPLETE, attribute, aligned))
+    indexer.drain()
+    indexer.close()
+    assert (indexer.stats.failures, indexer.stats.completed) == (1, 0)
+    assert list(registry.iter_replicas()) == entries
+    assert _files(tmp_path) == files
+
+
+def test_completions_after_reopening_from_another_directory(tmp_path, monkeypatch):
+    # Replica paths in the reopened registry are relative to the new working
+    # directory ("../a/cl/..."); completions still find each node's file.
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    cluster = make_cluster(
+        "cl", nodes=3, slots=1, replication=2, block_records=500, projection_mode="lazy"
+    )
+    cluster.upload_dataset(gen_synthetic(6000, seed=3))
+    first = JobSpec("j1", Predicate("b", 0.2, 0.6), ("b",), policy=OfferPolicy(rho=1.0))
+    assert not WorkloadRunner(cluster).run_job(first).metrics.failed
+    cluster.close()
+
+    monkeypatch.chdir(tmp_path / "b")
+    cluster = Cluster.open("../a/cl")
+    runner = WorkloadRunner(cluster)
+    names = cluster.registry.schema.names
+    for j, projection in enumerate([("b", "c"), names], start=2):
+        job = JobSpec(f"j{j}", Predicate("b", 0.2, 0.6), projection, policy=OfferPolicy(rho=1.0))
+        assert not runner.run_job(job).metrics.failed
+    stats = [indexer.stats for indexer in cluster.indexers.values()]
+    cluster.close()
+    assert sum(s.failures for s in stats) == 0
+    assert sum(s.completed for s in stats) == 2 * cluster.registry.block_count
+    replicas = [info for _, info in cluster.registry.iter_replicas()
+                if info.kind != ReplicaKind.NORMAL]
+    assert len(replicas) == cluster.registry.block_count
+    for info in replicas:
+        assert info.kind == ReplicaKind.PSEUDO
+        assert read_block(info.path).schema.names == names
 
 
 def test_completion_skipped_without_local_normal(tmp_path):

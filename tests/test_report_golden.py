@@ -10,6 +10,10 @@ byte more or less fails here. In the lazy sequence, job 2's completions
 rewrite replicas at the paths whose headers job 2 has just read, and job 3
 reads them again, so a reader that served a stale header fails here too.
 
+The cold and lazy sequences also pin what gets registered: the sorted lines
+of their registry journals must equal golden_{cold,lazy}_journal.txt. Sorted,
+because the indexer threads append in an order that follows thread timing.
+
 The golden files were written by an earlier engine, not by the code under
 test. After a deliberate change to the cost model, regenerate them with
 
@@ -110,8 +114,15 @@ def report(kind: str, work: Path, widths: list | None = None) -> bytes:
     return csv_path.read_bytes()
 
 
+def sorted_journal(kind: str, work: Path) -> str:
+    """The lines of the registry journal `report(kind, work)` left, sorted."""
+    lines = (work / kind / "registry.journal").read_text().splitlines(keepends=True)
+    return "".join(sorted(lines))
+
+
 def test_cold_report_matches_golden(tmp_path):
     assert report("cold", tmp_path) == (DATA / "golden_cold.csv").read_bytes()
+    assert sorted_journal("cold", tmp_path) == (DATA / "golden_cold_journal.txt").read_text()
 
 
 def test_warm_report_matches_golden(tmp_path):
@@ -123,6 +134,7 @@ def test_lazy_report_matches_golden(tmp_path):
     assert report("lazy", tmp_path, widths) == (DATA / "golden_lazy.csv").read_bytes()
     # Job 2 completed replicas in place, so job 3 read rewritten files.
     assert widths[0] < widths[1] == widths[2] < widths[4]
+    assert sorted_journal("lazy", tmp_path) == (DATA / "golden_lazy_journal.txt").read_text()
 
 
 if __name__ == "__main__":
@@ -132,3 +144,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         for kind in SEQUENCES:
             (DATA / f"golden_{kind}.csv").write_bytes(report(kind, Path(work)))
+        for kind in ("cold", "lazy"):
+            (DATA / f"golden_{kind}_journal.txt").write_text(sorted_journal(kind, Path(work)))

@@ -1,9 +1,13 @@
 import math
+import os
+import time
 
 import pytest
 
+import adaptidx.lazy as lazy
 from adaptidx.execution import JobSpec, Predicate
 from adaptidx.indexer import EAGER, OFFER_RATE, SELECTIVITY, OfferPolicy
+from adaptidx.registry import ReplicaKind
 from adaptidx.runner import CSV_COLUMNS, WorkloadRunner, write_reports
 from adaptidx.workloads import gen_synthetic
 
@@ -153,3 +157,46 @@ def test_report_files_round_trip(tmp_path):
     data = json_mod.loads(json_path.read_text())
     assert [r["job_id"] for r in data["jobs"]] == ["job1", "job2"]
     cluster.close()
+
+
+def test_a_job_whose_index_scan_fails_lands_its_hand_offs_before_returning(
+    tmp_path, monkeypatch
+):
+    # Job 2's index scans hand lazy completions to the indexers until a split
+    # fails on a deleted replica. The next job plans from the registry, so
+    # run_job must wait for those completions on the failure path too.
+    cluster = make_cluster(
+        tmp_path / "c", nodes=3, slots=1, replication=2, block_records=500,
+        projection_mode="lazy",
+    )
+    cluster.upload_dataset(gen_synthetic(6000, seed=3))
+    runner = WorkloadRunner(cluster)
+    job1 = JobSpec("j1", Predicate("b", 0.2, 0.6), ("b",), policy=OfferPolicy(rho=1.0))
+    assert not runner.run_job(job1).metrics.failed
+
+    last_node = max(cluster.node_ids())
+    victim = min(
+        info.path
+        for _, info in cluster.registry.iter_replicas()
+        if info.kind == ReplicaKind.PARTIAL_PSEUDO and info.node_id == last_node
+    )
+    os.unlink(victim)
+    landed = []
+    original = lazy.append_aligned_columns
+
+    def slowed(*args):
+        time.sleep(0.05)
+        landed.append(original(*args))
+        return landed[-1]
+
+    monkeypatch.setattr(lazy, "append_aligned_columns", slowed)
+    before = sum(indexer.stats.enqueued for indexer in cluster.indexers.values())
+    job2 = JobSpec("j2", Predicate("b", 0.2, 0.6), ("b", "c"), policy=OfferPolicy(rho=1.0))
+    metrics = runner.run_job(job2).metrics
+    handed = sum(indexer.stats.enqueued for indexer in cluster.indexers.values()) - before
+    try:
+        assert metrics.failed
+        assert handed > 0
+        assert len(landed) == handed and all(landed)
+    finally:
+        cluster.close()
