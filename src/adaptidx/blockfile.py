@@ -33,6 +33,10 @@ or cached), which is what the simulated cost model bills; tests use it to
 verify projection isolation. A file that ends early raises BlockFormatError
 from every reader.
 
+`write_block` creates a file with one `os.open` (making its directory only
+when that fails) and hands the header and the column arrays to `os.writev`
+as they are, so the columns are not copied into one payload first.
+
 A block file is never modified in place. A new pseudo replica is published
 through a temp file in the same directory followed by a hard link, so
 concurrent writers of the same path cannot clobber each other (at most one
@@ -68,6 +72,7 @@ _U16 = struct.Struct("<H")
 _U64 = struct.Struct("<Q")
 _ATTR_FIXED = struct.Struct("<BQQ")
 _INDEX_HEAD = struct.Struct("<HIQ")
+_IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one os.writev call takes
 _PROBE = 4096  # bytes of the first header read; covers typical headers whole
 
 
@@ -152,15 +157,35 @@ def write_block(block: DataBlock, path: Path | str) -> int:
     else:
         parts.append(b"\x00")
 
+    buffers = [b"".join(parts)]
     for a in schema.attributes:
-        parts.append(np.ascontiguousarray(block.columns[a.name], dtype=a.dtype).tobytes())
+        column = np.ascontiguousarray(block.columns[a.name], dtype=a.dtype)
+        buffers.append(memoryview(column).cast("B"))
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileNotFoundError:  # the first file in its directory
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, flags, 0o666)
+    try:
+        return _write_all(fd, buffers)
+    finally:
+        os.close(fd)
 
-    payload = b"".join(parts)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(payload)
-    return len(payload)
+
+def _write_all(fd: int, buffers: list) -> int:
+    """Write `buffers` in order with `os.writev`, resuming after a short
+    write, and return the byte count."""
+    views = [v for v in buffers if len(v)]
+    total = sum(len(v) for v in views)
+    while views:
+        n = os.writev(fd, views[:_IOV_MAX])
+        while n:
+            if n >= len(views[0]):
+                n -= len(views.pop(0))
+            else:
+                views[0], n = views[0][n:], 0
+    return total
 
 
 def _cover(fd: int, buf: bytes, end: int) -> bytes:

@@ -72,8 +72,10 @@ def _cmd_upload(args: argparse.Namespace) -> int:
     dataset = Dataset.from_file(args.dataset)
     cluster = Cluster(config, args.root)
     attrs = [a for a in (args.index_attrs or "").split(",") if a]
-    registry = cluster.upload_dataset(dataset, attrs)
-    cluster.close()
+    try:
+        registry = cluster.upload_dataset(dataset, attrs)
+    finally:
+        cluster.close()
     print(
         f"uploaded {registry.block_count} blocks x {config.replication_factor} replicas "
         f"({registry.total_records} records) to {args.root}"

@@ -4,8 +4,10 @@ Nodes are directories under one storage root; "network transfer" is a byte
 counter, not sockets. Map slots and waves are simulated bookkeeping: tasks run
 one after another on the calling thread, and a task's wave is its position in
 the plan divided by the slot count. The only real concurrency is each node's
-indexer thread, which builds and writes indexes beside the map tasks; `close`
-returns once every indexer has landed the work it accepted. Time is simulated
+indexer thread: it writes the node's normal replicas during the upload,
+sorting and indexing those with an upload-time index as HAIL does, and then
+builds and writes adaptive indexes beside the map tasks; `close` returns once
+every indexer has landed the work it accepted. Time is simulated
 deterministically: a task costs its bytes read times a configured
 per-byte cost, so the adaptive-indexing cost model can be checked exactly
 instead of against noisy wall clocks.
@@ -14,18 +16,24 @@ instead of against noisy wall clocks.
 from __future__ import annotations
 
 import json
+import os
 import traceback
 from dataclasses import InitVar, asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .blocks import DataBlock, Schema
-from .blockfile import HeaderCache, write_block
+from .blockfile import HeaderCache
 from .errors import ConfigError, RegistryError
 from .execution import JobSpec, TaskContext, TaskResult, record_reader_scan
-from .indexer import AdaptiveIndexer, build_index
+from .indexer import UPLOAD, AdaptiveIndexer, IndexWork
 from .policy import save_json
 from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
+
+# Not called here: the node indexers write and index the uploaded replicas.
+# The names stay importable from this module, where bench/spans.py wraps them.
+from .blockfile import write_block  # noqa: F401
+from .indexer import build_index  # noqa: F401
 
 REGISTRY_JOURNAL = "registry.journal"
 CLUSTER_CONFIG = "cluster.json"
@@ -158,14 +166,15 @@ class Cluster:
         return list(range(self.config.node_count))
 
     def _start_indexers(self) -> None:
-        for k in self.node_ids():
-            if k not in self.indexers:
-                self.indexers[k] = AdaptiveIndexer(
-                    node_id=k,
-                    node_root=self.node_root(k),
-                    registry=self.registry,
-                    page_size_records=self.config.page_size_records,
-                )
+        self.indexers = {
+            k: AdaptiveIndexer(
+                node_id=k,
+                node_root=self.node_root(k),
+                registry=self.registry,
+                page_size_records=self.config.page_size_records,
+            )
+            for k in self.node_ids()
+        }
 
     # -- upload --------------------------------------------------------------
 
@@ -176,7 +185,11 @@ class Cluster:
 
         Replica k of every block is sorted and indexed on
         upload_index_attributes[k] when given, mirroring upload-time index
-        creation: as many clustered indexes as there are replicas.
+        creation: as many clustered indexes as there are replicas. Each
+        replica is written, and indexed, by its node's indexer thread; the
+        calling thread drains them and then registers every block in block
+        order. If any replica fails, the indexers are closed, no block is
+        registered, the journal is removed and the first error is raised.
         """
         schema: Schema = dataset.schema
         r = self.config.replication_factor
@@ -187,49 +200,54 @@ class Cluster:
         for attr in upload_index_attributes:
             schema.attribute(attr)  # raises SchemaError if unknown
 
-        if self.registry is not None or (self.root / REGISTRY_JOURNAL).exists():
+        journal = self.root / REGISTRY_JOURNAL
+        if self.registry is not None or journal.exists():
             raise RegistryError(f"cluster {self.root} already holds a dataset")
-        self.registry = ReplicaRegistry(
-            schema, r, journal_path=self.root / REGISTRY_JOURNAL
-        )
+        self.registry = ReplicaRegistry(schema, r, journal_path=journal)
+        self._start_indexers()
 
         per_block = self.config.records_per_block(schema)
         total = dataset.row_count
-        block_id = 0
-        for start in range(0, total, per_block):
-            stop = min(start + per_block, total)
-            base = DataBlock(
-                block_id=block_id,
-                schema=schema,
-                columns={n: dataset.columns[n][start:stop] for n in schema.names},
-            )
-            infos = []
-            for k in range(r):
-                node = (block_id + k) % self.config.node_count
-                path = self.node_root(node) / "blocks" / f"blk_{block_id}_r{k}"
-                attr = (
-                    upload_index_attributes[k]
-                    if k < len(upload_index_attributes)
-                    else None
+        attrs = [*upload_index_attributes] + [None] * (r - len(upload_index_attributes))
+        names = frozenset(schema.names)
+        units = []  # (node, upload unit), in block order
+        blocks = []  # (block_id, record_count, replica infos), in block order
+        try:
+            for block_id, start in enumerate(range(0, total, per_block)):
+                stop = min(start + per_block, total)
+                base = DataBlock(
+                    block_id=block_id,
+                    schema=schema,
+                    columns={n: dataset.columns[n][start:stop] for n in schema.names},
                 )
-                if attr is not None:
-                    replica, _, _ = build_index(base, attr, self.config.page_size_records)
-                else:
-                    replica = base
-                write_block(replica, path)
-                infos.append(
-                    BlockReplicaInfo(
-                        node_id=node,
-                        kind=ReplicaKind.NORMAL,
-                        indexed_attribute=attr,
-                        available_attributes=frozenset(schema.names),
-                        path=str(path),
-                    )
-                )
-            self.registry.add_block(block_id, stop - start, infos)
-            block_id += 1
+                infos = []
+                for k, attr in enumerate(attrs):
+                    node = (block_id + k) % self.config.node_count
+                    path = self.node_root(node) / "blocks" / f"blk_{block_id}_r{k}"
+                    units.append((node, IndexWork(UPLOAD, attr, base, path)))
+                    infos.append(BlockReplicaInfo(node, ReplicaKind.NORMAL, attr, names, str(path)))
+                blocks.append((block_id, stop - start, infos))
+            # The nodes share this host's cores, so replicas go to as many
+            # nodes at a time as there are cores: more busy workers would
+            # only contend for the interpreter lock. Each node still gets
+            # its replicas in block order.
+            cores = os.cpu_count() or 1
+            for node, work in sorted(units, key=lambda unit: unit[0] // cores):
+                self.indexers[node].hand_off(work)
+            for indexer in self.indexers.values():
+                indexer.drain()
+            errors = [exc for ix in self.indexers.values() for exc in ix.upload_errors]
+            if errors:
+                raise errors[0]
+        except BaseException:
+            self.close()
+            self.indexers = {}
+            self.registry = None
+            journal.unlink(missing_ok=True)
+            raise
 
-        self._start_indexers()
+        for block_id, record_count, infos in blocks:
+            self.registry.add_block(block_id, record_count, infos)
         return self.registry
 
     # -- execution -------------------------------------------------------------

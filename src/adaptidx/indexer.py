@@ -2,11 +2,12 @@
 
 Per node there is one indexer instance: a bounded queue feeding one worker
 thread, which builds each unit and then writes it, in hand-off order. Every
-unit of work, a full scan's BUILD offer or an index scan's lazy COMPLETE,
-enters through `hand_off`, which waits for queue space and refuses work only
-once the indexer is closed. So the plan alone decides which blocks get
-indexed, never how far the indexer has fallen behind the readers; the queue
-capacity only bounds memory. Waiting costs no simulated time: the cost model
+unit of work, a full scan's BUILD offer, an index scan's lazy COMPLETE or an
+UPLOAD of one of the node's normal replicas, enters through `hand_off`,
+which waits for queue space and refuses work only once the indexer is
+closed. So the plan alone decides which blocks get indexed, never how far
+the indexer has fallen behind the readers; the queue capacity only bounds
+memory. Waiting costs no simulated time: the cost model
 charges a fixed per-block indexing cost for every enqueued block. The worker
 runs beside the map tasks, which run on the calling thread, so index builds
 and replica writes overlap with scanning. `drain` returns once every accepted
@@ -29,6 +30,14 @@ alone decides.
 The worker writes to the registry only through
 `ReplicaRegistry.register_pseudo`, which makes a replica pseudo or partial
 from the attributes it holds.
+
+UPLOAD units are the HAIL-style upload: `Cluster.upload_dataset` hands each
+normal replica to its node's worker, which sorts and indexes it when it has
+an upload-time index attribute, then writes it to the unit's path. The
+uploader registers the replicas itself, in block order, after draining. So
+upload units stay out of `IndexerStats`, which describes adaptive indexing
+only, and an error in one is kept in `upload_errors` for the uploader to
+raise, not counted as a failure.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import lazy
+from . import blockfile, lazy
 from .blocks import DataBlock, SparseClusteredIndex
 from .blockfile import publish_block_once, pseudo_replica_path, pseudo_temp_path
 from .errors import ConfigError, SchemaError
@@ -174,25 +183,30 @@ def write_pseudo_replica(
 
 BUILD = "build"
 COMPLETE = "complete"
+UPLOAD = "upload"
 
 
 @dataclass(frozen=True)
 class IndexWork:
-    """One unit handed from a map task to a node's Adaptive Indexer."""
+    """One unit handed to a node's Adaptive Indexer, by a map task or the upload."""
 
     # BUILD: sort + index the block. COMPLETE: append the block's columns,
     # already aligned with the partial replica's permutation vector, to this
-    # node's replica indexed on `attribute`.
+    # node's replica indexed on `attribute`. UPLOAD: write the block as a
+    # normal replica to `path`, sorted and indexed on `attribute` unless it
+    # is None.
     kind: str
-    attribute: str
+    attribute: Optional[str]
     block: DataBlock
+    path: Optional[Path] = None
 
 
 @dataclass
 class IndexerStats:
-    """Counts of one node's indexer. `enqueued` and `rejected_full` are
-    written by the map thread that hands work off, the rest by the node's
-    worker thread, so no field has two writers."""
+    """Counts of one node's adaptive indexing; UPLOAD units are not counted.
+    `enqueued` and `rejected_full` are written by the map thread that hands
+    work off, the rest by the node's worker thread, so no field has two
+    writers."""
 
     enqueued: int = 0
     rejected_full: int = 0  # work refused because the indexer was closed
@@ -218,6 +232,7 @@ class AdaptiveIndexer:
         self.registry = registry
         self.page_size_records = page_size_records
         self.stats = IndexerStats()
+        self.upload_errors: list[Exception] = []  # written by the worker only
         self._queue: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)
         self._closed = False
         self._worker = threading.Thread(
@@ -231,16 +246,18 @@ class AdaptiveIndexer:
         Returns False, counted in `stats.rejected_full`, only when the
         indexer is closed. Accepted work has its block's columns marked
         read-only first. One thread hands work off and closes the indexer:
-        the engine's map thread, which runs every map task. Hand-offs from
-        several threads, or a `close` racing a hand-off, are not supported.
+        the engine's map thread, which runs every map task and the upload.
+        Hand-offs from several threads, or a `close` racing a hand-off, are
+        not supported. UPLOAD units are not counted in `stats`.
         """
+        adaptive = work.kind != UPLOAD
         if self._closed:
-            self.stats.rejected_full += 1
+            self.stats.rejected_full += adaptive
             return False
         for column in work.block.columns.values():
             column.setflags(write=False)
         self._queue.put(work)
-        self.stats.enqueued += 1
+        self.stats.enqueued += adaptive
         return True
 
     def drain(self) -> None:
@@ -262,13 +279,23 @@ class AdaptiveIndexer:
                 if work is None:
                     return
                 self._index_one(work)
-            except Exception:
-                self.stats.failures += 1
+            except Exception as exc:
+                if work.kind == UPLOAD:
+                    self.upload_errors.append(exc)
+                else:
+                    self.stats.failures += 1
             finally:
                 self._queue.task_done()
 
     def _index_one(self, work: IndexWork) -> None:
         block = work.block
+        if work.kind == UPLOAD:
+            if work.attribute is not None:
+                block, _, _ = build_index(block, work.attribute, self.page_size_records)
+            # Looked up on the module at call time, so wrappers installed on
+            # blockfile.write_block see every upload write.
+            blockfile.write_block(block, work.path)
+            return
         if work.kind == COMPLETE:
             # Looked up on the module at call time, so wrappers installed on
             # lazy.append_aligned_columns see every completion.

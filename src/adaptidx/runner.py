@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -115,8 +115,10 @@ class WorkloadRunner:
         self._cal_path = cluster.root / CALIBRATION_FILE
         if self._cal_path.exists():
             self.calibration = Calibration.load(self._cal_path)
+            self._persisted: Optional[Calibration] = replace(self.calibration)
         else:
             self.calibration = Calibration()
+            self._persisted = None  # what calibration.json holds, None if absent
         self._jobs_run = 0
 
     def apply_policy_overrides(
@@ -260,7 +262,9 @@ class WorkloadRunner:
                 cal.t_idx_overhead = t_overhead / wave_equivalents
         if cal.t_target is None:
             cal.t_target = metrics.simulated_seconds
-        cal.save(self._cal_path)
+        if cal != self._persisted:  # only a filled-in field or an override
+            cal.save(self._cal_path)
+            self._persisted = replace(cal)
 
     def _predict(self, metrics: JobMetrics, t_is: float, rho_used: float) -> Optional[float]:
         cal = self.calibration

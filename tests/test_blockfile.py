@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import adaptidx.blockfile as blockfile
 from adaptidx.blocks import DataBlock, Schema, blocks_equal
 from adaptidx.blockfile import (
     HeaderCache,
@@ -154,6 +155,33 @@ def test_permutation_section_round_trips(tmp_path):
     again = read_block(path)
     assert again.permutation is not None
     assert np.array_equal(again.permutation, perm)
+
+
+def test_write_block_resumes_short_writes_and_splits_long_buffer_lists(tmp_path, monkeypatch):
+    # Every section and column kind: an index, a permutation vector, string
+    # columns, and a strided column that has to be made contiguous.
+    dataset = gen_uservisits_like(600, seed=4)
+    block, perm, _ = build_index(DataBlock(0, USERVISITS_SCHEMA, dataset.columns), "search_word", 64)
+    block.permutation = perm
+    block.columns["ad_revenue"] = np.repeat(block.columns["ad_revenue"], 2)[::2]
+    assert not block.columns["ad_revenue"].flags.c_contiguous
+    size = write_block(block, tmp_path / "whole")
+    expected = (tmp_path / "whole").read_bytes()
+    assert size == len(expected)
+
+    calls = []
+    writev = os.writev
+
+    def short_writev(fd, buffers):
+        calls.append(len(buffers))
+        return writev(fd, [bytes(memoryview(buffers[0])[:777])])
+
+    monkeypatch.setattr(blockfile, "_IOV_MAX", 2)
+    monkeypatch.setattr(blockfile.os, "writev", short_writev)
+    assert write_block(block, tmp_path / "short") == size
+    assert (tmp_path / "short").read_bytes() == expected
+    assert max(calls) == 2 and len(calls) > len(expected) // 777
+    assert blocks_equal(read_block(tmp_path / "short"), block)
 
 
 def test_pseudo_replica_path_convention(tmp_path):

@@ -8,7 +8,8 @@ import adaptidx.lazy as lazy
 from adaptidx.execution import JobSpec, Predicate
 from adaptidx.indexer import EAGER, OFFER_RATE, SELECTIVITY, OfferPolicy
 from adaptidx.registry import ReplicaKind
-from adaptidx.runner import CSV_COLUMNS, WorkloadRunner, write_reports
+from adaptidx.policy import Calibration
+from adaptidx.runner import CALIBRATION_FILE, CSV_COLUMNS, WorkloadRunner, write_reports
 from adaptidx.workloads import gen_synthetic
 
 from conftest import make_cluster
@@ -200,3 +201,48 @@ def test_a_job_whose_index_scan_fails_lands_its_hand_offs_before_returning(
         assert len(landed) == handed and all(landed)
     finally:
         cluster.close()
+
+
+def _count_calibration_saves(monkeypatch) -> list:
+    saved = []
+    original = Calibration.save
+
+    def counting(self, path):
+        saved.append((self.t_fsw, self.t_idx_overhead, self.t_target))
+        original(self, path)
+
+    monkeypatch.setattr(Calibration, "save", counting)
+    return saved
+
+
+def test_calibration_is_written_only_when_it_changes(tmp_path, monkeypatch):
+    saved = _count_calibration_saves(monkeypatch)
+    cluster = make_cluster(tmp_path / "c", nodes=4, slots=1, replication=2, block_records=500)
+    cluster.upload_dataset(gen_synthetic(8_000, seed=19))  # 16 blocks
+    runner = WorkloadRunner(cluster)
+    for j in range(1, 4):
+        assert not runner.run_job(seq_job(j, 0.25)).metrics.failed
+    assert runner.calibration.usable
+    assert len(saved) == 1  # the first job fills every field; later jobs change none
+
+    # A reopened runner starts from the file and writes nothing new.
+    again = WorkloadRunner(cluster)
+    assert again.calibration == runner.calibration
+    assert not again.run_job(seq_job(4, 0.25)).metrics.failed
+    assert len(saved) == 1
+    cluster.close()
+
+
+def test_policy_overrides_are_still_persisted(tmp_path, monkeypatch):
+    saved = _count_calibration_saves(monkeypatch)
+    cluster = make_cluster(tmp_path / "c", nodes=4, slots=1, replication=2, block_records=500)
+    cluster.upload_dataset(gen_synthetic(8_000, seed=19))
+    runner = WorkloadRunner(cluster)
+    assert not runner.run_job(seq_job(1, 0.25)).metrics.failed
+    runner.apply_policy_overrides(t_fsw=1.0, t_idx_overhead=0.5, target_seconds=3.0)
+    assert not runner.run_job(seq_job(2, 0.25)).metrics.failed
+    assert not runner.run_job(seq_job(3, 0.25)).metrics.failed
+    assert saved[1:] == [(1.0, 0.5, 3.0)]
+    on_disk = Calibration.load(tmp_path / "c" / CALIBRATION_FILE)
+    assert (on_disk.t_fsw, on_disk.t_idx_overhead, on_disk.t_target) == (1.0, 0.5, 3.0)
+    cluster.close()
