@@ -25,7 +25,10 @@ through it does one `os.pread` of the stored length and returns the stored,
 read-only header while those bytes are unchanged; otherwise it parses again.
 The parse depends on nothing but those bytes, so a file rewritten at the
 same path (lazy completion renames over its replica) is parsed afresh
-without any invalidation.
+without any invalidation. A parsed header also carries what a range read
+needs, computed once per parse: the column dtypes (from the memoised
+attribute table) and the index's page starts as Python ints, so
+`read_column_range` looks up no schema and converts no numpy scalar.
 
 Every read helper takes an optional ReadCounter, charged exactly the bytes
 the format needs (the header's own length, not the probe's, whether parsed
@@ -88,14 +91,22 @@ class ReadCounter:
 
 @dataclass(frozen=True)
 class BlockFileHeader:
-    """A parsed header; read-only, because a HeaderCache serves it to many reads."""
+    """A parsed header; read-only, because a HeaderCache serves it to many reads.
+
+    Besides the file's fields it carries what a range read needs, computed
+    once per parse: each column's dtype, and the index's page starts as
+    Python ints followed by `record_count`, so page p spans rows
+    [page_starts[p], page_starts[p + 1]).
+    """
 
     block_id: int
     record_count: int
-    schema: Schema  # schema and both mappings are shared between headers: read-only
+    schema: Schema  # schema and the three mappings are shared between headers: read-only
     column_offsets: Mapping[str, int]
     column_lengths: Mapping[str, int]
+    column_dtypes: Mapping[str, np.dtype]
     index: Optional[SparseClusteredIndex]
+    page_starts: tuple[int, ...]  # () without an index
     perm_count: int
     perm_offset: int  # 0 when absent
 
@@ -208,8 +219,11 @@ def _cover(fd: int, buf: bytes, end: int) -> bytes:
 
 
 @functools.lru_cache(maxsize=256)
-def _attribute_table(raw: bytes) -> tuple[Schema, Mapping[str, int], Mapping[str, int]]:
-    """Parse [record_count][attr_count][attribute table] into read-only objects.
+def _attribute_table(
+    raw: bytes,
+) -> tuple[Schema, Mapping[str, int], Mapping[str, int], Mapping[str, np.dtype]]:
+    """Parse [record_count][attr_count][attribute table] into read-only objects:
+    the schema, and per column its offset, length and dtype.
 
     Memoised on the bytes themselves, so replicas with the same layout share
     one parse and a rewritten replica can never be served a stale one. Full
@@ -238,7 +252,8 @@ def _attribute_table(raw: bytes) -> tuple[Schema, Mapping[str, int], Mapping[str
         attrs.append(Attribute(name, kind, width))
         offsets[name] = col_offset
         lengths[name] = col_len
-    return Schema(tuple(attrs)), MappingProxyType(offsets), MappingProxyType(lengths)
+    dtypes = MappingProxyType({a.name: a.dtype for a in attrs})
+    return Schema(tuple(attrs)), MappingProxyType(offsets), MappingProxyType(lengths), dtypes
 
 
 def read_header(f: BinaryIO, counter: Optional[ReadCounter] = None) -> BlockFileHeader:
@@ -269,9 +284,10 @@ def _parse_header(fd: int) -> tuple[BlockFileHeader, bytes]:
         (name_len,) = _U16.unpack_from(buf, pos)
         pos += 2 + name_len + _ATTR_FIXED.size
     buf = _cover(fd, buf, pos + 1)
-    schema, offsets, lengths = _attribute_table(buf[_PREFIX.size - _COUNTS.size : pos])
+    schema, offsets, lengths, dtypes = _attribute_table(buf[_PREFIX.size - _COUNTS.size : pos])
 
     index: Optional[SparseClusteredIndex] = None
+    page_starts: tuple[int, ...] = ()
     index_present = buf[pos]
     pos += 1
     if index_present:
@@ -296,6 +312,7 @@ def _parse_header(fd: int) -> tuple[BlockFileHeader, bytes]:
             start_records=start_records,
             record_count=record_count,
         )
+        page_starts = (*start_records.tolist(), record_count)
 
     buf = _cover(fd, buf, pos + 1)
     perm_present = buf[pos]
@@ -314,7 +331,9 @@ def _parse_header(fd: int) -> tuple[BlockFileHeader, bytes]:
         schema=schema,
         column_offsets=offsets,
         column_lengths=lengths,
+        column_dtypes=dtypes,
         index=index,
+        page_starts=page_starts,
         perm_count=perm_count,
         perm_offset=perm_offset,
     ), buf[:pos]
@@ -380,13 +399,16 @@ def read_column_range(
 
     The rows are read straight into a new array, which the caller owns.
     """
-    attr = header.schema.attribute(name)
+    try:
+        dtype = header.column_dtypes[name]
+    except KeyError:
+        raise SchemaError(f"unknown attribute {name!r}") from None
     start = max(0, start)
     stop = min(stop, header.record_count)
     if stop <= start:
-        return np.empty(0, dtype=attr.dtype)
-    out = np.empty(stop - start, dtype=attr.dtype)
-    return _pread_into(f, out, header.column_offsets[name] + start * attr.item_size, counter)
+        return np.empty(0, dtype=dtype)
+    out = np.empty(stop - start, dtype=dtype)
+    return _pread_into(f, out, header.column_offsets[name] + start * dtype.itemsize, counter)
 
 
 def read_block(

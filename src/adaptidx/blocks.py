@@ -65,13 +65,14 @@ class Attribute:
 
 @dataclass(frozen=True)
 class Schema:
+    """Attributes in order; name lookups go through a map built once per schema."""
+
     attributes: tuple[Attribute, ...]
 
     def __post_init__(self) -> None:
         if not self.attributes:
             raise SchemaError("schema must have at least one attribute")
-        names = [a.name for a in self.attributes]
-        if len(set(names)) != len(names):
+        if len(self._by_name) != len(self.attributes):
             raise SchemaError("attribute names must be unique")
 
     @classmethod
@@ -79,24 +80,28 @@ class Schema:
         """Build a schema from (name, kind[, width]) tuples."""
         return cls(tuple(Attribute(*s) for s in specs))
 
-    @property
+    @functools.cached_property
+    def _by_name(self) -> dict[str, tuple[int, Attribute]]:
+        return {a.name: (i, a) for i, a in enumerate(self.attributes)}
+
+    @functools.cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
     def __contains__(self, name: str) -> bool:
-        return any(a.name == name for a in self.attributes)
+        return name in self._by_name
+
+    def _lookup(self, name: str) -> tuple[int, Attribute]:
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaError(f"unknown attribute {name!r}") from None
 
     def attribute(self, name: str) -> Attribute:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        raise SchemaError(f"unknown attribute {name!r}")
+        return self._lookup(name)[1]
 
     def ordinal(self, name: str) -> int:
-        for i, a in enumerate(self.attributes):
-            if a.name == name:
-                return i
-        raise SchemaError(f"unknown attribute {name!r}")
+        return self._lookup(name)[0]
 
     @property
     def row_width(self) -> int:
@@ -105,7 +110,7 @@ class Schema:
     def subset(self, names: Iterable[str]) -> "Schema":
         """Sub-schema containing `names`, preserving this schema's order."""
         wanted = set(names)
-        missing = wanted - set(self.names)
+        missing = wanted - self._by_name.keys()
         if missing:
             raise SchemaError(f"unknown attributes {sorted(missing)}")
         return Schema(tuple(a for a in self.attributes if a.name in wanted))
@@ -156,15 +161,6 @@ class SparseClusteredIndex:
     @property
     def entry_count(self) -> int:
         return len(self.start_records)
-
-    def page_bounds(self, page: int) -> tuple[int, int]:
-        lo = int(self.start_records[page])
-        hi = (
-            int(self.start_records[page + 1])
-            if page + 1 < self.entry_count
-            else self.record_count
-        )
-        return lo, hi
 
     def validate(self) -> None:
         if self.record_count == 0:

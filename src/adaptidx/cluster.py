@@ -305,5 +305,9 @@ class Cluster:
             indexer.drain()
 
     def close(self) -> None:
+        """Close every indexer, once it has landed its accepted work, then
+        the registry's journal handle."""
         for indexer in self.indexers.values():
             indexer.close()
+        if self.registry is not None:
+            self.registry.close()

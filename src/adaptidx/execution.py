@@ -10,7 +10,10 @@ Index scans read both of their headers (the indexed replica's, and the
 normal replica's when a partial replica fills missing columns from it)
 through the cluster's HeaderCache, so a replica read job after job is parsed
 once; each read still costs one header-length `pread` and is billed the
-header's length, so reports do not depend on the cache.
+header's length, so reports do not depend on the cache. The range lookup
+takes its page bounds from the header's `page_starts` and each column read
+its dtype from `column_dtypes`, both computed once per parse, so an index
+scan does its reads and little per-block work beside them.
 """
 
 from __future__ import annotations
@@ -186,28 +189,29 @@ def _refine_row_range(f, header, lo, hi, counter) -> tuple[int, int]:
     """Exact qualifying row span [r_lo, r_hi) on a sorted, indexed block.
 
     Binary search over the page directory narrows the span to at most two
-    boundary pages, which are the only index-column pages fetched.
+    boundary pages, which are the only index-column pages fetched; their
+    row bounds come from the header's `page_starts`.
     """
     idx = header.index
-    if idx is None or idx.record_count == 0:
+    if idx is None or header.record_count == 0:
         return 0, 0
     keys = idx.first_keys
     attr = idx.attribute
+    starts = header.page_starts
 
     q = int(keys.searchsorted(lo, side="left"))
     if q == 0:
         r_lo = 0
     else:
-        page = q - 1
-        p_start, p_end = idx.page_bounds(page)
-        vals = read_column_range(f, header, attr, p_start, p_end, counter)
+        p_start = starts[q - 1]
+        vals = read_column_range(f, header, attr, p_start, starts[q], counter)
         r_lo = p_start + int(vals.searchsorted(lo, side="left"))
 
     p = int(keys.searchsorted(hi, side="right")) - 1
     if p < 0:
         return 0, 0
-    p_start, p_end = idx.page_bounds(p)
-    vals = read_column_range(f, header, attr, p_start, p_end, counter)
+    p_start = starts[p]
+    vals = read_column_range(f, header, attr, p_start, starts[p + 1], counter)
     r_hi = p_start + int(vals.searchsorted(hi, side="right"))
     return r_lo, max(r_hi, r_lo)
 

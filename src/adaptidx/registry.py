@@ -14,9 +14,19 @@ against the working directory, both on load and on later appends.
 Two derived tables, updated under the same lock by `add_block` and
 `register_index`, make the planner's lookups O(1): the number of adaptive
 (pseudo or partial) replicas per (node, indexed attribute), and per attribute
-the set of blocks with any replica indexed on it, upload-time indexes
-included. Replicas are never removed, so the sets only grow; a widening
-re-registration that lands on another node moves its count there.
+the best replica of each block indexed on it, upload-time indexes included
+(normal, then pseudo, then partial, then the lowest node id). `find_index` is
+one lookup in the second and `indexed_block_count` its size. Replicas are
+never removed, so a block never leaves the best table; a widening
+re-registration replaces its entry there, and when it lands on another node
+its count moves there.
+
+The journal is appended through one handle per registry, opened by the
+first append after the journal is attached and closed by `close`
+(`Cluster.close` calls it); each record is one line, flushed as it is
+written. Durability order: a replica's file is published first, and its
+journal line is written after, so a crash between the two leaves a file
+without an entry, never an entry without its file.
 """
 
 from __future__ import annotations
@@ -24,10 +34,12 @@ from __future__ import annotations
 import json
 import os
 import threading
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from types import MappingProxyType
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .blocks import Schema
 from .errors import RegistryError, SchemaError
@@ -40,6 +52,7 @@ class ReplicaKind(str, Enum):
 
 
 _KIND_PREFERENCE = {ReplicaKind.NORMAL: 0, ReplicaKind.PSEUDO: 1, ReplicaKind.PARTIAL_PSEUDO: 2}
+_NO_BLOCKS = MappingProxyType({})  # best table of an attribute no replica is indexed on
 # Dataset-record marker: relative replica paths are relative to the journal's directory.
 _JOURNAL_DIR_PATHS = "journal_dir"
 
@@ -108,13 +121,14 @@ class ReplicaRegistry:
         self.replication_factor = replication_factor
         self._journal_path: Optional[Path] = None
         self._journal_root: Optional[str] = None  # None: paths journaled as given
+        self._journal: Optional[TextIO] = None  # append handle, opened on first use
         if journal_path:
             self._attach_journal(Path(journal_path), journal_dir_paths=True)
         self._lock = threading.RLock()
         self._replicas: dict[int, list[BlockReplicaInfo]] = {}
         self._record_counts: dict[int, int] = {}
         self._pseudo_counts: dict[tuple[int, str], int] = {}
-        self._indexed: dict[str, set[int]] = {}
+        self._best: dict[str, dict[int, BlockReplicaInfo]] = {}
         if self._journal_path is not None and not self._journal_path.exists():
             self._journal_path.parent.mkdir(parents=True, exist_ok=True)
             self._append_journal(
@@ -157,9 +171,10 @@ class ReplicaRegistry:
         self._journal_root = os.path.abspath(journal_path.parent) if journal_dir_paths else None
 
     def _append_journal(self, record: dict) -> None:
-        """Append one record. In a journal with the `journal_dir` marker a
-        replica path is stored relative to the journal's directory when it
-        lies under it, else absolute; an older journal gets it as given."""
+        """Append one record as one flushed line. In a journal with the
+        `journal_dir` marker a replica path is stored relative to the
+        journal's directory when it lies under it, else absolute; an older
+        journal gets it as given."""
         if self._journal_path is None:
             return
         replica = record.get("replica")
@@ -168,8 +183,26 @@ class ReplicaRegistry:
             rel = os.path.relpath(path, self._journal_root)
             outside = rel == os.pardir or rel.startswith(os.pardir + os.sep)
             replica["path"] = path if outside else rel
-        with open(self._journal_path, "a") as f:
-            f.write(json.dumps(record) + "\n")
+        if self._journal is None:
+            self._journal = open(self._journal_path, "a")
+            # Closes the handle of a registry dropped without `close`.
+            self._close_journal = weakref.finalize(self, self._journal.close)
+        self._journal.write(json.dumps(record) + "\n")
+        self._journal.flush()
+
+    def close(self) -> None:
+        """Close the journal's append handle; a later append opens it again."""
+        with self._lock:
+            if self._journal is not None:
+                self._close_journal()
+                self._journal = None
+
+    def _update_best(self, block_id: int, attribute: str) -> None:
+        """Recompute the best replica of `block_id` indexed on `attribute`."""
+        hits = [r for r in self._replicas[block_id] if r.indexed_attribute == attribute]
+        self._best.setdefault(attribute, {})[block_id] = min(
+            hits, key=lambda r: (_KIND_PREFERENCE[r.kind], r.node_id)
+        )
 
     # -- mutation ----------------------------------------------------------
 
@@ -190,7 +223,7 @@ class ReplicaRegistry:
             self._record_counts[block_id] = record_count
             for info in replicas:
                 if info.indexed_attribute is not None:
-                    self._indexed.setdefault(info.indexed_attribute, set()).add(block_id)
+                    self._update_best(block_id, info.indexed_attribute)
                 self._append_journal(
                     {
                         "event": "block",
@@ -231,7 +264,7 @@ class ReplicaRegistry:
                     break
             else:
                 entry.append(info)
-                self._indexed.setdefault(info.indexed_attribute, set()).add(block_id)
+            self._update_best(block_id, info.indexed_attribute)
             key = (info.node_id, info.indexed_attribute)
             self._pseudo_counts[key] = self._pseudo_counts.get(key, 0) + 1
             self._append_journal(
@@ -279,22 +312,14 @@ class ReplicaRegistry:
         return [r for r in self.replicas(block_id) if r.kind == ReplicaKind.NORMAL]
 
     def find_index(self, block_id: int, attribute: str) -> Optional[BlockReplicaInfo]:
-        """Best replica indexed on `attribute`: normal, then pseudo, then partial."""
+        """Best replica indexed on `attribute`: normal, then pseudo, then
+        partial, then the lowest node id; None for an unknown block."""
         with self._lock:
-            if block_id not in self._replicas:
-                return None
-            hits = [
-                r
-                for r in self._replicas[block_id]
-                if r.indexed_attribute == attribute
-            ]
-            if not hits:
-                return None
-            return min(hits, key=lambda r: (_KIND_PREFERENCE[r.kind], r.node_id))
+            return self._best.get(attribute, _NO_BLOCKS).get(block_id)
 
     def indexed_block_count(self, attribute: str) -> int:
         with self._lock:
-            return len(self._indexed.get(attribute, ()))
+            return len(self._best.get(attribute, _NO_BLOCKS))
 
     def pseudo_count(self, node_id: int, attribute: str) -> int:
         """Pseudo/partial replicas indexed on `attribute` hosted on a node."""

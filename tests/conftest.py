@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import adaptidx.registry as registry_module
 from adaptidx.blocks import DataBlock, Schema
 from adaptidx.cluster import Cluster, ClusterConfig
 from adaptidx.workloads import gen_synthetic
@@ -59,3 +60,15 @@ def small_cluster(tmp_path):
     cluster.upload_dataset(gen_synthetic(10_000, seed=11))
     yield cluster
     cluster.close()
+
+
+def track_journal_handles(monkeypatch) -> list:
+    """Every file the registry module opens from now on, in order."""
+    handles = []
+
+    def tracking_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(registry_module, "open", tracking_open, raising=False)
+    return handles

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import os
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import adaptidx.blockfile as blockfile
+import adaptidx.execution as execution
 from adaptidx.blocks import DataBlock, Schema, blocks_equal
 from adaptidx.blockfile import (
     HeaderCache,
@@ -32,9 +34,15 @@ from adaptidx.execution import (
 )
 from adaptidx.indexer import build_index
 from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
-from adaptidx.workloads import USERVISITS_SCHEMA, gen_uservisits_like
+from adaptidx.runner import WorkloadRunner
+from adaptidx.workloads import (
+    SYNTHETIC_SCHEMA,
+    USERVISITS_SCHEMA,
+    gen_synthetic,
+    gen_uservisits_like,
+)
 
-from conftest import make_block
+from conftest import make_block, make_cluster
 
 
 def test_round_trip_three_attributes(tmp_path, simple_schema):
@@ -399,6 +407,103 @@ def test_index_scan_charges_header_boundary_pages_and_rows(tmp_path, low, high):
         + qualifying * (12 + 8)  # the projected rows of s and e
     )
     assert result.bytes_read == expected
+
+
+def test_index_scans_keep_their_read_budget_on_an_upload_indexed_cluster(tmp_path, monkeypatch):
+    # Per indexed block: one header `pread`, at most two boundary pages of
+    # the sort column and one range per projected column, every range
+    # through `execution.read_column_range` (the name the benchmark's tracer
+    # wraps), billed by the format's layout, on cold and on cached headers.
+    rows, page, projection = 500, 64, ("b", "c")
+    cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=rows, page_size=page)
+    cluster.upload_dataset(gen_synthetic(8 * rows, seed=21), ["b"])
+    replicas = {}
+    for block_id in cluster.registry.block_ids:
+        info = cluster.registry.find_index(block_id, "b")
+        assert info.kind == ReplicaKind.NORMAL
+        replicas[block_id] = read_block(info.path)
+
+    def budget(lo, hi):
+        """Expected (call counts, bytes) of one job over every block."""
+        calls, billed = collections.Counter(), 0
+        for block in replicas.values():
+            keys, column = block.index.first_keys, block.columns["b"]
+            bounds = [*block.index.start_records.tolist(), len(column)]
+            q = int(np.searchsorted(keys, lo, "left"))
+            p = int(np.searchsorted(keys, hi, "right")) - 1
+            pages = ([q - 1] if q > 0 else []) + ([p] if p >= 0 else [])
+            span = int(np.searchsorted(column, hi, "right") - np.searchsorted(column, lo, "left"))
+            calls["pread"] += 1
+            calls["read_column_range"] += len(pages) + len(projection)
+            calls["preadv"] += len(pages) + (len(projection) if span else 0)
+            billed += _header_length(SYNTHETIC_SCHEMA, block.index.entry_count, 8)
+            billed += sum(bounds[p + 1] - bounds[p] for p in pages) * 8
+            billed += span * sum(block.schema.attribute(n).item_size for n in projection)
+        return calls, billed
+
+    seen = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(os, "pread", counted("pread", os.pread))
+    monkeypatch.setattr(os, "preadv", counted("preadv", os.preadv))
+    monkeypatch.setattr(
+        execution, "read_column_range", counted("read_column_range", read_column_range)
+    )
+    runner = WorkloadRunner(cluster)
+    for job_id, lo in (("cold", 0.3), ("cached", 0.3), ("cached_other_range", 0.61)):
+        seen.clear()
+        job = JobSpec(job_id, Predicate("b", lo, lo + 0.05), projection, collect_output=False)
+        metrics = runner.run_job(job).metrics
+        calls, billed = budget(lo, lo + 0.05)
+        assert metrics.full_scan_tasks == 0 and not metrics.failed
+        assert seen == calls, job_id
+        assert metrics.bytes_read == billed, job_id
+    cluster.close()
+
+
+def test_parsed_headers_carry_column_dtypes_and_page_starts(tmp_path, simple_schema):
+    block = make_block(simple_schema, rows=300, seed=8)
+    indexed, _, _ = build_index(block, "b", page_size_records=64)
+    write_block(indexed, tmp_path / "indexed")
+    write_block(block, tmp_path / "plain")
+    dtypes = {a.name: a.dtype for a in simple_schema.attributes}
+    for name, page_starts in (("indexed", (0, 64, 128, 192, 256, 300)), ("plain", ())):
+        with open(tmp_path / name, "rb", buffering=0) as f:
+            for header in (read_header(f), HeaderCache().read(f)):
+                assert header.page_starts == page_starts
+                assert all(type(s) is int for s in header.page_starts)
+                assert dict(header.column_dtypes) == dtypes
+                with pytest.raises(TypeError):
+                    header.column_dtypes["a"] = np.dtype("<f8")
+                with pytest.raises(SchemaError):
+                    read_column_range(f, header, "nope", 0, 10)
+
+
+@given(
+    st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True),
+    st.sampled_from("abcdefghz"),
+)
+@settings(max_examples=60, deadline=None)
+def test_schema_lookups_match_a_positional_scan(names, probe):
+    schema = Schema.of(*[(n, "int64") for n in names])
+    reference = [i for i, a in enumerate(schema.attributes) if a.name == probe]
+    assert (probe in schema) == bool(reference)
+    if reference:
+        assert schema.ordinal(probe) == reference[0]
+        assert schema.attribute(probe) is schema.attributes[reference[0]]
+    else:
+        for lookup in (schema.ordinal, schema.attribute):
+            with pytest.raises(SchemaError):
+                lookup(probe)
+    again = Schema.from_json(schema.to_json())  # no lookup made on it yet
+    assert again == schema and hash(again) == hash(schema)
+    with pytest.raises(SchemaError):
+        Schema.of(*[(n, "int64") for n in names + names[:1]])
 
 
 def _cached_header(cache, path, counter=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import tempfile
@@ -11,6 +12,8 @@ from hypothesis import example, given, settings
 from adaptidx.blocks import Schema
 from adaptidx.errors import RegistryError, SchemaError
 from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
+
+from conftest import track_journal_handles
 
 
 SCHEMA = Schema.of(("a", "int64"), ("b", "float64"), ("d", "int64"))
@@ -265,22 +268,83 @@ def test_derived_counts_match_brute_force(ops):
         journal = Path(tmp) / "registry.journal"
         reg = ReplicaRegistry(SCHEMA, replication_factor=3, journal_path=journal)
         for op in ops:
-            try:
-                if op[0] == "block":
-                    _, block_id, nodes, upload_attr = op
-                    reg.add_block(
-                        block_id, 10, [normal(n, attr=upload_attr if i == 0 else None)
-                                       for i, n in enumerate(nodes)]
-                    )
-                else:
-                    _, block_id, node, attr, partial, extra = op
-                    available = frozenset({attr, *extra}) if partial else FULL
-                    reg.register_index(block_id, pseudo(node, attr, available=available,
-                                                        partial=partial))
-            except RegistryError:
-                pass  # unknown block or replication cap: rejected, nothing recorded
+            _apply(reg, op)
             _assert_counts_match_replicas(reg)
         assert _counts(ReplicaRegistry.load(journal)) == _counts(reg)
+
+
+def _apply(reg, op) -> None:
+    """Apply one drawn `add_block` or `register_index`; a rejected one
+    (unknown block, replication cap) records nothing."""
+    try:
+        if op[0] == "block":
+            _, block_id, nodes, upload_attr = op
+            reg.add_block(
+                block_id, 10, [normal(n, attr=upload_attr if i == 0 else None)
+                               for i, n in enumerate(nodes)]
+            )
+        else:
+            _, block_id, node, attr, partial, extra = op
+            available = frozenset({attr, *extra}) if partial else FULL
+            reg.register_index(block_id, pseudo(node, attr, available=available,
+                                                partial=partial))
+    except RegistryError:
+        pass
+
+
+_KIND_ORDER = [ReplicaKind.NORMAL, ReplicaKind.PSEUDO, ReplicaKind.PARTIAL_PSEUDO]
+
+
+def _best_by_scan(reg, block_id, attr):
+    """The reference for `find_index`: scan the block's replicas in full."""
+    if block_id not in reg.block_ids:
+        return None
+    hits = [r for r in reg.replicas(block_id) if r.indexed_attribute == attr]
+    return min(hits, key=lambda r: (_KIND_ORDER.index(r.kind), r.node_id), default=None)
+
+
+def _assert_best_matches_a_full_scan(reg) -> None:
+    for a in SCHEMA.names:
+        for b in range(4):
+            assert reg.find_index(b, a) == _best_by_scan(reg, b, a), (b, a)
+        expected = sum(_best_by_scan(reg, b, a) is not None for b in range(4))
+        assert reg.indexed_block_count(a) == expected, a
+
+
+def _best_without_paths(reg) -> dict:
+    """`find_index` per (block, attribute); replay makes paths absolute."""
+    best = {}
+    for b in range(4):
+        for a in SCHEMA.names:
+            hit = reg.find_index(b, a)
+            best[b, a] = hit and dataclasses.replace(hit, path="")
+    return best
+
+
+@given(st.lists(st.one_of(_add_block, _register), max_size=25))
+@settings(max_examples=150, deadline=None)
+# A partial replica on node 1 widened onto node 0, which outranks it, then
+# widened again onto node 3: the best entry must follow both moves.
+@example(
+    [
+        ("block", 2, [0, 1, 2], None),
+        ("index", 2, 1, "b", True, set()),
+        ("index", 2, 0, "b", True, {"a"}),
+        ("index", 2, 3, "b", True, {"a", "d"}),
+        ("index", 2, 2, "b", False, set()),
+    ]
+)
+def test_best_index_table_matches_a_full_scan_and_replays(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = Path(tmp) / "registry.journal"
+        reg = ReplicaRegistry(SCHEMA, replication_factor=3, journal_path=journal)
+        for op in ops:
+            _apply(reg, op)
+            _assert_best_matches_a_full_scan(reg)
+        reg.close()
+        again = ReplicaRegistry.load(journal)
+        _assert_best_matches_a_full_scan(again)
+        assert _best_without_paths(again) == _best_without_paths(reg)
 
 
 def test_corrupt_journal_line_names_its_line(tmp_path):
@@ -422,3 +486,26 @@ def test_replica_outside_the_journal_directory_is_journaled_absolute(tmp_path):
     reg.add_block(0, 100, [normal(0, path=str(outside))])
     assert json.loads(journal.read_text().splitlines()[1])["replica"]["path"] == str(outside)
     assert ReplicaRegistry.load(journal).normal_replicas(0)[0].path == str(outside)
+
+
+def test_journal_is_appended_through_one_handle_until_close(tmp_path, monkeypatch):
+    handles = track_journal_handles(monkeypatch)
+    journal = tmp_path / "registry.journal"
+    reg = ReplicaRegistry(SCHEMA, replication_factor=2, journal_path=journal)
+    reg.add_block(0, 100, [normal(0), normal(1)])
+    reg.register_index(0, pseudo(1, "d"))
+    assert len(handles) == 1 and not handles[0].closed
+    assert len(journal.read_text().splitlines()) == 4  # each line flushed as written
+    reg.close()
+    assert handles[0].closed
+
+    again = ReplicaRegistry.load(journal)
+    assert len(handles) == 1  # replay reads; the handle opens with the next append
+    again.register_index(0, pseudo(0, "b"))
+    again.register_index(0, pseudo(1, "a"))
+    assert len(handles) == 2 and not handles[1].closed
+    again.close()
+    again.close()  # closing twice is harmless
+    assert handles[1].closed
+    final = ReplicaRegistry.load(journal)
+    assert [final.pseudo_count(n, a) for n, a in ((1, "d"), (0, "b"), (1, "a"))] == [1, 1, 1]

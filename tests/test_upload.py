@@ -25,7 +25,7 @@ from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 from adaptidx.runner import WorkloadRunner
 from adaptidx.workloads import gen_synthetic
 
-from conftest import make_cluster
+from conftest import make_cluster, track_journal_handles
 
 NODES, REPLICATION, BLOCK_RECORDS, PAGE = 3, 2, 250, 64
 UPLOAD_INDEXES = ["b"]
@@ -189,3 +189,35 @@ def test_upload_units_stay_out_of_indexer_stats(tmp_path):
         "enqueued": 20, "rejected_full": 0, "built": 20, "written": 20,
         "completed": 0, "lost_races": 0, "failures": 0,
     }
+
+
+def test_the_journal_handle_closes_with_the_cluster_and_with_a_failed_upload(
+    tmp_path, monkeypatch
+):
+    handles = track_journal_handles(monkeypatch)
+    dataset = gen_synthetic(5_000, seed=34)
+    root = tmp_path / "c"
+    cluster = make_cluster(root, nodes=NODES, replication=REPLICATION, block_records=BLOCK_RECORDS)
+    with monkeypatch.context() as m:
+        m.setattr(blockfile, "write_block", _full_disk_under(root / "node_2" / "blocks"))
+        with pytest.raises(OSError, match="No space left"):
+            cluster.upload_dataset(dataset, UPLOAD_INDEXES)
+    assert len(handles) == 1 and handles[0].closed
+
+    cluster.upload_dataset(dataset, UPLOAD_INDEXES)
+    assert len(handles) == 2 and not handles[1].closed
+    cluster.close()
+    assert handles[1].closed
+
+    # Reopened from another working directory, the next registration
+    # appends through a fresh handle, which close releases.
+    monkeypatch.chdir(tmp_path)
+    again = Cluster.open("c")
+    job = JobSpec("j", Predicate("a", 1, 10), ("a",), policy=OfferPolicy(rho=1.0))
+    assert not WorkloadRunner(again).run_job(job).metrics.failed
+    assert len(handles) == 3 and not handles[2].closed
+    again.close()
+    assert handles[2].closed
+    reopened = Cluster.open(root)
+    assert reopened.registry.indexed_block_count("a") == 20
+    reopened.close()
