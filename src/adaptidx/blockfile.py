@@ -17,18 +17,22 @@ the needed columns and never touch the rest. Readers use positional reads
 only, never the file position: `read_header` parses the header from one
 `os.pread` of the first 4 KiB (extended only for longer headers), and column
 ranges and the permutation vector are read with one `os.preadv` straight
-into a fresh array. Open files with `buffering=0`; a buffer would only be
-bypassed.
+into a fresh array. Every reader takes a raw descriptor from
+`os.open(path, os.O_RDONLY)`, which is what the engine passes (`read_block`
+opens its file that way too), or a binary file object, whose descriptor it
+uses; a file object's buffer would only be bypassed.
 
-A HeaderCache keeps each path's header bytes and their parse. A read
-through it does one `os.pread` of the stored length and returns the stored,
-read-only header while those bytes are unchanged; otherwise it parses again.
-The parse depends on nothing but those bytes, so a file rewritten at the
-same path (lazy completion renames over its replica) is parsed afresh
-without any invalidation. A parsed header also carries what a range read
-needs, computed once per parse: the column dtypes (from the memoised
-attribute table) and the index's page starts as Python ints, so
-`read_column_range` looks up no schema and converts no numpy scalar.
+A HeaderCache keeps each path's header bytes and their parse, keyed by the
+path the caller names. A read through it does one `os.pread` of the stored
+length and returns the stored, read-only header while those bytes are
+unchanged; otherwise it parses again. The parse depends on nothing but
+those bytes, so a file rewritten at the same path (lazy completion renames
+over its replica) is parsed afresh without any invalidation. A parsed
+header also carries what a range read needs, computed once per parse: the
+column dtypes (from the memoised attribute table) and the index's page
+starts as Python ints, so `read_column_range` looks up no schema and
+converts no numpy scalar, and does its one `os.preadv` with no helper in
+between.
 
 Every read helper takes an optional ReadCounter, charged exactly the bytes
 the format needs (the header's own length, not the probe's, whether parsed
@@ -56,7 +60,7 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import BinaryIO, Iterable, Mapping, Optional
+from typing import BinaryIO, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -78,15 +82,14 @@ _INDEX_HEAD = struct.Struct("<HIQ")
 _IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one os.writev call takes
 _PROBE = 4096  # bytes of the first header read; covers typical headers whole
 
+FileLike = Union[int, BinaryIO]  # a raw descriptor, or a binary file object
+
 
 @dataclass
 class ReadCounter:
     """Accumulates bytes pulled from storage."""
 
     bytes_read: int = 0
-
-    def add(self, n: int) -> None:
-        self.bytes_read += n
 
 
 @dataclass(frozen=True)
@@ -256,16 +259,16 @@ def _attribute_table(
     return Schema(tuple(attrs)), MappingProxyType(offsets), MappingProxyType(lengths), dtypes
 
 
-def read_header(f: BinaryIO, counter: Optional[ReadCounter] = None) -> BlockFileHeader:
+def read_header(f: FileLike, counter: Optional[ReadCounter] = None) -> BlockFileHeader:
     """Parse the header at the start of `f` with one positional read.
 
     A single probe covers the typical header; longer ones are extended. The
     counter is charged the header's own length, not the probe's. The file
     position is not used or moved.
     """
-    header, raw = _parse_header(f.fileno())
+    header, raw = _parse_header(f if type(f) is int else f.fileno())
     if counter is not None:
-        counter.add(len(raw))
+        counter.bytes_read += len(raw)
     return header
 
 
@@ -342,53 +345,56 @@ def _parse_header(fd: int) -> tuple[BlockFileHeader, bytes]:
 class HeaderCache:
     """Parsed block-file headers, one entry per path, reused while unchanged.
 
-    Entries are keyed by the path a file was opened with (`f.name`). Not
+    Entries are keyed by the path the caller passes with a descriptor, or
+    by the name a file object was opened with when no path is passed. Not
     thread-safe: one thread reads through a cache.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, tuple[BlockFileHeader, bytes]] = {}
 
-    def read(self, f: BinaryIO, counter: Optional[ReadCounter] = None) -> BlockFileHeader:
-        """The header of `f`, charged to `counter` exactly as `read_header` charges it.
+    def read(
+        self, f: FileLike, counter: Optional[ReadCounter] = None, path: Optional[str] = None
+    ) -> BlockFileHeader:
+        """The header of `f`, the file at `path`, charged to `counter`
+        exactly as `read_header` charges it.
 
         A cached header is returned only when one `os.pread` of its length
         equals the bytes it was parsed from; otherwise the file is parsed
         again, which also raises for a file truncated inside its header.
         """
-        fd = f.fileno()
-        entry = self._entries.get(f.name)
-        if entry is None or os.pread(fd, len(entry[1]), 0) != entry[1]:
-            entry = self._entries[f.name] = _parse_header(fd)
+        if type(f) is not int:
+            path = f.name if path is None else path
+            f = f.fileno()
+        elif path is None:
+            raise TypeError("HeaderCache.read needs the path of a descriptor")
+        entry = self._entries.get(path)
+        if entry is None or os.pread(f, len(entry[1]), 0) != entry[1]:
+            entry = self._entries[path] = _parse_header(f)
         header, raw = entry
         if counter is not None:
-            counter.add(len(raw))
+            counter.bytes_read += len(raw)
         return header
 
 
-def _pread_into(f: BinaryIO, out: np.ndarray, offset: int, counter: Optional[ReadCounter]) -> np.ndarray:
-    """Fill `out` with the file's bytes at `offset`; a file that ends first raises."""
-    got = os.preadv(f.fileno(), [out], offset)
-    if got != out.nbytes:
-        raise BlockFormatError(
-            f"truncated block file: wanted {out.nbytes} bytes at {offset}, got {got}"
-        )
-    if counter is not None:
-        counter.add(got)
-    return out
-
-
 def read_permutation(
-    f: BinaryIO, header: BlockFileHeader, counter: Optional[ReadCounter] = None
+    f: FileLike, header: BlockFileHeader, counter: Optional[ReadCounter] = None
 ) -> np.ndarray:
     if not header.has_permutation_vector:
         raise BlockFormatError("block file has no permutation-vector section")
     out = np.empty(header.perm_count, dtype="<u8")
-    return _pread_into(f, out, header.perm_offset, counter)
+    got = os.preadv(f if type(f) is int else f.fileno(), (out,), header.perm_offset)
+    if got != out.nbytes:
+        raise BlockFormatError(
+            f"truncated block file: wanted {out.nbytes} bytes at {header.perm_offset}, got {got}"
+        )
+    if counter is not None:
+        counter.bytes_read += got
+    return out
 
 
 def read_column_range(
-    f: BinaryIO,
+    f: FileLike,
     header: BlockFileHeader,
     name: str,
     start: int,
@@ -403,12 +409,22 @@ def read_column_range(
         dtype = header.column_dtypes[name]
     except KeyError:
         raise SchemaError(f"unknown attribute {name!r}") from None
-    start = max(0, start)
-    stop = min(stop, header.record_count)
+    if start < 0:
+        start = 0
+    if stop > header.record_count:
+        stop = header.record_count
     if stop <= start:
         return np.empty(0, dtype=dtype)
     out = np.empty(stop - start, dtype=dtype)
-    return _pread_into(f, out, header.column_offsets[name] + start * dtype.itemsize, counter)
+    offset = header.column_offsets[name] + start * dtype.itemsize
+    got = os.preadv(f if type(f) is int else f.fileno(), (out,), offset)
+    if got != out.nbytes:
+        raise BlockFormatError(
+            f"truncated block file: wanted {out.nbytes} bytes at {offset}, got {got}"
+        )
+    if counter is not None:
+        counter.bytes_read += got
+    return out
 
 
 def read_block(
@@ -420,8 +436,9 @@ def read_block(
 
     Unprojected columns are never fetched.
     """
-    with open(path, "rb", buffering=0) as f:
-        header = read_header(f, counter)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        header = read_header(fd, counter)
         names = header.schema.names if projection is None else tuple(projection)
         for name in names:
             if name not in header.schema:
@@ -429,7 +446,7 @@ def read_block(
         sub = header.schema.subset(names)
 
         columns = {
-            a.name: read_column_range(f, header, a.name, 0, header.record_count, counter)
+            a.name: read_column_range(fd, header, a.name, 0, header.record_count, counter)
             for a in sub.attributes
         }
 
@@ -439,7 +456,7 @@ def read_block(
             index = header.index
         perm = None
         if header.has_permutation_vector:
-            perm = read_permutation(f, header, counter)
+            perm = read_permutation(fd, header, counter)
 
         return DataBlock(
             block_id=header.block_id,
@@ -449,6 +466,8 @@ def read_block(
             index=index,
             permutation=perm,
         )
+    finally:
+        os.close(fd)
 
 
 def pseudo_replica_path(node_root: Path | str, block_id: int, attribute: str) -> Path:

@@ -10,6 +10,8 @@ convention is enforced from the hand-off on.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -23,6 +25,7 @@ FLOAT64 = "float64"
 STRING = "string"
 
 _KINDS = (INT64, FLOAT64, STRING)
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -51,16 +54,48 @@ class Attribute:
     def item_size(self) -> int:
         return self.width if self.kind == STRING else 8
 
-    def coerce(self, value) -> object:
-        """Coerce a predicate bound to this attribute's comparison domain."""
+    def coerce_range(self, low, high) -> tuple:
+        """The closed range [low, high] as bounds in this attribute's
+        comparison domain, compared with a column as `lo <= value <= hi`.
+
+        A bound of the wrong type, a NaN bound, or low > high raises
+        SchemaError. On an int64 attribute the bounds select the integers in
+        the range: a fractional low rounds up and a fractional high rounds
+        down, an infinite bound is an open end, and a range holding no int64
+        comes back with lo > hi, so it selects no row.
+        """
         if self.kind == STRING:
-            return np.bytes_(value.encode("utf-8") if isinstance(value, str) else value)
+            lo, hi = self._coerce_bytes(low), self._coerce_bytes(high)
+        else:
+            lo, hi = self._coerce_number(low), self._coerce_number(high)
+        if lo > hi:
+            raise SchemaError(f"predicate range is empty: {low!r} > {high!r}")
+        if self.kind == INT64:
+            lo, hi = math.ceil(max(lo, _INT64_MIN)), math.floor(min(hi, _INT64_MAX))
+            if lo > hi:
+                return 1, 0  # no int64 in the range; both bounds stay in the domain
+        return lo, hi
+
+    def _coerce_bytes(self, value) -> np.bytes_:
+        return np.bytes_(value.encode("utf-8") if isinstance(value, str) else value)
+
+    def _coerce_number(self, value) -> int | float:
+        """`value` as a float, or as an exact int when the attribute is int64
+        and the value integral."""
+        if self.kind == INT64 and not isinstance(value, float):
+            try:
+                return operator.index(value)
+            except TypeError:
+                pass
         try:
-            return int(value) if self.kind == INT64 else float(value)
-        except (TypeError, ValueError):
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
             raise SchemaError(
                 f"cannot compare {value!r} with {self.kind} attribute {self.name!r}"
             ) from None
+        if math.isnan(number):
+            raise SchemaError(f"NaN bound for {self.kind} attribute {self.name!r}")
+        return number
 
 
 @dataclass(frozen=True)

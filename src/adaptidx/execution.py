@@ -6,18 +6,25 @@ that touches only qualifying rows, while unindexed blocks fall back to a full
 scan and are offered to the node's Adaptive Indexer afterwards. Map functions
 never see the difference.
 
-Index scans read both of their headers (the indexed replica's, and the
-normal replica's when a partial replica fills missing columns from it)
-through the cluster's HeaderCache, so a replica read job after job is parsed
-once; each read still costs one header-length `pread` and is billed the
-header's length, so reports do not depend on the cache. The range lookup
-takes its page bounds from the header's `page_starts` and each column read
-its dtype from `column_dtypes`, both computed once per parse, so an index
-scan does its reads and little per-block work beside them.
+An index scan opens each replica it reads with `os.open` and closes it in
+`finally`, also when a read raises: the indexed replica, and the normal
+replica when a partial replica fills missing columns from it. Both headers
+are read through the cluster's HeaderCache, keyed by the replica's path, so
+a replica read job after job is parsed once; each read still costs one
+header-length `pread` and is billed the header's length, so reports do not
+depend on the cache. The range lookup takes its page bounds from the
+header's `page_starts` and each column read its dtype from
+`column_dtypes`, both computed once per parse, so an index scan does its
+reads and little per-block work beside them. Every range goes through
+`read_column_range`, one `preadv` each.
+
+A task coerces its predicate's bounds once (`Predicate.bounds`), for index
+and full scans alike, so both paths select the same rows.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -58,18 +65,11 @@ class Predicate:
     high: object
 
     def validate(self, schema: Schema) -> None:
-        attr = schema.attribute(self.attribute)
-        lo, hi = attr.coerce(self.low), attr.coerce(self.high)
-        if lo > hi:
-            raise SchemaError(f"predicate range is empty: {self.low!r} > {self.high!r}")
+        self.bounds(schema)
 
     def bounds(self, schema: Schema) -> tuple:
-        attr = schema.attribute(self.attribute)
-        return attr.coerce(self.low), attr.coerce(self.high)
-
-    def mask(self, column: np.ndarray, schema: Schema) -> np.ndarray:
-        lo, hi = self.bounds(schema)
-        return (column >= lo) & (column <= hi)
+        """(lo, hi) in the attribute's comparison domain; see `Attribute.coerce_range`."""
+        return schema.attribute(self.attribute).coerce_range(self.low, self.high)
 
 
 @dataclass
@@ -228,33 +228,42 @@ def _scan_indexed_block(
     """Serve one indexed block: `bounds` are the job's coerced predicate
     bounds and `wanted` its projected attributes in schema order, both fixed
     per task."""
-    with open(ref.replica.path, "rb", buffering=0) as f:
-        header = ctx.headers.read(f, counter)
-        r_lo, r_hi = _refine_row_range(f, header, bounds[0], bounds[1], counter)
+    path = ref.replica.path
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        header = ctx.headers.read(fd, counter, path)
+        r_lo, r_hi = _refine_row_range(fd, header, bounds[0], bounds[1], counter)
         count = r_hi - r_lo
         result.records_read += count
 
-        missing = [n for n in wanted if n not in header.column_offsets]
-        columns = {
-            name: read_column_range(f, header, name, r_lo, r_hi, counter)
-            for name in wanted
-            if name in header.column_offsets
-        }
+        offsets = header.column_offsets
+        columns: dict[str, np.ndarray] = {}
+        missing: list[str] = []
+        for name in wanted:
+            if name in offsets:
+                columns[name] = read_column_range(fd, header, name, r_lo, r_hi, counter)
+            else:
+                missing.append(name)
         if not missing:
             _emit(job, result, columns, count)
             return
 
         # Partial pseudo replica: serve missing attributes from the normal
         # replica, realigned on the fly with the stored permutation vector.
-        perm = read_permutation(f, header, counter)
+        perm = read_permutation(fd, header, counter)
+    finally:
+        os.close(fd)
 
     normal = _normal_replica_for(ctx, ref.block_id)
     aligned: dict[str, np.ndarray] = {}
-    with open(normal.path, "rb", buffering=0) as nf:
-        nheader = ctx.headers.read(nf, counter)
+    fd = os.open(normal.path, os.O_RDONLY)
+    try:
+        nheader = ctx.headers.read(fd, counter, normal.path)
         for name in missing:
-            raw = read_column_range(nf, nheader, name, 0, nheader.record_count, counter)
+            raw = read_column_range(fd, nheader, name, 0, nheader.record_count, counter)
             aligned[name] = apply_permutation(perm, raw)
+    finally:
+        os.close(fd)
     if normal.node_id != ctx.node_id:
         result.remote_column_reads += len(missing)
 
@@ -284,7 +293,12 @@ def _normal_replica_for(ctx: TaskContext, block_id: int) -> BlockReplicaInfo:
 
 
 def _scan_full_block(
-    ref: BlockRef, job: JobSpec, ctx: TaskContext, result: TaskResult, counter: ReadCounter
+    ref: BlockRef,
+    job: JobSpec,
+    ctx: TaskContext,
+    result: TaskResult,
+    counter: ReadCounter,
+    bounds: tuple,
 ) -> None:
     offers = ctx.will_offer_blocks
     candidate = offers is None or ref.block_id in offers
@@ -297,7 +311,8 @@ def _scan_full_block(
     n = block.record_count
     result.records_read += n
 
-    mask = job.predicate.mask(block.columns[job.predicate.attribute], ctx.schema)
+    column = block.columns[job.predicate.attribute]
+    mask = (column >= bounds[0]) & (column <= bounds[1])
     qualifying = int(mask.sum())
     fraction = qualifying / n if n else 0.0
     projected = set(job.projection)
@@ -328,14 +343,14 @@ def record_reader_scan(split: InputSplit, job: JobSpec, ctx: TaskContext) -> Tas
         block_ids=tuple(ref.block_id for ref in split.blocks),
     )
     counter = ReadCounter()
+    bounds = job.predicate.bounds(ctx.schema)
     if split.scan_kind == ScanKind.INDEX_SCAN:
-        bounds = job.predicate.bounds(ctx.schema)
         projected = set(job.projection)
         wanted = tuple(n for n in ctx.schema.names if n in projected)
         for ref in split.blocks:
             _scan_indexed_block(ref, job, ctx, result, counter, bounds, wanted)
     else:
         for ref in split.blocks:
-            _scan_full_block(ref, job, ctx, result, counter)
+            _scan_full_block(ref, job, ctx, result, counter, bounds)
     result.bytes_read = counter.bytes_read
     return result

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from adaptidx.execution import (
     TaskContext,
     record_reader_scan,
 )
-from adaptidx.indexer import build_index
+from adaptidx.indexer import OfferPolicy, build_index
 from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 from adaptidx.runner import WorkloadRunner
 from adaptidx.workloads import (
@@ -466,6 +467,92 @@ def test_index_scans_keep_their_read_budget_on_an_upload_indexed_cluster(tmp_pat
     cluster.close()
 
 
+def test_partial_replicas_keep_their_read_budget_on_a_lazy_cluster(tmp_path, monkeypatch):
+    # A partial replica is served with one header `pread` (the normal
+    # replica's header too, through the path-keyed cache), the boundary pages
+    # and projected ranges it holds, then one `preadv` for its permutation
+    # and one full-column `preadv` per missing attribute, billed by the
+    # format's layout. Only the map thread's reads are counted: completions
+    # rewrite replicas on the indexer threads meanwhile.
+    rows, page, lo, hi = 500, 64, 0.3, 0.35
+    cluster = make_cluster(
+        tmp_path / "c", nodes=3, replication=2, block_records=rows, page_size=page,
+        projection_mode="lazy",
+    )
+    dataset = gen_synthetic(8 * rows, seed=21)
+    cluster.upload_dataset(dataset)
+    runner = WorkloadRunner(cluster)
+    build = JobSpec("build", Predicate("b", lo, hi), ("b", "c"), policy=OfferPolicy(rho=1.0))
+    assert not runner.run_job(build).metrics.failed
+
+    def budget(projection):
+        """Expected (map-thread call counts, bytes) of one job over every block."""
+        calls, billed = collections.Counter(), 0
+        for block_id in cluster.registry.block_ids:
+            replica = read_block(cluster.registry.find_index(block_id, "b").path)
+            keys, column = replica.index.first_keys, replica.columns["b"]
+            bounds = [*replica.index.start_records.tolist(), len(column)]
+            q = int(np.searchsorted(keys, lo, "left"))
+            p = int(np.searchsorted(keys, hi, "right")) - 1
+            pages = ([q - 1] if q > 0 else []) + ([p] if p >= 0 else [])
+            span = int(np.searchsorted(column, hi, "right") - np.searchsorted(column, lo, "left"))
+            held = [n for n in projection if n in replica.schema]
+            missing = [n for n in projection if n not in replica.schema]
+            calls["pread"] += 1 + bool(missing)
+            calls["read_column_range"] += len(pages) + len(projection)
+            calls["preadv"] += len(pages) + (len(held) if span else 0)
+            billed += _header_length(
+                replica.schema, replica.index.entry_count, 8, perm=replica.permutation is not None
+            )
+            billed += sum(bounds[p + 1] - bounds[p] for p in pages) * 8
+            billed += span * 8 * len(held)
+            if missing:
+                calls["preadv"] += 1 + len(missing)
+                billed += _header_length(SYNTHETIC_SCHEMA)  # the normal replica's
+                billed += len(column) * 8 * (1 + len(missing))  # permutation, missing columns
+        return calls, billed
+
+    seen = collections.Counter()
+    map_thread = threading.get_ident()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            if threading.get_ident() == map_thread:
+                seen[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(os, "pread", counted("pread", os.pread))
+    monkeypatch.setattr(os, "preadv", counted("preadv", os.preadv))
+    monkeypatch.setattr(blockfile, "_parse_header", counted("parse", blockfile._parse_header))
+    monkeypatch.setattr(
+        execution, "read_column_range", counted("read_column_range", read_column_range)
+    )
+    blocks = cluster.registry.block_count
+    column = dataset.columns["b"]
+    # Job "d" parses both headers of every block. Its completions add d to
+    # every partial replica, so job "de" parses each partial header again,
+    # after the cache's `pread` found its bytes changed, but serves each
+    # normal replica's header from the cache.
+    for projection, parses, changed in (
+        (("b", "c", "d"), 2 * blocks, 0),
+        (("b", "c", "d", "e"), blocks, blocks),
+    ):
+        calls, billed = budget(projection)
+        assert calls["preadv"] > calls["pread"] + blocks  # the missing columns are read
+        calls["pread"] += changed
+        seen.clear()
+        job_id = "".join(projection[2:])
+        job = JobSpec(job_id, Predicate("b", lo, hi), projection, collect_output=False)
+        metrics = runner.run_job(job).metrics
+        assert metrics.full_scan_tasks == 0 and not metrics.failed
+        assert metrics.records_emitted == int(((column >= lo) & (column <= hi)).sum())
+        assert seen.pop("parse") == parses, job_id
+        assert seen == calls, job_id
+        assert metrics.bytes_read == billed, job_id
+    cluster.close()
+
+
 def test_parsed_headers_carry_column_dtypes_and_page_starts(tmp_path, simple_schema):
     block = make_block(simple_schema, rows=300, seed=8)
     indexed, _, _ = build_index(block, "b", page_size_records=64)
@@ -570,6 +657,14 @@ def test_header_cache_charges_a_hit_like_a_miss(tmp_path, name):
     first = _cached_header(cache, path, miss)
     assert _cached_header(cache, path, hit) is first
     assert miss.bytes_read == hit.bytes_read == _header_length(schema, 5, 8, perm=True)
+    fd = os.open(path, os.O_RDONLY)  # a descriptor is keyed by the path passed with it
+    try:
+        assert cache.read(fd, hit, str(path)) is first
+        assert hit.bytes_read == 2 * miss.bytes_read
+        with pytest.raises(TypeError):
+            cache.read(fd)
+    finally:
+        os.close(fd)
 
 
 def test_headers_are_read_only(tmp_path, simple_schema):

@@ -468,3 +468,35 @@ def test_pre_marker_cluster_with_relative_root_runs_from_its_directory(tmp_path,
     with open("again.csv") as f:
         rows = list(csv.DictReader(f))
     assert rows[0]["index_scan_tasks"] != "0" and rows[0]["failed"] == "False"
+
+
+def test_fractional_and_infinite_int64_bounds_run_and_nan_fails_the_job(tmp_path, capsys):
+    from adaptidx.workloads import Dataset
+
+    root = gen_and_upload(tmp_path, index_attrs="a")
+    column = Dataset.from_file(tmp_path / "data.adxd").columns["a"]
+    cases = [(9.2, float("inf")), (float("-inf"), 9.5), (9.2, 9.9)]
+    jobs = write_jobs(
+        tmp_path / "jobs.json",
+        [{"id": f"j{i}", "predicate": {"attribute": "a", "low": lo, "high": hi},
+          "projection": "all", "offer_rate": 0.0} for i, (lo, hi) in enumerate(cases)],
+    )
+    assert "Infinity" in jobs.read_text()
+    report = tmp_path / "report"
+    assert main(["run", "--root", str(root), "--jobs", str(jobs), "--report", str(report)]) == 0
+    with open(report.with_suffix(".json")) as f:
+        rows = json.load(f)["jobs"]
+    expected = [int(((column >= lo) & (column <= hi)).sum()) for lo, hi in cases]
+    assert [r["records_emitted"] for r in rows] == expected
+    assert expected[0] > 0 and expected[1] > 0 and expected[2] == 0
+
+    jobs = write_jobs(
+        tmp_path / "nan.json",
+        [{"id": "nan", "predicate": {"attribute": "a", "low": float("nan"), "high": 3},
+          "projection": "all"}],
+    )
+    capsys.readouterr()
+    assert main(["run", "--root", str(root), "--jobs", str(jobs), "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "nan failed: NaN bound for int64 attribute 'a'" in err
+    assert "Traceback" not in err

@@ -1,10 +1,13 @@
+import math
+import os
+
 import numpy as np
 import pytest
 
 import adaptidx.execution as execution
 from adaptidx.blocks import DataBlock, Schema
-from adaptidx.blockfile import write_block
-from adaptidx.errors import SchemaError
+from adaptidx.blockfile import read_header, write_block
+from adaptidx.errors import BlockFormatError, SchemaError
 from adaptidx.execution import (
     BlockRef,
     InputSplit,
@@ -381,4 +384,132 @@ def test_scan_equivalence_across_modes(tmp_path):
 
     assert mixed.metrics.index_scan_tasks > 0 and mixed.metrics.full_scan_tasks > 0
     assert indexed.metrics.full_scan_tasks == 0
+    cluster.close()
+
+
+def _emitted_column(results, name):
+    chunks = [c[name] for r in results for c in r.emitted]
+    return np.sort(np.concatenate(chunks)) if chunks else np.empty(0, "<i8")
+
+
+@pytest.mark.parametrize(
+    "low,high",
+    [
+        (9.2, 9.9),  # no integer inside: 0 rows, not the 360 rows where a == 9
+        (8.5, 9.5),  # a == 9 only
+        (7, 8),
+        (-math.inf, 8.5),
+        (7.5, math.inf),
+        (-math.inf, math.inf),
+        (10.5, 1e30),
+        (1e30, math.inf),
+        (-(2**70), 2**70),
+    ],
+)
+def test_int64_bounds_select_the_integers_in_the_range_on_both_scan_paths(tmp_path, low, high):
+    dataset = gen_synthetic(4000, seed=3)
+    column = dataset.columns["a"]
+    expected = np.sort(column[(column >= low) & (column <= high)])
+    proj = ("a", "b")
+
+    plain = make_cluster(tmp_path / "plain", nodes=3, replication=2, block_records=500, page_size=64)
+    plain.upload_dataset(dataset)
+    indexed = make_cluster(tmp_path / "indexed", nodes=3, replication=2, block_records=500, page_size=64)
+    indexed.upload_dataset(dataset, ["a"])
+    full = WorkloadRunner(plain).run_job(job(Predicate("a", low, high), proj, job_id="full"))
+    index = WorkloadRunner(indexed).run_job(job(Predicate("a", low, high), proj, job_id="index"))
+    plain.close()
+    indexed.close()
+
+    assert full.metrics.index_scan_tasks == 0 and full.metrics.full_scan_tasks == 8
+    assert index.metrics.index_scan_tasks > 0 and index.metrics.full_scan_tasks == 0
+    for outcome in (full, index):
+        assert not outcome.metrics.failed, outcome.metrics.error
+        assert outcome.metrics.records_emitted == len(expected)
+        assert np.array_equal(_emitted_column(outcome.results, "a"), expected)
+
+
+def test_predicate_bounds_are_coerced_in_one_place():
+    schema = Schema.of(("a", "int64"), ("b", "float64"), ("s", "string", 4))
+    assert Predicate("a", 9.2, 9.9).bounds(schema) == (1, 0)  # empty, and no error
+    assert Predicate("a", 2.5, 4.5).bounds(schema) == (3, 4)
+    assert Predicate("a", -math.inf, math.inf).bounds(schema) == (-(2**63), 2**63 - 1)
+    assert Predicate("a", np.int64(2**62 + 1), 2**62 + 1).bounds(schema) == (2**62 + 1,) * 2
+    assert Predicate("b", 1, math.inf).bounds(schema) == (1.0, math.inf)
+    assert Predicate("s", "ab", b"b").bounds(schema) == (b"ab", b"b")
+    for pred, message in (
+        (Predicate("a", math.nan, 3), "NaN"),
+        (Predicate("b", 0.0, math.nan), "NaN"),
+        (Predicate("a", 9.9, 9.2), "empty"),
+        (Predicate("b", 0.5, 0.25), "empty"),
+        (Predicate("s", "b", "a"), "empty"),
+    ):
+        with pytest.raises(SchemaError, match=message):
+            pred.validate(schema)
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+
+
+@needs_proc
+@pytest.mark.parametrize("mode", ["invisible", "lazy"])
+def test_index_scans_close_their_descriptors(tmp_path, mode):
+    # Invisible: every block has a complete replica indexed at upload. Lazy:
+    # the first job leaves partial replicas, so the second reads its missing
+    # column from the normal replicas as well.
+    cluster = make_cluster(
+        tmp_path / "c", nodes=3, replication=2, block_records=500, page_size=64,
+        projection_mode=mode,
+    )
+    cluster.upload_dataset(gen_synthetic(4000, seed=5), ["b"] if mode == "invisible" else [])
+    runner = WorkloadRunner(cluster)
+    if mode == "lazy":
+        runner.run_job(job(Predicate("b", 0.2, 0.4), ("b", "c"), rho=1.0, job_id="build"))
+    kinds = {cluster.registry.find_index(b, "b").kind for b in cluster.registry.block_ids}
+    assert kinds == {ReplicaKind.NORMAL if mode == "invisible" else ReplicaKind.PARTIAL_PSEUDO}
+    before = _open_descriptors()
+    outcome = runner.run_job(job(Predicate("b", 0.2, 0.4), ("b", "c", "d"), job_id="scan"))
+    assert _open_descriptors() == before
+    assert not outcome.metrics.failed, outcome.metrics.error
+    assert outcome.metrics.full_scan_tasks == 0
+    cluster.close()
+
+
+@needs_proc
+def test_read_block_closes_its_descriptor(tmp_path):
+    path = tmp_path / "blk"
+    schema, base, *_ = _single_block_fixture(tmp_path)
+    write_block(base, path)
+    before = _open_descriptors()
+    execution.read_block(path)
+    with pytest.raises(SchemaError):
+        execution.read_block(path, ["nope"])
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(BlockFormatError):
+        execution.read_block(path)
+    assert _open_descriptors() == before
+
+
+@needs_proc
+def test_a_replica_truncated_inside_its_columns_fails_its_task_and_closes_it(tmp_path):
+    cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=500, page_size=64)
+    cluster.upload_dataset(gen_synthetic(4000, seed=5), ["b"])
+    runner = WorkloadRunner(cluster)
+    assert not runner.run_job(job(Predicate("b", 0.0, 1.0), ("c",), job_id="warm")).metrics.failed
+    info = cluster.registry.find_index(3, "b")
+    with open(info.path, "rb", buffering=0) as f:
+        header = read_header(f)
+    os.truncate(info.path, header.column_offsets["c"] + 8)  # inside column c
+
+    before = _open_descriptors()
+    outcome = runner.run_job(job(Predicate("b", 0.0, 1.0), ("c",), job_id="cut"))
+    assert _open_descriptors() == before
+    assert outcome.metrics.failed
+    failed = [r for r in outcome.results if r.failed]
+    assert len(failed) == 1 and 3 in failed[0].block_ids
+    assert "truncated block file" in failed[0].error
     cluster.close()
