@@ -6,8 +6,9 @@ one after another on the calling thread, and a task's wave is its position in
 the plan divided by the slot count. The only real concurrency is each node's
 indexer thread: it writes the node's normal replicas during the upload,
 sorting and indexing those with an upload-time index as HAIL does, and then
-builds and writes adaptive indexes beside the map tasks; `close` returns once
-every indexer has landed the work it accepted. Time is simulated
+builds and writes adaptive indexes beside the map tasks, leaving their
+registration to the thread that drains it; `close` returns once every
+indexer has landed and registered the work it accepted. Time is simulated
 deterministically: a task costs its bytes read times a configured
 per-byte cost, so the adaptive-indexing cost model can be checked exactly
 instead of against noisy wall clocks.
@@ -301,6 +302,8 @@ class Cluster:
             )
 
     def drain_indexers(self) -> None:
+        """Drain the indexers node by node; each drain registers what its
+        worker wrote, so the journal's record order is fixed."""
         for indexer in self.indexers.values():
             indexer.drain()
 

@@ -17,9 +17,10 @@ The work carries the map task's own DataBlock, not a copy. `hand_off` marks
 its columns read-only, so a later write by the map task raises ValueError at
 the writing line instead of corrupting the index being built.
 
-Index building sorts the target attribute (stable), derives the
-old-position -> new-position permutation vector, reorders every other present
-column with it, and cuts a sparse page directory over the sorted column.
+Index building sorts the target attribute in the stable sort's order (see
+`build_index`), derives the old-position -> new-position permutation vector,
+reorders every other present column with it, and cuts a sparse page
+directory over the sorted column.
 
 A full scan offers its block when the block is an offer candidate and
 `OfferPolicy.admits` its qualifying fraction (`execution._scan_full_block`).
@@ -27,9 +28,18 @@ The candidates are picked at plan time by `scheduler.choose_offer_blocks` in
 constant and eager mode; in selectivity mode every block is one, and `admits`
 alone decides.
 
-The worker writes to the registry only through
-`ReplicaRegistry.register_pseudo`, which makes a replica pseudo or partial
-from the attributes it holds.
+The worker never writes to the registry. It hands `write_pseudo_replica`
+and `lazy.append_aligned_columns` a `_Registrations` in place of the
+registry, which reads the registry but keeps each `register_pseudo` call, and
+`drain` and `close` apply the kept calls on the calling thread, in hand-off
+order. `Cluster.drain_indexers` drains node by node, so the journal has one
+writer thread and an order that does not follow thread timing. Holding a
+registration back until the job drains is safe because a job's plan is fixed
+before any task runs and each block is in exactly one split per job, so
+nothing reads a registration between its hand-off and the drain. It does
+widen the window between a published file and its journal line to a job;
+a crash inside it leaves an orphan file, which the next publish of that
+(block, attribute) adopts (`write_pseudo_replica`).
 
 UPLOAD units are the HAIL-style upload: `Cluster.upload_dataset` hands each
 normal replica to its node's worker, which sorts and indexes it when it has
@@ -55,8 +65,8 @@ import numpy as np
 from . import blockfile, lazy
 from .blocks import DataBlock, SparseClusteredIndex
 from .blockfile import publish_block_once, pseudo_replica_path, pseudo_temp_path
-from .errors import ConfigError, SchemaError
-from .registry import ReplicaRegistry
+from .errors import BlockFormatError, ConfigError, SchemaError
+from .registry import ReplicaKind, ReplicaRegistry
 
 DEFAULT_PAGE_SIZE = 1024
 # Work units one node's queue holds. It bounds memory only: hand-offs wait for
@@ -76,17 +86,33 @@ def build_index(
 ) -> tuple[DataBlock, np.ndarray, SparseClusteredIndex]:
     """Sort a block on `attribute`; returns (sorted block, perm, sparse index).
 
-    The sort is stable, so equal keys keep their original relative order and
-    the permutation vector is deterministic. Works on partial blocks too: any
-    column present in the block is realigned.
+    The order is the stable sort's, so equal keys keep their original
+    relative order and the permutation vector is deterministic. Numeric keys
+    try numpy's default sort first, several times faster, and keep its order
+    when the sorted keys strictly increase: with no two keys equal and no NaN
+    (which compares false to everything), only one order exists. Otherwise,
+    and for string keys, which the engine's workloads repeat, the stable sort
+    runs. Works on partial blocks too: any column present in the block is
+    realigned.
     """
     if attribute not in block.schema:
         raise SchemaError(f"attribute {attribute!r} not present in block {block.block_id}")
     column = block.columns[attribute]
-    order = np.argsort(column, kind="stable")
+    keys = None
+    if column.dtype.kind in "if":
+        order = np.argsort(column)
+        keys = column.take(order)
+        if not (keys[1:] > keys[:-1]).all():
+            keys = None
+    if keys is None:
+        order = np.argsort(column, kind="stable")
+        keys = column.take(order)
     perm = np.empty(len(column), dtype="<u8")
     perm[order] = np.arange(len(column), dtype="<u8")
-    sorted_columns = {name: block.columns[name].take(order) for name in block.schema.names}
+    sorted_columns = {
+        name: keys if name == attribute else block.columns[name].take(order)
+        for name in block.schema.names
+    }
     index = SparseClusteredIndex.from_sorted_column(
         attribute, sorted_columns[attribute], page_size_records
     )
@@ -156,9 +182,11 @@ def write_pseudo_replica(
 
     The replica is written to a temp file and hard-linked into place, so with
     concurrent writers for the same (block, attribute) exactly one wins; the
-    loser removes its temp file and reports LOST without touching the
-    registry. Storage failures abandon the block silently (FAILED): indexing
-    must never jeopardize the job that piggybacked it.
+    loser removes its temp file and reports LOST, registering the file only
+    as `_adopt` describes. Storage failures abandon the block silently
+    (FAILED): indexing must never jeopardize the job that piggybacked it.
+    `registry` may be an indexer's `_Registrations`, which holds the
+    registration until the indexer drains.
     """
     attribute = sorted_block.sort_attribute
     if attribute is None or sorted_block.index is None:
@@ -171,12 +199,42 @@ def write_pseudo_replica(
     except OSError:
         return WriteResult.FAILED
     if not won:
-        return WriteResult.LOST
+        return _adopt(final, sorted_block.block_id, node_id, attribute, registry)
 
     registry.register_pseudo(
         sorted_block.block_id, node_id, attribute, sorted_block.schema.names, final
     )
     return WriteResult.WON
+
+
+def _adopt(
+    path: Path, block_id: int, node_id: int, attribute: str, registry: ReplicaRegistry
+) -> WriteResult:
+    """The result of a publish that found `path` taken: LOST, after
+    registering the file when this node has no entry for (block, attribute).
+
+    Such a file is an orphan: a crash came between its publish and its
+    journal line, and without adoption every later publish of it would lose
+    and the block would never be indexed. It is registered with the
+    attributes it holds, and only when it reads back whole (every column and
+    the permutation vector) as a block of this id sorted on `attribute`;
+    otherwise the attempt is FAILED and nothing is registered.
+    """
+    for info in registry.replicas(block_id):
+        if (
+            info.kind != ReplicaKind.NORMAL
+            and info.node_id == node_id
+            and info.indexed_attribute == attribute
+        ):
+            return WriteResult.LOST
+    try:
+        orphan = blockfile.read_block(path)
+    except (OSError, ValueError, BlockFormatError, SchemaError):
+        return WriteResult.FAILED
+    if orphan.block_id != block_id or orphan.sort_attribute != attribute:
+        return WriteResult.FAILED
+    registry.register_pseudo(block_id, node_id, attribute, orphan.schema.names, path)
+    return WriteResult.LOST
 
 
 # -- the per-node indexer ----------------------------------------------------
@@ -205,8 +263,10 @@ class IndexWork:
 class IndexerStats:
     """Counts of one node's adaptive indexing; UPLOAD units are not counted.
     `enqueued` and `rejected_full` are written by the map thread that hands
-    work off, the rest by the node's worker thread, so no field has two
-    writers."""
+    work off, the rest by the node's worker thread, except that `failures`
+    also counts, on the draining thread, registrations the registry refused.
+    That thread writes it only once the queue is empty and the worker idle,
+    so no field is written by two threads at once."""
 
     enqueued: int = 0
     rejected_full: int = 0  # work refused because the indexer was closed
@@ -217,8 +277,24 @@ class IndexerStats:
     failures: int = 0
 
 
+class _Registrations:
+    """What a node's worker hands `write_pseudo_replica` and
+    `lazy.append_aligned_columns` in place of the registry: the schema and
+    `replicas` read the registry, and `register_pseudo` keeps its arguments
+    in `pending`, in call order, for the indexer to apply when it drains."""
+
+    def __init__(self, registry: ReplicaRegistry) -> None:
+        self.schema = registry.schema
+        self.replicas = registry.replicas
+        self.pending: list[tuple] = []
+
+    def register_pseudo(self, *args) -> None:
+        self.pending.append(args)
+
+
 class AdaptiveIndexer:
-    """One per node: a bounded queue feeding one worker that builds, then writes."""
+    """One per node: a bounded queue feeding one worker that builds, then
+    writes; the thread that drains it registers what the worker wrote."""
 
     def __init__(
         self,
@@ -233,6 +309,7 @@ class AdaptiveIndexer:
         self.page_size_records = page_size_records
         self.stats = IndexerStats()
         self.upload_errors: list[Exception] = []  # written by the worker only
+        self._registrations = _Registrations(registry)
         self._queue: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)
         self._closed = False
         self._worker = threading.Thread(
@@ -261,16 +338,30 @@ class AdaptiveIndexer:
         return True
 
     def drain(self) -> None:
-        """Block until every enqueued work item has been fully processed."""
+        """Block until every enqueued work item has been fully processed,
+        then register what the worker wrote, in hand-off order."""
         self._queue.join()
+        self._register_pending()
 
     def close(self) -> None:
-        """Refuse further work and return once all accepted work has landed."""
+        """Refuse further work and return once all accepted work has landed
+        and been registered."""
         if self._closed:
             return
         self._closed = True
         self._queue.put(None)
         self._worker.join()
+        self._register_pending()
+
+    def _register_pending(self) -> None:
+        """Apply the worker's registrations on the calling thread; one the
+        registry refuses counts as a failure, as it would on the worker."""
+        pending, self._registrations.pending = self._registrations.pending, []
+        for args in pending:
+            try:
+                self.registry.register_pseudo(*args)
+            except Exception:
+                self.stats.failures += 1
 
     def _work_loop(self) -> None:
         while True:
@@ -300,7 +391,7 @@ class AdaptiveIndexer:
             # Looked up on the module at call time, so wrappers installed on
             # lazy.append_aligned_columns see every completion.
             if lazy.append_aligned_columns(
-                self.node_root, self.node_id, self.registry, block.block_id,
+                self.node_root, self.node_id, self._registrations, block.block_id,
                 work.attribute, block,
             ):
                 self.stats.completed += 1
@@ -311,7 +402,9 @@ class AdaptiveIndexer:
         if set(block.schema.names) != set(self.registry.schema.names):
             sorted_block.permutation = perm
         self.stats.built += 1
-        result = write_pseudo_replica(sorted_block, self.node_root, self.node_id, self.registry)
+        result = write_pseudo_replica(
+            sorted_block, self.node_root, self.node_id, self._registrations
+        )
         if result == WriteResult.WON:
             self.stats.written += 1
         elif result == WriteResult.LOST:

@@ -2,8 +2,12 @@
 
 The registry is the single shared mutable structure in the engine. All
 mutations and lookups take one lock, which gives register/lookup linearizable
-semantics. Every mutation is appended to a journal file (one JSON record per
-line) so a cluster directory can be reopened and replayed; a torn last line
+semantics. In the engine one thread writes it: the thread that uploads and
+runs the map tasks, which registers the upload after draining the node
+indexers and registers what each indexer wrote when it drains that indexer
+(`AdaptiveIndexer.drain`); the indexer threads only read it. Every mutation
+is appended to a journal file (one JSON record per line) so a cluster
+directory can be reopened and replayed; a torn last line
 (a crash mid-append) is dropped on load. A journal whose dataset record
 carries `"paths": "journal_dir"` stores replica paths under its directory
 relative to that directory, so the cluster can be reopened from any working
@@ -25,8 +29,12 @@ The journal is appended through one handle per registry, opened by the
 first append after the journal is attached and closed by `close`
 (`Cluster.close` calls it); each record is one line, flushed as it is
 written. Durability order: a replica's file is published first, and its
-journal line is written after, so a crash between the two leaves a file
-without an entry, never an entry without its file.
+journal line is written after, when the job that built it drains its node's
+indexer, so a crash between the two, a window of up to one job, leaves a
+file without an entry (or a lazily completed file wider than its entry),
+never an entry without its file. Such a file is repaired where it is next
+used: a publish that loses to an orphan on its own node adopts it after
+reading it back whole, and a completion registers what its file holds.
 """
 
 from __future__ import annotations

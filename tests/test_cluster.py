@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from adaptidx.blockfile import read_header
 from adaptidx.cluster import CLUSTER_CONFIG, REGISTRY_JOURNAL, Cluster, ClusterConfig
 import adaptidx.indexer as indexer_module
 from adaptidx.errors import ConfigError, RegistryError
@@ -332,3 +333,101 @@ def test_torn_journal_tail_is_dropped_on_open(tmp_path):
     reopened.close()
     assert _counts(ReplicaRegistry.load(journal), nodes) == live
     assert journal.read_bytes().endswith(b"\n")
+
+
+def _recount(root, nodes, attribute):
+    """Adaptive replicas on `attribute` per node, counted from the files."""
+    pattern = f"blk_*/{attribute}"
+    return {n: len(list((root / f"node_{n}" / "pseudo").glob(pattern))) for n in nodes}
+
+
+def _crash_before_journal(tmp_path, monkeypatch, mode, first, crashing):
+    """Run `first` and then `crashing` on a new cluster in tmp_path/a and cut
+    the journal back to its length before `crashing`: its replica files are
+    on disk, their journal lines lost. Returns the cluster reopened from
+    tmp_path/b. Replication 1, so every block's map task, and so every
+    rebuild of its replicas, stays on one node."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    cluster = make_cluster(
+        "cl", nodes=3, slots=1, replication=1, block_records=500, projection_mode=mode
+    )
+    cluster.upload_dataset(gen_synthetic(3_000, seed=5))
+    runner = WorkloadRunner(cluster)
+    for job in first:
+        assert not runner.run_job(job).metrics.failed
+    journal = tmp_path / "a" / "cl" / REGISTRY_JOURNAL
+    before = journal.stat().st_size
+    assert not runner.run_job(crashing).metrics.failed
+    cluster.close()
+    os.truncate(journal, before)
+    monkeypatch.chdir(tmp_path / "b")
+    return Cluster.open("../a/cl")
+
+
+def _header(path):
+    with open(path, "rb") as f:
+        return read_header(f)
+
+
+def _assert_registry_matches_files(cluster):
+    registry = cluster.registry
+    root = cluster.root
+    nodes = cluster.node_ids()
+    recount = _recount(root, nodes, "b")
+    assert {n: registry.pseudo_count(n, "b") for n in nodes} == recount
+    assert sum(recount.values()) == registry.indexed_block_count("b") == registry.block_count
+    for _, info in registry.iter_replicas():
+        if info.kind != ReplicaKind.NORMAL:
+            assert info.available_attributes == set(_header(info.path).schema.names)
+    replayed = ReplicaRegistry.load(root / REGISTRY_JOURNAL)
+    assert {n: replayed.pseudo_count(n, "b") for n in nodes} == recount
+
+
+def test_a_crash_between_publish_and_journal_line_is_repaired_by_adoption(
+    tmp_path, monkeypatch
+):
+    # Without adoption every later publish of an orphan would lose and its
+    # block would never be indexed.
+    job = JobSpec("j1", Predicate("b", 0.2, 0.6), ("b",), policy=OfferPolicy(rho=1.0))
+    cluster = _crash_before_journal(tmp_path, monkeypatch, "invisible", [], job)
+    assert cluster.registry.indexed_block_count("b") == 0
+    blocks = cluster.registry.block_count
+    assert sum(_recount(cluster.root, cluster.node_ids(), "b").values()) == blocks
+
+    again = JobSpec("j2", Predicate("b", 0.2, 0.6), ("b",), policy=OfferPolicy(rho=1.0))
+    assert not WorkloadRunner(cluster).run_job(again).metrics.failed
+    stats = [indexer.stats for indexer in cluster.indexers.values()]
+    cluster.close()
+    assert sum(s.lost_races for s in stats) == blocks
+    assert sum(s.written + s.failures for s in stats) == 0
+    _assert_registry_matches_files(cluster)
+
+
+def test_a_crash_between_completion_rename_and_journal_line_still_converges(
+    tmp_path, monkeypatch
+):
+    # The files are wider than their entries; the next completions merge
+    # what the files hold with what they add and register all of it.
+    def job(job_id, projection):
+        return JobSpec(job_id, Predicate("b", 0.2, 0.6), projection, policy=OfferPolicy(rho=1.0))
+
+    cluster = _crash_before_journal(
+        tmp_path, monkeypatch, "lazy", [job("j1", ("b",))], job("j2", ("b", "c"))
+    )
+    registry = cluster.registry
+    replicas = [info for _, info in registry.iter_replicas() if info.kind != ReplicaKind.NORMAL]
+    assert {frozenset(info.available_attributes) for info in replicas} == {frozenset({"b"})}
+    assert {_header(info.path).schema.names for info in replicas} == {("b", "c")}
+
+    names = registry.schema.names
+    assert not WorkloadRunner(cluster).run_job(job("j3", names)).metrics.failed
+    stats = [indexer.stats for indexer in cluster.indexers.values()]
+    cluster.close()
+    assert sum(s.completed for s in stats) == registry.block_count
+    assert sum(s.failures for s in stats) == 0
+    for _, info in registry.iter_replicas():
+        if info.kind != ReplicaKind.NORMAL:
+            assert info.kind == ReplicaKind.PSEUDO
+    _assert_registry_matches_files(cluster)

@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 import time
 
@@ -77,28 +78,66 @@ def test_stability_on_equal_keys():
     assert sorted_block.columns["p"].tolist() == [b"r3", b"r0", b"r1", b"r2"]
 
 
-@given(st.integers(0, 2**31), st.integers(1, 2000))
-@settings(max_examples=50, deadline=None)
-def test_build_index_matches_comparison_sort_oracle(seed, rows):
+SPECIAL_FLOATS = np.array([-np.inf, -1.5, -0.0, 0.0, 2.5, np.inf, np.nan])
+
+
+def oracle_keys(case, rows, rng):
+    """(attribute, key column) for one case; "int" keeps make_block's int64
+    keys, drawn from 2000 values, so larger blocks have ties."""
+    if case == "int_unique":
+        return "d", (rng.permutation(rows) * 3 - rows).astype("<i8")
+    if case == "float_unique":
+        keys = np.concatenate([[-np.inf, np.inf], np.arange(rows - 2) / 7.0])[:rows]
+        return "x", rng.permutation(keys)
+    if case in ("float_one_nan", "float_nans"):  # no ties but among the NaNs
+        keys = rng.permutation(rows) / 7.0
+        keys[rng.integers(rows, size=1 if case == "float_one_nan" else rows // 5 + 2)] = np.nan
+        return "x", keys
+    if case == "float_ties":
+        return "x", rng.integers(0, 5, rows) / 2.0
+    if case == "float_specials":  # ties, +-0.0, +-inf and several NaNs
+        return "x", rng.choice(SPECIAL_FLOATS, rows)
+    return "d", None
+
+
+@given(
+    st.integers(0, 2**31),
+    st.integers(1, 2000),
+    st.sampled_from(
+        ["int", "int_unique", "float_unique", "float_one_nan", "float_nans", "float_ties",
+         "float_specials"]
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_build_index_matches_comparison_sort_oracle(seed, rows, case):
     schema = Schema.of(("d", "int64"), ("x", "float64"), ("s", "string", 6))
     block = make_block(schema, rows, seed=seed)
-    sorted_block, perm, index = build_index(block, "d", page_size_records=64)
+    key, keys = oracle_keys(case, rows, np.random.default_rng(seed))
+    if keys is not None:
+        block.columns[key] = keys.astype(schema.attribute(key).dtype)
+    sorted_block, perm, index = build_index(block, key, page_size_records=64)
 
-    # oracle: a stable comparison sort over (key, original position)
-    col = block.columns["d"].tolist()
-    order = sorted(range(rows), key=lambda i: (col[i], i))
-    assert sorted_block.columns["d"].tolist() == [col[i] for i in order]
+    # oracle: a stable comparison sort over (key, original position), NaN
+    # last as numpy orders it; -0.0 and 0.0 are equal keys
+    col = block.columns[key].tolist()
+    nan = [v != v for v in col]
+    order = sorted(range(rows), key=lambda i: (nan[i], 0 if nan[i] else col[i], i))
+    assert perm[order].tolist() == list(range(rows))
+    assert sorted_block.columns[key].tobytes() == block.columns[key][order].tobytes()
 
     # alignment: out.c[perm[i]] == in.c[i] for every column
     for name in schema.names:
         src = block.columns[name]
         out = sorted_block.columns[name]
-        assert np.array_equal(out[perm.astype(np.int64)], src)
+        assert np.array_equal(out[perm.astype(np.int64)], src, equal_nan=name != "s")
 
     # bijectivity, and apply_permutation reproduces the sorted columns
     assert sorted(perm.tolist()) == list(range(rows))
     for name in schema.names:
-        assert np.array_equal(apply_permutation(perm, block.columns[name]), sorted_block.columns[name])
+        assert np.array_equal(
+            apply_permutation(perm, block.columns[name]), sorted_block.columns[name],
+            equal_nan=name != "s",
+        )
 
     index.validate()
 
@@ -247,6 +286,53 @@ def test_write_failure_leaves_no_trace(tmp_path, monkeypatch):
     assert registry.find_index(0, "d") is None
 
 
+def _orphan(kind, sorted_block, path):
+    """Leave at `path` what a crash before the journal line left there."""
+    if kind == "garbage":
+        path.write_bytes(b"not a block file")
+        return
+    if kind == "other_block":
+        sorted_block = build_index(make_block(sorted_block.schema, 40, block_id=3), "d", 32)[0]
+    if kind == "other_attribute":
+        sorted_block = build_index(sorted_block, "x", 32)[0]
+    blockfile.write_block(sorted_block, path)
+    if kind == "truncated":
+        os.truncate(path, path.stat().st_size - 1)
+
+
+@pytest.mark.parametrize(
+    "kind, result",
+    [
+        ("valid", WriteResult.LOST),
+        ("garbage", WriteResult.FAILED),
+        ("other_block", WriteResult.FAILED),
+        ("other_attribute", WriteResult.FAILED),
+        ("truncated", WriteResult.FAILED),
+    ],
+)
+def test_a_lost_publish_adopts_only_a_valid_orphan(tmp_path, kind, result):
+    schema = Schema.of(("d", "int64"), ("x", "float64"))
+    sorted_block, _, _ = build_index(make_block(schema, 100, seed=4), "d", 32)
+    registry = fresh_registry(schema)
+    final = pseudo_replica_path(tmp_path, 0, "d")
+    final.parent.mkdir(parents=True)
+    _orphan(kind, sorted_block, final)
+    orphan = final.read_bytes()
+
+    assert write_pseudo_replica(sorted_block, tmp_path, 0, registry) == result
+    assert final.read_bytes() == orphan
+    info = registry.find_index(0, "d")
+    if result == WriteResult.LOST:
+        assert info is not None and info.kind == ReplicaKind.PSEUDO
+        assert (info.node_id, info.path) == (0, str(final))
+        # Registered once: a later lost publish finds the entry and adopts nothing.
+        entries = list(registry.iter_replicas())
+        assert write_pseudo_replica(sorted_block, tmp_path, 0, registry) == WriteResult.LOST
+        assert list(registry.iter_replicas()) == entries
+    else:
+        assert info is None
+
+
 # -- the queue pipeline --------------------------------------------------------
 
 
@@ -358,6 +444,39 @@ def test_failed_build_is_counted_and_the_worker_keeps_going(tmp_path):
     indexer.close()
     assert indexer.stats.written == 1 and indexer.stats.failures == 1
     assert registry.find_index(0, "d") is not None
+
+
+def test_registrations_land_at_drain_and_a_refused_one_is_a_failure(tmp_path):
+    schema = Schema.of(("d", "int64"), ("x", "float64"))
+    registry = fresh_registry(schema)
+    indexer = AdaptiveIndexer(0, tmp_path, registry, page_size_records=32)
+    gate = threading.Event()
+    index_one = indexer._index_one
+
+    def gated(work):
+        index_one(work)
+        gate.wait(timeout=10)
+
+    indexer._index_one = gated
+    assert indexer.hand_off(make_work(make_block(schema, 50, seed=1)))
+    deadline = time.monotonic() + 10
+    while indexer.stats.written == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    # Published, but registered only by the thread that drains.
+    assert pseudo_replica_path(tmp_path, 0, "d").exists()
+    assert registry.find_index(0, "d") is None
+    gate.set()
+    indexer.drain()
+    assert registry.find_index(0, "d") is not None
+
+    # Block 5 is unknown to the registry: the file is written, the
+    # registration refused when the drain applies it.
+    assert indexer.hand_off(make_work(make_block(schema, 50, seed=2, block_id=5)))
+    indexer.drain()
+    indexer.close()
+    assert pseudo_replica_path(tmp_path, 5, "d").exists()
+    assert (indexer.stats.written, indexer.stats.failures) == (2, 1)
+    assert [b for b, _ in registry.iter_replicas()] == [0, 0]
 
 
 def test_closed_indexer_refuses_completions(tmp_path):

@@ -11,8 +11,12 @@ rewrite replicas at the paths whose headers job 2 has just read, and job 3
 reads them again, so a reader that served a stale header fails here too.
 
 The cold and lazy sequences also pin what gets registered: the sorted lines
-of their registry journals must equal golden_{cold,lazy}_journal.txt. Sorted,
-because the indexer threads append in an order that follows thread timing.
+of their registry journals must equal golden_{cold,lazy}_journal.txt. The
+goldens were written sorted, when the indexer threads still appended in an
+order that followed thread timing. Now the thread that drains the indexers
+writes every registration, node by node in hand-off order, so the journal's
+order is fixed too: the same sequences run with one-slot queues and random
+stalls in the indexer threads must leave byte-identical journals.
 
 The golden files were written by an earlier engine, not by the code under
 test. After a deliberate change to the cost model, regenerate them with
@@ -20,11 +24,16 @@ test. After a deliberate change to the cost model, regenerate them with
     PYTHONPATH=src python tests/test_report_golden.py
 """
 
+import random
 import sys
+import time
 from pathlib import Path
 
+import pytest
+
+import adaptidx.indexer as indexer_module
 from adaptidx.execution import JobSpec, Predicate
-from adaptidx.indexer import OfferPolicy
+from adaptidx.indexer import AdaptiveIndexer, OfferPolicy
 from adaptidx.registry import ReplicaKind
 from adaptidx.runner import WorkloadRunner, write_reports
 from adaptidx.workloads import gen_synthetic, gen_uservisits_like, search_word_predicate
@@ -135,6 +144,24 @@ def test_lazy_report_matches_golden(tmp_path):
     # Job 2 completed replicas in place, so job 3 read rewritten files.
     assert widths[0] < widths[1] == widths[2] < widths[4]
     assert sorted_journal("lazy", tmp_path) == (DATA / "golden_lazy_journal.txt").read_text()
+
+
+@pytest.mark.parametrize("kind", ["cold", "lazy"])
+def test_journal_does_not_follow_thread_timing(tmp_path, monkeypatch, kind):
+    report(kind, tmp_path / "undisturbed")
+    monkeypatch.setattr(indexer_module, "QUEUE_CAPACITY", 1)
+    stalls = random.Random(15)
+    index_one = AdaptiveIndexer._index_one
+
+    def stalled(self, work):
+        time.sleep(stalls.random() * 0.003)
+        return index_one(self, work)
+
+    monkeypatch.setattr(AdaptiveIndexer, "_index_one", stalled)
+    report(kind, tmp_path / "stalled")
+    journals = [(tmp_path / run / kind / "registry.journal").read_bytes()
+                for run in ("undisturbed", "stalled")]
+    assert journals[0] == journals[1]
 
 
 if __name__ == "__main__":
