@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .blocks import DataBlock, Schema
-from .blockfile import HeaderCache
+from .blockfile import HeaderCache, read_header
 from .errors import ConfigError, RegistryError
 from .execution import JobSpec, TaskContext, TaskResult, record_reader_scan
 from .indexer import UPLOAD, AdaptiveIndexer, IndexWork
@@ -150,15 +150,34 @@ class Cluster:
 
     @classmethod
     def open(cls, root: Path | str) -> "Cluster":
-        """Reopen a cluster directory: config plus replayed registry journal."""
+        """Reopen a cluster directory: config plus replayed registry journal,
+        with each partial replica's entry widened to what its file holds."""
         root = Path(root)
         config = ClusterConfig.from_file(root / CLUSTER_CONFIG)
         cluster = cls(config, root)
         journal = root / REGISTRY_JOURNAL
         if journal.exists():
             cluster.registry = ReplicaRegistry.load(journal)
+            cluster._register_completions()
             cluster._start_indexers()
         return cluster
+
+    def _register_completions(self) -> None:
+        """Register what each partial replica's file holds. A lazy completion
+        renames the wider file into place during a job and is registered when
+        the job drains, so a crash in between leaves the file wider than its
+        entry; `register_index` ignores a registration that widens nothing."""
+        for block_id, info in list(self.registry.iter_replicas()):
+            if info.kind != ReplicaKind.PARTIAL_PSEUDO:
+                continue
+            fd = os.open(info.path, os.O_RDONLY)
+            try:
+                names = read_header(fd).schema.names
+            finally:
+                os.close(fd)
+            self.registry.register_pseudo(
+                block_id, info.node_id, info.indexed_attribute, names, info.path
+            )
 
     def node_root(self, node_id: int) -> Path:
         return self.root / f"node_{node_id}"

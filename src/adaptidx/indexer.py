@@ -37,9 +37,10 @@ writer thread and an order that does not follow thread timing. Holding a
 registration back until the job drains is safe because a job's plan is fixed
 before any task runs and each block is in exactly one split per job, so
 nothing reads a registration between its hand-off and the drain. It does
-widen the window between a published file and its journal line to a job;
-a crash inside it leaves an orphan file, which the next publish of that
-(block, attribute) adopts (`write_pseudo_replica`).
+widen the window between a published file and its journal line to a job.
+A crash inside it leaves an orphan file, which the next publish of that
+(block, attribute) on its node adopts (`write_pseudo_replica`), or a lazily
+completed file wider than its entry, which `Cluster.open` registers.
 
 UPLOAD units are the HAIL-style upload: `Cluster.upload_dataset` hands each
 normal replica to its node's worker, which sorts and indexes it when it has
@@ -87,19 +88,21 @@ def build_index(
     """Sort a block on `attribute`; returns (sorted block, perm, sparse index).
 
     The order is the stable sort's, so equal keys keep their original
-    relative order and the permutation vector is deterministic. Numeric keys
-    try numpy's default sort first, several times faster, and keep its order
-    when the sorted keys strictly increase: with no two keys equal and no NaN
-    (which compares false to everything), only one order exists. Otherwise,
-    and for string keys, which the engine's workloads repeat, the stable sort
-    runs. Works on partial blocks too: any column present in the block is
-    realigned.
+    relative order and the permutation vector is deterministic. Float keys
+    try numpy's default sort first, about five times faster, and keep its
+    order when the sorted keys strictly increase: with no two keys equal and
+    no NaN (which compares false to everything), only one order exists.
+    Otherwise the stable sort runs, and the attempt is wasted. Integer and
+    string keys, which the engine's generators repeat within a block, go
+    straight to the stable sort: on 4096-row blocks of synthetic `a` the
+    attempt made `build_index` about a tenth slower. Works on partial
+    blocks too: any column present in the block is realigned.
     """
     if attribute not in block.schema:
         raise SchemaError(f"attribute {attribute!r} not present in block {block.block_id}")
     column = block.columns[attribute]
     keys = None
-    if column.dtype.kind in "if":
+    if column.dtype.kind == "f":
         order = np.argsort(column)
         keys = column.take(order)
         if not (keys[1:] > keys[:-1]).all():
@@ -211,7 +214,8 @@ def _adopt(
     path: Path, block_id: int, node_id: int, attribute: str, registry: ReplicaRegistry
 ) -> WriteResult:
     """The result of a publish that found `path` taken: LOST, after
-    registering the file when this node has no entry for (block, attribute).
+    registering the file when no node has an adaptive entry for (block,
+    attribute).
 
     Such a file is an orphan: a crash came between its publish and its
     journal line, and without adoption every later publish of it would lose
@@ -221,11 +225,7 @@ def _adopt(
     otherwise the attempt is FAILED and nothing is registered.
     """
     for info in registry.replicas(block_id):
-        if (
-            info.kind != ReplicaKind.NORMAL
-            and info.node_id == node_id
-            and info.indexed_attribute == attribute
-        ):
+        if info.kind != ReplicaKind.NORMAL and info.indexed_attribute == attribute:
             return WriteResult.LOST
     try:
         orphan = blockfile.read_block(path)

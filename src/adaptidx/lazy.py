@@ -23,8 +23,8 @@ A published replica is never written in place: an append writes the merged
 replica to a temp file and renames it over the old one, serialized by the
 owning node's single indexer thread. The indexer passes its registration
 recorder as `registry`, so the wider entry is registered when the indexer
-drains; a crash before that leaves the file wider than its entry, and the
-next completion of the replica registers what the file holds.
+drains; a crash before that leaves the file wider than its entry, and
+`Cluster.open` registers what the file holds.
 """
 
 from __future__ import annotations
@@ -54,20 +54,16 @@ def append_aligned_columns(
     """Append already-aligned columns to a partial replica; returns True on change.
 
     The replica is the node's own file at `pseudo_replica_path`; without one
-    this raises FileNotFoundError. Appending attributes that are all present
-    already changes no file, but registers what the file holds: a crash
-    between an earlier completion's rename and its registration leaves the
-    file wider than its registry entry, and `register_index` ignores a
-    registration that widens nothing. When the merge covers the whole schema
-    the permutation vector is removed and the registry entry is upgraded to a
-    full pseudo replica. A storage failure removes the temp file and
-    re-raises, leaving the old replica and its registry entry.
+    this raises FileNotFoundError. Appending an attribute that is already
+    present is a no-op. When the merge covers the whole schema the permutation
+    vector is removed and the registry entry is upgraded to a full pseudo
+    replica. A storage failure removes the temp file and re-raises, leaving the
+    old replica and its registry entry.
     """
     final = pseudo_replica_path(node_root, block_id, attribute)
     existing = read_block(final)
     new_names = [n for n in aligned.schema.names if n not in existing.schema.names]
     if not new_names:
-        registry.register_pseudo(block_id, node_id, attribute, existing.schema.names, final)
         return False
 
     merged_names = set(existing.schema.names) | set(new_names)

@@ -32,9 +32,10 @@ written. Durability order: a replica's file is published first, and its
 journal line is written after, when the job that built it drains its node's
 indexer, so a crash between the two, a window of up to one job, leaves a
 file without an entry (or a lazily completed file wider than its entry),
-never an entry without its file. Such a file is repaired where it is next
-used: a publish that loses to an orphan on its own node adopts it after
-reading it back whole, and a completion registers what its file holds.
+never an entry without its file. The next publish that loses to such an
+orphan adopts it, after reading it back whole, when no node has an entry
+for its (block, attribute); `Cluster.open` widens each partial entry to
+what its file holds.
 """
 
 from __future__ import annotations

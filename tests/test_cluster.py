@@ -405,27 +405,33 @@ def test_a_crash_between_publish_and_journal_line_is_repaired_by_adoption(
     _assert_registry_matches_files(cluster)
 
 
-def test_a_crash_between_completion_rename_and_journal_line_still_converges(
-    tmp_path, monkeypatch
+@pytest.mark.parametrize("last", [False, True])
+def test_a_crash_between_completion_rename_and_journal_line_is_repaired_on_open(
+    tmp_path, monkeypatch, last
 ):
-    # The files are wider than their entries; the next completions merge
-    # what the files hold with what they add and register all of it.
+    # The files are wider than their entries until Cluster.open registers
+    # what they hold. When the lost completion was the last one, no later
+    # job hands a completion off, so nothing else would widen the entries.
     def job(job_id, projection):
         return JobSpec(job_id, Predicate("b", 0.2, 0.6), projection, policy=OfferPolicy(rho=1.0))
 
-    cluster = _crash_before_journal(
-        tmp_path, monkeypatch, "lazy", [job("j1", ("b",))], job("j2", ("b", "c"))
-    )
+    names = ("a", "b", "c", "d", "e", "f")
+    crashing = job("j2", names if last else ("b", "c"))
+    cluster = _crash_before_journal(tmp_path, monkeypatch, "lazy", [job("j1", ("b",))], crashing)
     registry = cluster.registry
-    replicas = [info for _, info in registry.iter_replicas() if info.kind != ReplicaKind.NORMAL]
-    assert {frozenset(info.available_attributes) for info in replicas} == {frozenset({"b"})}
-    assert {_header(info.path).schema.names for info in replicas} == {("b", "c")}
+    assert registry.schema.names == names
+    adaptive = [info for _, info in registry.iter_replicas() if info.kind != ReplicaKind.NORMAL]
+    assert len(adaptive) == registry.block_count
+    assert {_header(info.path).schema.names for info in adaptive} == {crashing.projection}
+    assert {info.kind for info in adaptive} == {
+        ReplicaKind.PSEUDO if last else ReplicaKind.PARTIAL_PSEUDO
+    }
+    _assert_registry_matches_files(cluster)
 
-    names = registry.schema.names
     assert not WorkloadRunner(cluster).run_job(job("j3", names)).metrics.failed
     stats = [indexer.stats for indexer in cluster.indexers.values()]
     cluster.close()
-    assert sum(s.completed for s in stats) == registry.block_count
+    assert sum(s.completed for s in stats) == (0 if last else registry.block_count)
     assert sum(s.failures for s in stats) == 0
     for _, info in registry.iter_replicas():
         if info.kind != ReplicaKind.NORMAL:

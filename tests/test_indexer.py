@@ -333,6 +333,22 @@ def test_a_lost_publish_adopts_only_a_valid_orphan(tmp_path, kind, result):
         assert info is None
 
 
+def test_a_lost_publish_adopts_nothing_when_another_node_holds_the_entry(tmp_path):
+    # Only one adaptive entry per (block, attribute) is kept, so an orphan on
+    # node 0 cannot be registered beside node 1's entry: no read-back either.
+    schema = Schema.of(("d", "int64"), ("x", "float64"))
+    sorted_block, _, _ = build_index(make_block(schema, 100, seed=4), "d", 32)
+    registry = fresh_registry(schema)
+    registry.register_pseudo(0, 1, "d", schema.names, "elsewhere")
+    entries = list(registry.iter_replicas())
+    final = pseudo_replica_path(tmp_path, 0, "d")
+    final.parent.mkdir(parents=True)
+    _orphan("garbage", sorted_block, final)
+
+    assert write_pseudo_replica(sorted_block, tmp_path, 0, registry) == WriteResult.LOST
+    assert list(registry.iter_replicas()) == entries
+
+
 # -- the queue pipeline --------------------------------------------------------
 
 

@@ -203,32 +203,6 @@ def test_append_is_idempotent(tmp_path):
     assert append_aligned_columns(tmp_path / "node_0", 0, registry, 0, "d", aligned) is False
 
 
-def test_a_completion_registers_a_file_wider_than_its_entry(tmp_path):
-    # A crash between a completion's rename and its registration leaves the
-    # file wider than the entry; the next completion that finds nothing to
-    # add registers what the file holds.
-    base, registry = fixture_registry(tmp_path)
-    index_on_d(tmp_path, registry, _subset(base, ["b", "d"]))
-    oracle_sorted, _, _ = build_index(base, "d", 64)
-    aligned = DataBlock(0, SCHEMA.subset(["c"]), {"c": oracle_sorted.columns["c"]})
-
-    class Crashed:
-        schema = SCHEMA
-
-        def register_pseudo(self, *args):
-            pass
-
-    node_root = tmp_path / "node_0"
-    assert append_aligned_columns(node_root, 0, Crashed(), 0, "d", aligned) is True
-    assert registry.find_index(0, "d").available_attributes == {"b", "d"}
-    replica = pseudo_replica_path(node_root, 0, "d").read_bytes()
-    assert append_aligned_columns(node_root, 0, registry, 0, "d", aligned) is False
-    assert pseudo_replica_path(node_root, 0, "d").read_bytes() == replica
-    info = registry.find_index(0, "d")
-    assert info.kind == ReplicaKind.PARTIAL_PSEUDO
-    assert info.available_attributes == {"b", "c", "d"}
-
-
 def test_close_lands_a_completion_without_drain(tmp_path, monkeypatch):
     # A caller may hand work off and close without draining, so close alone
     # must wait until the completion it accepted is registered.
