@@ -49,7 +49,8 @@ through a temp file in the same directory followed by a hard link, so
 concurrent writers of the same path cannot clobber each other (at most one
 link succeeds). A lazy completion, which only the owning node's indexer
 thread makes, replaces a published partial replica whole: it writes the
-wider replica to a temp file and renames it over the old path.
+wider replica to a temp file and renames it over the old path. What a crash
+leaves of either, `Cluster._repair` clears at the next open.
 """
 
 from __future__ import annotations

@@ -42,15 +42,8 @@ from .runner import WorkloadRunner, write_reports
 from .workloads import Dataset, gen_synthetic, gen_uservisits_like
 
 
-def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    dataset = gen_synthetic(args.rows, args.seed)
-    size = dataset.to_file(args.out)
-    print(f"wrote {args.rows} rows ({size} bytes) to {args.out}")
-    return 0
-
-
-def _cmd_gen_uservisits(args: argparse.Namespace) -> int:
-    dataset = gen_uservisits_like(args.rows, args.seed)
+def _cmd_gen(args: argparse.Namespace) -> int:
+    dataset = args.generate(args.rows, args.seed)
     size = dataset.to_file(args.out)
     print(f"wrote {args.rows} rows ({size} bytes) to {args.out}")
     return 0
@@ -251,17 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-synthetic", help="generate the numeric dataset")
-    g.add_argument("--rows", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", type=Path, required=True)
-    g.set_defaults(fn=_cmd_gen_synthetic)
-
-    u = sub.add_parser("gen-uservisits", help="generate the web-log-like dataset")
-    u.add_argument("--rows", type=int, required=True)
-    u.add_argument("--seed", type=int, default=0)
-    u.add_argument("--out", type=Path, required=True)
-    u.set_defaults(fn=_cmd_gen_uservisits)
+    for name, what, generate in (
+        ("gen-synthetic", "numeric", gen_synthetic),
+        ("gen-uservisits", "web-log-like", gen_uservisits_like),
+    ):
+        g = sub.add_parser(name, help=f"generate the {what} dataset")
+        g.add_argument("--rows", type=int, required=True)
+        g.add_argument("--seed", type=int, default=0)
+        g.add_argument("--out", type=Path, required=True)
+        g.set_defaults(fn=_cmd_gen, generate=generate)
 
     up = sub.add_parser("upload", help="split a dataset into blocks on a cluster")
     up.add_argument("--dataset", type=Path, required=True)

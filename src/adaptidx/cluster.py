@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .blocks import DataBlock, Schema
 from .blockfile import HeaderCache, read_header
-from .errors import ConfigError, RegistryError
+from .errors import AdaptidxError, BlockFormatError, ConfigError, RegistryError
 from .execution import JobSpec, TaskContext, TaskResult, record_reader_scan
 from .indexer import UPLOAD, AdaptiveIndexer, IndexWork
 from .policy import save_json
@@ -150,34 +150,57 @@ class Cluster:
 
     @classmethod
     def open(cls, root: Path | str) -> "Cluster":
-        """Reopen a cluster directory: config plus replayed registry journal,
-        with each partial replica's entry widened to what its file holds."""
+        """Reopen a cluster directory: config, replayed registry journal, and
+        `_repair` of what a crash left in the nodes' pseudo directories."""
         root = Path(root)
         config = ClusterConfig.from_file(root / CLUSTER_CONFIG)
         cluster = cls(config, root)
         journal = root / REGISTRY_JOURNAL
         if journal.exists():
             cluster.registry = ReplicaRegistry.load(journal)
-            cluster._register_completions()
+            cluster._repair()
             cluster._start_indexers()
         return cluster
 
-    def _register_completions(self) -> None:
-        """Register what each partial replica's file holds. A lazy completion
-        renames the wider file into place during a job and is registered when
-        the job drains, so a crash in between leaves the file wider than its
-        entry; `register_index` ignores a registration that widens nothing."""
-        for block_id, info in list(self.registry.iter_replicas()):
-            if info.kind != ReplicaKind.PARTIAL_PSEUDO:
-                continue
-            fd = os.open(info.path, os.O_RDONLY)
-            try:
-                names = read_header(fd).schema.names
-            finally:
-                os.close(fd)
-            self.registry.register_pseudo(
-                block_id, info.node_id, info.indexed_attribute, names, info.path
-            )
+    def _repair(self) -> None:
+        """Reconcile each node's `pseudo/blk_*/*` files with the journal.
+
+        A crash can come after a replica file is published, or a lazy
+        completion renamed over it, and before the job's drain journals it,
+        or while a temp file (`.<attribute>.tmp.*`) is written. Files are
+        visited in (node, block id, attribute) order, so that the lines
+        appended are deterministic:
+        - a file whose (block, attribute) entry is on another node is deleted;
+        - the file of a full pseudo entry on its node is left unread;
+        - the file of a partial entry on its node is registered with what it
+          holds, which widens the entry if the crash lost its completion;
+        - any other file (an orphan, or a temp file, whose name is no
+          attribute) is registered if `_held_names` reads it and the registry
+          takes it, and deleted otherwise.
+        A directory no crash touched gains no journal byte and loses no file.
+        """
+        owners = {  # (block, attribute) -> (node, kind) of its adaptive entry
+            (b, info.indexed_attribute): (info.node_id, info.kind)
+            for b, info in self.registry.iter_replicas()
+            if info.kind != ReplicaKind.NORMAL
+        }
+        for node in self.node_ids():
+            pseudo = self.node_root(node) / "pseudo"
+            blocks = [(int(d.name[4:]), d) for d in pseudo.glob("blk_*") if d.name[4:].isdigit()]
+            for block_id, block_dir in sorted(blocks):
+                for path in sorted(block_dir.iterdir()):
+                    key = (block_id, path.name)
+                    owner, kind = owners.get(key, (None, None))
+                    if owner not in (None, node):
+                        path.unlink()
+                    elif kind != ReplicaKind.PSEUDO:
+                        try:
+                            names = _held_names(path, *key)
+                            self.registry.register_pseudo(block_id, node, path.name, names, path)
+                            owners[key] = (node, kind)
+                        except (OSError, ValueError, AdaptidxError):
+                            if owner is None:
+                                path.unlink()
 
     def node_root(self, node_id: int) -> Path:
         return self.root / f"node_{node_id}"
@@ -208,8 +231,11 @@ class Cluster:
         creation: as many clustered indexes as there are replicas. Each
         replica is written, and indexed, by its node's indexer thread; the
         calling thread drains them and then registers every block in block
-        order. If any replica fails, the indexers are closed, no block is
-        registered, the journal is removed and the first error is raised.
+        order. The journal is written under a temp name in the root and
+        renamed into place after the last block, so a crash mid-upload leaves
+        no dataset, and a retry replaces the temp file. If any replica fails,
+        the indexers are closed, the temp journal is removed and the first
+        error is raised.
         """
         schema: Schema = dataset.schema
         r = self.config.replication_factor
@@ -223,7 +249,9 @@ class Cluster:
         journal = self.root / REGISTRY_JOURNAL
         if self.registry is not None or journal.exists():
             raise RegistryError(f"cluster {self.root} already holds a dataset")
-        self.registry = ReplicaRegistry(schema, r, journal_path=journal)
+        temp = self.root / f".{REGISTRY_JOURNAL}.tmp"
+        temp.unlink(missing_ok=True)
+        self.registry = ReplicaRegistry(schema, r, journal_path=temp)
         self._start_indexers()
 
         per_block = self.config.records_per_block(schema)
@@ -259,15 +287,15 @@ class Cluster:
             errors = [exc for ix in self.indexers.values() for exc in ix.upload_errors]
             if errors:
                 raise errors[0]
+            for block_id, record_count, infos in blocks:
+                self.registry.add_block(block_id, record_count, infos)
+            self.registry.rename_journal(journal)
         except BaseException:
             self.close()
             self.indexers = {}
             self.registry = None
-            journal.unlink(missing_ok=True)
+            temp.unlink(missing_ok=True)
             raise
-
-        for block_id, record_count, infos in blocks:
-            self.registry.add_block(block_id, record_count, infos)
         return self.registry
 
     # -- execution -------------------------------------------------------------
@@ -333,3 +361,19 @@ class Cluster:
             indexer.close()
         if self.registry is not None:
             self.registry.close()
+
+
+def _held_names(path: Path, block_id: int, attribute: str) -> tuple[str, ...]:
+    """The attributes of the replica file at `path`. Raises unless its header
+    names `block_id`, is sorted on `attribute` and places every column and
+    the permutation vector inside the file: all that `read_block` checks."""
+    with open(path, "rb") as f:
+        header, size = read_header(f), os.fstat(f.fileno()).st_size
+    ends = [
+        header.column_offsets[name] + header.record_count * dtype.itemsize
+        for name, dtype in header.column_dtypes.items()
+    ]
+    ends.append(header.perm_offset + 8 * header.perm_count)  # 0 without a vector
+    if (header.block_id, header.sort_attribute) != (block_id, attribute) or max(ends) > size:
+        raise BlockFormatError(f"{path} is not a whole block {block_id} sorted on {attribute!r}")
+    return header.schema.names

@@ -30,17 +30,15 @@ alone decides.
 
 The worker never writes to the registry. It hands `write_pseudo_replica`
 and `lazy.append_aligned_columns` a `_Registrations` in place of the
-registry, which reads the registry but keeps each `register_pseudo` call, and
-`drain` and `close` apply the kept calls on the calling thread, in hand-off
-order. `Cluster.drain_indexers` drains node by node, so the journal has one
-writer thread and an order that does not follow thread timing. Holding a
+registry, which keeps each `register_pseudo` call, and `drain` and `close`
+apply the kept calls on the calling thread, in hand-off order.
+`Cluster.drain_indexers` drains node by node, so the journal has one writer
+thread and an order that does not follow thread timing. Holding a
 registration back until the job drains is safe because a job's plan is fixed
 before any task runs and each block is in exactly one split per job, so
-nothing reads a registration between its hand-off and the drain. It does
-widen the window between a published file and its journal line to a job.
-A crash inside it leaves an orphan file, which the next publish of that
-(block, attribute) on its node adopts (`write_pseudo_replica`), or a lazily
-completed file wider than its entry, which `Cluster.open` registers.
+nothing reads a registration between its hand-off and the drain. What a
+crash before the drain leaves on disk, `Cluster._repair` registers or
+deletes at the next open.
 
 UPLOAD units are the HAIL-style upload: `Cluster.upload_dataset` hands each
 normal replica to its node's worker, which sorts and indexes it when it has
@@ -66,8 +64,8 @@ import numpy as np
 from . import blockfile, lazy
 from .blocks import DataBlock, SparseClusteredIndex
 from .blockfile import publish_block_once, pseudo_replica_path, pseudo_temp_path
-from .errors import BlockFormatError, ConfigError, SchemaError
-from .registry import ReplicaKind, ReplicaRegistry
+from .errors import ConfigError, SchemaError
+from .registry import ReplicaRegistry
 
 DEFAULT_PAGE_SIZE = 1024
 # Work units one node's queue holds. It bounds memory only: hand-offs wait for
@@ -185,11 +183,11 @@ def write_pseudo_replica(
 
     The replica is written to a temp file and hard-linked into place, so with
     concurrent writers for the same (block, attribute) exactly one wins; the
-    loser removes its temp file and reports LOST, registering the file only
-    as `_adopt` describes. Storage failures abandon the block silently
-    (FAILED): indexing must never jeopardize the job that piggybacked it.
-    `registry` may be an indexer's `_Registrations`, which holds the
-    registration until the indexer drains.
+    loser removes its temp file and reports LOST. Storage failures abandon
+    the block silently (FAILED): indexing must never jeopardize the job that
+    piggybacked it. `registry` may be an indexer's `_Registrations`, which
+    holds the registration until the indexer drains (for a crash before
+    that, see `Cluster._repair`).
     """
     attribute = sorted_block.sort_attribute
     if attribute is None or sorted_block.index is None:
@@ -202,39 +200,12 @@ def write_pseudo_replica(
     except OSError:
         return WriteResult.FAILED
     if not won:
-        return _adopt(final, sorted_block.block_id, node_id, attribute, registry)
+        return WriteResult.LOST
 
     registry.register_pseudo(
         sorted_block.block_id, node_id, attribute, sorted_block.schema.names, final
     )
     return WriteResult.WON
-
-
-def _adopt(
-    path: Path, block_id: int, node_id: int, attribute: str, registry: ReplicaRegistry
-) -> WriteResult:
-    """The result of a publish that found `path` taken: LOST, after
-    registering the file when no node has an adaptive entry for (block,
-    attribute).
-
-    Such a file is an orphan: a crash came between its publish and its
-    journal line, and without adoption every later publish of it would lose
-    and the block would never be indexed. It is registered with the
-    attributes it holds, and only when it reads back whole (every column and
-    the permutation vector) as a block of this id sorted on `attribute`;
-    otherwise the attempt is FAILED and nothing is registered.
-    """
-    for info in registry.replicas(block_id):
-        if info.kind != ReplicaKind.NORMAL and info.indexed_attribute == attribute:
-            return WriteResult.LOST
-    try:
-        orphan = blockfile.read_block(path)
-    except (OSError, ValueError, BlockFormatError, SchemaError):
-        return WriteResult.FAILED
-    if orphan.block_id != block_id or orphan.sort_attribute != attribute:
-        return WriteResult.FAILED
-    registry.register_pseudo(block_id, node_id, attribute, orphan.schema.names, path)
-    return WriteResult.LOST
 
 
 # -- the per-node indexer ----------------------------------------------------
@@ -266,7 +237,8 @@ class IndexerStats:
     work off, the rest by the node's worker thread, except that `failures`
     also counts, on the draining thread, registrations the registry refused.
     That thread writes it only once the queue is empty and the worker idle,
-    so no field is written by two threads at once."""
+    so no field is written by two threads at once. `lost_races` counts only
+    publishes that lost to a concurrent writer of the same file."""
 
     enqueued: int = 0
     rejected_full: int = 0  # work refused because the indexer was closed
@@ -279,13 +251,12 @@ class IndexerStats:
 
 class _Registrations:
     """What a node's worker hands `write_pseudo_replica` and
-    `lazy.append_aligned_columns` in place of the registry: the schema and
-    `replicas` read the registry, and `register_pseudo` keeps its arguments
-    in `pending`, in call order, for the indexer to apply when it drains."""
+    `lazy.append_aligned_columns` in place of the registry: the registry's
+    schema, and a `register_pseudo` that keeps its arguments in `pending`,
+    in call order, for the indexer to apply when it drains."""
 
     def __init__(self, registry: ReplicaRegistry) -> None:
         self.schema = registry.schema
-        self.replicas = registry.replicas
         self.pending: list[tuple] = []
 
     def register_pseudo(self, *args) -> None:

@@ -23,23 +23,18 @@ A published replica is never written in place: an append writes the merged
 replica to a temp file and renames it over the old one, serialized by the
 owning node's single indexer thread. The indexer passes its registration
 recorder as `registry`, so the wider entry is registered when the indexer
-drains; a crash before that leaves the file wider than its entry, and
-`Cluster.open` registers what the file holds.
+drains (for a crash before that, see `Cluster._repair`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import uuid
 from pathlib import Path
 
 from .blocks import DataBlock
-from .blockfile import (
-    pseudo_replica_path,
-    pseudo_temp_path,
-    read_block,
-    write_block,
-)
+from .blockfile import pseudo_replica_path, pseudo_temp_path, read_block, write_block
 from .registry import ReplicaRegistry
 
 
@@ -88,10 +83,8 @@ def append_aligned_columns(
         write_block(merged, temp)
         os.replace(temp, final)
     except OSError:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(temp)
-        except OSError:
-            pass
         raise
 
     registry.register_pseudo(block_id, node_id, attribute, schema.names, final)

@@ -28,14 +28,8 @@ its count moves there.
 The journal is appended through one handle per registry, opened by the
 first append after the journal is attached and closed by `close`
 (`Cluster.close` calls it); each record is one line, flushed as it is
-written. Durability order: a replica's file is published first, and its
-journal line is written after, when the job that built it drains its node's
-indexer, so a crash between the two, a window of up to one job, leaves a
-file without an entry (or a lazily completed file wider than its entry),
-never an entry without its file. The next publish that loses to such an
-orphan adopts it, after reading it back whole, when no node has an entry
-for its (block, attribute); `Cluster.open` widens each partial entry to
-what its file holds.
+written. A replica's file is published before its journal line, never
+after; `Cluster._repair` reconciles the two after a crash.
 """
 
 from __future__ import annotations
@@ -198,6 +192,11 @@ class ReplicaRegistry:
             self._close_journal = weakref.finalize(self, self._journal.close)
         self._journal.write(json.dumps(record) + "\n")
         self._journal.flush()
+
+    def rename_journal(self, path: Path | str) -> None:
+        """Move the journal to `path` in its directory; later appends go there."""
+        os.replace(self._journal_path, path)
+        self._journal_path = Path(path)
 
     def close(self) -> None:
         """Close the journal's append handle; a later append opens it again."""

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from adaptidx.cli import main
+from adaptidx.registry import ReplicaRegistry
 
 
 def write_config(path, **overrides):
@@ -500,3 +501,35 @@ def test_fractional_and_infinite_int64_bounds_run_and_nan_fails_the_job(tmp_path
     err = capsys.readouterr().err
     assert "nan failed: NaN bound for int64 attribute 'a'" in err
     assert "Traceback" not in err
+
+
+def test_run_repairs_a_crashed_cluster_directory(tmp_path):
+    root = gen_and_upload(tmp_path)  # 8 blocks
+    journal = root / "registry.journal"
+    uploaded = journal.stat().st_size
+    jobs = write_jobs(
+        tmp_path / "jobs.json",
+        [{"predicate": {"attribute": "b", "low": 0.1, "high": 0.3}, "projection": "all",
+          "offer_rate": 0.5}],
+    )
+    run = ["run", "--root", str(root), "--jobs", str(jobs), "--report"]
+    assert main([*run, str(tmp_path / "first")]) == 0
+    # A crash lost the job's journal lines, mid-append of the first, and
+    # left a temp file beside one of its four replicas.
+    lines = journal.read_bytes()[uploaded:]
+    with open(journal, "r+b") as f:
+        f.truncate(uploaded)
+        f.seek(uploaded)
+        f.write(lines[:40])
+    orphans = sorted(root.glob("node_*/pseudo/blk_*/b"))
+    assert len(orphans) == 4
+    orphans[0].with_name(".b.tmp.0a1b2c3d4e5f").write_bytes(b"half a replica")
+
+    assert main([*run, str(tmp_path / "second")]) == 0
+    with open(tmp_path / "second.csv") as f:
+        (row,) = csv.DictReader(f)
+    assert (row["blocks_indexed_before"], row["blocks_indexed_after"]) == ("4", "8")
+    assert not list(root.rglob("*.tmp.*"))
+    assert journal.read_bytes().endswith(b"\n")
+    registry = ReplicaRegistry.load(journal)
+    assert registry.indexed_block_count("b") == 8 == len(list(root.glob("node_*/pseudo/blk_*/b")))

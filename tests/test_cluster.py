@@ -1,17 +1,23 @@
 import json
 import os
+import shutil
+import tempfile
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from adaptidx.blockfile import read_header
+from adaptidx.blocks import DataBlock
+from adaptidx.blockfile import read_block, read_header, write_block
 from adaptidx.cluster import CLUSTER_CONFIG, REGISTRY_JOURNAL, Cluster, ClusterConfig
 import adaptidx.indexer as indexer_module
 from adaptidx.errors import ConfigError, RegistryError
 from adaptidx.execution import JobSpec, Predicate, ScanKind
-from adaptidx.indexer import OfferPolicy
+from adaptidx.indexer import OfferPolicy, build_index
 from adaptidx.registry import ReplicaKind, ReplicaRegistry
 from adaptidx.runner import WorkloadRunner
 from adaptidx.scheduler import plan_job
@@ -385,23 +391,18 @@ def _assert_registry_matches_files(cluster):
     assert {n: replayed.pseudo_count(n, "b") for n in nodes} == recount
 
 
-def test_a_crash_between_publish_and_journal_line_is_repaired_by_adoption(
-    tmp_path, monkeypatch
-):
-    # Without adoption every later publish of an orphan would lose and its
-    # block would never be indexed.
+def test_a_crash_between_publish_and_journal_line_is_repaired_on_open(tmp_path, monkeypatch):
+    # Unrepaired, every later publish of an orphan would lose and its block
+    # would never be indexed.
     job = JobSpec("j1", Predicate("b", 0.2, 0.6), ("b",), policy=OfferPolicy(rho=1.0))
     cluster = _crash_before_journal(tmp_path, monkeypatch, "invisible", [], job)
-    assert cluster.registry.indexed_block_count("b") == 0
-    blocks = cluster.registry.block_count
-    assert sum(_recount(cluster.root, cluster.node_ids(), "b").values()) == blocks
+    _assert_registry_matches_files(cluster)
 
     again = JobSpec("j2", Predicate("b", 0.2, 0.6), ("b",), policy=OfferPolicy(rho=1.0))
     assert not WorkloadRunner(cluster).run_job(again).metrics.failed
     stats = [indexer.stats for indexer in cluster.indexers.values()]
     cluster.close()
-    assert sum(s.lost_races for s in stats) == blocks
-    assert sum(s.written + s.failures for s in stats) == 0
+    assert sum(s.written + s.lost_races + s.failures for s in stats) == 0
     _assert_registry_matches_files(cluster)
 
 
@@ -437,3 +438,185 @@ def test_a_crash_between_completion_rename_and_journal_line_is_repaired_on_open(
         if info.kind != ReplicaKind.NORMAL:
             assert info.kind == ReplicaKind.PSEUDO
     _assert_registry_matches_files(cluster)
+
+
+def _b_job(job_id, projection=("b",), rho=1.0):
+    return JobSpec(job_id, Predicate("b", 0.2, 0.6), projection, policy=OfferPolicy(rho=rho))
+
+
+def _orphan(kind, block, path):
+    """Leave at `path` what a crash before the journal line might have left
+    of `block`'s replica sorted on b."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if kind == "garbage":
+        path.write_bytes(b"not a block file")
+        return
+    if kind == "other_block":
+        block = DataBlock(3, block.schema, block.columns)
+    write_block(build_index(block, "a" if kind == "other_attribute" else "b", 128)[0], path)
+    if kind == "truncated":
+        os.truncate(path, path.stat().st_size - 1)
+
+
+@pytest.mark.parametrize("kind", ["valid", "garbage", "other_block", "other_attribute", "truncated"])
+def test_open_registers_only_a_valid_orphan(tmp_path, kind):
+    root = tmp_path / "c"
+    cluster = make_cluster(root, nodes=2, replication=1, block_records=500)
+    cluster.upload_dataset(gen_synthetic(500, seed=4))  # one block, on node 0
+    cluster.close()
+    final = cluster.node_root(0) / "pseudo" / "blk_0" / "b"
+    _orphan(kind, read_block(cluster.registry.normal_replicas(0)[0].path), final)
+    journal = (root / REGISTRY_JOURNAL).read_bytes()
+
+    cluster = Cluster.open(root)
+    info = cluster.registry.find_index(0, "b")
+    if kind == "valid":
+        assert (info.node_id, info.kind, info.path) == (0, ReplicaKind.PSEUDO, str(final))
+    else:
+        assert info is None and not final.exists()
+        assert (root / REGISTRY_JOURNAL).read_bytes() == journal
+    assert not WorkloadRunner(cluster).run_job(_b_job("j")).metrics.failed
+    stats = cluster.indexers[0].stats
+    cluster.close()
+    assert (stats.written, stats.lost_races, stats.failures) == (int(kind != "valid"), 0, 0)
+    _assert_registry_matches_files(cluster)
+
+
+def test_open_deletes_an_orphan_when_another_node_holds_the_entry(tmp_path):
+    # Only one adaptive entry per (block, attribute) is kept, so a copy on
+    # another node can never be registered: it is deleted, valid or not.
+    root = tmp_path / "c"
+    cluster = make_cluster(root, nodes=2, replication=2, block_records=500)
+    cluster.upload_dataset(gen_synthetic(500, seed=4))
+    assert not WorkloadRunner(cluster).run_job(_b_job("j")).metrics.failed
+    cluster.close()
+    info = cluster.registry.find_index(0, "b")
+    orphan = cluster.node_root(1 - info.node_id) / "pseudo" / "blk_0" / "b"
+    orphan.parent.mkdir(parents=True)
+    orphan.write_bytes(Path(info.path).read_bytes())
+    journal = (root / REGISTRY_JOURNAL).read_bytes()
+    entries = list(cluster.registry.iter_replicas())
+
+    reopened = Cluster.open(root)
+    reopened.close()
+    assert not orphan.exists() and Path(info.path).exists()
+    assert list(reopened.registry.iter_replicas()) == entries
+    assert (root / REGISTRY_JOURNAL).read_bytes() == journal
+
+
+def _tree(root):
+    """The journal's bytes and every file under the nodes' pseudo directories."""
+    files = sorted(str(p.relative_to(root)) for p in root.glob("node_*/pseudo/*/*"))
+    return (root / REGISTRY_JOURNAL).read_bytes(), files
+
+
+def test_open_registers_the_first_of_two_orphan_copies(tmp_path):
+    # Nodes are visited in order: node 0's copy is registered, and node 1's
+    # then has its entry on another node.
+    root = tmp_path / "c"
+    cluster = make_cluster(root, nodes=2, replication=2, block_records=500)
+    cluster.upload_dataset(gen_synthetic(500, seed=4))
+    cluster.close()
+    block = read_block(cluster.registry.normal_replicas(0)[0].path)
+    copies = [cluster.node_root(n) / "pseudo" / "blk_0" / "b" for n in (0, 1)]
+    for path in copies:
+        _orphan("valid", block, path)
+
+    Cluster.open(root).close()
+    repaired = _tree(root)
+    reopened = Cluster.open(root)
+    reopened.close()
+    info = reopened.registry.find_index(0, "b")
+    assert (info.node_id, info.path) == (0, str(copies[0]))
+    assert copies[0].exists() and not copies[1].exists()
+    assert _tree(root) == repaired
+
+
+def test_open_leaves_an_uncrashed_lazy_cluster_unchanged(tmp_path):
+    root = tmp_path / "c"
+    cluster = make_cluster(
+        root, nodes=3, slots=1, replication=2, block_records=500, projection_mode="lazy"
+    )
+    cluster.upload_dataset(gen_synthetic(3_000, seed=5))
+    runner = WorkloadRunner(cluster)
+    for job in (_b_job("j1", rho=0.5), _b_job("j2", ("b", "c"), rho=0.5)):
+        assert not runner.run_job(job).metrics.failed
+    cluster.close()
+    kinds = {info.kind for _, info in cluster.registry.iter_replicas()}
+    assert ReplicaKind.PARTIAL_PSEUDO in kinds
+    before = _tree(root)
+    Cluster.open(root).close()
+    assert _tree(root) == before
+
+
+@pytest.fixture(scope="module")
+def crash_bases(tmp_path_factory):
+    """Per projection mode, a cluster directory after an upload and two
+    jobs, and the length of its journal after the upload."""
+    bases = {}
+    for mode in ("invisible", "lazy"):
+        root = tmp_path_factory.mktemp(mode) / "cl"
+        cluster = make_cluster(
+            root, nodes=3, slots=1, replication=2, block_records=500, projection_mode=mode
+        )
+        cluster.upload_dataset(gen_synthetic(3_000, seed=5))
+        uploaded = (root / REGISTRY_JOURNAL).stat().st_size
+        runner = WorkloadRunner(cluster)
+        for job in (_b_job("j1", rho=0.5), _b_job("j2", ("b", "c"))):
+            assert not runner.run_job(job).metrics.failed
+        cluster.close()
+        bases[mode] = root, uploaded
+    return bases
+
+
+@settings(max_examples=15, deadline=None)
+@given(mode=st.sampled_from(["invisible", "lazy"]), data=st.data())
+def test_repair_after_any_crash_is_idempotent_deterministic_and_converges(
+    crash_bases, mode, data
+):
+    # Cutting the journal after any of the jobs' lines loses the lines of
+    # every later publish and lazy completion, whose files stay; cutting
+    # inside a line tears the tail.
+    base, uploaded = crash_bases[mode]
+    journal = (base / REGISTRY_JOURNAL).read_bytes()
+    lines = journal[uploaded:].splitlines(keepends=True)
+    kept = data.draw(st.integers(0, len(lines)), label="job lines kept")
+    torn = lines[kept][: data.draw(st.integers(1, 60))] if kept < len(lines) else b""
+    temp = data.draw(st.none() | st.tuples(st.integers(0, 2), st.integers(0, 5)), label="temp")
+
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        crashed, copy = work / "a" / "cl", work / "copy"
+        shutil.copytree(base, crashed)
+        (crashed / REGISTRY_JOURNAL).write_bytes(
+            journal[: uploaded + sum(map(len, lines[:kept]))] + torn
+        )
+        if temp is not None:
+            path = crashed / f"node_{temp[0]}" / "pseudo" / f"blk_{temp[1]}" / ".b.tmp.0a1b2c3d4e5f"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"half a replica")
+        shutil.copytree(crashed, copy)
+        (work / "b").mkdir()
+        cwd = os.getcwd()
+        os.chdir(work / "b")
+        try:
+            Cluster.open("../a/cl").close()
+            repaired = _tree(crashed)
+            Cluster.open("../a/cl").close()
+            assert _tree(crashed) == repaired
+            Cluster.open(copy).close()
+            assert _tree(copy)[0] == repaired[0]
+
+            cluster = Cluster.open("../a/cl")
+            runner = WorkloadRunner(cluster)
+            for n in range(3):
+                if cluster.registry.indexed_block_count("b") == cluster.registry.block_count:
+                    break
+                assert not runner.run_job(_b_job(f"r{n}")).metrics.failed
+            stats = [indexer.stats for indexer in cluster.indexers.values()]
+            cluster.close()
+            assert sum(s.lost_races + s.failures for s in stats) == 0
+            _assert_registry_matches_files(cluster)
+            assert not list(crashed.rglob("*.tmp.*"))
+        finally:
+            os.chdir(cwd)

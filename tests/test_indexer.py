@@ -1,5 +1,4 @@
 import math
-import os
 import threading
 import time
 
@@ -284,69 +283,6 @@ def test_write_failure_leaves_no_trace(tmp_path, monkeypatch):
     parent = tmp_path / "pseudo" / "blk_0"
     assert not any(parent.iterdir())  # temp cleaned up
     assert registry.find_index(0, "d") is None
-
-
-def _orphan(kind, sorted_block, path):
-    """Leave at `path` what a crash before the journal line left there."""
-    if kind == "garbage":
-        path.write_bytes(b"not a block file")
-        return
-    if kind == "other_block":
-        sorted_block = build_index(make_block(sorted_block.schema, 40, block_id=3), "d", 32)[0]
-    if kind == "other_attribute":
-        sorted_block = build_index(sorted_block, "x", 32)[0]
-    blockfile.write_block(sorted_block, path)
-    if kind == "truncated":
-        os.truncate(path, path.stat().st_size - 1)
-
-
-@pytest.mark.parametrize(
-    "kind, result",
-    [
-        ("valid", WriteResult.LOST),
-        ("garbage", WriteResult.FAILED),
-        ("other_block", WriteResult.FAILED),
-        ("other_attribute", WriteResult.FAILED),
-        ("truncated", WriteResult.FAILED),
-    ],
-)
-def test_a_lost_publish_adopts_only_a_valid_orphan(tmp_path, kind, result):
-    schema = Schema.of(("d", "int64"), ("x", "float64"))
-    sorted_block, _, _ = build_index(make_block(schema, 100, seed=4), "d", 32)
-    registry = fresh_registry(schema)
-    final = pseudo_replica_path(tmp_path, 0, "d")
-    final.parent.mkdir(parents=True)
-    _orphan(kind, sorted_block, final)
-    orphan = final.read_bytes()
-
-    assert write_pseudo_replica(sorted_block, tmp_path, 0, registry) == result
-    assert final.read_bytes() == orphan
-    info = registry.find_index(0, "d")
-    if result == WriteResult.LOST:
-        assert info is not None and info.kind == ReplicaKind.PSEUDO
-        assert (info.node_id, info.path) == (0, str(final))
-        # Registered once: a later lost publish finds the entry and adopts nothing.
-        entries = list(registry.iter_replicas())
-        assert write_pseudo_replica(sorted_block, tmp_path, 0, registry) == WriteResult.LOST
-        assert list(registry.iter_replicas()) == entries
-    else:
-        assert info is None
-
-
-def test_a_lost_publish_adopts_nothing_when_another_node_holds_the_entry(tmp_path):
-    # Only one adaptive entry per (block, attribute) is kept, so an orphan on
-    # node 0 cannot be registered beside node 1's entry: no read-back either.
-    schema = Schema.of(("d", "int64"), ("x", "float64"))
-    sorted_block, _, _ = build_index(make_block(schema, 100, seed=4), "d", 32)
-    registry = fresh_registry(schema)
-    registry.register_pseudo(0, 1, "d", schema.names, "elsewhere")
-    entries = list(registry.iter_replicas())
-    final = pseudo_replica_path(tmp_path, 0, "d")
-    final.parent.mkdir(parents=True)
-    _orphan("garbage", sorted_block, final)
-
-    assert write_pseudo_replica(sorted_block, tmp_path, 0, registry) == WriteResult.LOST
-    assert list(registry.iter_replicas()) == entries
 
 
 # -- the queue pipeline --------------------------------------------------------

@@ -6,7 +6,9 @@ after draining. So the uploaded tree must not depend on thread pacing.
 """
 
 import dataclasses
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -220,4 +222,41 @@ def test_the_journal_handle_closes_with_the_cluster_and_with_a_failed_upload(
     assert handles[2].closed
     reopened = Cluster.open(root)
     assert reopened.registry.indexed_block_count("a") == 20
+    reopened.close()
+
+
+def test_an_upload_killed_between_block_registrations_leaves_no_dataset(tmp_path):
+    # The process dies after two of six blocks are journaled. The journal
+    # was renamed into place only after the last block, so the directory
+    # holds no dataset, and a new upload is not refused.
+    root = tmp_path / "c"
+    script = f"""
+import os
+from adaptidx.cluster import Cluster, ClusterConfig
+from adaptidx.registry import ReplicaRegistry
+from adaptidx.workloads import gen_synthetic
+
+add_block = ReplicaRegistry.add_block
+
+def add_block_then_die(self, block_id, *args):
+    if block_id == 2:
+        os._exit(17)
+    add_block(self, block_id, *args)
+
+ReplicaRegistry.add_block = add_block_then_die
+config = ClusterConfig(node_count=3, replication_factor=2, block_records=500)
+Cluster(config, {str(root)!r}).upload_dataset(gen_synthetic(3_000, seed=8))
+"""
+    src = str(Path(indexer_module.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 17
+    assert [p.name for p in root.glob(".*")] == [f".{REGISTRY_JOURNAL}.tmp"]
+
+    cluster = Cluster.open(root)
+    assert cluster.registry is None
+    assert cluster.upload_dataset(gen_synthetic(3_000, seed=8)).block_count == 6
+    cluster.close()
+    assert not list(root.glob(".*"))
+    reopened = Cluster.open(root)
+    assert reopened.registry.block_count == 6
     reopened.close()
