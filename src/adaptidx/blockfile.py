@@ -22,23 +22,21 @@ into a fresh array. Every reader takes a raw descriptor from
 opens its file that way too), or a binary file object, whose descriptor it
 uses; a file object's buffer would only be bypassed.
 
-A HeaderCache keeps each path's header bytes and their parse, keyed by the
-path the caller names. A read through it does one `os.pread` of the stored
-length and returns the stored, read-only header while those bytes are
-unchanged; otherwise it parses again. The parse depends on nothing but
-those bytes, so a file rewritten at the same path (lazy completion renames
-over its replica) is parsed afresh without any invalidation. A parsed
-header also carries what a range read needs, computed once per parse: the
-column dtypes (from the memoised attribute table) and the index's page
-starts as Python ints, so `read_column_range` looks up no schema and
-converts no numpy scalar, and does its one `os.preadv` with no helper in
-between.
+An OpenReplicas table keeps replica files open across jobs, each with its
+parsed header: a miss opens the file and parses the header, a hit does
+neither. It trusts a file not to change under a path that has an entry,
+which holds while one process owns the cluster directory (see
+`execution`). A parsed header also carries what a range read needs,
+computed once per parse: the column dtypes (from the memoised attribute
+table) and the index's page starts as Python ints, so `read_column_range`
+looks up no schema and converts no numpy scalar, and does its one
+`os.preadv` with no helper in between.
 
 Every read helper takes an optional ReadCounter, charged exactly the bytes
-the format needs (the header's own length, not the probe's, whether parsed
-or cached), which is what the simulated cost model bills; tests use it to
-verify projection isolation. A file that ends early raises BlockFormatError
-from every reader.
+the format needs (the header's own length, not the probe's, read or not),
+which is what the simulated cost model bills; tests use it to verify
+projection isolation. A file that ends early raises BlockFormatError from
+every reader.
 
 `write_block` creates a file with one `os.open` (making its directory only
 when that fails) and hands the header and the column arrays to `os.writev`
@@ -57,7 +55,9 @@ from __future__ import annotations
 
 import functools
 import os
+import resource
 import struct
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -95,7 +95,7 @@ class ReadCounter:
 
 @dataclass(frozen=True)
 class BlockFileHeader:
-    """A parsed header; read-only, because a HeaderCache serves it to many reads.
+    """A parsed header; read-only, because an OpenReplicas serves it to many reads.
 
     Besides the file's fields it carries what a range read needs, computed
     once per parse: each column's dtype, and the index's page starts as
@@ -231,8 +231,8 @@ def _attribute_table(
 
     Memoised on the bytes themselves, so replicas with the same layout share
     one parse and a rewritten replica can never be served a stale one. Full
-    scans and lazy completions parse every header they read, without a
-    HeaderCache; without this memo the lazy_uservisits benchmark ran about
+    scans and lazy completions parse every header they read, outside any
+    OpenReplicas; without this memo the lazy_uservisits benchmark ran about
     6% slower.
     """
     record_count, n_attrs = _COUNTS.unpack_from(raw)
@@ -343,39 +343,59 @@ def _parse_header(fd: int) -> tuple[BlockFileHeader, bytes]:
     ), buf[:pos]
 
 
-class HeaderCache:
-    """Parsed block-file headers, one entry per path, reused while unchanged.
+# Most replica files an OpenReplicas keeps open; it also keeps to half the
+# soft descriptor limit, to leave the rest of the process its descriptors.
+MAX_OPEN_REPLICAS = 4096
 
-    Entries are keyed by the path the caller passes with a descriptor, or
-    by the name a file object was opened with when no path is passed. Not
-    thread-safe: one thread reads through a cache.
+
+def _close_all(entries: dict) -> None:
+    while entries:
+        os.close(entries.popitem()[1][0])
+
+
+class OpenReplicas:
+    """Open replica files with their parsed headers, one entry per path.
+
+    An entry lives until `drop` or `close`, until it is the oldest of a full
+    table, or until the table is collected. One thread uses a table.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[str, tuple[BlockFileHeader, bytes]] = {}
+        soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+        half = MAX_OPEN_REPLICAS if soft == resource.RLIM_INFINITY else soft // 2
+        self.capacity = max(1, min(MAX_OPEN_REPLICAS, half))
+        self._entries: dict[str, tuple[int, BlockFileHeader, int]] = {}  # fd, header, its length
+        weakref.finalize(self, _close_all, self._entries)
 
-    def read(
-        self, f: FileLike, counter: Optional[ReadCounter] = None, path: Optional[str] = None
-    ) -> BlockFileHeader:
-        """The header of `f`, the file at `path`, charged to `counter`
-        exactly as `read_header` charges it.
-
-        A cached header is returned only when one `os.pread` of its length
-        equals the bytes it was parsed from; otherwise the file is parsed
-        again, which also raises for a file truncated inside its header.
-        """
-        if type(f) is not int:
-            path = f.name if path is None else path
-            f = f.fileno()
-        elif path is None:
-            raise TypeError("HeaderCache.read needs the path of a descriptor")
+    def open(self, path: str, counter: Optional[ReadCounter] = None) -> tuple[int, BlockFileHeader]:
+        """The descriptor and header of the file at `path`, charged to
+        `counter` as `read_header` charges it. A miss opens and parses the
+        file, evicting the oldest entry of a full table; a header that does
+        not parse raises and leaves no entry and no open descriptor."""
         entry = self._entries.get(path)
-        if entry is None or os.pread(f, len(entry[1]), 0) != entry[1]:
-            entry = self._entries[path] = _parse_header(f)
-        header, raw = entry
+        if entry is None:
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                header, raw = _parse_header(fd)
+            except BaseException:
+                os.close(fd)
+                raise
+            if len(self._entries) >= self.capacity:
+                os.close(self._entries.pop(next(iter(self._entries)))[0])
+            entry = self._entries[path] = (fd, header, len(raw))
         if counter is not None:
-            counter.bytes_read += len(raw)
-        return header
+            counter.bytes_read += entry[2]
+        return entry[0], entry[1]
+
+    def drop(self, path: str) -> None:
+        """Forget `path` and close its descriptor, if it has an entry."""
+        entry = self._entries.pop(path, None)
+        if entry is not None:
+            os.close(entry[0])
+
+    def close(self) -> None:
+        """Close every descriptor; a later `open` starts afresh."""
+        _close_all(self._entries)
 
 
 def read_permutation(
@@ -440,11 +460,7 @@ def read_block(
     fd = os.open(path, os.O_RDONLY)
     try:
         header = read_header(fd, counter)
-        names = header.schema.names if projection is None else tuple(projection)
-        for name in names:
-            if name not in header.schema:
-                raise SchemaError(f"unknown attribute {name!r} in projection")
-        sub = header.schema.subset(names)
+        sub = header.schema if projection is None else header.schema.subset(projection)
 
         columns = {
             a.name: read_column_range(fd, header, a.name, 0, header.record_count, counter)

@@ -8,23 +8,26 @@ indexer thread: it writes the node's normal replicas during the upload,
 sorting and indexing those with an upload-time index as HAIL does, and then
 builds and writes adaptive indexes beside the map tasks, leaving their
 registration to the thread that drains it; `close` returns once every
-indexer has landed and registered the work it accepted. Time is simulated
-deterministically: a task costs its bytes read times a configured
-per-byte cost, so the adaptive-indexing cost model can be checked exactly
-instead of against noisy wall clocks.
+indexer has landed and registered the work it accepted. Index scans keep
+each replica open from its first read until a drain registers its path or
+the cluster closes, assuming one process owns the directory (see
+`execution`). Time is simulated deterministically: a task costs its bytes
+read times a configured per-byte cost, so the adaptive-indexing cost model
+can be checked exactly instead of against noisy wall clocks.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import traceback
 from dataclasses import InitVar, asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .blocks import DataBlock, Schema
-from .blockfile import HeaderCache, read_header
+from .blockfile import OpenReplicas, read_header
 from .errors import AdaptidxError, BlockFormatError, ConfigError, RegistryError
 from .execution import JobSpec, TaskContext, TaskResult, record_reader_scan
 from .indexer import UPLOAD, AdaptiveIndexer, IndexWork
@@ -143,7 +146,7 @@ class Cluster:
         self.root = Path(root)
         self.registry: Optional[ReplicaRegistry] = None
         self.indexers: dict[int, AdaptiveIndexer] = {}
-        self.headers = HeaderCache()  # read by map tasks, which run on one thread
+        self.open_replicas = OpenReplicas()  # used by map tasks, which run on one thread
         for k in range(config.node_count):
             (self.node_root(k) / "blocks").mkdir(parents=True, exist_ok=True)
         config.save(self.root / CLUSTER_CONFIG)
@@ -233,9 +236,10 @@ class Cluster:
         calling thread drains them and then registers every block in block
         order. The journal is written under a temp name in the root and
         renamed into place after the last block, so a crash mid-upload leaves
-        no dataset, and a retry replaces the temp file. If any replica fails,
-        the indexers are closed, the temp journal is removed and the first
-        error is raised.
+        no dataset, and a retry replaces the temp file and first deletes the
+        replica files the crash left. If any replica fails, the indexers are
+        closed, the temp journal and every replica file are removed and the
+        first error is raised.
         """
         schema: Schema = dataset.schema
         r = self.config.replication_factor
@@ -251,6 +255,7 @@ class Cluster:
             raise RegistryError(f"cluster {self.root} already holds a dataset")
         temp = self.root / f".{REGISTRY_JOURNAL}.tmp"
         temp.unlink(missing_ok=True)
+        self._remove_replica_files()
         self.registry = ReplicaRegistry(schema, r, journal_path=temp)
         self._start_indexers()
 
@@ -295,8 +300,16 @@ class Cluster:
             self.indexers = {}
             self.registry = None
             temp.unlink(missing_ok=True)
+            self._remove_replica_files()
             raise
         return self.registry
+
+    def _remove_replica_files(self) -> None:
+        """Delete the nodes' replica files; without a journal they belong to no dataset."""
+        for path in self.root.glob("node_*/blocks/blk_*"):
+            path.unlink()
+        for pseudo in self.root.glob("node_*/pseudo"):
+            shutil.rmtree(pseudo)
 
     # -- execution -------------------------------------------------------------
 
@@ -327,7 +340,7 @@ class Cluster:
                     indexer=self.indexers.get(a.node_id),
                     will_offer_blocks=will_offer_blocks,
                     projection_mode=self.config.projection_mode,
-                    headers=self.headers,
+                    replicas=self.open_replicas,
                 )
             res = self._run_task(a, job, contexts[a.node_id])
             res.wave_index = position // n_slots
@@ -350,17 +363,20 @@ class Cluster:
 
     def drain_indexers(self) -> None:
         """Drain the indexers node by node; each drain registers what its
-        worker wrote, so the journal's record order is fixed."""
+        worker wrote, so the journal's record order is fixed, and closes the
+        open replicas of the registered paths."""
         for indexer in self.indexers.values():
-            indexer.drain()
+            for path in indexer.drain():
+                self.open_replicas.drop(path)
 
     def close(self) -> None:
         """Close every indexer, once it has landed its accepted work, then
-        the registry's journal handle."""
+        the registry's journal handle and every open replica."""
         for indexer in self.indexers.values():
             indexer.close()
         if self.registry is not None:
             self.registry.close()
+        self.open_replicas.close()
 
 
 def _held_names(path: Path, block_id: int, attribute: str) -> tuple[str, ...]:

@@ -6,17 +6,17 @@ that touches only qualifying rows, while unindexed blocks fall back to a full
 scan and are offered to the node's Adaptive Indexer afterwards. Map functions
 never see the difference.
 
-An index scan opens each replica it reads with `os.open` and closes it in
-`finally`, also when a read raises: the indexed replica, and the normal
-replica when a partial replica fills missing columns from it. Both headers
-are read through the cluster's HeaderCache, keyed by the replica's path, so
-a replica read job after job is parsed once; each read still costs one
-header-length `pread` and is billed the header's length, so reports do not
-depend on the cache. The range lookup takes its page bounds from the
-header's `page_starts` and each column read its dtype from
-`column_dtypes`, both computed once per parse, so an index scan does its
-reads and little per-block work beside them. Every range goes through
-`read_column_range`, one `preadv` each.
+An index scan reads the indexed replica, and the normal replica a partial
+one fills missing columns from, through the cluster's OpenReplicas, which
+keeps each open with its parsed header from job to job; every read is still
+billed the header's length. A read that raises drops its replica, so the
+next job opens the file again. While one process owns the cluster
+directory, a held descriptor never serves a replaced file: only a lazy
+completion replaces a file an index scan reads, the drain after the job
+registers it and `Cluster.drain_indexers` drops the path, and within the
+job no split reads the path again. Page bounds come from the header's
+`page_starts` and dtypes from `column_dtypes`, so an index scan does its
+reads, each one `read_column_range` and `preadv`, and little beside them.
 
 A task coerces its predicate's bounds once (`Predicate.bounds`), for index
 and full scans alike, so both paths select the same rows.
@@ -24,7 +24,6 @@ and full scans alike, so both paths select the same rows.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -33,7 +32,7 @@ import numpy as np
 
 from .blocks import DataBlock, Schema
 from .blockfile import (
-    HeaderCache,
+    OpenReplicas,
     ReadCounter,
     read_block,
     read_column_range,
@@ -158,7 +157,7 @@ class TaskContext:
     indexer: Optional[AdaptiveIndexer]
     will_offer_blocks: Optional[frozenset[int]]  # offer candidates; None: every block
     projection_mode: str = "invisible"  # or "lazy"
-    headers: HeaderCache = field(default_factory=HeaderCache)  # index-scan header reads
+    replicas: OpenReplicas = field(default_factory=OpenReplicas)  # index-scan reads
 
 
 def _emit(
@@ -229,13 +228,9 @@ def _scan_indexed_block(
     bounds and `wanted` its projected attributes in schema order, both fixed
     per task."""
     path = ref.replica.path
-    fd = os.open(path, os.O_RDONLY)
+    fd, header = ctx.replicas.open(path, counter)
     try:
-        header = ctx.headers.read(fd, counter, path)
         r_lo, r_hi = _refine_row_range(fd, header, bounds[0], bounds[1], counter)
-        count = r_hi - r_lo
-        result.records_read += count
-
         offsets = header.column_offsets
         columns: dict[str, np.ndarray] = {}
         missing: list[str] = []
@@ -244,26 +239,26 @@ def _scan_indexed_block(
                 columns[name] = read_column_range(fd, header, name, r_lo, r_hi, counter)
             else:
                 missing.append(name)
-        if not missing:
-            _emit(job, result, columns, count)
-            return
-
         # Partial pseudo replica: serve missing attributes from the normal
         # replica, realigned on the fly with the stored permutation vector.
-        perm = read_permutation(fd, header, counter)
-    finally:
-        os.close(fd)
+        perm = read_permutation(fd, header, counter) if missing else None
+    except Exception:
+        ctx.replicas.drop(path)
+        raise
+    count = r_hi - r_lo
+    result.records_read += count
+    if not missing:
+        _emit(job, result, columns, count)
+        return
 
     normal = _normal_replica_for(ctx, ref.block_id)
-    aligned: dict[str, np.ndarray] = {}
-    fd = os.open(normal.path, os.O_RDONLY)
+    fd, nheader = ctx.replicas.open(normal.path, counter)
     try:
-        nheader = ctx.headers.read(fd, counter, normal.path)
-        for name in missing:
-            raw = read_column_range(fd, nheader, name, 0, nheader.record_count, counter)
-            aligned[name] = apply_permutation(perm, raw)
-    finally:
-        os.close(fd)
+        raw = [read_column_range(fd, nheader, n, 0, nheader.record_count, counter) for n in missing]
+    except Exception:
+        ctx.replicas.drop(normal.path)
+        raise
+    aligned = {name: apply_permutation(perm, column) for name, column in zip(missing, raw)}
     if normal.node_id != ctx.node_id:
         result.remote_column_reads += len(missing)
 

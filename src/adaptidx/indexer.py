@@ -31,9 +31,10 @@ alone decides.
 The worker never writes to the registry. It hands `write_pseudo_replica`
 and `lazy.append_aligned_columns` a `_Registrations` in place of the
 registry, which keeps each `register_pseudo` call, and `drain` and `close`
-apply the kept calls on the calling thread, in hand-off order.
-`Cluster.drain_indexers` drains node by node, so the journal has one writer
-thread and an order that does not follow thread timing. Holding a
+apply the kept calls on the calling thread, in hand-off order, and return
+their paths. `Cluster.drain_indexers` drains node by node, so the journal
+has one writer thread and an order that does not follow thread timing, and
+closes the open replicas of the returned paths. Holding a
 registration back until the job drains is safe because a job's plan is fixed
 before any task runs and each block is in exactly one split per job, so
 nothing reads a registration between its hand-off and the drain. What a
@@ -308,31 +309,34 @@ class AdaptiveIndexer:
         self.stats.enqueued += adaptive
         return True
 
-    def drain(self) -> None:
+    def drain(self) -> list[str]:
         """Block until every enqueued work item has been fully processed,
-        then register what the worker wrote, in hand-off order."""
+        then register what the worker wrote, in hand-off order; returns the
+        registered paths."""
         self._queue.join()
-        self._register_pending()
+        return self._register_pending()
 
-    def close(self) -> None:
+    def close(self) -> list[str]:
         """Refuse further work and return once all accepted work has landed
-        and been registered."""
+        and been registered; returns the registered paths, as `drain` does."""
         if self._closed:
-            return
+            return []
         self._closed = True
         self._queue.put(None)
         self._worker.join()
-        self._register_pending()
+        return self._register_pending()
 
-    def _register_pending(self) -> None:
+    def _register_pending(self) -> list[str]:
         """Apply the worker's registrations on the calling thread; one the
-        registry refuses counts as a failure, as it would on the worker."""
+        registry refuses counts as a failure, as it would on the worker.
+        Returns every registration's path, ignored or refused ones too."""
         pending, self._registrations.pending = self._registrations.pending, []
         for args in pending:
             try:
                 self.registry.register_pseudo(*args)
             except Exception:
                 self.stats.failures += 1
+        return [str(args[4]) for args in pending]
 
     def _work_loop(self) -> None:
         while True:

@@ -20,7 +20,8 @@ Two derived tables, updated under the same lock by `add_block` and
 (pseudo or partial) replicas per (node, indexed attribute), and per attribute
 the best replica of each block indexed on it, upload-time indexes included
 (normal, then pseudo, then partial, then the lowest node id). `find_index` is
-one lookup in the second and `indexed_block_count` its size. Replicas are
+one lookup in the second, `best_replicas` a copy of one attribute's part,
+which the planner reads once per job, and `indexed_block_count` its size. Replicas are
 never removed, so a block never leaves the best table; a widening
 re-registration replaces its entry there, and when it lands on another node
 its count moves there.
@@ -324,6 +325,12 @@ class ReplicaRegistry:
         partial, then the lowest node id; None for an unknown block."""
         with self._lock:
             return self._best.get(attribute, _NO_BLOCKS).get(block_id)
+
+    def best_replicas(self, attribute: str) -> dict[int, BlockReplicaInfo]:
+        """A copy of `find_index`'s answers for `attribute`, block id to best
+        replica, taken at one moment; blocks not indexed on it are absent."""
+        with self._lock:
+            return dict(self._best.get(attribute, _NO_BLOCKS))
 
     def indexed_block_count(self, attribute: str) -> int:
         with self._lock:

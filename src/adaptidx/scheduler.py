@@ -35,10 +35,11 @@ def plan_job(
 ) -> list[TaskAssignment]:
     """Plan a job: index-scan splits first, then greedily placed full scans."""
     attr = job.predicate.attribute
+    best = registry.best_replicas(attr)
     indexed: dict[int, list[BlockRef]] = {}
     unindexed: list[int] = []
     for block_id in registry.block_ids:
-        info = registry.find_index(block_id, attr)
+        info = best.get(block_id)
         if info is not None:
             indexed.setdefault(info.node_id, []).append(BlockRef(block_id, info))
         else:

@@ -13,7 +13,7 @@ import adaptidx.blockfile as blockfile
 import adaptidx.execution as execution
 from adaptidx.blocks import DataBlock, Schema, blocks_equal
 from adaptidx.blockfile import (
-    HeaderCache,
+    OpenReplicas,
     ReadCounter,
     pseudo_replica_path,
     publish_block_once,
@@ -411,10 +411,13 @@ def test_index_scan_charges_header_boundary_pages_and_rows(tmp_path, low, high):
 
 
 def test_index_scans_keep_their_read_budget_on_an_upload_indexed_cluster(tmp_path, monkeypatch):
-    # Per indexed block: one header `pread`, at most two boundary pages of
-    # the sort column and one range per projected column, every range
-    # through `execution.read_column_range` (the name the benchmark's tracer
-    # wraps), billed by the format's layout, on cold and on cached headers.
+    # Per indexed block: at most two boundary pages of the sort column and
+    # one range per projected column, every range through
+    # `execution.read_column_range` (the name the benchmark's tracer
+    # wraps), billed by the format's layout, header included, on every job.
+    # The first job opens each replica and reads its header with one
+    # `pread`; later jobs find both in the cluster's open replicas and
+    # open, `pread` and close nothing.
     rows, page, projection = 500, 64, ("b", "c")
     cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=rows, page_size=page)
     cluster.upload_dataset(gen_synthetic(8 * rows, seed=21), ["b"])
@@ -424,7 +427,7 @@ def test_index_scans_keep_their_read_budget_on_an_upload_indexed_cluster(tmp_pat
         assert info.kind == ReplicaKind.NORMAL
         replicas[block_id] = read_block(info.path)
 
-    def budget(lo, hi):
+    def budget(lo, hi, first):
         """Expected (call counts, bytes) of one job over every block."""
         calls, billed = collections.Counter(), 0
         for block in replicas.values():
@@ -434,13 +437,14 @@ def test_index_scans_keep_their_read_budget_on_an_upload_indexed_cluster(tmp_pat
             p = int(np.searchsorted(keys, hi, "right")) - 1
             pages = ([q - 1] if q > 0 else []) + ([p] if p >= 0 else [])
             span = int(np.searchsorted(column, hi, "right") - np.searchsorted(column, lo, "left"))
-            calls["pread"] += 1
+            calls["open"] += first
+            calls["pread"] += first
             calls["read_column_range"] += len(pages) + len(projection)
             calls["preadv"] += len(pages) + (len(projection) if span else 0)
             billed += _header_length(SYNTHETIC_SCHEMA, block.index.entry_count, 8)
             billed += sum(bounds[p + 1] - bounds[p] for p in pages) * 8
             billed += span * sum(block.schema.attribute(n).item_size for n in projection)
-        return calls, billed
+        return +calls, billed
 
     seen = collections.Counter()
 
@@ -450,30 +454,32 @@ def test_index_scans_keep_their_read_budget_on_an_upload_indexed_cluster(tmp_pat
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(os, "pread", counted("pread", os.pread))
-    monkeypatch.setattr(os, "preadv", counted("preadv", os.preadv))
+    for name in ("open", "close", "pread", "preadv"):
+        monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
     monkeypatch.setattr(
         execution, "read_column_range", counted("read_column_range", read_column_range)
     )
     runner = WorkloadRunner(cluster)
-    for job_id, lo in (("cold", 0.3), ("cached", 0.3), ("cached_other_range", 0.61)):
+    for job_id, lo in (("first", 0.3), ("again", 0.3), ("other_range", 0.61)):
         seen.clear()
         job = JobSpec(job_id, Predicate("b", lo, lo + 0.05), projection, collect_output=False)
         metrics = runner.run_job(job).metrics
-        calls, billed = budget(lo, lo + 0.05)
+        calls, billed = budget(lo, lo + 0.05, first=job_id == "first")
         assert metrics.full_scan_tasks == 0 and not metrics.failed
         assert seen == calls, job_id
         assert metrics.bytes_read == billed, job_id
+    assert len(cluster.open_replicas._entries) == len(replicas)
     cluster.close()
 
 
 def test_partial_replicas_keep_their_read_budget_on_a_lazy_cluster(tmp_path, monkeypatch):
-    # A partial replica is served with one header `pread` (the normal
-    # replica's header too, through the path-keyed cache), the boundary pages
-    # and projected ranges it holds, then one `preadv` for its permutation
-    # and one full-column `preadv` per missing attribute, billed by the
-    # format's layout. Only the map thread's reads are counted: completions
-    # rewrite replicas on the indexer threads meanwhile.
+    # A partial replica is served from the boundary pages and projected
+    # ranges it holds, then one `preadv` for its permutation and one
+    # full-column `preadv` per missing attribute of the normal replica,
+    # billed by the format's layout, both headers included. A header is
+    # parsed, with one `pread`, only when its replica is not open yet. Only
+    # the map thread's reads are counted: completions rewrite replicas on
+    # the indexer threads meanwhile.
     rows, page, lo, hi = 500, 64, 0.3, 0.35
     cluster = make_cluster(
         tmp_path / "c", nodes=3, replication=2, block_records=rows, page_size=page,
@@ -486,7 +492,7 @@ def test_partial_replicas_keep_their_read_budget_on_a_lazy_cluster(tmp_path, mon
     assert not runner.run_job(build).metrics.failed
 
     def budget(projection):
-        """Expected (map-thread call counts, bytes) of one job over every block."""
+        """Expected (map-thread reads but header `pread`s, bytes) of one job."""
         calls, billed = collections.Counter(), 0
         for block_id in cluster.registry.block_ids:
             replica = read_block(cluster.registry.find_index(block_id, "b").path)
@@ -498,7 +504,6 @@ def test_partial_replicas_keep_their_read_budget_on_a_lazy_cluster(tmp_path, mon
             span = int(np.searchsorted(column, hi, "right") - np.searchsorted(column, lo, "left"))
             held = [n for n in projection if n in replica.schema]
             missing = [n for n in projection if n not in replica.schema]
-            calls["pread"] += 1 + bool(missing)
             calls["read_column_range"] += len(pages) + len(projection)
             calls["preadv"] += len(pages) + (len(held) if span else 0)
             billed += _header_length(
@@ -530,25 +535,28 @@ def test_partial_replicas_keep_their_read_budget_on_a_lazy_cluster(tmp_path, mon
     )
     blocks = cluster.registry.block_count
     column = dataset.columns["b"]
-    # Job "d" parses both headers of every block. Its completions add d to
-    # every partial replica, so job "de" parses each partial header again,
-    # after the cache's `pread` found its bytes changed, but serves each
-    # normal replica's header from the cache.
-    for projection, parses, changed in (
-        (("b", "c", "d"), 2 * blocks, 0),
-        (("b", "c", "d", "e"), blocks, blocks),
+    de = ("b", "c", "d", "e")
+    # Job "d" parses both headers of every block, the partial and the
+    # normal replica's. Its completions add d to every partial replica and
+    # the drain closes them, so job "de" parses each partial header again
+    # but finds every normal replica open. Its completions add e, so the
+    # next "de" reopens each partial replica and reads e from it, missing
+    # nothing; the one after it parses nothing.
+    for job_id, projection, parses in (
+        ("d", ("b", "c", "d"), 2 * blocks),
+        ("de", de, blocks),
+        ("de_completed", de, blocks),
+        ("de_again", de, 0),
     ):
         calls, billed = budget(projection)
-        assert calls["preadv"] > calls["pread"] + blocks  # the missing columns are read
-        calls["pread"] += changed
+        calls["pread"] = parses  # each header fits the probe
         seen.clear()
-        job_id = "".join(projection[2:])
         job = JobSpec(job_id, Predicate("b", lo, hi), projection, collect_output=False)
         metrics = runner.run_job(job).metrics
         assert metrics.full_scan_tasks == 0 and not metrics.failed
         assert metrics.records_emitted == int(((column >= lo) & (column <= hi)).sum())
-        assert seen.pop("parse") == parses, job_id
-        assert seen == calls, job_id
+        assert seen.pop("parse", 0) == parses, job_id
+        assert seen == +calls, job_id
         assert metrics.bytes_read == billed, job_id
     cluster.close()
 
@@ -561,7 +569,7 @@ def test_parsed_headers_carry_column_dtypes_and_page_starts(tmp_path, simple_sch
     dtypes = {a.name: a.dtype for a in simple_schema.attributes}
     for name, page_starts in (("indexed", (0, 64, 128, 192, 256, 300)), ("plain", ())):
         with open(tmp_path / name, "rb", buffering=0) as f:
-            for header in (read_header(f), HeaderCache().read(f)):
+            for header in (read_header(f), OpenReplicas().open(f.name)[1]):
                 assert header.page_starts == page_starts
                 assert all(type(s) is int for s in header.page_starts)
                 assert dict(header.column_dtypes) == dtypes
@@ -593,14 +601,18 @@ def test_schema_lookups_match_a_positional_scan(names, probe):
         Schema.of(*[(n, "int64") for n in names + names[:1]])
 
 
-def _cached_header(cache, path, counter=None):
-    with open(path, "rb", buffering=0) as f:
-        return cache.read(f, counter)
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
 
 
-def test_header_cache_rereads_a_replica_renamed_over_its_path(tmp_path, simple_schema):
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+
+
+def test_open_replicas_reopen_a_replica_renamed_over_its_path_once_dropped(tmp_path, simple_schema):
     # A lazy completion writes the wider replica beside the old one and
-    # renames it over the path whose header is cached.
+    # renames it over the path. The table serves the file it opened until
+    # the path is dropped, as the cluster does when the completion's
+    # registration drains; then it opens the new file.
     block = make_block(simple_schema, rows=300, seed=8)
     partial, perm, _ = build_index(
         DataBlock(0, simple_schema.subset(("a", "b")), {n: block.columns[n] for n in ("a", "b")}),
@@ -608,10 +620,12 @@ def test_header_cache_rereads_a_replica_renamed_over_its_path(tmp_path, simple_s
         page_size_records=64,
     )
     partial.permutation = perm
-    path = tmp_path / "b"
+    path = str(tmp_path / "b")
     write_block(partial, path)
-    cache = HeaderCache()
-    assert _cached_header(cache, path).schema.names == ("a", "b")
+    table = OpenReplicas()
+    fd, header = table.open(path)
+    assert header.schema.names == ("a", "b")
+    assert table.open(path) == (fd, header)
 
     wider = dataclasses.replace(
         partial,
@@ -620,51 +634,95 @@ def test_header_cache_rereads_a_replica_renamed_over_its_path(tmp_path, simple_s
     )
     write_block(wider, tmp_path / ".b.tmp")
     os.replace(tmp_path / ".b.tmp", path)
-    header = _cached_header(cache, path)
-    with open(path, "rb", buffering=0) as f:
-        parsed = read_header(f)
+    assert table.open(path)[1] is header  # not dropped yet: the file it opened
+    table.drop(path)
+    with pytest.raises(OSError):
+        os.fstat(fd)  # closed
+    fd, header = table.open(path)
+    parsed = read_header(fd)
     assert header.schema.names == ("a", "b", "d")
     assert header.column_offsets == parsed.column_offsets
-    assert header.column_lengths == parsed.column_lengths
     assert header.perm_offset == parsed.perm_offset
-    assert _cached_header(cache, path) is header  # unchanged bytes: served from the cache
+    np.testing.assert_array_equal(
+        read_column_range(fd, header, "d", 0, 300), wider.columns["d"]
+    )
+    table.drop(path)
+    table.drop(path)  # a path without an entry is ignored
+    assert len(table._entries) == 0
 
 
-def test_header_cache_raises_for_a_file_truncated_inside_its_header(tmp_path, simple_schema):
+@needs_proc
+def test_open_replicas_raise_for_a_file_truncated_inside_its_header_and_keep_nothing(
+    tmp_path, simple_schema
+):
     block, _, _ = build_index(make_block(simple_schema, rows=300, seed=8), "b", page_size_records=64)
     path = tmp_path / "blk"
     write_block(block, path)
     data = path.read_bytes()
     header_end = _header_length(simple_schema, 5, 8)
-    cache = HeaderCache()
+    table = OpenReplicas()
+    before = _open_descriptors()
     for cut in (0, 1, header_end // 2, header_end - 1):
-        path.write_bytes(data)
-        _cached_header(cache, path)
         path.write_bytes(data[:cut])
         with pytest.raises(BlockFormatError):
-            _cached_header(cache, path)
+            table.open(str(path))
+        assert len(table._entries) == 0
+        assert _open_descriptors() == before
+    with pytest.raises(FileNotFoundError):
+        table.open(str(tmp_path / "gone"))
+    path.write_bytes(data)
+    table.open(str(path))
+    assert len(table._entries) == 1 and _open_descriptors() == before + 1
+    table.close()
+    assert len(table._entries) == 0 and _open_descriptors() == before
 
 
 @pytest.mark.parametrize("name", ["k", "k" * 5000], ids=["short", "longer_than_the_probe"])
-def test_header_cache_charges_a_hit_like_a_miss(tmp_path, name):
+def test_open_replicas_charge_a_hit_like_a_miss(tmp_path, name, monkeypatch):
     schema = Schema.of((name, "int64"), ("v", "string", 3))
     block, perm, _ = build_index(make_block(schema, rows=40, seed=2), name, page_size_records=8)
     block.permutation = perm
-    path = tmp_path / "blk"
+    path = str(tmp_path / "blk")
     write_block(block, path)
-    cache = HeaderCache()
+    table = OpenReplicas()
     miss, hit = ReadCounter(), ReadCounter()
-    first = _cached_header(cache, path, miss)
-    assert _cached_header(cache, path, hit) is first
+    fd, first = table.open(path, miss)
+    preads = []
+    monkeypatch.setattr(os, "pread", lambda *args: preads.append(args))
+    assert table.open(path, hit) == (fd, first)
+    assert table.open(path) == (fd, first)  # no counter, no charge
+    assert preads == []  # a hit reads nothing
     assert miss.bytes_read == hit.bytes_read == _header_length(schema, 5, 8, perm=True)
-    fd = os.open(path, os.O_RDONLY)  # a descriptor is keyed by the path passed with it
-    try:
-        assert cache.read(fd, hit, str(path)) is first
-        assert hit.bytes_read == 2 * miss.bytes_read
-        with pytest.raises(TypeError):
-            cache.read(fd)
-    finally:
-        os.close(fd)
+    table.close()
+
+
+def test_open_replicas_are_sized_below_the_descriptor_limit(monkeypatch):
+    import resource
+
+    for soft, capacity in (
+        (1024, 512), (20_000, blockfile.MAX_OPEN_REPLICAS), (resource.RLIM_INFINITY, 4096), (1, 1)
+    ):
+        monkeypatch.setattr(resource, "getrlimit", lambda _, soft=soft: (soft, soft))
+        assert OpenReplicas().capacity == capacity
+
+
+@needs_proc
+def test_a_full_table_closes_its_oldest_replica(tmp_path, simple_schema, monkeypatch):
+    monkeypatch.setattr(blockfile, "MAX_OPEN_REPLICAS", 3)
+    paths = []
+    for block_id in range(5):
+        paths.append(str(tmp_path / f"blk_{block_id}"))
+        write_block(make_block(simple_schema, rows=20, seed=block_id, block_id=block_id), paths[-1])
+    table = OpenReplicas()
+    assert table.capacity == 3
+    before = _open_descriptors()
+    for path in paths + paths[::-1]:
+        header = table.open(path)[1]
+        assert header.block_id == int(path.rsplit("_", 1)[1])
+        assert len(table._entries) <= 3 and _open_descriptors() <= before + 3
+    assert len(table._entries) == 3
+    table.close()
+    assert _open_descriptors() == before
 
 
 def test_headers_are_read_only(tmp_path, simple_schema):
@@ -672,7 +730,7 @@ def test_headers_are_read_only(tmp_path, simple_schema):
     path = tmp_path / "blk"
     write_block(block, path)
     with open(path, "rb", buffering=0) as f:
-        for header in (read_header(f), HeaderCache().read(f)):
+        for header in (read_header(f), OpenReplicas().open(f.name)[1]):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 header.record_count = 0
             for array in (header.index.first_keys, header.index.start_records):

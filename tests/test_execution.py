@@ -1,9 +1,12 @@
+import gc
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adaptidx.blockfile as blockfile
 import adaptidx.execution as execution
 from adaptidx.blocks import DataBlock, Schema
 from adaptidx.blockfile import read_header, write_block
@@ -460,7 +463,10 @@ needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="need
 def test_index_scans_close_their_descriptors(tmp_path, mode):
     # Invisible: every block has a complete replica indexed at upload. Lazy:
     # the first job leaves partial replicas, so the second reads its missing
-    # column from the normal replicas as well.
+    # column from the normal replicas as well, and its completions replace
+    # the partial ones. Every replica read stays open until the cluster
+    # closes, except one a drain registered, which the drain closes.
+    before = _open_descriptors()
     cluster = make_cluster(
         tmp_path / "c", nodes=3, replication=2, block_records=500, page_size=64,
         projection_mode=mode,
@@ -471,12 +477,73 @@ def test_index_scans_close_their_descriptors(tmp_path, mode):
         runner.run_job(job(Predicate("b", 0.2, 0.4), ("b", "c"), rho=1.0, job_id="build"))
     kinds = {cluster.registry.find_index(b, "b").kind for b in cluster.registry.block_ids}
     assert kinds == {ReplicaKind.NORMAL if mode == "invisible" else ReplicaKind.PARTIAL_PSEUDO}
-    before = _open_descriptors()
-    outcome = runner.run_job(job(Predicate("b", 0.2, 0.4), ("b", "c", "d"), job_id="scan"))
-    assert _open_descriptors() == before
-    assert not outcome.metrics.failed, outcome.metrics.error
-    assert outcome.metrics.full_scan_tasks == 0
+    held = _open_descriptors()
+    blocks = cluster.registry.block_count
+    # Lazy: "scan" leaves the normal replicas open, and "again" reopens the
+    # completed replicas beside them.
+    open_after = (blocks, blocks) if mode == "invisible" else (blocks, 2 * blocks)
+    for job_id, expected in zip(("scan", "again"), open_after):
+        outcome = runner.run_job(job(Predicate("b", 0.2, 0.4), ("b", "c", "d"), job_id=job_id))
+        assert not outcome.metrics.failed, outcome.metrics.error
+        assert outcome.metrics.full_scan_tasks == 0
+        assert len(cluster.open_replicas._entries) == expected
+        assert _open_descriptors() == held + expected
     cluster.close()
+    assert len(cluster.open_replicas._entries) == 0
+    assert _open_descriptors() == before
+
+
+@needs_proc
+def test_an_unclosed_cluster_closes_its_open_replicas_when_collected(tmp_path):
+    cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=500, page_size=64)
+    cluster.upload_dataset(gen_synthetic(4000, seed=5), ["b"])
+    indexers, registry = cluster.indexers, cluster.registry
+    gc.collect()  # so that only this cluster's garbage is collected below
+    before = _open_descriptors()
+    assert not WorkloadRunner(cluster).run_job(job(Predicate("b", 0.2, 0.4), ("c",))).metrics.failed
+    assert _open_descriptors() == before + registry.block_count
+    del cluster
+    gc.collect()
+    assert _open_descriptors() == before
+    for indexer in indexers.values():
+        indexer.close()
+    registry.close()
+
+
+@needs_proc
+def test_a_cluster_holds_no_more_replicas_open_than_its_bound(tmp_path, monkeypatch):
+    monkeypatch.setattr(blockfile, "MAX_OPEN_REPLICAS", 3)
+    start = _open_descriptors()
+    cluster = make_cluster(
+        tmp_path / "c", nodes=3, replication=2, block_records=500, page_size=64,
+        projection_mode="lazy",
+    )
+    cluster.upload_dataset(gen_synthetic(4000, seed=5))
+    runner = WorkloadRunner(cluster)
+    runner.run_job(job(Predicate("b", 0.2, 0.4), ("b",), rho=1.0, job_id="build"))
+    table = cluster.open_replicas
+    before = _open_descriptors()
+    sizes = []
+    table_open = table.open
+
+    def counted_open(*args):
+        out = table_open(*args)
+        sizes.append(len(table._entries))
+        return out
+
+    table.open = counted_open
+    for job_id, projection in (("c", ("c",)), ("cd", ("c", "d")), ("again", ("c", "d"))):
+        outcome = runner.run_job(job(Predicate("b", 0.2, 0.4), projection, job_id=job_id))
+        assert not outcome.metrics.failed, outcome.metrics.error
+        assert outcome.metrics.full_scan_tasks == 0
+        # Counted once the drain has left the indexer threads idle, which
+        # open files of their own meanwhile.
+        assert _open_descriptors() - before == len(table._entries) <= 3
+    # Per block: both replicas in "c" and "cd", then the completed replica.
+    assert len(sizes) == 5 * cluster.registry.block_count
+    assert max(sizes) == 3
+    cluster.close()
+    assert _open_descriptors() == start
 
 
 @needs_proc
@@ -499,17 +566,27 @@ def test_a_replica_truncated_inside_its_columns_fails_its_task_and_closes_it(tmp
     cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=500, page_size=64)
     cluster.upload_dataset(gen_synthetic(4000, seed=5), ["b"])
     runner = WorkloadRunner(cluster)
-    assert not runner.run_job(job(Predicate("b", 0.0, 1.0), ("c",), job_id="warm")).metrics.failed
+    warm = runner.run_job(job(Predicate("b", 0.0, 1.0), ("c",), job_id="warm")).metrics
+    assert not warm.failed
     info = cluster.registry.find_index(3, "b")
+    good = Path(info.path).read_bytes()
     with open(info.path, "rb", buffering=0) as f:
         header = read_header(f)
-    os.truncate(info.path, header.column_offsets["c"] + 8)  # inside column c
+    os.truncate(info.path, header.column_offsets["c"] + 8)  # inside column c; the table sees it
 
     before = _open_descriptors()
     outcome = runner.run_job(job(Predicate("b", 0.0, 1.0), ("c",), job_id="cut"))
-    assert _open_descriptors() == before
+    assert _open_descriptors() == before - 1  # the failed replica's descriptor is closed
     assert outcome.metrics.failed
     failed = [r for r in outcome.results if r.failed]
     assert len(failed) == 1 and 3 in failed[0].block_ids
     assert "truncated block file" in failed[0].error
+
+    # A good copy under the same path is a new file, which the next job
+    # opens: a descriptor kept from the failed job would read the cut one.
+    Path(info.path + ".good").write_bytes(good)
+    os.replace(info.path + ".good", info.path)
+    mended = runner.run_job(job(Predicate("b", 0.0, 1.0), ("c",), job_id="mended")).metrics
+    assert not mended.failed, mended.error
+    assert (mended.records_emitted, mended.bytes_read) == (warm.records_emitted, warm.bytes_read)
     cluster.close()

@@ -16,7 +16,10 @@ goldens were written sorted, when the indexer threads still appended in an
 order that followed thread timing. Now the thread that drains the indexers
 writes every registration, node by node in hand-off order, so the journal's
 order is fixed too: the same sequences run with one-slot queues and random
-stalls in the indexer threads must leave byte-identical journals.
+stalls in the indexer threads must leave byte-identical journals. Nor may
+any output depend on how many replicas the cluster keeps open between jobs:
+run with one open replica at a time, and with one-slot queues, the cold and
+lazy sequences leave byte-identical reports, journals and pseudo replicas.
 
 The golden files were written by an earlier engine, not by the code under
 test. After a deliberate change to the cost model, regenerate them with
@@ -31,6 +34,7 @@ from pathlib import Path
 
 import pytest
 
+import adaptidx.blockfile as blockfile
 import adaptidx.indexer as indexer_module
 from adaptidx.execution import JobSpec, Predicate
 from adaptidx.indexer import AdaptiveIndexer, OfferPolicy
@@ -162,6 +166,30 @@ def test_journal_does_not_follow_thread_timing(tmp_path, monkeypatch, kind):
     journals = [(tmp_path / run / kind / "registry.journal").read_bytes()
                 for run in ("undisturbed", "stalled")]
     assert journals[0] == journals[1]
+
+
+def run_outputs(kind: str, work: Path) -> dict[str, bytes]:
+    """Every file `report(kind, work)` leaves that must not depend on pacing
+    or on which replicas the cluster keeps open: the CSV and JSON reports,
+    the registry journal and the pseudo replicas, by path under `work`."""
+    report(kind, work)
+    files = [work / f"{kind}_report.csv", work / f"{kind}_report.json",
+             work / kind / "registry.journal", *sorted((work / kind).glob("node_*/pseudo/*/*"))]
+    return {str(path.relative_to(work)): path.read_bytes() for path in files}
+
+
+@pytest.mark.parametrize("kind", ["cold", "lazy"])
+def test_outputs_do_not_depend_on_open_replicas_or_queue_capacity(tmp_path, monkeypatch, kind):
+    # With one open replica every header read opens and parses its file;
+    # with one-slot queues every hand-off waits for its indexer.
+    default = run_outputs(kind, tmp_path / "default")
+    monkeypatch.setattr(blockfile, "MAX_OPEN_REPLICAS", 1)
+    one_open = run_outputs(kind, tmp_path / "one_open")
+    monkeypatch.setattr(indexer_module, "QUEUE_CAPACITY", 1)
+    one_slot = run_outputs(kind, tmp_path / "one_slot")
+    assert any("/pseudo/" in name for name in default)
+    assert one_open == default
+    assert one_slot == default
 
 
 if __name__ == "__main__":

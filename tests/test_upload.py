@@ -150,6 +150,7 @@ def test_a_failed_replica_write_fails_the_upload(tmp_path, monkeypatch):
     assert _indexer_threads() - before == set()
     assert cluster.indexers == {} and cluster.registry is None
     assert not (root / REGISTRY_JOURNAL).exists()  # no block was registered
+    assert not list(root.glob("node_*/blocks/*"))  # nor is any replica left
 
     # Nothing of the failed attempt blocks a retry.
     registry = cluster.upload_dataset(dataset, UPLOAD_INDEXES)
@@ -252,11 +253,20 @@ Cluster(config, {str(root)!r}).upload_dataset(gen_synthetic(3_000, seed=8))
     assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 17
     assert [p.name for p in root.glob(".*")] == [f".{REGISTRY_JOURNAL}.tmp"]
 
+    # A smaller retry deletes the replicas of the blocks it does not write,
+    # and any pseudo replica, which no journal line names.
+    assert len(list(root.glob("node_*/blocks/blk_*"))) == 12
+    stray = root / "node_0" / "pseudo" / "blk_4" / "b"
+    stray.parent.mkdir(parents=True)
+    stray.write_bytes(b"left by a crash")
     cluster = Cluster.open(root)
     assert cluster.registry is None
-    assert cluster.upload_dataset(gen_synthetic(3_000, seed=8)).block_count == 6
+    assert cluster.upload_dataset(gen_synthetic(1_000, seed=8)).block_count == 2
     cluster.close()
-    assert not list(root.glob(".*"))
+    assert not list(root.glob(".*")) and not list(root.glob("node_*/pseudo/*"))
+    assert sorted(p.name for p in root.glob("node_*/blocks/*")) == [
+        "blk_0_r0", "blk_0_r1", "blk_1_r0", "blk_1_r1"
+    ]
     reopened = Cluster.open(root)
-    assert reopened.registry.block_count == 6
+    assert reopened.registry.block_count == 2
     reopened.close()
