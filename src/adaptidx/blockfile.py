@@ -105,9 +105,8 @@ class BlockFileHeader:
 
     block_id: int
     record_count: int
-    schema: Schema  # schema and the three mappings are shared between headers: read-only
+    schema: Schema  # schema and the two mappings are shared between headers: read-only
     column_offsets: Mapping[str, int]
-    column_lengths: Mapping[str, int]
     column_dtypes: Mapping[str, np.dtype]
     index: Optional[SparseClusteredIndex]
     page_starts: tuple[int, ...]  # () without an index
@@ -225,9 +224,9 @@ def _cover(fd: int, buf: bytes, end: int) -> bytes:
 @functools.lru_cache(maxsize=256)
 def _attribute_table(
     raw: bytes,
-) -> tuple[Schema, Mapping[str, int], Mapping[str, int], Mapping[str, np.dtype]]:
+) -> tuple[Schema, Mapping[str, int], Mapping[str, np.dtype]]:
     """Parse [record_count][attr_count][attribute table] into read-only objects:
-    the schema, and per column its offset, length and dtype.
+    the schema, and per column its offset and dtype.
 
     Memoised on the bytes themselves, so replicas with the same layout share
     one parse and a rewritten replica can never be served a stale one. Full
@@ -239,7 +238,6 @@ def _attribute_table(
     pos = _COUNTS.size
     attrs: list[Attribute] = []
     offsets: dict[str, int] = {}
-    lengths: dict[str, int] = {}
     for _ in range(n_attrs):
         (name_len,) = _U16.unpack_from(raw, pos)
         name = raw[pos + 2 : pos + 2 + name_len].decode("utf-8")
@@ -255,9 +253,8 @@ def _attribute_table(
             width = 1
         attrs.append(Attribute(name, kind, width))
         offsets[name] = col_offset
-        lengths[name] = col_len
     dtypes = MappingProxyType({a.name: a.dtype for a in attrs})
-    return Schema(tuple(attrs)), MappingProxyType(offsets), MappingProxyType(lengths), dtypes
+    return Schema(tuple(attrs)), MappingProxyType(offsets), dtypes
 
 
 def read_header(f: FileLike, counter: Optional[ReadCounter] = None) -> BlockFileHeader:
@@ -288,7 +285,7 @@ def _parse_header(fd: int) -> tuple[BlockFileHeader, bytes]:
         (name_len,) = _U16.unpack_from(buf, pos)
         pos += 2 + name_len + _ATTR_FIXED.size
     buf = _cover(fd, buf, pos + 1)
-    schema, offsets, lengths, dtypes = _attribute_table(buf[_PREFIX.size - _COUNTS.size : pos])
+    schema, offsets, dtypes = _attribute_table(buf[_PREFIX.size - _COUNTS.size : pos])
 
     index: Optional[SparseClusteredIndex] = None
     page_starts: tuple[int, ...] = ()
@@ -334,7 +331,6 @@ def _parse_header(fd: int) -> tuple[BlockFileHeader, bytes]:
         record_count=record_count,
         schema=schema,
         column_offsets=offsets,
-        column_lengths=lengths,
         column_dtypes=dtypes,
         index=index,
         page_starts=page_starts,

@@ -3,17 +3,18 @@
 Nodes are directories under one storage root; "network transfer" is a byte
 counter, not sockets. Map slots and waves are simulated bookkeeping: tasks run
 one after another on the calling thread, and a task's wave is its position in
-the plan divided by the slot count. The only real concurrency is each node's
-indexer thread: it writes the node's normal replicas during the upload,
-sorting and indexing those with an upload-time index as HAIL does, and then
-builds and writes adaptive indexes beside the map tasks, leaving their
-registration to the thread that drains it; `close` returns once every
-indexer has landed and registered the work it accepted. Index scans keep
-each replica open from its first read until a drain registers its path or
-the cluster closes, assuming one process owns the directory (see
-`execution`). Time is simulated deterministically: a task costs its bytes
-read times a configured per-byte cost, so the adaptive-indexing cost model
-can be checked exactly instead of against noisy wall clocks.
+the plan divided by the slot count. The real concurrency is twofold. The
+upload writes the normal replicas on a thread pool as wide as the host has
+cores, sorting and indexing those with an upload-time index as HAIL does.
+After it, each node's indexer thread builds and writes adaptive indexes
+beside the map tasks, leaving their registration to the thread that drains
+it; `close` returns once every indexer has landed and registered the work it
+accepted. Index scans keep each replica open from its first read until a
+drain registers its path or the cluster closes, assuming one process owns
+the directory (see `execution`). Time is simulated deterministically: a task
+costs its bytes read times a configured per-byte cost, so the
+adaptive-indexing cost model can be checked exactly instead of against noisy
+wall clocks.
 """
 
 from __future__ import annotations
@@ -22,22 +23,18 @@ import json
 import os
 import shutil
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .blocks import DataBlock, Schema
-from .blockfile import OpenReplicas, read_header
+from .blockfile import OpenReplicas, read_header, write_block
 from .errors import AdaptidxError, BlockFormatError, ConfigError, RegistryError
 from .execution import JobSpec, TaskContext, TaskResult, record_reader_scan
-from .indexer import UPLOAD, AdaptiveIndexer, IndexWork
+from .indexer import AdaptiveIndexer, build_index
 from .policy import save_json
 from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
-
-# Not called here: the node indexers write and index the uploaded replicas.
-# The names stay importable from this module, where bench/spans.py wraps them.
-from .blockfile import write_block  # noqa: F401
-from .indexer import build_index  # noqa: F401
 
 REGISTRY_JOURNAL = "registry.journal"
 CLUSTER_CONFIG = "cluster.json"
@@ -231,15 +228,17 @@ class Cluster:
 
         Replica k of every block is sorted and indexed on
         upload_index_attributes[k] when given, mirroring upload-time index
-        creation: as many clustered indexes as there are replicas. Each
-        replica is written, and indexed, by its node's indexer thread; the
-        calling thread drains them and then registers every block in block
+        creation: as many clustered indexes as there are replicas. Replicas
+        are indexed and written on a thread pool as wide as the host has
+        cores: more workers would only contend for the interpreter lock. Once
+        the pool is done, the calling thread registers every block in block
         order. The journal is written under a temp name in the root and
         renamed into place after the last block, so a crash mid-upload leaves
         no dataset, and a retry replaces the temp file and first deletes the
-        replica files the crash left. If any replica fails, the indexers are
-        closed, the temp journal and every replica file are removed and the
-        first error is raised.
+        replica files the crash left. The node indexers start only after the
+        rename. If any replica fails, the registry is closed, the temp journal
+        and every replica file are removed and the first error in block order
+        is raised.
         """
         schema: Schema = dataset.schema
         r = self.config.replication_factor
@@ -257,14 +256,20 @@ class Cluster:
         temp.unlink(missing_ok=True)
         self._remove_replica_files()
         self.registry = ReplicaRegistry(schema, r, journal_path=temp)
-        self._start_indexers()
 
         per_block = self.config.records_per_block(schema)
         total = dataset.row_count
         attrs = [*upload_index_attributes] + [None] * (r - len(upload_index_attributes))
         names = frozenset(schema.names)
-        units = []  # (node, upload unit), in block order
+        units = []  # (block, upload index attribute or None, path), in block order
         blocks = []  # (block_id, record_count, replica infos), in block order
+
+        def write_replica(unit: tuple[DataBlock, Optional[str], Path]) -> None:
+            block, attr, path = unit
+            if attr is not None:
+                block = build_index(block, attr, self.config.page_size_records)[0]
+            write_block(block, path)
+
         try:
             for block_id, start in enumerate(range(0, total, per_block)):
                 stop = min(start + per_block, total)
@@ -277,31 +282,23 @@ class Cluster:
                 for k, attr in enumerate(attrs):
                     node = (block_id + k) % self.config.node_count
                     path = self.node_root(node) / "blocks" / f"blk_{block_id}_r{k}"
-                    units.append((node, IndexWork(UPLOAD, attr, base, path)))
+                    units.append((base, attr, path))
                     infos.append(BlockReplicaInfo(node, ReplicaKind.NORMAL, attr, names, str(path)))
                 blocks.append((block_id, stop - start, infos))
-            # The nodes share this host's cores, so replicas go to as many
-            # nodes at a time as there are cores: more busy workers would
-            # only contend for the interpreter lock. Each node still gets
-            # its replicas in block order.
-            cores = os.cpu_count() or 1
-            for node, work in sorted(units, key=lambda unit: unit[0] // cores):
-                self.indexers[node].hand_off(work)
-            for indexer in self.indexers.values():
-                indexer.drain()
-            errors = [exc for ix in self.indexers.values() for exc in ix.upload_errors]
-            if errors:
-                raise errors[0]
+            # Leaving the pool waits for every write, so none lands after the
+            # cleanup below; a failure cancels the writes not yet started.
+            with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+                list(pool.map(write_replica, units))
             for block_id, record_count, infos in blocks:
                 self.registry.add_block(block_id, record_count, infos)
             self.registry.rename_journal(journal)
         except BaseException:
-            self.close()
-            self.indexers = {}
+            self.registry.close()
             self.registry = None
             temp.unlink(missing_ok=True)
             self._remove_replica_files()
             raise
+        self._start_indexers()
         return self.registry
 
     def _remove_replica_files(self) -> None:

@@ -2,16 +2,17 @@
 
 Per node there is one indexer instance: a bounded queue feeding one worker
 thread, which builds each unit and then writes it, in hand-off order. Every
-unit of work, a full scan's BUILD offer, an index scan's lazy COMPLETE or an
-UPLOAD of one of the node's normal replicas, enters through `hand_off`,
-which waits for queue space and refuses work only once the indexer is
-closed. So the plan alone decides which blocks get indexed, never how far
-the indexer has fallen behind the readers; the queue capacity only bounds
-memory. Waiting costs no simulated time: the cost model
+unit of work, a full scan's BUILD offer or an index scan's lazy COMPLETE,
+enters through `hand_off`, which waits for queue space and refuses work only
+once the indexer is closed. So the plan alone decides which blocks get
+indexed, never how far the indexer has fallen behind the readers; the queue
+capacity only bounds memory. Waiting costs no simulated time: the cost model
 charges a fixed per-block indexing cost for every enqueued block. The worker
 runs beside the map tasks, which run on the calling thread, so index builds
 and replica writes overlap with scanning. `drain` returns once every accepted
-unit has been processed, and `close` also stops the worker.
+unit has been processed, and `close` also stops the worker. The worker holds
+its indexer only through a weak reference, so an indexer dropped without
+`close` is collected, and collecting it stops the worker.
 
 The work carries the map task's own DataBlock, not a copy. `hand_off` marks
 its columns read-only, so a later write by the map task raises ValueError at
@@ -40,14 +41,6 @@ before any task runs and each block is in exactly one split per job, so
 nothing reads a registration between its hand-off and the drain. What a
 crash before the drain leaves on disk, `Cluster._repair` registers or
 deletes at the next open.
-
-UPLOAD units are the HAIL-style upload: `Cluster.upload_dataset` hands each
-normal replica to its node's worker, which sorts and indexes it when it has
-an upload-time index attribute, then writes it to the unit's path. The
-uploader registers the replicas itself, in block order, after draining. So
-upload units stay out of `IndexerStats`, which describes adaptive indexing
-only, and an error in one is kept in `upload_errors` for the uploader to
-raise, not counted as a failure.
 """
 
 from __future__ import annotations
@@ -55,6 +48,7 @@ from __future__ import annotations
 import queue
 import threading
 import uuid
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -62,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import blockfile, lazy
+from . import lazy
 from .blocks import DataBlock, SparseClusteredIndex
 from .blockfile import publish_block_once, pseudo_replica_path, pseudo_temp_path
 from .errors import ConfigError, SchemaError
@@ -213,33 +207,29 @@ def write_pseudo_replica(
 
 BUILD = "build"
 COMPLETE = "complete"
-UPLOAD = "upload"
 
 
 @dataclass(frozen=True)
 class IndexWork:
-    """One unit handed to a node's Adaptive Indexer, by a map task or the upload."""
+    """One unit a map task hands to its node's Adaptive Indexer."""
 
     # BUILD: sort + index the block. COMPLETE: append the block's columns,
     # already aligned with the partial replica's permutation vector, to this
-    # node's replica indexed on `attribute`. UPLOAD: write the block as a
-    # normal replica to `path`, sorted and indexed on `attribute` unless it
-    # is None.
+    # node's replica indexed on `attribute`.
     kind: str
-    attribute: Optional[str]
+    attribute: str
     block: DataBlock
-    path: Optional[Path] = None
 
 
 @dataclass
 class IndexerStats:
-    """Counts of one node's adaptive indexing; UPLOAD units are not counted.
-    `enqueued` and `rejected_full` are written by the map thread that hands
-    work off, the rest by the node's worker thread, except that `failures`
-    also counts, on the draining thread, registrations the registry refused.
-    That thread writes it only once the queue is empty and the worker idle,
-    so no field is written by two threads at once. `lost_races` counts only
-    publishes that lost to a concurrent writer of the same file."""
+    """Counts of one node's adaptive indexing. `enqueued` and
+    `rejected_full` are written by the map thread that hands work off, the
+    rest by the node's worker thread, except that `failures` also counts, on
+    the draining thread, registrations the registry refused. That thread
+    writes it only once the queue is empty and the worker idle, so no field
+    is written by two threads at once. `lost_races` counts only publishes
+    that lost to a concurrent writer of the same file."""
 
     enqueued: int = 0
     rejected_full: int = 0  # work refused because the indexer was closed
@@ -280,14 +270,15 @@ class AdaptiveIndexer:
         self.registry = registry
         self.page_size_records = page_size_records
         self.stats = IndexerStats()
-        self.upload_errors: list[Exception] = []  # written by the worker only
         self._registrations = _Registrations(registry)
         self._queue: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)
         self._closed = False
         self._worker = threading.Thread(
-            target=self._work_loop, name=f"indexer-{node_id}", daemon=True
+            target=_work_loop, args=(weakref.ref(self), self._queue),
+            name=f"indexer-{node_id}", daemon=True,
         )
         self._worker.start()
+        weakref.finalize(self, _stop_worker, self._queue)
 
     def hand_off(self, work: IndexWork) -> bool:
         """Enqueue one unit of work, waiting for queue space.
@@ -295,18 +286,16 @@ class AdaptiveIndexer:
         Returns False, counted in `stats.rejected_full`, only when the
         indexer is closed. Accepted work has its block's columns marked
         read-only first. One thread hands work off and closes the indexer:
-        the engine's map thread, which runs every map task and the upload.
-        Hand-offs from several threads, or a `close` racing a hand-off, are
-        not supported. UPLOAD units are not counted in `stats`.
+        the engine's map thread, which runs every map task. Hand-offs from
+        several threads, or a `close` racing a hand-off, are not supported.
         """
-        adaptive = work.kind != UPLOAD
         if self._closed:
-            self.stats.rejected_full += adaptive
+            self.stats.rejected_full += 1
             return False
         for column in work.block.columns.values():
             column.setflags(write=False)
         self._queue.put(work)
-        self.stats.enqueued += adaptive
+        self.stats.enqueued += 1
         return True
 
     def drain(self) -> list[str]:
@@ -338,30 +327,8 @@ class AdaptiveIndexer:
                 self.stats.failures += 1
         return [str(args[4]) for args in pending]
 
-    def _work_loop(self) -> None:
-        while True:
-            work = self._queue.get()
-            try:
-                if work is None:
-                    return
-                self._index_one(work)
-            except Exception as exc:
-                if work.kind == UPLOAD:
-                    self.upload_errors.append(exc)
-                else:
-                    self.stats.failures += 1
-            finally:
-                self._queue.task_done()
-
     def _index_one(self, work: IndexWork) -> None:
         block = work.block
-        if work.kind == UPLOAD:
-            if work.attribute is not None:
-                block, _, _ = build_index(block, work.attribute, self.page_size_records)
-            # Looked up on the module at call time, so wrappers installed on
-            # blockfile.write_block see every upload write.
-            blockfile.write_block(block, work.path)
-            return
         if work.kind == COMPLETE:
             # Looked up on the module at call time, so wrappers installed on
             # lazy.append_aligned_columns see every completion.
@@ -386,3 +353,30 @@ class AdaptiveIndexer:
             self.stats.lost_races += 1
         else:
             self.stats.failures += 1
+
+
+def _work_loop(indexer_ref: weakref.ref, work_queue: queue.Queue) -> None:
+    """A node's worker: process each unit until the stop sentinel, or until
+    the indexer is gone. The indexer is held only while a unit runs."""
+    while True:
+        work = work_queue.get()
+        indexer = indexer_ref()
+        try:
+            if work is None or indexer is None:
+                return
+            indexer._index_one(work)
+        except Exception:
+            indexer.stats.failures += 1
+        finally:
+            indexer = None
+            work_queue.task_done()
+
+
+def _stop_worker(work_queue: queue.Queue) -> None:
+    """Finalizer of a collected indexer: ask its worker to stop, without
+    waiting. It may run on the worker itself, or with the queue full; then
+    the worker stops at its next unit, finding the indexer gone."""
+    try:
+        work_queue.put_nowait(None)
+    except queue.Full:
+        pass

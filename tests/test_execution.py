@@ -10,6 +10,7 @@ import adaptidx.blockfile as blockfile
 import adaptidx.execution as execution
 from adaptidx.blocks import DataBlock, Schema
 from adaptidx.blockfile import read_header, write_block
+from adaptidx.cluster import REGISTRY_JOURNAL
 from adaptidx.errors import BlockFormatError, SchemaError
 from adaptidx.execution import (
     BlockRef,
@@ -497,7 +498,7 @@ def test_index_scans_close_their_descriptors(tmp_path, mode):
 def test_an_unclosed_cluster_closes_its_open_replicas_when_collected(tmp_path):
     cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=500, page_size=64)
     cluster.upload_dataset(gen_synthetic(4000, seed=5), ["b"])
-    indexers, registry = cluster.indexers, cluster.registry
+    registry = cluster.registry  # keeps the journal open, so only replicas are counted
     gc.collect()  # so that only this cluster's garbage is collected below
     before = _open_descriptors()
     assert not WorkloadRunner(cluster).run_job(job(Predicate("b", 0.2, 0.4), ("c",))).metrics.failed
@@ -505,9 +506,33 @@ def test_an_unclosed_cluster_closes_its_open_replicas_when_collected(tmp_path):
     del cluster
     gc.collect()
     assert _open_descriptors() == before
-    for indexer in indexers.values():
-        indexer.close()
-    registry.close()
+
+
+def _open_paths() -> set[str]:
+    paths = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            paths.add(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # closed since the listing
+            pass
+    return paths
+
+
+@needs_proc
+def test_an_unclosed_cluster_stops_its_indexers_and_closes_its_journal_when_collected(tmp_path):
+    cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=500, page_size=64)
+    cluster.upload_dataset(gen_synthetic(4000, seed=5))
+    build = job(Predicate("b", 0.2, 0.4), ("b",), rho=1.0, job_id="build")
+    assert not WorkloadRunner(cluster).run_job(build).metrics.failed
+    workers = [indexer._worker for indexer in cluster.indexers.values()]
+    journal = os.path.realpath(tmp_path / "c" / REGISTRY_JOURNAL)
+    assert journal in _open_paths() and all(w.is_alive() for w in workers)
+    del cluster
+    gc.collect()
+    for worker in workers:
+        worker.join(timeout=10)
+    assert not any(w.is_alive() for w in workers)
+    assert journal not in _open_paths()
 
 
 @needs_proc

@@ -1,6 +1,8 @@
+import gc
 import math
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -429,6 +431,31 @@ def test_registrations_land_at_drain_and_a_refused_one_is_a_failure(tmp_path):
     assert pseudo_replica_path(tmp_path, 5, "d").exists()
     assert (indexer.stats.written, indexer.stats.failures) == (2, 1)
     assert [b for b, _ in registry.iter_replicas()] == [0, 0]
+
+
+def test_a_dropped_indexer_stops_its_worker_without_waiting(tmp_path, monkeypatch):
+    # The last reference goes while the worker runs a unit and the queue is
+    # full. So the finalizer runs on the worker, where it can neither wait
+    # for queue space nor join; the worker stops at its next unit instead.
+    schema = Schema.of(("d", "int64"), ("x", "float64"))
+    gate = threading.Event()
+
+    def stalled_publish(sorted_block, node_root, node_id, registry):
+        gate.wait(timeout=10)
+        return WriteResult.WON
+
+    monkeypatch.setattr(indexer_module, "write_pseudo_replica", stalled_publish)
+    indexer = AdaptiveIndexer(0, tmp_path, fresh_registry(schema))
+    for i in range(1 + indexer_module.QUEUE_CAPACITY):
+        assert indexer.hand_off(make_work(make_block(schema, 20, seed=i, block_id=i)))
+    assert indexer._queue.full()
+    worker, alive = indexer._worker, weakref.ref(indexer)
+    del indexer
+    gc.collect()
+    assert alive() is not None  # held by the worker's running unit
+    gate.set()
+    worker.join(timeout=10)
+    assert not worker.is_alive() and alive() is None
 
 
 def test_closed_indexer_refuses_completions(tmp_path):

@@ -1,11 +1,13 @@
-"""Upload through the node indexers: bytes, pacing, failures and stats.
+"""Upload on a thread pool: bytes, pacing, failures and stats.
 
-Each node's indexer thread writes, and where asked sorts and indexes, its
-own normal replicas; the uploading thread registers them in block order
-after draining. So the uploaded tree must not depend on thread pacing.
+A pool as wide as the host has cores writes, and where asked sorts and
+indexes, every normal replica; the uploading thread registers them in block
+order once the pool is done, and only then starts the node indexers. So the
+uploaded tree must not depend on thread pacing or on the pool's width.
 """
 
 import dataclasses
+import importlib.util
 import os
 import random
 import subprocess
@@ -17,12 +19,13 @@ from pathlib import Path
 import pytest
 
 import adaptidx.blockfile as blockfile
+import adaptidx.cluster as cluster_module
 import adaptidx.indexer as indexer_module
 from adaptidx.blocks import DataBlock
 from adaptidx.cli import main
 from adaptidx.cluster import REGISTRY_JOURNAL, Cluster
 from adaptidx.execution import JobSpec, Predicate
-from adaptidx.indexer import AdaptiveIndexer, IndexerStats, OfferPolicy, build_index
+from adaptidx.indexer import IndexerStats, OfferPolicy, build_index
 from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 from adaptidx.runner import WorkloadRunner
 from adaptidx.workloads import gen_synthetic
@@ -88,27 +91,32 @@ def test_uploaded_tree_does_not_depend_on_pacing_or_working_directory(tmp_path, 
     undisturbed.close()
     assert uploaded_tree(tmp_path / "undisturbed") == tree
 
-    # One-unit queues, a short thread switch interval, and every unit
-    # stalls for a seeded random time first.
-    stalls = random.Random(5)
-    original = AdaptiveIndexer._index_one
+    # On pools of one and of four threads, with a short thread switch
+    # interval, every replica write stalls first for a random time seeded
+    # by its file name, whichever thread writes it.
+    original = cluster_module.write_block
+    writers = []  # the thread of each write
 
-    def stalled(self, work):
-        time.sleep(stalls.random() * 0.002)
-        original(self, work)
+    def stalled(block, path):
+        writers.append(threading.get_ident())
+        time.sleep(random.Random(Path(path).name).random() * 0.002)
+        return original(block, path)
 
     interval = sys.getswitchinterval()
-    with monkeypatch.context() as m:
-        m.setattr(indexer_module, "QUEUE_CAPACITY", 1)
-        m.setattr(AdaptiveIndexer, "_index_one", stalled)
-        sys.setswitchinterval(1e-5)
-        try:
-            paced = upload(tmp_path / "paced", dataset)
-        finally:
-            sys.setswitchinterval(interval)
-        assert replica_lists(paced.registry) == lists
-        paced.close()
-    assert uploaded_tree(tmp_path / "paced") == tree
+    for cores in (1, 4):
+        with monkeypatch.context() as m:
+            m.setattr(os, "cpu_count", lambda: cores)
+            m.setattr(cluster_module, "write_block", stalled)
+            sys.setswitchinterval(1e-5)
+            try:
+                paced = upload(tmp_path / f"paced_{cores}", dataset)
+            finally:
+                sys.setswitchinterval(interval)
+            assert replica_lists(paced.registry) == lists
+            paced.close()
+        assert len(writers) == 20 * REPLICATION and len(set(writers)) <= cores
+        writers.clear()
+        assert uploaded_tree(tmp_path / f"paced_{cores}") == tree
 
     # Uploaded through a relative root, then reopened from another directory.
     (tmp_path / "up").mkdir()
@@ -122,13 +130,40 @@ def test_uploaded_tree_does_not_depend_on_pacing_or_working_directory(tmp_path, 
     assert uploaded_tree(tmp_path / "moved") == tree
 
 
+def _bench_tracer():
+    """A fresh `Tracer` from the benchmark's bench/spans.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def test_the_benchmark_tracer_sees_each_upload_write_and_index_build_once(tmp_path):
+    tracer = _bench_tracer()
+    tracer.install()
+    try:
+        cluster = upload(tmp_path / "c", gen_synthetic(5_000, seed=35))  # 20 blocks
+    finally:
+        tracer.uninstall()
+    cluster.close()
+    on_disk = sum(p.stat().st_size for p in (tmp_path / "c").glob("node_*/blocks/*"))
+    summary = tracer.summary()
+    assert {name: span["calls"] for name, span in summary.items()} == {
+        "cluster.upload_dataset": 1,
+        "blockfile.write_block": 20 * REPLICATION,
+        "indexer.build_index": 20,  # one upload index
+    }
+    assert summary["blockfile.write_block"]["n"] == on_disk
+
+
 def _indexer_threads() -> set:
     return {t for t in threading.enumerate() if t.name.startswith("indexer-")}
 
 
 def _full_disk_under(directory: Path):
-    """`blockfile.write_block`, failing for every path in `directory`."""
-    original = blockfile.write_block
+    """The upload's `write_block`, failing for every path in `directory`."""
+    original = cluster_module.write_block
 
     def write(block, path):
         if Path(path).parent == directory:
@@ -141,21 +176,23 @@ def _full_disk_under(directory: Path):
 def test_a_failed_replica_write_fails_the_upload(tmp_path, monkeypatch):
     dataset = gen_synthetic(5_000, seed=32)
     root = tmp_path / "c"
-    before = _indexer_threads()
+    before = set(threading.enumerate())
     cluster = make_cluster(root, nodes=NODES, replication=REPLICATION, block_records=BLOCK_RECORDS)
     with monkeypatch.context() as m:
-        m.setattr(blockfile, "write_block", _full_disk_under(root / "node_1" / "blocks"))
+        m.setattr(cluster_module, "write_block", _full_disk_under(root / "node_1" / "blocks"))
         with pytest.raises(OSError, match="No space left"):
             cluster.upload_dataset(dataset, UPLOAD_INDEXES)
-    assert _indexer_threads() - before == set()
+    assert set(threading.enumerate()) - before == set()  # no indexer, no pool thread
     assert cluster.indexers == {} and cluster.registry is None
     assert not (root / REGISTRY_JOURNAL).exists()  # no block was registered
     assert not list(root.glob("node_*/blocks/*"))  # nor is any replica left
 
-    # Nothing of the failed attempt blocks a retry.
+    # Nothing of the failed attempt blocks a retry, which leaves only the
+    # node indexers running.
     registry = cluster.upload_dataset(dataset, UPLOAD_INDEXES)
     assert registry.block_count == 20
-    assert all(ix.upload_errors == [] for ix in cluster.indexers.values())
+    started = set(threading.enumerate()) - before
+    assert sorted(t.name for t in started) == [f"indexer-{k}" for k in range(NODES)]
     cluster.close()
     again = Cluster.open(root)
     assert again.registry.block_ids == registry.block_ids
@@ -168,7 +205,7 @@ def test_cli_upload_failure_leaves_no_indexer_running(tmp_path, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text('{"nodes": 3, "replication": 2, "block_records": 500}')
     root = tmp_path / "c"
-    monkeypatch.setattr(blockfile, "write_block", _full_disk_under(root / "node_2" / "blocks"))
+    monkeypatch.setattr(cluster_module, "write_block", _full_disk_under(root / "node_2" / "blocks"))
     before = _indexer_threads()
     with pytest.raises(OSError, match="No space left"):
         main(["upload", "--dataset", str(data), "--root", str(root), "--config", str(config)])
@@ -202,7 +239,7 @@ def test_the_journal_handle_closes_with_the_cluster_and_with_a_failed_upload(
     root = tmp_path / "c"
     cluster = make_cluster(root, nodes=NODES, replication=REPLICATION, block_records=BLOCK_RECORDS)
     with monkeypatch.context() as m:
-        m.setattr(blockfile, "write_block", _full_disk_under(root / "node_2" / "blocks"))
+        m.setattr(cluster_module, "write_block", _full_disk_under(root / "node_2" / "blocks"))
         with pytest.raises(OSError, match="No space left"):
             cluster.upload_dataset(dataset, UPLOAD_INDEXES)
     assert len(handles) == 1 and handles[0].closed
