@@ -339,6 +339,25 @@ def _parse_header(fd: int) -> tuple[BlockFileHeader, bytes]:
     ), buf[:pos]
 
 
+def check_block_file(path: Path | str) -> BlockFileHeader:
+    """The header of the file at `path`; raises BlockFormatError unless the
+    file also holds every column and the permutation vector the header
+    places, all that `read_block` reads."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        header, size = read_header(fd), os.fstat(fd).st_size
+    finally:
+        os.close(fd)
+    ends = [
+        header.column_offsets[name] + header.record_count * dtype.itemsize
+        for name, dtype in header.column_dtypes.items()
+    ]
+    ends.append(header.perm_offset + 8 * header.perm_count)  # 0 without a vector
+    if max(ends) > size:
+        raise BlockFormatError(f"truncated block file: {path} needs {max(ends)} bytes, has {size}")
+    return header
+
+
 # Most replica files an OpenReplicas keeps open; it also keeps to half the
 # soft descriptor limit, to leave the rest of the process its descriptors.
 MAX_OPEN_REPLICAS = 4096
@@ -463,21 +482,14 @@ def read_block(
             for a in sub.attributes
         }
 
-        sort_attr = header.sort_attribute if header.sort_attribute in sub.names else None
-        index = None
-        if sort_attr is not None:
-            index = header.index
+        # A projection without the sort attribute drops the index with it.
+        index = header.index if header.sort_attribute in sub.names else None
         perm = None
         if header.has_permutation_vector:
             perm = read_permutation(fd, header, counter)
 
         return DataBlock(
-            block_id=header.block_id,
-            schema=sub,
-            columns=columns,
-            sort_attribute=sort_attr,
-            index=index,
-            permutation=perm,
+            block_id=header.block_id, schema=sub, columns=columns, index=index, permutation=perm
         )
     finally:
         os.close(fd)

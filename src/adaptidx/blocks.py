@@ -76,12 +76,22 @@ class Attribute:
                 return 1, 0  # no int64 in the range; both bounds stay in the domain
         return lo, hi
 
+    def _incomparable(self, value) -> SchemaError:
+        return SchemaError(f"cannot compare {value!r} with {self.kind} attribute {self.name!r}")
+
     def _coerce_bytes(self, value) -> np.bytes_:
-        return np.bytes_(value.encode("utf-8") if isinstance(value, str) else value)
+        if isinstance(value, str):
+            value = value.encode("utf-8")
+        if not isinstance(value, bytes):  # np.bytes_(n) would be n zero bytes
+            raise self._incomparable(value)
+        return np.bytes_(value)
 
     def _coerce_number(self, value) -> int | float:
         """`value` as a float, or as an exact int when the attribute is int64
-        and the value integral."""
+        and the value integral. Text and booleans raise, although `float` and
+        `operator.index` take them."""
+        if isinstance(value, (str, bytes, bool, np.bool_)):
+            raise self._incomparable(value)
         if self.kind == INT64 and not isinstance(value, float):
             try:
                 return operator.index(value)
@@ -90,9 +100,7 @@ class Attribute:
         try:
             number = float(value)
         except (TypeError, ValueError, OverflowError):
-            raise SchemaError(
-                f"cannot compare {value!r} with {self.kind} attribute {self.name!r}"
-            ) from None
+            raise self._incomparable(value) from None
         if math.isnan(number):
             raise SchemaError(f"NaN bound for {self.kind} attribute {self.name!r}")
         return number
@@ -221,9 +229,12 @@ class DataBlock:
     block_id: int
     schema: Schema
     columns: dict[str, np.ndarray]
-    sort_attribute: Optional[str] = None
-    index: Optional[SparseClusteredIndex] = None
+    index: Optional[SparseClusteredIndex] = None  # when set, columns are sorted on its attribute
     permutation: Optional[np.ndarray] = None
+
+    @property
+    def sort_attribute(self) -> Optional[str]:
+        return self.index.attribute if self.index is not None else None
 
     @property
     def record_count(self) -> int:
@@ -243,19 +254,15 @@ class DataBlock:
                 raise SchemaError(
                     f"column {name!r} dtype {col.dtype} != schema {expect}"
                 )
-        if self.sort_attribute is not None:
+        if self.index is not None:
             if self.sort_attribute not in self.schema:
                 raise SchemaError(f"sort attribute {self.sort_attribute!r} not in schema")
             col = self.columns[self.sort_attribute]
             if n > 1 and np.any(col[:-1] > col[1:]):
                 raise SchemaError(f"column {self.sort_attribute!r} is not sorted")
-        if self.index is not None:
-            if self.sort_attribute is None or self.index.attribute != self.sort_attribute:
-                raise SchemaError("index requires a matching sort attribute")
             self.index.validate()
             if self.index.record_count != n:
                 raise SchemaError("index record count does not match block")
-            col = self.columns[self.sort_attribute]
             starts = self.index.start_records.astype(np.int64)
             if n and np.any(col[starts] != self.index.first_keys):
                 raise SchemaError("index keys are not a subsequence of the column")

@@ -30,7 +30,6 @@ missing or mistyped one.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from .cluster import CLUSTER_CONFIG, REGISTRY_JOURNAL, Cluster, ClusterConfig
 from .errors import AdaptidxError, ConfigError, RegistryError
 from .execution import JobSpec, Predicate
 from .indexer import EAGER, OFFER_RATE, SELECTIVITY, OfferPolicy
+from .policy import load_json
 from .runner import WorkloadRunner, write_reports
 from .workloads import Dataset, gen_synthetic, gen_uservisits_like
 
@@ -144,11 +144,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if cluster.registry is None:
             print(f"error: no dataset uploaded under {args.root}", file=sys.stderr)
             return 2
-        with open(args.jobs) as f:
-            try:
-                raw = json.load(f)
-            except ValueError as exc:
-                raise ConfigError(f"jobs file {args.jobs} is not valid JSON: {exc}") from None
+        raw = load_json(args.jobs, "jobs file")
         if isinstance(raw, dict):
             _check_keys(raw, frozenset({"policy", "jobs"}), "jobs file")
             docs, defaults = raw.get("jobs"), raw.get("policy", {})
@@ -200,11 +196,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     _need_file(args.json, "report")
-    with open(args.json) as f:
-        try:
-            data = json.load(f)
-        except ValueError as exc:
-            raise ConfigError(f"report {args.json} is not valid JSON: {exc}") from None
+    data = load_json(args.json, "report")
     rows = data.get("jobs") if isinstance(data, dict) else None
     if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
         raise ConfigError(f"report {args.json} must be {{\"jobs\": [<job objects>]}}")

@@ -9,12 +9,12 @@ cores, sorting and indexing those with an upload-time index as HAIL does.
 After it, each node's indexer thread builds and writes adaptive indexes
 beside the map tasks, leaving their registration to the thread that drains
 it; `close` returns once every indexer has landed and registered the work it
-accepted. Index scans keep each replica open from its first read until a
-drain registers its path or the cluster closes, assuming one process owns
-the directory (see `execution`). Time is simulated deterministically: a task
-costs its bytes read times a configured per-byte cost, so the
-adaptive-indexing cost model can be checked exactly instead of against noisy
-wall clocks.
+accepted. Index scans keep each replica open from its first read until they
+hand off a lazy completion that rewrites it or the cluster closes, assuming
+one process owns the directory (see `execution`). Time is simulated
+deterministically: a task costs its bytes read times a configured per-byte
+cost, so the adaptive-indexing cost model can be checked exactly instead of
+against noisy wall clocks.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .blocks import DataBlock, Schema
-from .blockfile import OpenReplicas, read_header, write_block
+from .blockfile import OpenReplicas, check_block_file, write_block
 from .errors import AdaptidxError, BlockFormatError, ConfigError, RegistryError
 from .execution import JobSpec, TaskContext, TaskResult, record_reader_scan
 from .indexer import AdaptiveIndexer, build_index
-from .policy import save_json
+from .policy import load_json, save_json
 from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 
 REGISTRY_JOURNAL = "registry.journal"
@@ -96,11 +96,7 @@ class ClusterConfig:
     @classmethod
     def from_file(cls, path: Path | str) -> "ClusterConfig":
         """Load a JSON config; a malformed one raises ConfigError naming the key."""
-        with open(path) as f:
-            try:
-                raw = json.load(f)
-            except ValueError as exc:
-                raise ConfigError(f"cluster config {path} is not valid JSON: {exc}") from None
+        raw = load_json(path, "cluster config")
         if not isinstance(raw, dict):
             raise ConfigError(f"cluster config {path} must be a JSON object")
         aliases = {"nodes": "node_count", "replication": "replication_factor"}
@@ -332,7 +328,6 @@ class Cluster:
             if a.node_id not in contexts:
                 contexts[a.node_id] = TaskContext(
                     node_id=a.node_id,
-                    schema=self.registry.schema,
                     registry=self.registry,
                     indexer=self.indexers.get(a.node_id),
                     will_offer_blocks=will_offer_blocks,
@@ -341,7 +336,6 @@ class Cluster:
                 )
             res = self._run_task(a, job, contexts[a.node_id])
             res.wave_index = position // n_slots
-            res.elapsed = res.bytes_read * self.config.per_byte_cost
             results.append(res)
         return results
 
@@ -360,11 +354,9 @@ class Cluster:
 
     def drain_indexers(self) -> None:
         """Drain the indexers node by node; each drain registers what its
-        worker wrote, so the journal's record order is fixed, and closes the
-        open replicas of the registered paths."""
+        worker wrote, so the journal's record order is fixed."""
         for indexer in self.indexers.values():
-            for path in indexer.drain():
-                self.open_replicas.drop(path)
+            indexer.drain()
 
     def close(self) -> None:
         """Close every indexer, once it has landed its accepted work, then
@@ -377,16 +369,10 @@ class Cluster:
 
 
 def _held_names(path: Path, block_id: int, attribute: str) -> tuple[str, ...]:
-    """The attributes of the replica file at `path`. Raises unless its header
-    names `block_id`, is sorted on `attribute` and places every column and
-    the permutation vector inside the file: all that `read_block` checks."""
-    with open(path, "rb") as f:
-        header, size = read_header(f), os.fstat(f.fileno()).st_size
-    ends = [
-        header.column_offsets[name] + header.record_count * dtype.itemsize
-        for name, dtype in header.column_dtypes.items()
-    ]
-    ends.append(header.perm_offset + 8 * header.perm_count)  # 0 without a vector
-    if (header.block_id, header.sort_attribute) != (block_id, attribute) or max(ends) > size:
-        raise BlockFormatError(f"{path} is not a whole block {block_id} sorted on {attribute!r}")
+    """The attributes of the replica file at `path`. Raises unless it is a
+    whole block file (`check_block_file`) whose header names `block_id` and
+    is sorted on `attribute`."""
+    header = check_block_file(path)
+    if (header.block_id, header.sort_attribute) != (block_id, attribute):
+        raise BlockFormatError(f"{path} is not block {block_id} sorted on {attribute!r}")
     return header.schema.names

@@ -12,9 +12,9 @@ keeps each open with its parsed header from job to job; every read is still
 billed the header's length. A read that raises drops its replica, so the
 next job opens the file again. While one process owns the cluster
 directory, a held descriptor never serves a replaced file: only a lazy
-completion replaces a file an index scan reads, the drain after the job
-registers it and `Cluster.drain_indexers` drops the path, and within the
-job no split reads the path again. Page bounds come from the header's
+completion replaces a file an index scan reads, and the scan that hands it
+off drops the path. Each block is in exactly one split per job, so that scan
+is the path's last reader in the job. Page bounds come from the header's
 `page_starts` and dtypes from `column_dtypes`, so an index scan does its
 reads, each one `read_column_range` and `preadv`, and little beside them.
 
@@ -140,7 +140,6 @@ class TaskResult:
     blocks_rejected: int = 0  # offers refused by a closed indexer
     completions_skipped: int = 0
     remote_column_reads: int = 0
-    elapsed: float = 0.0
     failed: bool = False
     error: str = ""
     emitted: list[dict[str, np.ndarray]] = field(default_factory=list)
@@ -152,7 +151,6 @@ class TaskContext:
     """Per-node execution context handed to every task of a job."""
 
     node_id: int
-    schema: Schema
     registry: ReplicaRegistry
     indexer: Optional[AdaptiveIndexer]
     will_offer_blocks: Optional[frozenset[int]]  # offer candidates; None: every block
@@ -276,7 +274,8 @@ def _scan_indexed_block(
     if ctx.indexer is not None:
         sub = ctx.registry.schema.subset(missing)
         completion = DataBlock(ref.block_id, sub, {n: aligned[n] for n in sub.names})
-        ctx.indexer.hand_off(IndexWork(COMPLETE, ref.replica.indexed_attribute, completion))
+        if ctx.indexer.hand_off(IndexWork(COMPLETE, ref.replica.indexed_attribute, completion)):
+            ctx.replicas.drop(path)  # the completion renames a wider file over it
 
 
 def _normal_replica_for(ctx: TaskContext, block_id: int) -> BlockReplicaInfo:
@@ -300,7 +299,7 @@ def _scan_full_block(
 
     # Lazy projection reads only what the job needs, even for offered blocks.
     widen = candidate and ctx.projection_mode != "lazy"
-    read_cols = invisible_projection_columns(job, widen, ctx.schema)
+    read_cols = invisible_projection_columns(job, widen, ctx.registry.schema)
 
     block = read_block(ref.replica.path, read_cols, counter=counter)
     n = block.record_count
@@ -338,10 +337,11 @@ def record_reader_scan(split: InputSplit, job: JobSpec, ctx: TaskContext) -> Tas
         block_ids=tuple(ref.block_id for ref in split.blocks),
     )
     counter = ReadCounter()
-    bounds = job.predicate.bounds(ctx.schema)
+    schema = ctx.registry.schema
+    bounds = job.predicate.bounds(schema)
     if split.scan_kind == ScanKind.INDEX_SCAN:
         projected = set(job.projection)
-        wanted = tuple(n for n in ctx.schema.names if n in projected)
+        wanted = tuple(n for n in schema.names if n in projected)
         for ref in split.blocks:
             _scan_indexed_block(ref, job, ctx, result, counter, bounds, wanted)
     else:

@@ -32,10 +32,9 @@ alone decides.
 The worker never writes to the registry. It hands `write_pseudo_replica`
 and `lazy.append_aligned_columns` a `_Registrations` in place of the
 registry, which keeps each `register_pseudo` call, and `drain` and `close`
-apply the kept calls on the calling thread, in hand-off order, and return
-their paths. `Cluster.drain_indexers` drains node by node, so the journal
-has one writer thread and an order that does not follow thread timing, and
-closes the open replicas of the returned paths. Holding a
+apply the kept calls on the calling thread, in hand-off order.
+`Cluster.drain_indexers` drains node by node, so the journal has one writer
+thread and an order that does not follow thread timing. Holding a
 registration back until the job drains is safe because a job's plan is fixed
 before any task runs and each block is in exactly one split per job, so
 nothing reads a registration between its hand-off and the drain. What a
@@ -113,11 +112,7 @@ def build_index(
         attribute, sorted_columns[attribute], page_size_records
     )
     sorted_block = DataBlock(
-        block_id=block.block_id,
-        schema=block.schema,
-        columns=sorted_columns,
-        sort_attribute=attribute,
-        index=index,
+        block_id=block.block_id, schema=block.schema, columns=sorted_columns, index=index
     )
     return sorted_block, perm, index
 
@@ -185,7 +180,7 @@ def write_pseudo_replica(
     that, see `Cluster._repair`).
     """
     attribute = sorted_block.sort_attribute
-    if attribute is None or sorted_block.index is None:
+    if attribute is None:
         raise SchemaError("pseudo replicas require a sorted, indexed block")
     nonce = nonce or uuid.uuid4().hex[:12]
     final = pseudo_replica_path(node_root, sorted_block.block_id, attribute)
@@ -298,34 +293,31 @@ class AdaptiveIndexer:
         self.stats.enqueued += 1
         return True
 
-    def drain(self) -> list[str]:
+    def drain(self) -> None:
         """Block until every enqueued work item has been fully processed,
-        then register what the worker wrote, in hand-off order; returns the
-        registered paths."""
+        then register what the worker wrote, in hand-off order."""
         self._queue.join()
-        return self._register_pending()
+        self._register_pending()
 
-    def close(self) -> list[str]:
+    def close(self) -> None:
         """Refuse further work and return once all accepted work has landed
-        and been registered; returns the registered paths, as `drain` does."""
+        and been registered."""
         if self._closed:
-            return []
+            return
         self._closed = True
         self._queue.put(None)
         self._worker.join()
-        return self._register_pending()
+        self._register_pending()
 
-    def _register_pending(self) -> list[str]:
+    def _register_pending(self) -> None:
         """Apply the worker's registrations on the calling thread; one the
-        registry refuses counts as a failure, as it would on the worker.
-        Returns every registration's path, ignored or refused ones too."""
+        registry refuses counts as a failure, as it would on the worker."""
         pending, self._registrations.pending = self._registrations.pending, []
         for args in pending:
             try:
                 self.registry.register_pseudo(*args)
             except Exception:
                 self.stats.failures += 1
-        return [str(args[4]) for args in pending]
 
     def _index_one(self, work: IndexWork) -> None:
         block = work.block

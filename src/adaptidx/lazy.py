@@ -73,7 +73,6 @@ def append_aligned_columns(
         block_id=block_id,
         schema=schema,
         columns=columns,
-        sort_attribute=attribute,
         index=existing.index,
         permutation=None if complete else existing.permutation,
     )

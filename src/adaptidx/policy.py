@@ -96,6 +96,16 @@ def save_json(path: Path | str, data: dict) -> None:
         raise
 
 
+def load_json(path: Path | str, what: str):
+    """The JSON document at `path`; one that does not parse raises
+    ConfigError naming it as `what`."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:
+            raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 @dataclass
 class Calibration:
     """Measured wave costs, persisted next to the registry journal."""
@@ -122,11 +132,7 @@ class Calibration:
     @classmethod
     def load(cls, path: Path | str) -> "Calibration":
         """Read a saved calibration; a malformed file raises ConfigError naming it."""
-        with open(path) as f:
-            try:
-                raw = json.load(f)
-            except ValueError as exc:
-                raise ConfigError(f"calibration {path} is not valid JSON: {exc}") from None
+        raw = load_json(path, "calibration")
         if not isinstance(raw, dict):
             raise ConfigError(f"calibration {path} must be a JSON object")
         values = {}

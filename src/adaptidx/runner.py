@@ -95,12 +95,13 @@ class JobOutcome:
     results: list[TaskResult]
 
 
-def _phase_time(results: Sequence[TaskResult]) -> float:
-    """Sum of wave times; a wave costs its slowest task."""
-    waves: dict[int, float] = {}
+def _phase_time(results: Sequence[TaskResult], per_byte_cost: float) -> float:
+    """Sum of wave times; a wave costs its slowest task, the one that read
+    the most bytes, at `per_byte_cost` per byte."""
+    waves: dict[int, int] = {}
     for r in results:
-        waves[r.wave_index] = max(waves.get(r.wave_index, 0.0), r.elapsed)
-    return sum(waves.values())
+        waves[r.wave_index] = max(waves.get(r.wave_index, 0), r.bytes_read)
+    return sum(n * per_byte_cost for n in waves.values())
 
 
 def _wave_count(results: Sequence[TaskResult]) -> int:
@@ -171,7 +172,7 @@ class WorkloadRunner:
         # Phase 1: serve indexed blocks and measure T_is.
         index_results = self.cluster.run_wave(index_assignments, job)
         results.extend(index_results)
-        t_is = _phase_time(index_results)
+        t_is = _phase_time(index_results, config.per_byte_cost)
         metrics.t_is_seconds = t_is
         if self._collect_failures(index_results, metrics):
             self.cluster.drain_indexers()  # land handed-off completions
@@ -192,7 +193,7 @@ class WorkloadRunner:
         # Phase 2: full scans, offering blocks to the indexers as they finish.
         full_results = self.cluster.run_wave(full_assignments, job, will_offer)
         results.extend(full_results)
-        t_scan = _phase_time(full_results)
+        t_scan = _phase_time(full_results, config.per_byte_cost)
         failed = self._collect_failures(full_results, metrics)
 
         self.cluster.drain_indexers()

@@ -396,7 +396,7 @@ def test_index_scan_charges_header_boundary_pages_and_rows(tmp_path, low, high):
     registry = ReplicaRegistry(schema, replication_factor=1)
     info = BlockReplicaInfo(0, ReplicaKind.NORMAL, "d", frozenset(schema.names), str(path))
     registry.add_block(0, rows, [info])
-    ctx = TaskContext(0, schema, registry, indexer=None, will_offer_blocks=None)
+    ctx = TaskContext(0, registry, indexer=None, will_offer_blocks=None)
     job = JobSpec("scan", Predicate("d", low, high), ("s", "e"), collect_output=False)
     result = record_reader_scan(InputSplit(0, (BlockRef(0, info),), ScanKind.INDEX_SCAN), job, ctx)
 
@@ -537,11 +537,11 @@ def test_partial_replicas_keep_their_read_budget_on_a_lazy_cluster(tmp_path, mon
     column = dataset.columns["b"]
     de = ("b", "c", "d", "e")
     # Job "d" parses both headers of every block, the partial and the
-    # normal replica's. Its completions add d to every partial replica and
-    # the drain closes them, so job "de" parses each partial header again
-    # but finds every normal replica open. Its completions add e, so the
-    # next "de" reopens each partial replica and reads e from it, missing
-    # nothing; the one after it parses nothing.
+    # normal replica's. Its completions add d to every partial replica, and
+    # each scan that hands one off closes its replica, so job "de" parses
+    # each partial header again but finds every normal replica open. Its
+    # completions add e, so the next "de" reopens each partial replica and
+    # reads e from it, missing nothing; the one after it parses nothing.
     for job_id, projection, parses in (
         ("d", ("b", "c", "d"), 2 * blocks),
         ("de", de, blocks),
@@ -611,8 +611,8 @@ needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="need
 def test_open_replicas_reopen_a_replica_renamed_over_its_path_once_dropped(tmp_path, simple_schema):
     # A lazy completion writes the wider replica beside the old one and
     # renames it over the path. The table serves the file it opened until
-    # the path is dropped, as the cluster does when the completion's
-    # registration drains; then it opens the new file.
+    # the path is dropped, as the index scan that hands off the completion
+    # does; then it opens the new file.
     block = make_block(simple_schema, rows=300, seed=8)
     partial, perm, _ = build_index(
         DataBlock(0, simple_schema.subset(("a", "b")), {n: block.columns[n] for n in ("a", "b")}),

@@ -503,6 +503,21 @@ def test_fractional_and_infinite_int64_bounds_run_and_nan_fails_the_job(tmp_path
     assert "Traceback" not in err
 
 
+def test_a_bound_of_the_wrong_type_fails_the_job_and_names_the_bound(tmp_path, capsys):
+    root = gen_and_upload(tmp_path)
+    jobs = write_jobs(
+        tmp_path / "jobs.json",
+        [{"id": "text", "predicate": {"attribute": "b", "low": "0.1", "high": 0.2},
+          "projection": "all"}],
+    )
+    capsys.readouterr()
+    report = tmp_path / "report"
+    assert main(["run", "--root", str(root), "--jobs", str(jobs), "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "text failed: cannot compare '0.1' with float64 attribute 'b'" in err
+    assert "Traceback" not in err
+
+
 def test_run_repairs_a_crashed_cluster_directory(tmp_path):
     root = gen_and_upload(tmp_path)  # 8 blocks
     journal = root / "registry.journal"

@@ -64,8 +64,23 @@ def test_split_invariants():
 
 
 def test_predicate_bound_of_the_wrong_type_is_a_schema_error():
-    schema = Schema.of(("a", "int64"), ("b", "float64"))
-    for pred in (Predicate("a", "abc", 3), Predicate("b", 0.1, [1])):
+    # np.bytes_(n) is n zero bytes, and float() and operator.index() take
+    # text and booleans, so none of these may reach a comparison.
+    schema = Schema.of(("a", "int64"), ("b", "float64"), ("s", "string", 8))
+    for pred in (
+        Predicate("a", "abc", 3),
+        Predicate("b", 0.1, [1]),
+        Predicate("s", 1, 2),
+        Predicate("s", 0, 10**9),
+        Predicate("s", None, "w_00010"),
+        Predicate("s", "a", 2.5),
+        Predicate("a", "3", 4),
+        Predicate("a", " 2 ", 4),
+        Predicate("a", b"3", 4),
+        Predicate("a", True, 4),
+        Predicate("b", 0, np.True_),
+        Predicate("b", "0.5", 1),
+    ):
         with pytest.raises(SchemaError, match="cannot compare"):
             pred.validate(schema)
 
@@ -97,7 +112,6 @@ def _single_block_fixture(tmp_path, rows=4096, page=1024):
     registry.register_index(42, pseudo)
     ctx = TaskContext(
         node_id=0,
-        schema=schema,
         registry=registry,
         indexer=None,
         will_offer_blocks=frozenset(),
@@ -466,7 +480,8 @@ def test_index_scans_close_their_descriptors(tmp_path, mode):
     # the first job leaves partial replicas, so the second reads its missing
     # column from the normal replicas as well, and its completions replace
     # the partial ones. Every replica read stays open until the cluster
-    # closes, except one a drain registered, which the drain closes.
+    # closes, except one whose completion a scan hands off, which that scan
+    # closes.
     before = _open_descriptors()
     cluster = make_cluster(
         tmp_path / "c", nodes=3, replication=2, block_records=500, page_size=64,

@@ -4,10 +4,11 @@ import time
 import numpy as np
 import pytest
 
+import adaptidx.blockfile as blockfile
 import adaptidx.indexer as indexer_module
 import adaptidx.lazy as lazy
 from adaptidx.blocks import DataBlock, Schema, blocks_equal
-from adaptidx.blockfile import pseudo_replica_path, read_block, read_header, write_block
+from adaptidx.blockfile import OpenReplicas, pseudo_replica_path, read_block, read_header, write_block
 from adaptidx.cluster import Cluster
 from adaptidx.execution import (
     BlockRef,
@@ -67,7 +68,6 @@ def lazy_index_scan(tmp_path, registry, projection, node=0, lo=-1000, hi=1000):
     indexer = AdaptiveIndexer(node, tmp_path / f"node_{node}", registry, page_size_records=64)
     ctx = TaskContext(
         node_id=node,
-        schema=SCHEMA,
         registry=registry,
         indexer=indexer,
         will_offer_blocks=frozenset(),
@@ -296,6 +296,51 @@ def test_completion_skipped_without_local_normal(tmp_path):
     assert result.completions_skipped == 1
     assert stats.enqueued == 0
     assert registry.find_index(0, "d").available_attributes == {"b", "d"}
+
+
+@pytest.mark.parametrize("normal", ["local", "remote"])
+def test_only_a_replica_whose_completion_is_handed_off_is_closed(tmp_path, monkeypatch, normal):
+    # The normal replica is on node 0. A local one lets the first scan hand
+    # off a completion, which renames a wider file over the partial replica,
+    # so the scan closes it and the next scan opens the new file, once. A
+    # remote one hands off nothing, so the replica stays open and its header
+    # is parsed once.
+    node = 0 if normal == "local" else 1
+    base, registry = fixture_registry(tmp_path)
+    index_on_d(tmp_path, registry, _subset(base, ["b", "d"]), node=node)
+    info = registry.find_index(0, "d")
+    main_thread = threading.get_ident()
+    parses = []
+    parse_header = blockfile._parse_header
+
+    def counted(fd):
+        if threading.get_ident() == main_thread:  # not the completion's own read
+            parses.append(fd)
+        return parse_header(fd)
+
+    monkeypatch.setattr(blockfile, "_parse_header", counted)
+    indexer = AdaptiveIndexer(node, tmp_path / f"node_{node}", registry, page_size_records=64)
+    ctx = TaskContext(node, registry, indexer, frozenset(), "lazy", OpenReplicas())
+    job = JobSpec("scan", Predicate("d", -1000, 1000), ("c",), policy=OfferPolicy(rho=0.0))
+    split = InputSplit(node, (BlockRef(0, info),), ScanKind.INDEX_SCAN)
+    entries, parsed, skipped = [], [], []
+    for _ in range(3):
+        before = len(parses)
+        skipped.append(record_reader_scan(split, job, ctx).completions_skipped)
+        indexer.drain()
+        entries.append(ctx.replicas._entries.get(info.path))
+        parsed.append(len(parses) - before)
+    indexer.close()
+    if normal == "remote":
+        assert skipped == [1, 1, 1] and indexer.stats.enqueued == 0
+        assert parsed == [2, 0, 0]  # the partial and the normal replica, once each
+        assert entries[0] is not None and entries[0] is entries[1] is entries[2]
+    else:
+        assert skipped == [0, 0, 0] and indexer.stats.completed == 1
+        assert parsed == [2, 1, 0]  # the completed replica is opened once
+        assert entries[0] is None and entries[1] is entries[2]
+        assert entries[1][1].schema.names == ("b", "c", "d")
+    ctx.replicas.close()
 
 
 def test_failed_completion_is_counted(tmp_path, monkeypatch):

@@ -19,7 +19,9 @@ order is fixed too: the same sequences run with one-slot queues and random
 stalls in the indexer threads must leave byte-identical journals. Nor may
 any output depend on how many replicas the cluster keeps open between jobs:
 run with one open replica at a time, and with one-slot queues, the cold and
-lazy sequences leave byte-identical reports, journals and pseudo replicas.
+lazy sequences leave byte-identical reports, journals and pseudo replicas,
+and so they do when the cluster is closed halfway through and reopened from
+another working directory.
 
 The golden files were written by an earlier engine, not by the code under
 test. After a deliberate change to the cost model, regenerate them with
@@ -27,6 +29,7 @@ test. After a deliberate change to the cost model, regenerate them with
     PYTHONPATH=src python tests/test_report_golden.py
 """
 
+import os
 import random
 import sys
 import time
@@ -36,6 +39,7 @@ import pytest
 
 import adaptidx.blockfile as blockfile
 import adaptidx.indexer as indexer_module
+from adaptidx.cluster import Cluster
 from adaptidx.execution import JobSpec, Predicate
 from adaptidx.indexer import AdaptiveIndexer, OfferPolicy
 from adaptidx.registry import ReplicaKind
@@ -102,10 +106,13 @@ def pseudo_widths(registry) -> int:
     )
 
 
-def report(kind: str, work: Path, widths: list | None = None) -> bytes:
+def report(kind: str, work: Path, widths: list | None = None, reopen: bool = False) -> bytes:
     """Run one sequence on a fresh cluster; returns its CSV report.
 
-    `widths`, when given, receives `pseudo_widths` after every job.
+    `widths`, when given, receives `pseudo_widths` after every job. With
+    `reopen`, the cluster is closed halfway through the sequence and reopened
+    with `Cluster.open` from `work`, by a relative path, and a new runner
+    runs the rest.
     """
     dataset, upload_indexes, jobs, mode = SEQUENCES[kind]
     data = dataset()
@@ -113,16 +120,24 @@ def report(kind: str, work: Path, widths: list | None = None) -> bytes:
         work / kind, nodes=4, slots=2, replication=2, block_records=data.row_count // 20,
         page_size=64, projection_mode=mode,
     )
+    cwd = os.getcwd()
     try:
         cluster.upload_dataset(data, upload_indexes)
         runner = WorkloadRunner(cluster)
         rows = []
-        for job in jobs(cluster.registry.schema.names):
+        sequence = jobs(cluster.registry.schema.names)
+        for j, job in enumerate(sequence):
+            if reopen and j == len(sequence) // 2:
+                cluster.close()
+                os.chdir(work)
+                cluster = Cluster.open(kind)
+                runner = WorkloadRunner(cluster)
             rows.append(runner.run_job(job).metrics)
             if widths is not None:
                 widths.append(pseudo_widths(cluster.registry))
     finally:
         cluster.close()
+        os.chdir(cwd)
     csv_path, _ = write_reports(rows, work / f"{kind}_report")
     return csv_path.read_bytes()
 
@@ -168,11 +183,12 @@ def test_journal_does_not_follow_thread_timing(tmp_path, monkeypatch, kind):
     assert journals[0] == journals[1]
 
 
-def run_outputs(kind: str, work: Path) -> dict[str, bytes]:
-    """Every file `report(kind, work)` leaves that must not depend on pacing
-    or on which replicas the cluster keeps open: the CSV and JSON reports,
-    the registry journal and the pseudo replicas, by path under `work`."""
-    report(kind, work)
+def run_outputs(kind: str, work: Path, reopen: bool = False) -> dict[str, bytes]:
+    """Every file `report(kind, work, reopen=reopen)` leaves that must not
+    depend on pacing, on which replicas the cluster keeps open or on a
+    reopen: the CSV and JSON reports, the registry journal and the pseudo
+    replicas, by path under `work`."""
+    report(kind, work, reopen=reopen)
     files = [work / f"{kind}_report.csv", work / f"{kind}_report.json",
              work / kind / "registry.journal", *sorted((work / kind).glob("node_*/pseudo/*/*"))]
     return {str(path.relative_to(work)): path.read_bytes() for path in files}
@@ -181,13 +197,17 @@ def run_outputs(kind: str, work: Path) -> dict[str, bytes]:
 @pytest.mark.parametrize("kind", ["cold", "lazy"])
 def test_outputs_do_not_depend_on_open_replicas_or_queue_capacity(tmp_path, monkeypatch, kind):
     # With one open replica every header read opens and parses its file;
-    # with one-slot queues every hand-off waits for its indexer.
+    # with one-slot queues every hand-off waits for its indexer. A reopened
+    # cluster starts with no replica open, replays the journal and repairs
+    # the directory, and its new runner loads the saved calibration.
     default = run_outputs(kind, tmp_path / "default")
+    reopened = run_outputs(kind, tmp_path / "reopened", reopen=True)
     monkeypatch.setattr(blockfile, "MAX_OPEN_REPLICAS", 1)
     one_open = run_outputs(kind, tmp_path / "one_open")
     monkeypatch.setattr(indexer_module, "QUEUE_CAPACITY", 1)
     one_slot = run_outputs(kind, tmp_path / "one_slot")
     assert any("/pseudo/" in name for name in default)
+    assert reopened == default
     assert one_open == default
     assert one_slot == default
 
