@@ -3,15 +3,21 @@
 Nodes are directories under one storage root; "network transfer" is a byte
 counter, not sockets. Map slots and waves are simulated bookkeeping: tasks run
 one after another on the calling thread, and a task's wave is its position in
-the plan divided by the slot count. The real concurrency is twofold. The
-upload writes the normal replicas on a thread pool as wide as the host has
-cores, sorting and indexing those with an upload-time index as HAIL does.
-After it, each node's indexer thread builds and writes adaptive indexes
-beside the map tasks, leaving their registration to the thread that drains
-it; `close` returns once every indexer has landed and registered the work it
-accepted. Index scans keep each replica open from its first read until they
-hand off a lazy completion that rewrites it or the cluster closes, assuming
-one process owns the directory (see `execution`). Time is simulated
+the plan divided by the slot count. The real concurrency is one thread pool
+per cluster, as wide as the host has cores. The upload writes the normal
+replicas on it, sorting and indexing those with an upload-time index as
+HAIL does. After it, every node's Adaptive Indexer builds and writes
+adaptive indexes on it beside the map tasks, leaving their registration to
+the thread that drains it; `close` returns once every indexer has landed and
+registered the work it accepted, and then stops the pool. A cluster dropped
+without `close` takes its pool with it, and the pool's threads then exit.
+
+One cluster object owns a directory at a time: `Cluster.__init__` takes an
+exclusive `flock` on the root directory itself and holds it until `close`,
+or until the cluster is collected. So index scans can keep each replica
+open from its first read until they hand off a lazy completion that
+rewrites it or the cluster closes (see `execution`), and `_repair` and the
+upload can delete what no journal names. Time is simulated
 deterministically: a task costs its bytes read times a configured per-byte
 cost, so the adaptive-indexing cost model can be checked exactly instead of
 against noisy wall clocks.
@@ -19,11 +25,14 @@ against noisy wall clocks.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import shutil
+import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from concurrent import futures
 from dataclasses import InitVar, asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -32,6 +41,7 @@ from .blocks import DataBlock, Schema
 from .blockfile import OpenReplicas, check_block_file, write_block
 from .errors import AdaptidxError, BlockFormatError, ConfigError, RegistryError
 from .execution import JobSpec, TaskContext, TaskResult, record_reader_scan
+from . import indexer
 from .indexer import AdaptiveIndexer, build_index
 from .policy import load_json, save_json
 from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
@@ -59,7 +69,7 @@ class ClusterConfig:
     per_block_index_cost: float = 0.05  # simulated seconds per block indexed
     projection_mode: str = "invisible"  # or "lazy"
     # Retired: accepted for older callers and ignored; indexer.QUEUE_CAPACITY
-    # sizes every node's queue.
+    # sizes the cluster's indexing slots.
     build_queue_capacity: InitVar[Optional[int]] = None
     write_queue_capacity: InitVar[Optional[int]] = None
 
@@ -137,9 +147,20 @@ class Cluster:
     def __init__(self, config: ClusterConfig, root: Path | str):
         self.config = config
         self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.root, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise RegistryError(f"cluster {self.root} is already open elsewhere") from None
+        self._unlock = weakref.finalize(self, os.close, fd)
         self.registry: Optional[ReplicaRegistry] = None
         self.indexers: dict[int, AdaptiveIndexer] = {}
         self.open_replicas = OpenReplicas()  # used by map tasks, which run on one thread
+        width = os.cpu_count() or 1
+        self.pool = futures.ThreadPoolExecutor(width)  # the upload's and every indexer's
+        self._slots = threading.Semaphore(indexer.QUEUE_CAPACITY * width)
         for k in range(config.node_count):
             (self.node_root(k) / "blocks").mkdir(parents=True, exist_ok=True)
         config.save(self.root / CLUSTER_CONFIG)
@@ -210,6 +231,8 @@ class Cluster:
                 node_id=k,
                 node_root=self.node_root(k),
                 registry=self.registry,
+                pool=self.pool,
+                slots=self._slots,
                 page_size_records=self.config.page_size_records,
             )
             for k in self.node_ids()
@@ -225,10 +248,10 @@ class Cluster:
         Replica k of every block is sorted and indexed on
         upload_index_attributes[k] when given, mirroring upload-time index
         creation: as many clustered indexes as there are replicas. Replicas
-        are indexed and written on a thread pool as wide as the host has
-        cores: more workers would only contend for the interpreter lock. Once
-        the pool is done, the calling thread registers every block in block
-        order. The journal is written under a temp name in the root and
+        are indexed and written on the cluster's pool, as wide as the host
+        has cores: more workers would only contend for the interpreter lock.
+        Once every write is done, the calling thread registers every block in
+        block order. The journal is written under a temp name in the root and
         renamed into place after the last block, so a crash mid-upload leaves
         no dataset, and a retry replaces the temp file and first deletes the
         replica files the crash left. The node indexers start only after the
@@ -257,11 +280,10 @@ class Cluster:
         total = dataset.row_count
         attrs = [*upload_index_attributes] + [None] * (r - len(upload_index_attributes))
         names = frozenset(schema.names)
-        units = []  # (block, upload index attribute or None, path), in block order
+        writes = []  # the replica writes on the pool, in block order
         blocks = []  # (block_id, record_count, replica infos), in block order
 
-        def write_replica(unit: tuple[DataBlock, Optional[str], Path]) -> None:
-            block, attr, path = unit
+        def write_replica(block: DataBlock, attr: Optional[str], path: Path) -> None:
             if attr is not None:
                 block = build_index(block, attr, self.config.page_size_records)[0]
             write_block(block, path)
@@ -278,17 +300,20 @@ class Cluster:
                 for k, attr in enumerate(attrs):
                     node = (block_id + k) % self.config.node_count
                     path = self.node_root(node) / "blocks" / f"blk_{block_id}_r{k}"
-                    units.append((base, attr, path))
+                    writes.append(self.pool.submit(write_replica, base, attr, path))
                     infos.append(BlockReplicaInfo(node, ReplicaKind.NORMAL, attr, names, str(path)))
                 blocks.append((block_id, stop - start, infos))
-            # Leaving the pool waits for every write, so none lands after the
-            # cleanup below; a failure cancels the writes not yet started.
-            with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
-                list(pool.map(write_replica, units))
+            for write in writes:
+                write.result()
             for block_id, record_count, infos in blocks:
                 self.registry.add_block(block_id, record_count, infos)
             self.registry.rename_journal(journal)
         except BaseException:
+            # Cancel the writes not yet started and wait for the rest, so
+            # none lands after the cleanup below.
+            for write in writes:
+                write.cancel()
+            futures.wait(writes)
             self.registry.close()
             self.registry = None
             temp.unlink(missing_ok=True)
@@ -316,8 +341,8 @@ class Cluster:
 
         Waves are simulated: n_slots tasks share a wave, so task i gets wave
         i // n_slots and wave count = ceil(tasks / n_slots). A hand-off that
-        waits for indexer queue space cannot deadlock, because the node's
-        indexer thread frees it without the map thread. Task failures become
+        waits for an indexer slot cannot deadlock, because the pool's threads
+        free it without the map thread. Task failures become
         failure results, not exceptions: there is no re-execution, the job
         simply fails.
         """
@@ -354,18 +379,21 @@ class Cluster:
 
     def drain_indexers(self) -> None:
         """Drain the indexers node by node; each drain registers what its
-        worker wrote, so the journal's record order is fixed."""
-        for indexer in self.indexers.values():
-            indexer.drain()
+        units wrote, in hand-off order, so the journal's record order is fixed."""
+        for node_indexer in self.indexers.values():
+            node_indexer.drain()
 
     def close(self) -> None:
         """Close every indexer, once it has landed its accepted work, then
-        the registry's journal handle and every open replica."""
-        for indexer in self.indexers.values():
-            indexer.close()
+        the pool, the registry's journal handle, every open replica and the
+        directory lock."""
+        for node_indexer in self.indexers.values():
+            node_indexer.close()
+        self.pool.shutdown()
         if self.registry is not None:
             self.registry.close()
         self.open_replicas.close()
+        self._unlock()
 
 
 def _held_names(path: Path, block_id: int, attribute: str) -> tuple[str, ...]:

@@ -10,8 +10,8 @@ An index scan reads the indexed replica, and the normal replica a partial
 one fills missing columns from, through the cluster's OpenReplicas, which
 keeps each open with its parsed header from job to job; every read is still
 billed the header's length. A read that raises drops its replica, so the
-next job opens the file again. While one process owns the cluster
-directory, a held descriptor never serves a replaced file: only a lazy
+next job opens the file again. As one Cluster owns the cluster
+directory (`cluster` locks it), a held descriptor never serves a replaced file: only a lazy
 completion replaces a file an index scan reads, and the scan that hands it
 off drops the path. Each block is in exactly one split per job, so that scan
 is the path's last reader in the job. Page bounds come from the header's

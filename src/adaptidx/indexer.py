@@ -1,18 +1,29 @@
 """Adaptive Indexer: builds and persists block indexes as a job side effect.
 
-Per node there is one indexer instance: a bounded queue feeding one worker
-thread, which builds each unit and then writes it, in hand-off order. Every
-unit of work, a full scan's BUILD offer or an index scan's lazy COMPLETE,
-enters through `hand_off`, which waits for queue space and refuses work only
-once the indexer is closed. So the plan alone decides which blocks get
-indexed, never how far the indexer has fallen behind the readers; the queue
-capacity only bounds memory. Waiting costs no simulated time: the cost model
-charges a fixed per-block indexing cost for every enqueued block. The worker
-runs beside the map tasks, which run on the calling thread, so index builds
-and replica writes overlap with scanning. `drain` returns once every accepted
-unit has been processed, and `close` also stops the worker. The worker holds
-its indexer only through a weak reference, so an indexer dropped without
-`close` is collected, and collecting it stops the worker.
+Per node there is one indexer, which owns no thread. Every unit of work, a
+full scan's BUILD offer or an index scan's lazy COMPLETE, enters through
+`hand_off`, which waits for one of the cluster-wide slots that bound the
+units in flight and submits the unit to the cluster's thread pool; it
+refuses work only once the indexer is closed. So the plan alone decides
+which blocks get indexed, never how far the pool has fallen behind the
+readers, and the slots only bound memory. Waiting costs no simulated time:
+the cost model charges a fixed per-block indexing cost for every enqueued
+block. The pool runs beside the map tasks, which run on the calling thread.
+
+A unit (`_index_one`) returns the stats it counts in and the registrations
+it recorded instead of writing either. `drain` walks the units in hand-off
+order on the calling thread, tallies `IndexerStats` and applies the
+registrations, and `Cluster.drain_indexers` drains node by node, so every
+stats field and the journal have one writer thread, and the journal's order
+does not follow thread timing. `close` refuses further work, then drains.
+
+Units of one node may run at once because no two touch the same file: a
+job's plan is fixed before any task runs and each block is in exactly one
+split per job, so a job hands off at most one unit per block; pseudo paths
+are per node; and every job drains before the next is planned. For the
+same reason nothing reads a registration before the drain applies it. What
+a crash before the drain leaves on disk, `Cluster._repair` registers or
+deletes at the next open.
 
 The work carries the map task's own DataBlock, not a copy. `hand_off` marks
 its columns read-only, so a later write by the map task raises ValueError at
@@ -28,26 +39,13 @@ A full scan offers its block when the block is an offer candidate and
 The candidates are picked at plan time by `scheduler.choose_offer_blocks` in
 constant and eager mode; in selectivity mode every block is one, and `admits`
 alone decides.
-
-The worker never writes to the registry. It hands `write_pseudo_replica`
-and `lazy.append_aligned_columns` a `_Registrations` in place of the
-registry, which keeps each `register_pseudo` call, and `drain` and `close`
-apply the kept calls on the calling thread, in hand-off order.
-`Cluster.drain_indexers` drains node by node, so the journal has one writer
-thread and an order that does not follow thread timing. Holding a
-registration back until the job drains is safe because a job's plan is fixed
-before any task runs and each block is in exactly one split per job, so
-nothing reads a registration between its hand-off and the drain. What a
-crash before the drain leaves on disk, `Cluster._repair` registers or
-deletes at the next open.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import uuid
-import weakref
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -62,8 +60,8 @@ from .errors import ConfigError, SchemaError
 from .registry import ReplicaRegistry
 
 DEFAULT_PAGE_SIZE = 1024
-# Work units one node's queue holds. It bounds memory only: hand-offs wait for
-# space, so reports never depend on it.
+# Work units in flight per pool thread, over all nodes. It bounds memory only:
+# hand-offs wait for a slot, so reports never depend on it.
 QUEUE_CAPACITY = 8
 
 
@@ -218,12 +216,9 @@ class IndexWork:
 
 @dataclass
 class IndexerStats:
-    """Counts of one node's adaptive indexing. `enqueued` and
-    `rejected_full` are written by the map thread that hands work off, the
-    rest by the node's worker thread, except that `failures` also counts, on
-    the draining thread, registrations the registry refused. That thread
-    writes it only once the queue is empty and the worker idle, so no field
-    is written by two threads at once. `lost_races` counts only publishes
+    """Counts of one node's adaptive indexing, all written by the thread that
+    hands work off and drains. `failures` also counts units that raised and
+    registrations the registry refused; `lost_races` counts only publishes
     that lost to a concurrent writer of the same file."""
 
     enqueued: int = 0
@@ -235,8 +230,13 @@ class IndexerStats:
     failures: int = 0
 
 
+# The IndexerStats field a publish's outcome counts in.
+_WRITE_STAT = {WriteResult.WON: "written", WriteResult.LOST: "lost_races",
+               WriteResult.FAILED: "failures"}
+
+
 class _Registrations:
-    """What a node's worker hands `write_pseudo_replica` and
+    """What a unit hands `write_pseudo_replica` and
     `lazy.append_aligned_columns` in place of the registry: the registry's
     schema, and a `register_pseudo` that keeps its arguments in `pending`,
     in call order, for the indexer to apply when it drains."""
@@ -250,14 +250,16 @@ class _Registrations:
 
 
 class AdaptiveIndexer:
-    """One per node: a bounded queue feeding one worker that builds, then
-    writes; the thread that drains it registers what the worker wrote."""
+    """One per node: hands units to the cluster's pool, and the thread that
+    drains it counts and registers what they did, in hand-off order."""
 
     def __init__(
         self,
         node_id: int,
         node_root: Path | str,
         registry: ReplicaRegistry,
+        pool: Executor,
+        slots: threading.Semaphore,
         page_size_records: int = DEFAULT_PAGE_SIZE,
     ) -> None:
         self.node_id = node_id
@@ -265,110 +267,74 @@ class AdaptiveIndexer:
         self.registry = registry
         self.page_size_records = page_size_records
         self.stats = IndexerStats()
-        self._registrations = _Registrations(registry)
-        self._queue: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)
+        self._pool = pool
+        self._slots = slots  # shared by every node's indexer
+        self._units: list[Future] = []  # in hand-off order, until drained
         self._closed = False
-        self._worker = threading.Thread(
-            target=_work_loop, args=(weakref.ref(self), self._queue),
-            name=f"indexer-{node_id}", daemon=True,
-        )
-        self._worker.start()
-        weakref.finalize(self, _stop_worker, self._queue)
 
     def hand_off(self, work: IndexWork) -> bool:
-        """Enqueue one unit of work, waiting for queue space.
+        """Submit one unit of work, waiting for a slot.
 
         Returns False, counted in `stats.rejected_full`, only when the
         indexer is closed. Accepted work has its block's columns marked
-        read-only first. One thread hands work off and closes the indexer:
-        the engine's map thread, which runs every map task. Hand-offs from
-        several threads, or a `close` racing a hand-off, are not supported.
+        read-only first. One thread hands work off, drains and closes the
+        indexer: the engine's map thread, which runs every map task.
         """
         if self._closed:
             self.stats.rejected_full += 1
             return False
         for column in work.block.columns.values():
             column.setflags(write=False)
-        self._queue.put(work)
+        slots = self._slots
+        slots.acquire()
+        unit = self._pool.submit(self._index_one, work)
+        unit.add_done_callback(lambda _: slots.release())
+        self._units.append(unit)
         self.stats.enqueued += 1
         return True
 
     def drain(self) -> None:
-        """Block until every enqueued work item has been fully processed,
-        then register what the worker wrote, in hand-off order."""
-        self._queue.join()
-        self._register_pending()
+        """Wait for every accepted unit, in hand-off order, counting what it
+        did and applying its registrations; a unit that raised, or a
+        registration the registry refuses, counts as a failure."""
+        units, self._units = self._units, []
+        for unit in units:
+            try:
+                counted, registrations = unit.result()
+            except Exception:
+                self.stats.failures += 1
+                continue
+            for name in counted:
+                setattr(self.stats, name, getattr(self.stats, name) + 1)
+            for args in registrations.pending:
+                try:
+                    self.registry.register_pseudo(*args)
+                except Exception:
+                    self.stats.failures += 1
 
     def close(self) -> None:
         """Refuse further work and return once all accepted work has landed
         and been registered."""
-        if self._closed:
-            return
         self._closed = True
-        self._queue.put(None)
-        self._worker.join()
-        self._register_pending()
+        self.drain()
 
-    def _register_pending(self) -> None:
-        """Apply the worker's registrations on the calling thread; one the
-        registry refuses counts as a failure, as it would on the worker."""
-        pending, self._registrations.pending = self._registrations.pending, []
-        for args in pending:
-            try:
-                self.registry.register_pseudo(*args)
-            except Exception:
-                self.stats.failures += 1
-
-    def _index_one(self, work: IndexWork) -> None:
+    def _index_one(self, work: IndexWork) -> tuple[tuple[str, ...], _Registrations]:
+        """Run one unit on a pool thread; returns the IndexerStats fields it
+        counts in and the registrations it recorded."""
+        registrations = _Registrations(self.registry)
         block = work.block
         if work.kind == COMPLETE:
             # Looked up on the module at call time, so wrappers installed on
             # lazy.append_aligned_columns see every completion.
-            if lazy.append_aligned_columns(
-                self.node_root, self.node_id, self._registrations, block.block_id,
+            changed = lazy.append_aligned_columns(
+                self.node_root, self.node_id, registrations, block.block_id,
                 work.attribute, block,
-            ):
-                self.stats.completed += 1
-            return
+            )
+            return ("completed",) if changed else (), registrations
         # A subset of the schema makes a partial replica, which keeps the
         # permutation vector so later jobs can align the missing columns.
         sorted_block, perm, _ = build_index(block, work.attribute, self.page_size_records)
         if set(block.schema.names) != set(self.registry.schema.names):
             sorted_block.permutation = perm
-        self.stats.built += 1
-        result = write_pseudo_replica(
-            sorted_block, self.node_root, self.node_id, self._registrations
-        )
-        if result == WriteResult.WON:
-            self.stats.written += 1
-        elif result == WriteResult.LOST:
-            self.stats.lost_races += 1
-        else:
-            self.stats.failures += 1
-
-
-def _work_loop(indexer_ref: weakref.ref, work_queue: queue.Queue) -> None:
-    """A node's worker: process each unit until the stop sentinel, or until
-    the indexer is gone. The indexer is held only while a unit runs."""
-    while True:
-        work = work_queue.get()
-        indexer = indexer_ref()
-        try:
-            if work is None or indexer is None:
-                return
-            indexer._index_one(work)
-        except Exception:
-            indexer.stats.failures += 1
-        finally:
-            indexer = None
-            work_queue.task_done()
-
-
-def _stop_worker(work_queue: queue.Queue) -> None:
-    """Finalizer of a collected indexer: ask its worker to stop, without
-    waiting. It may run on the worker itself, or with the queue full; then
-    the worker stops at its next unit, finding the indexer gone."""
-    try:
-        work_queue.put_nowait(None)
-    except queue.Full:
-        pass
+        result = write_pseudo_replica(sorted_block, self.node_root, self.node_id, registrations)
+        return ("built", _WRITE_STAT[result]), registrations

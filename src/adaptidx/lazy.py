@@ -8,9 +8,10 @@ keeping the vector because the schema is incomplete. Later index scans that
 project additional attributes read them from the normal replica and align
 them with the stored vector to serve the job; when that normal replica is
 local, the record reader hands the aligned columns to the indexer, whose
-thread appends them here. The hand-off is the indexer's only enqueue path
-(`AdaptiveIndexer.hand_off`, as for a full scan's BUILD offer): it waits for
-queue space, so only a remote normal replica skips a completion. Once every
+unit appends them here on the cluster's pool. The hand-off is the indexer's
+only enqueue path (`AdaptiveIndexer.hand_off`, as for a full scan's BUILD
+offer): it waits for a slot, so only a remote normal replica skips a
+completion. Once every
 schema attribute is present the permutation vector is dropped and the replica
 is promoted to a full pseudo replica.
 
@@ -20,10 +21,11 @@ a split's replicas live on its node (`InputSplit`), so the file is that
 node's `pseudo_replica_path(node_root, block_id, attribute)`.
 
 A published replica is never written in place: an append writes the merged
-replica to a temp file and renames it over the old one, serialized by the
-owning node's single indexer thread. The indexer passes its registration
-recorder as `registry`, so the wider entry is registered when the indexer
-drains (for a crash before that, see `Cluster._repair`).
+replica to a temp file and renames it over the old one. No other unit
+touches that file meanwhile, because a job hands off at most one unit per
+block and drains before the next job (see `indexer`). The unit passes its
+registration recorder as `registry`, so the wider entry is registered when
+the indexer drains (for a crash before that, see `Cluster._repair`).
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 The registry is the single shared mutable structure in the engine. All
 mutations and lookups take one lock, which gives register/lookup linearizable
 semantics. In the engine one thread writes it: the thread that uploads and
-runs the map tasks, which registers the upload once the upload's thread pool
+runs the map tasks, which registers the upload once the cluster's thread pool
 has written every replica, and registers what each indexer wrote when it
-drains that indexer (`AdaptiveIndexer.drain`); the indexer threads only read
-it. Every mutation
+drains that indexer (`AdaptiveIndexer.drain`); the indexers' units on the
+pool only read it. Every mutation
 is appended to a journal file (one JSON record per line) so a cluster
 directory can be reopened and replayed; a torn last line
 (a crash mid-append) is dropped on load. A journal whose dataset record

@@ -120,7 +120,6 @@ class WorkloadRunner:
         else:
             self.calibration = Calibration()
             self._persisted = None  # what calibration.json holds, None if absent
-        self._jobs_run = 0
 
     def apply_policy_overrides(
         self,
@@ -213,7 +212,6 @@ class WorkloadRunner:
         if not failed:
             self._update_calibration(metrics, full_results, t_scan, t_overhead, rho_used)
             metrics.predicted_seconds = self._predict(metrics, t_is, rho_used)
-        self._jobs_run += 1
         return self._finalize(job, metrics, results)
 
     def _cost_params(self, metrics: JobMetrics, t_is: float) -> CostModelParams:
@@ -232,7 +230,9 @@ class WorkloadRunner:
         if job.policy.mode != EAGER:
             return job.policy.rho
         if not self.calibration.usable:
-            if self._jobs_run > 0:
+            # The first job (or the user) sets the target, and calibration.json
+            # keeps it, so a reopened cluster warns as an unclosed one would.
+            if self.calibration.t_target is not None:
                 metrics.warnings.append(
                     "eager mode without calibration; falling back to constant rate"
                 )

@@ -1,9 +1,14 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import adaptidx.indexer as indexer_module
 import adaptidx.registry as registry_module
 from adaptidx.blocks import DataBlock, Schema
 from adaptidx.cluster import Cluster, ClusterConfig
+from adaptidx.indexer import DEFAULT_PAGE_SIZE, AdaptiveIndexer
 from adaptidx.workloads import gen_synthetic
 
 
@@ -52,6 +57,15 @@ def make_cluster(
         **overrides,
     )
     return Cluster(config, root)
+
+
+def make_indexer(node_id, node_root, registry, page_size_records=DEFAULT_PAGE_SIZE):
+    """An AdaptiveIndexer on a pool of its own, two threads wide with
+    QUEUE_CAPACITY slots per thread, as a Cluster gives its nodes one. The
+    pool's threads exit once the indexer is collected."""
+    slots = threading.Semaphore(indexer_module.QUEUE_CAPACITY * 2)
+    return AdaptiveIndexer(node_id, node_root, registry, ThreadPoolExecutor(2), slots,
+                           page_size_records)
 
 
 @pytest.fixture

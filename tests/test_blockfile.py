@@ -479,7 +479,7 @@ def test_partial_replicas_keep_their_read_budget_on_a_lazy_cluster(tmp_path, mon
     # billed by the format's layout, both headers included. A header is
     # parsed, with one `pread`, only when its replica is not open yet. Only
     # the map thread's reads are counted: completions rewrite replicas on
-    # the indexer threads meanwhile.
+    # the pool threads meanwhile.
     rows, page, lo, hi = 500, 64, 0.3, 0.35
     cluster = make_cluster(
         tmp_path / "c", nodes=3, replication=2, block_records=rows, page_size=page,

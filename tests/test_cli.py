@@ -4,6 +4,7 @@ import json
 import pytest
 
 from adaptidx.cli import main
+from adaptidx.cluster import Cluster
 from adaptidx.registry import ReplicaRegistry
 
 
@@ -68,6 +69,23 @@ def test_gen_upload_run_report_pipeline(tmp_path, capsys):
     assert main(["report", "--json", str(report.with_suffix(".json"))]) == 0
     out = capsys.readouterr().out
     assert "first" in out and "second" in out
+
+
+def test_run_on_a_cluster_open_elsewhere_exits_2(tmp_path, capsys):
+    root = gen_and_upload(tmp_path)
+    jobs = write_jobs(tmp_path / "jobs.json", [
+        {"id": "j", "predicate": {"attribute": "b", "low": 0.1, "high": 0.3}, "offer_rate": 0.5},
+    ])
+    journal = (root / "registry.journal").read_bytes()
+    owner = Cluster.open(root)
+    try:
+        assert main(["run", "--root", str(root), "--jobs", str(jobs)]) == 2
+    finally:
+        owner.close()
+    assert capsys.readouterr().err.startswith(f"error: cluster {root} is already open")
+    assert (root / "registry.journal").read_bytes() == journal
+    report = tmp_path / "report"
+    assert main(["run", "--root", str(root), "--jobs", str(jobs), "--report", str(report)]) == 0
 
 
 def test_run_is_deterministic(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -131,8 +132,8 @@ def test_wave_index_is_plan_position_over_slots(tmp_path):
 
 
 def test_full_queues_and_a_slow_writer_do_not_deadlock_the_map_thread(tmp_path, monkeypatch):
-    # A one-slot queue and a slowed write step: every offer waits for space
-    # that only the node's indexer thread can free.
+    # One slot per pool thread and a slowed write step: every offer waits
+    # for a slot that only the pool can free.
     original = indexer_module.write_pseudo_replica
 
     def slowed(*args):
@@ -157,6 +158,96 @@ def test_full_queues_and_a_slow_writer_do_not_deadlock_the_map_thread(tmp_path, 
     assert sum(s.rejected_full for s in stats) == 0
     assert sum(s.written for s in stats) == 40
     cluster.close()
+
+
+def test_ten_nodes_index_on_as_many_threads_as_the_host_has_cores(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    before = set(threading.enumerate())
+    cluster = make_cluster(tmp_path / "c", nodes=10, slots=1, replication=2, block_records=100)
+    cluster.upload_dataset(gen_synthetic(4_000, seed=13))  # 40 blocks
+    job = JobSpec("all", Predicate("b", 0.0, 0.5), ("b",), policy=OfferPolicy(rho=1.0))
+    metrics = WorkloadRunner(cluster).run_job(job).metrics
+    started = set(threading.enumerate()) - before
+    stats = [ix.stats for ix in cluster.indexers.values()]
+    cluster.close()
+    assert not metrics.failed and 1 <= len(started) <= 2
+    assert metrics.blocks_indexed_after == 40 == sum(s.written for s in stats)
+    assert all(s.enqueued for s in stats)  # every node handed work off
+    assert not any(t.is_alive() for t in started)
+
+
+def test_a_dropped_cluster_finishes_its_units_and_stops_its_threads(tmp_path, monkeypatch):
+    # The last reference goes while every unit of a wave is in flight, so
+    # the units keep the pool alive until they finish; then its threads exit.
+    # What they published is registered by the next open.
+    gate = threading.Event()
+    original = indexer_module.write_pseudo_replica
+
+    def stalled(*args):
+        gate.wait(timeout=10)
+        return original(*args)
+
+    monkeypatch.setattr(indexer_module, "write_pseudo_replica", stalled)
+    root = tmp_path / "c"
+    before = set(threading.enumerate())
+    cluster = make_cluster(root, nodes=3, slots=1, replication=2, block_records=100)
+    cluster.upload_dataset(gen_synthetic(1_000, seed=14))  # 10 blocks
+    job = JobSpec("drop", Predicate("b", 0.0, 0.5), ("b",), policy=OfferPolicy(rho=1.0))
+    results = cluster.run_wave(plan_job(job, cluster.registry), job)  # no drain
+    assert sum(r.blocks_offered for r in results) == 10
+    threads = set(threading.enumerate()) - before
+    del cluster, results
+    gc.collect()
+    assert threads and all(t.is_alive() for t in threads)
+    gate.set()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert len(list(root.glob("node_*/pseudo/blk_*/b"))) == 10
+    reopened = Cluster.open(root)
+    assert reopened.registry.indexed_block_count("b") == 10
+    reopened.close()
+
+
+def test_a_second_owner_is_refused_while_publishes_are_in_flight(tmp_path, monkeypatch):
+    # Owner A's publishes stop between their temp write and their link. An
+    # open of the same root by B would repair the directory and delete A's
+    # temp files, so it must be refused while A holds the root.
+    gate, paused = threading.Event(), []
+    link = os.link
+
+    def paused_link(*args, **kwargs):
+        paused.append(args)
+        gate.wait(timeout=10)
+        return link(*args, **kwargs)
+
+    root = tmp_path / "c"
+    owner = make_cluster(root, nodes=3, slots=1, replication=2, block_records=100)
+    owner.upload_dataset(gen_synthetic(3_000, seed=15))  # 30 blocks
+    monkeypatch.setattr(os, "link", paused_link)
+    job = JobSpec("a", Predicate("b", 0.0, 0.5), ("b",), policy=OfferPolicy(rho=1.0))
+    outcome = []
+    runner = threading.Thread(target=lambda: outcome.append(WorkloadRunner(owner).run_job(job)))
+    runner.start()
+    try:
+        deadline = time.monotonic() + 10
+        while not paused and time.monotonic() < deadline:
+            time.sleep(0.01)
+        temps = sorted(root.glob("node_*/pseudo/blk_*/.b.tmp.*"))
+        assert temps
+        with pytest.raises(RegistryError, match=str(root)):
+            Cluster.open(root)
+        assert sorted(root.glob("node_*/pseudo/blk_*/.b.tmp.*"))[: len(temps)] == temps
+    finally:
+        gate.set()
+        runner.join(timeout=30)
+    metrics = outcome[0].metrics
+    stats = [ix.stats for ix in owner.indexers.values()]
+    owner.close()
+    assert not metrics.failed and metrics.blocks_indexed_after == 30
+    assert sum(s.lost_races + s.failures for s in stats) == 0
+    assert not list(root.glob("node_*/pseudo/blk_*/.b.tmp.*"))
+    Cluster.open(root).close()  # once A has closed, B may open
 
 
 def test_wave_zero_tasks(small_cluster):

@@ -1,6 +1,7 @@
 import gc
 import math
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import adaptidx.blockfile as blockfile
 import adaptidx.execution as execution
 from adaptidx.blocks import DataBlock, Schema
 from adaptidx.blockfile import read_header, write_block
-from adaptidx.cluster import REGISTRY_JOURNAL
+from adaptidx.cluster import REGISTRY_JOURNAL, Cluster
 from adaptidx.errors import BlockFormatError, SchemaError
 from adaptidx.execution import (
     BlockRef,
@@ -26,7 +27,7 @@ from adaptidx.indexer import EAGER, OFFER_RATE, OfferPolicy, SELECTIVITY, build_
 from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 from adaptidx.runner import WorkloadRunner
 
-from conftest import make_cluster
+from conftest import make_cluster, make_indexer
 from adaptidx.workloads import gen_synthetic
 
 NINE = Schema.of(*[(f"c{i}", "int64") for i in range(9)])
@@ -143,9 +144,7 @@ def test_index_scan_unaligned_range_is_exact(tmp_path):
 
 def test_full_scan_zero_matches_still_offers(tmp_path):
     schema, base, registry, normal, pseudo, ctx = _single_block_fixture(tmp_path)
-    from adaptidx.indexer import AdaptiveIndexer
-
-    indexer = AdaptiveIndexer(0, tmp_path / "node_0", registry, page_size_records=1024)
+    indexer = make_indexer(0, tmp_path / "node_0", registry, page_size_records=1024)
     ctx.indexer = indexer
     ctx.will_offer_blocks = frozenset({42})
     j = job(Predicate("a", 5000, 6000), projection=("a",), rho=1.0)  # matches nothing
@@ -207,9 +206,7 @@ def test_custom_map_fn_sees_only_projected_fields(tmp_path):
 
 def test_selectivity_mode_reads_full_schema_and_filters_offers(tmp_path):
     schema, base, registry, normal, pseudo, ctx = _single_block_fixture(tmp_path)
-    from adaptidx.indexer import AdaptiveIndexer
-
-    indexer = AdaptiveIndexer(0, tmp_path / "node_0", registry, page_size_records=1024)
+    indexer = make_indexer(0, tmp_path / "node_0", registry, page_size_records=1024)
     policy = OfferPolicy(mode=SELECTIVITY, selectivity_threshold=0.8)
     ctx.indexer = indexer
     ctx.will_offer_blocks = None
@@ -278,16 +275,14 @@ def test_offer_rule_matrix(tmp_path, monkeypatch, mode, offers, high):
 
 
 def test_full_queue_makes_the_offering_task_wait(tmp_path, monkeypatch):
-    import threading
     import time
 
     import adaptidx.indexer as indexer_module
-    from adaptidx.indexer import AdaptiveIndexer
 
     schema, base, registry, normal, pseudo, ctx = _single_block_fixture(tmp_path)
     assert registry.find_index(42, "a") is None
     monkeypatch.setattr(indexer_module, "QUEUE_CAPACITY", 1)
-    indexer = AdaptiveIndexer(0, tmp_path / "node_0", registry)
+    indexer = make_indexer(0, tmp_path / "node_0", registry)
     gate = threading.Event()
     original = indexer._index_one
     indexer._index_one = lambda work: (gate.wait(10), original(work))[1]
@@ -297,8 +292,8 @@ def test_full_queue_makes_the_offering_task_wait(tmp_path, monkeypatch):
     j = job(Predicate("a", 0, 100), projection=("a",), rho=1.0)
     split = InputSplit(0, (BlockRef(42, normal),), ScanKind.FULL_SCAN)
     results = []
-    # The first offer occupies the worker, the second fills the queue and
-    # the third waits for space.
+    # The first two offers take both slots of the two-thread pool, and the
+    # third waits for one.
     producer = threading.Thread(
         target=lambda: [results.append(record_reader_scan(split, j, ctx)) for _ in range(3)]
     )
@@ -322,10 +317,8 @@ def test_full_queue_makes_the_offering_task_wait(tmp_path, monkeypatch):
 
 
 def test_offer_to_a_closed_indexer_is_rejected_but_task_succeeds(tmp_path):
-    from adaptidx.indexer import AdaptiveIndexer
-
     schema, base, registry, normal, pseudo, ctx = _single_block_fixture(tmp_path)
-    indexer = AdaptiveIndexer(0, tmp_path / "node_0", registry)
+    indexer = make_indexer(0, tmp_path / "node_0", registry)
     indexer.close()
     ctx.indexer = indexer
     ctx.will_offer_blocks = frozenset({42})
@@ -520,7 +513,7 @@ def test_an_unclosed_cluster_closes_its_open_replicas_when_collected(tmp_path):
     assert _open_descriptors() == before + registry.block_count
     del cluster
     gc.collect()
-    assert _open_descriptors() == before
+    assert _open_descriptors() == before - 1  # the directory lock's went too
 
 
 def _open_paths() -> set[str]:
@@ -535,19 +528,21 @@ def _open_paths() -> set[str]:
 
 @needs_proc
 def test_an_unclosed_cluster_stops_its_indexers_and_closes_its_journal_when_collected(tmp_path):
+    before = set(threading.enumerate())
     cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=500, page_size=64)
     cluster.upload_dataset(gen_synthetic(4000, seed=5))
     build = job(Predicate("b", 0.2, 0.4), ("b",), rho=1.0, job_id="build")
     assert not WorkloadRunner(cluster).run_job(build).metrics.failed
-    workers = [indexer._worker for indexer in cluster.indexers.values()]
+    workers = set(threading.enumerate()) - before  # the cluster's pool
     journal = os.path.realpath(tmp_path / "c" / REGISTRY_JOURNAL)
-    assert journal in _open_paths() and all(w.is_alive() for w in workers)
+    assert journal in _open_paths() and workers and all(w.is_alive() for w in workers)
     del cluster
     gc.collect()
     for worker in workers:
         worker.join(timeout=10)
     assert not any(w.is_alive() for w in workers)
     assert journal not in _open_paths()
+    Cluster.open(tmp_path / "c").close()  # its directory lock went too
 
 
 @needs_proc
@@ -576,8 +571,8 @@ def test_a_cluster_holds_no_more_replicas_open_than_its_bound(tmp_path, monkeypa
         outcome = runner.run_job(job(Predicate("b", 0.2, 0.4), projection, job_id=job_id))
         assert not outcome.metrics.failed, outcome.metrics.error
         assert outcome.metrics.full_scan_tasks == 0
-        # Counted once the drain has left the indexer threads idle, which
-        # open files of their own meanwhile.
+        # Counted once the drain has left the pool threads idle, which open
+        # files of their own meanwhile.
         assert _open_descriptors() - before == len(table._entries) <= 3
     # Per block: both replicas in "c" and "cd", then the completed replica.
     assert len(sizes) == 5 * cluster.registry.block_count

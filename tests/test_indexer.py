@@ -1,8 +1,6 @@
-import gc
 import math
 import threading
 import time
-import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +18,6 @@ from adaptidx.indexer import (
     COMPLETE,
     EAGER,
     OFFER_RATE,
-    AdaptiveIndexer,
     IndexWork,
     OfferPolicy,
     SELECTIVITY,
@@ -32,7 +29,7 @@ from adaptidx.indexer import (
 from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 from adaptidx.scheduler import choose_offer_blocks
 
-from conftest import make_block
+from conftest import make_block, make_indexer
 
 PAYLOAD_SCHEMA = Schema.of(("d", "int64"), ("p", "string", 4))
 
@@ -287,7 +284,7 @@ def test_write_failure_leaves_no_trace(tmp_path, monkeypatch):
     assert registry.find_index(0, "d") is None
 
 
-# -- the queue pipeline --------------------------------------------------------
+# -- hand-off and drain ---------------------------------------------------------
 
 
 def make_work(block):
@@ -297,7 +294,7 @@ def make_work(block):
 def test_indexer_processes_offer_end_to_end(tmp_path):
     schema = Schema.of(("d", "int64"), ("x", "float64"))
     registry = fresh_registry(schema)
-    indexer = AdaptiveIndexer(0, tmp_path, registry, page_size_records=32)
+    indexer = make_indexer(0, tmp_path, registry, page_size_records=32)
     block = make_block(schema, 300, seed=1)
     assert indexer.hand_off(make_work(block)) is True
     indexer.drain()
@@ -311,7 +308,7 @@ def test_indexer_processes_offer_end_to_end(tmp_path):
 def test_handed_off_columns_are_read_only(tmp_path):
     schema = Schema.of(("d", "int64"), ("x", "float64"))
     registry = fresh_registry(schema)
-    indexer = AdaptiveIndexer(0, tmp_path, registry, page_size_records=32)
+    indexer = make_indexer(0, tmp_path, registry, page_size_records=32)
     block = make_block(schema, 100, seed=6)
     offered = DataBlock(0, schema, {n: c.copy() for n, c in block.columns.items()})
     assert indexer.hand_off(make_work(block))
@@ -330,14 +327,14 @@ def _completion(block):
 
 
 def _stalled_handoffs(tmp_path, monkeypatch, kind):
-    """An indexer with capacity 1 whose write step blocks until the returned
-    gate is set, and a started producer handing it five units of `kind`
-    work. The stalled worker holds one item and the queue one, so the third
-    hand-off has to wait. Returns the indexer, the gate, the producer and
-    the list of block ids the worker has finished, in order."""
+    """An indexer with one slot per pool thread, two in all, whose write
+    step blocks until the returned gate is set, and a started producer
+    handing it five units of `kind` work. Two stalled units hold both slots,
+    so the third hand-off has to wait. Returns the indexer, the gate, the
+    producer and the list of block ids the pool has finished, in order."""
     schema = Schema.of(("d", "int64"), ("x", "float64"))
     monkeypatch.setattr(indexer_module, "QUEUE_CAPACITY", 1)
-    indexer = AdaptiveIndexer(0, tmp_path, fresh_registry(schema))
+    indexer = make_indexer(0, tmp_path, fresh_registry(schema))
     gate = threading.Event()
     written = []
 
@@ -373,7 +370,7 @@ def test_handoff_waits_for_queue_space(tmp_path, monkeypatch, kind):
     producer.join(timeout=10)
     assert not producer.is_alive()
     indexer.drain()
-    assert written == [0, 1, 2, 3, 4]
+    assert sorted(written) == [0, 1, 2, 3, 4]  # the two stalled units may finish either way
     landed = indexer.stats.written if kind == BUILD else indexer.stats.completed
     assert indexer.stats.enqueued == landed == 5
     assert indexer.stats.rejected_full == indexer.stats.failures == 0
@@ -383,9 +380,9 @@ def test_handoff_waits_for_queue_space(tmp_path, monkeypatch, kind):
 def test_failed_build_is_counted_and_the_worker_keeps_going(tmp_path):
     schema = Schema.of(("d", "int64"), ("x", "float64"))
     registry = fresh_registry(schema)
-    indexer = AdaptiveIndexer(0, tmp_path, registry, page_size_records=32)
+    indexer = make_indexer(0, tmp_path, registry, page_size_records=32)
     block = make_block(schema, 50, seed=3)
-    assert indexer.hand_off(IndexWork(BUILD, "missing", block))  # raises in the worker
+    assert indexer.hand_off(IndexWork(BUILD, "missing", block))  # raises on the pool
     drainer = threading.Thread(target=indexer.drain)
     drainer.start()
     drainer.join(timeout=10)
@@ -403,22 +400,23 @@ def test_failed_build_is_counted_and_the_worker_keeps_going(tmp_path):
 def test_registrations_land_at_drain_and_a_refused_one_is_a_failure(tmp_path):
     schema = Schema.of(("d", "int64"), ("x", "float64"))
     registry = fresh_registry(schema)
-    indexer = AdaptiveIndexer(0, tmp_path, registry, page_size_records=32)
+    indexer = make_indexer(0, tmp_path, registry, page_size_records=32)
     gate = threading.Event()
     index_one = indexer._index_one
 
     def gated(work):
-        index_one(work)
+        outcome = index_one(work)
         gate.wait(timeout=10)
+        return outcome
 
     indexer._index_one = gated
     assert indexer.hand_off(make_work(make_block(schema, 50, seed=1)))
     deadline = time.monotonic() + 10
-    while indexer.stats.written == 0 and time.monotonic() < deadline:
+    while not pseudo_replica_path(tmp_path, 0, "d").exists() and time.monotonic() < deadline:
         time.sleep(0.01)
-    # Published, but registered only by the thread that drains.
+    # Published, but counted and registered only by the thread that drains.
     assert pseudo_replica_path(tmp_path, 0, "d").exists()
-    assert registry.find_index(0, "d") is None
+    assert registry.find_index(0, "d") is None and indexer.stats.written == 0
     gate.set()
     indexer.drain()
     assert registry.find_index(0, "d") is not None
@@ -433,34 +431,9 @@ def test_registrations_land_at_drain_and_a_refused_one_is_a_failure(tmp_path):
     assert [b for b, _ in registry.iter_replicas()] == [0, 0]
 
 
-def test_a_dropped_indexer_stops_its_worker_without_waiting(tmp_path, monkeypatch):
-    # The last reference goes while the worker runs a unit and the queue is
-    # full. So the finalizer runs on the worker, where it can neither wait
-    # for queue space nor join; the worker stops at its next unit instead.
-    schema = Schema.of(("d", "int64"), ("x", "float64"))
-    gate = threading.Event()
-
-    def stalled_publish(sorted_block, node_root, node_id, registry):
-        gate.wait(timeout=10)
-        return WriteResult.WON
-
-    monkeypatch.setattr(indexer_module, "write_pseudo_replica", stalled_publish)
-    indexer = AdaptiveIndexer(0, tmp_path, fresh_registry(schema))
-    for i in range(1 + indexer_module.QUEUE_CAPACITY):
-        assert indexer.hand_off(make_work(make_block(schema, 20, seed=i, block_id=i)))
-    assert indexer._queue.full()
-    worker, alive = indexer._worker, weakref.ref(indexer)
-    del indexer
-    gc.collect()
-    assert alive() is not None  # held by the worker's running unit
-    gate.set()
-    worker.join(timeout=10)
-    assert not worker.is_alive() and alive() is None
-
-
 def test_closed_indexer_refuses_completions(tmp_path):
     schema = Schema.of(("d", "int64"), ("x", "float64"))
-    indexer = AdaptiveIndexer(0, tmp_path, fresh_registry(schema))
+    indexer = make_indexer(0, tmp_path, fresh_registry(schema))
     indexer.close()
     block = make_block(schema, 20)
     assert indexer.hand_off(_completion(block)) is False

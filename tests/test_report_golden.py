@@ -15,13 +15,17 @@ of their registry journals must equal golden_{cold,lazy}_journal.txt. The
 goldens were written sorted, when the indexer threads still appended in an
 order that followed thread timing. Now the thread that drains the indexers
 writes every registration, node by node in hand-off order, so the journal's
-order is fixed too: the same sequences run with one-slot queues and random
-stalls in the indexer threads must leave byte-identical journals. Nor may
-any output depend on how many replicas the cluster keeps open between jobs:
-run with one open replica at a time, and with one-slot queues, the cold and
+order is fixed too: the same sequences run with one slot per pool thread
+(`QUEUE_CAPACITY` 1) and random stalls before each indexing unit must leave
+byte-identical journals. Nor may any output depend on how many replicas the
+cluster keeps open between jobs: run with one open replica at a time, and
+with one slot per pool thread, the cold and
 lazy sequences leave byte-identical reports, journals and pseudo replicas,
 and so they do when the cluster is closed halfway through and reopened from
-another working directory.
+another working directory. A property test draws clusters and job sequences
+beyond these three and checks the same for each: undisturbed, with one slot
+per pool thread, more threads than cores and seeded stalls before every
+unit, and reopened halfway; their indexer stats must agree too.
 
 The golden files were written by an earlier engine, not by the code under
 test. After a deliberate change to the cost model, regenerate them with
@@ -29,22 +33,32 @@ test. After a deliberate change to the cost model, regenerate them with
     PYTHONPATH=src python tests/test_report_golden.py
 """
 
+import dataclasses
 import os
 import random
 import sys
+import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import adaptidx.blockfile as blockfile
 import adaptidx.indexer as indexer_module
-from adaptidx.cluster import Cluster
+from adaptidx.cluster import REGISTRY_JOURNAL, Cluster
 from adaptidx.execution import JobSpec, Predicate
-from adaptidx.indexer import AdaptiveIndexer, OfferPolicy
+from adaptidx.indexer import EAGER, OFFER_RATE, SELECTIVITY, AdaptiveIndexer, OfferPolicy
 from adaptidx.registry import ReplicaKind
 from adaptidx.runner import WorkloadRunner, write_reports
-from adaptidx.workloads import gen_synthetic, gen_uservisits_like, search_word_predicate
+from adaptidx.workloads import (
+    SYNTHETIC_SCHEMA,
+    gen_synthetic,
+    gen_uservisits_like,
+    search_word_predicate,
+)
 
 sys.path.insert(0, str(Path(__file__).parent))
 from conftest import make_cluster  # noqa: E402
@@ -212,9 +226,100 @@ def test_outputs_do_not_depend_on_open_replicas_or_queue_capacity(tmp_path, monk
     assert one_slot == default
 
 
-if __name__ == "__main__":
-    import tempfile
+@st.composite
+def drawn_sequences(draw):
+    """A cluster layout and 2-5 jobs over 20 synthetic blocks: each job draws
+    its offer mode, rate and threshold, its predicate range on an integer or
+    a float attribute, and its projection."""
+    nodes = draw(st.integers(2, 4))
+    layout = {
+        "nodes": nodes,
+        "replication": draw(st.integers(1, min(3, nodes))),
+        "projection_mode": draw(st.sampled_from(["invisible", "lazy"])),
+    }
+    jobs = []
+    for j in range(draw(st.integers(2, 5))):
+        attribute = draw(st.sampled_from(["a", "b", "c"]))
+        if attribute == "a":  # integers 1..10
+            low = draw(st.integers(1, 10))
+            high = draw(st.integers(low, 10))
+        else:  # floats in [0, 1)
+            low = draw(st.integers(0, 99)) / 100
+            high = low + draw(st.integers(0, 100)) / 100
+        policy = OfferPolicy(
+            mode=draw(st.sampled_from([OFFER_RATE, EAGER, SELECTIVITY])),
+            rho=draw(st.sampled_from([0.0, 0.3, 1.0])),
+            selectivity_threshold=draw(st.sampled_from([0.0, 0.5])),
+        )
+        projection = draw(st.lists(st.sampled_from(SYNTHETIC_SCHEMA.names), min_size=1,
+                                   max_size=6, unique=True))
+        jobs.append(JobSpec(f"job{j}", Predicate(attribute, low, high), tuple(projection),
+                            policy=policy, collect_output=False))
+    return layout, jobs
 
+
+def drawn_outputs(work: Path, layout: dict, jobs: list, reopen: bool = False) -> dict:
+    """Run `jobs` on a new cluster under `work`, closing and reopening it
+    halfway with `reopen`; returns the files `run_outputs` compares and the
+    indexer stats summed over the cluster's nodes and both openings."""
+    root = work / "c"
+    cluster = make_cluster(root, slots=1, block_records=100, page_size=32, **layout)
+    rows, stats = [], Counter()
+
+    def close(cluster):
+        cluster.close()
+        for ix in cluster.indexers.values():
+            stats.update(dataclasses.asdict(ix.stats))
+
+    try:
+        cluster.upload_dataset(gen_synthetic(2_000, seed=41))
+        runner = WorkloadRunner(cluster)
+        for j, job in enumerate(jobs):
+            if reopen and j == len(jobs) // 2:
+                close(cluster)
+                cluster = Cluster.open(root)
+                runner = WorkloadRunner(cluster)
+            rows.append(runner.run_job(job).metrics)
+    finally:
+        close(cluster)
+    write_reports(rows, work / "report")
+    files = [work / "report.csv", work / "report.json", root / REGISTRY_JOURNAL,
+             *sorted(root.glob("node_*/pseudo/*/*"))]
+    return {"stats": stats} | {str(path.relative_to(work)): path.read_bytes() for path in files}
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn_sequences(), st.integers(0, 2**32 - 1))
+def test_drawn_sequences_do_not_depend_on_pacing_or_reopening(sequence, seed):
+    layout, jobs = sequence
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        undisturbed = drawn_outputs(work / "undisturbed", layout, jobs)
+        reopened = drawn_outputs(work / "reopened", layout, jobs, reopen=True)
+        stalls = random.Random(seed)
+        index_one = AdaptiveIndexer._index_one
+
+        def stalled(self, work):
+            time.sleep(stalls.random() * 0.002)
+            return index_one(self, work)
+
+        # Four pool threads, more than a two-core host has, one slot each,
+        # and a short thread switch interval.
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(os, "cpu_count", lambda: 4)
+            m.setattr(indexer_module, "QUEUE_CAPACITY", 1)
+            m.setattr(AdaptiveIndexer, "_index_one", stalled)
+            sys.setswitchinterval(1e-5)
+            try:
+                paced = drawn_outputs(work / "paced", layout, jobs)
+            finally:
+                sys.setswitchinterval(interval)
+    assert paced == undisturbed
+    assert reopened == undisturbed
+
+
+if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
         for kind in SEQUENCES:

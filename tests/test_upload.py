@@ -1,9 +1,10 @@
-"""Upload on a thread pool: bytes, pacing, failures and stats.
+"""Upload on the cluster's thread pool: bytes, pacing, failures and stats.
 
-A pool as wide as the host has cores writes, and where asked sorts and
-indexes, every normal replica; the uploading thread registers them in block
-order once the pool is done, and only then starts the node indexers. So the
-uploaded tree must not depend on thread pacing or on the pool's width.
+The pool the cluster shares with its node indexers, as wide as the host has
+cores, writes, and where asked sorts and indexes, every normal replica; the
+uploading thread registers them in block order once every write is done,
+and only then starts the node indexers. So the uploaded tree must not depend
+on thread pacing or on the pool's width.
 """
 
 import dataclasses
@@ -157,10 +158,6 @@ def test_the_benchmark_tracer_sees_each_upload_write_and_index_build_once(tmp_pa
     assert summary["blockfile.write_block"]["n"] == on_disk
 
 
-def _indexer_threads() -> set:
-    return {t for t in threading.enumerate() if t.name.startswith("indexer-")}
-
-
 def _full_disk_under(directory: Path):
     """The upload's `write_block`, failing for every path in `directory`."""
     original = cluster_module.write_block
@@ -182,21 +179,51 @@ def test_a_failed_replica_write_fails_the_upload(tmp_path, monkeypatch):
         m.setattr(cluster_module, "write_block", _full_disk_under(root / "node_1" / "blocks"))
         with pytest.raises(OSError, match="No space left"):
             cluster.upload_dataset(dataset, UPLOAD_INDEXES)
-    assert set(threading.enumerate()) - before == set()  # no indexer, no pool thread
+    width = os.cpu_count() or 1
+    assert len(set(threading.enumerate()) - before) <= width  # the cluster's pool only
     assert cluster.indexers == {} and cluster.registry is None
     assert not (root / REGISTRY_JOURNAL).exists()  # no block was registered
     assert not list(root.glob("node_*/blocks/*"))  # nor is any replica left
 
-    # Nothing of the failed attempt blocks a retry, which leaves only the
-    # node indexers running.
+    # Nothing of the failed attempt blocks a retry. The node indexers start
+    # no thread of their own, and closing the cluster stops its pool.
     registry = cluster.upload_dataset(dataset, UPLOAD_INDEXES)
-    assert registry.block_count == 20
-    started = set(threading.enumerate()) - before
-    assert sorted(t.name for t in started) == [f"indexer-{k}" for k in range(NODES)]
+    assert registry.block_count == 20 and len(cluster.indexers) == NODES
+    assert len(set(threading.enumerate()) - before) <= width
     cluster.close()
+    assert set(threading.enumerate()) - before == set()
     again = Cluster.open(root)
     assert again.registry.block_ids == registry.block_ids
     again.close()
+
+
+def test_a_failed_upload_waits_for_the_writes_in_flight_before_its_cleanup(
+    tmp_path, monkeypatch
+):
+    # Replica 0 of block 0 fails once replica 1 is being written; that write
+    # is still in flight when the failure reaches the uploading thread, and
+    # lands a while later. The cleanup must wait for it, or its file stays.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    original = cluster_module.write_block
+    second_started = threading.Event()
+
+    def paced(block, path):
+        if Path(path).name == "blk_0_r0":
+            second_started.wait(timeout=10)
+            raise OSError(5, "Input/output error")
+        if Path(path).name == "blk_0_r1":
+            second_started.set()
+            time.sleep(0.3)
+        return original(block, path)
+
+    monkeypatch.setattr(cluster_module, "write_block", paced)
+    root = tmp_path / "c"
+    cluster = make_cluster(root, nodes=NODES, replication=REPLICATION, block_records=BLOCK_RECORDS)
+    with pytest.raises(OSError, match="Input/output error"):
+        cluster.upload_dataset(gen_synthetic(5_000, seed=35))
+    cluster.close()  # waits for anything still running on the pool
+    assert second_started.is_set()
+    assert not list(root.glob("node_*/blocks/*"))
 
 
 def test_cli_upload_failure_leaves_no_indexer_running(tmp_path, monkeypatch):
@@ -206,10 +233,10 @@ def test_cli_upload_failure_leaves_no_indexer_running(tmp_path, monkeypatch):
     config.write_text('{"nodes": 3, "replication": 2, "block_records": 500}')
     root = tmp_path / "c"
     monkeypatch.setattr(cluster_module, "write_block", _full_disk_under(root / "node_2" / "blocks"))
-    before = _indexer_threads()
+    before = set(threading.enumerate())
     with pytest.raises(OSError, match="No space left"):
         main(["upload", "--dataset", str(data), "--root", str(root), "--config", str(config)])
-    assert _indexer_threads() - before == set()
+    assert set(threading.enumerate()) - before == set()  # the CLI closed the cluster
     assert not (root / REGISTRY_JOURNAL).exists()
 
 
