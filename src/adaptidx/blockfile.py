@@ -42,17 +42,16 @@ every reader.
 when that fails) and hands the header and the column arrays to `os.writev`
 as they are, so the columns are not copied into one payload first.
 
-A block file is never modified in place. A new pseudo replica is published
-through a temp file in the same directory followed by a hard link, so
-concurrent writers of the same path cannot clobber each other (at most one
-link succeeds). A lazy completion, which only the owning node's indexer
-thread makes, replaces a published partial replica whole: it writes the
-wider replica to a temp file and renames it over the old path. What a crash
-leaves of either, `Cluster._repair` clears at the next open.
+A block file is never modified in place. A new pseudo replica is created at
+its final path with `O_CREAT | O_EXCL`, so of concurrent writers of the same
+path exactly one succeeds. A lazy completion replaces a partial replica
+whole: it writes `.<attribute>.tmp` beside it and renames that over it. What
+a crash leaves of either, `Cluster._repair` clears at the next open.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import resource
@@ -126,8 +125,10 @@ def _entry_dtype(attr: Attribute) -> np.dtype:
     return np.dtype([("key", attr.dtype), ("start", "<u8")])
 
 
-def write_block(block: DataBlock, path: Path | str) -> int:
-    """Serialize a block to `path`; returns the byte count written."""
+def write_block(block: DataBlock, path: Path | str, exclusive: bool = False) -> int:
+    """Serialize a block to `path`; returns the byte count written. An existing
+    file is truncated, or with `exclusive` left alone and FileExistsError
+    raised. A write that fails after the open removes the file."""
     block.validate()
     schema = block.schema
     n_attrs = len(schema.attributes)
@@ -175,7 +176,7 @@ def write_block(block: DataBlock, path: Path | str) -> int:
     for a in schema.attributes:
         column = np.ascontiguousarray(block.columns[a.name], dtype=a.dtype)
         buffers.append(memoryview(column).cast("B"))
-    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    flags = os.O_WRONLY | os.O_CREAT | (os.O_EXCL if exclusive else os.O_TRUNC)
     try:
         fd = os.open(path, flags, 0o666)
     except FileNotFoundError:  # the first file in its directory
@@ -183,6 +184,10 @@ def write_block(block: DataBlock, path: Path | str) -> int:
         fd = os.open(path, flags, 0o666)
     try:
         return _write_all(fd, buffers)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+        raise
     finally:
         os.close(fd)
 
@@ -500,25 +505,12 @@ def pseudo_replica_path(node_root: Path | str, block_id: int, attribute: str) ->
     return Path(node_root) / "pseudo" / f"blk_{block_id}" / attribute
 
 
-def pseudo_temp_path(node_root: Path | str, block_id: int, attribute: str, nonce: str) -> Path:
-    return Path(node_root) / "pseudo" / f"blk_{block_id}" / f".{attribute}.tmp.{nonce}"
-
-
-def publish_block_once(block: DataBlock, final_path: Path, temp_path: Path) -> bool:
-    """Write-once publish: write a temp file, hard-link it to the target.
-
-    Returns True when this call created the target, False when another writer
-    got there first. The temp file is removed either way, including when the
-    temp write itself fails partway.
-    """
+def publish_block_once(block: DataBlock, final_path: Path) -> bool:
+    """Create `final_path` holding `block`; False, and no write, when a file is
+    already there: another writer's, or one left by a crash or a failed
+    cleanup, which the next `Cluster.open` repairs."""
     try:
-        write_block(block, temp_path)
-        os.link(temp_path, final_path)
-        return True
+        write_block(block, final_path, exclusive=True)
     except FileExistsError:
         return False
-    finally:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
+    return True

@@ -30,13 +30,17 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 @dataclass(frozen=True)
 class Attribute:
-    """One schema attribute: int64, float64, or fixed-width string."""
+    """One schema attribute: int64, float64, or fixed-width string. Its name is
+    a replica's file name too: non-empty, without `/` or NUL, and not starting
+    with `.`, so never `..` or a lazy completion's temp name."""
 
     name: str
     kind: str
     width: int = 0  # byte width for STRING, ignored otherwise
 
     def __post_init__(self) -> None:
+        if not self.name or self.name.startswith(".") or "/" in self.name or "\0" in self.name:
+            raise SchemaError(f"attribute name {self.name!r} is not a valid file name")
         if self.kind not in _KINDS:
             raise SchemaError(f"unknown attribute kind {self.kind!r}")
         if self.kind == STRING and self.width <= 0:

@@ -155,6 +155,8 @@ class Cluster:
             os.close(fd)
             raise RegistryError(f"cluster {self.root} is already open elsewhere") from None
         self._unlock = weakref.finalize(self, os.close, fd)
+        for temp in self.root.glob(".*.json.tmp"):  # left by a crash in save_json
+            temp.unlink()
         self.registry: Optional[ReplicaRegistry] = None
         self.indexers: dict[int, AdaptiveIndexer] = {}
         self.open_replicas = OpenReplicas()  # used by map tasks, which run on one thread
@@ -184,16 +186,16 @@ class Cluster:
 
         A crash can come after a replica file is published, or a lazy
         completion renamed over it, and before the job's drain journals it,
-        or while a temp file (`.<attribute>.tmp.*`) is written. Files are
-        visited in (node, block id, attribute) order, so that the lines
-        appended are deterministic:
+        or while a new replica file or a completion's `.<attribute>.tmp` is
+        written, leaving it short. Files are visited in (node, block id,
+        attribute) order, so that the lines appended are deterministic:
         - a file whose (block, attribute) entry is on another node is deleted;
         - the file of a full pseudo entry on its node is left unread;
         - the file of a partial entry on its node is registered with what it
           holds, which widens the entry if the crash lost its completion;
-        - any other file (an orphan, or a temp file, whose name is no
-          attribute) is registered if `_held_names` reads it and the registry
-          takes it, and deleted otherwise.
+        - any other file (an orphan, whole or short, or a temp file, whose
+          name is no attribute) is registered if `_held_names` reads it and
+          the registry takes it, and deleted otherwise.
         A directory no crash touched gains no journal byte and loses no file.
         """
         owners = {  # (block, attribute) -> (node, kind) of its adaptive entry

@@ -44,7 +44,6 @@ alone decides.
 from __future__ import annotations
 
 import threading
-import uuid
 from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 from enum import Enum
@@ -55,7 +54,7 @@ import numpy as np
 
 from . import lazy
 from .blocks import DataBlock, SparseClusteredIndex
-from .blockfile import publish_block_once, pseudo_replica_path, pseudo_temp_path
+from .blockfile import publish_block_once, pseudo_replica_path
 from .errors import ConfigError, SchemaError
 from .registry import ReplicaRegistry
 
@@ -169,22 +168,21 @@ def write_pseudo_replica(
 ) -> WriteResult:
     """Persist an indexed block as a pseudo replica and register it.
 
-    The replica is written to a temp file and hard-linked into place, so with
-    concurrent writers for the same (block, attribute) exactly one wins; the
-    loser removes its temp file and reports LOST. Storage failures abandon
-    the block silently (FAILED): indexing must never jeopardize the job that
-    piggybacked it. `registry` may be an indexer's `_Registrations`, which
-    holds the registration until the indexer drains (for a crash before
-    that, see `Cluster._repair`).
+    The replica is created at its final path only if no file is there
+    (`publish_block_once`), so of concurrent writers for the same (block,
+    attribute) exactly one wins, and the others report LOST and touch no
+    file. Storage failures abandon the block silently (FAILED): indexing
+    must never jeopardize the job that piggybacked it. `registry` may be an
+    indexer's `_Registrations`, which holds the registration until the
+    indexer drains (for a crash before that, see `Cluster._repair`). `nonce`
+    is ignored; it is kept for callers that pass one.
     """
     attribute = sorted_block.sort_attribute
     if attribute is None:
         raise SchemaError("pseudo replicas require a sorted, indexed block")
-    nonce = nonce or uuid.uuid4().hex[:12]
     final = pseudo_replica_path(node_root, sorted_block.block_id, attribute)
-    temp = pseudo_temp_path(node_root, sorted_block.block_id, attribute, nonce)
     try:
-        won = publish_block_once(sorted_block, final, temp)
+        won = publish_block_once(sorted_block, final)
     except OSError:
         return WriteResult.FAILED
     if not won:
@@ -218,8 +216,8 @@ class IndexWork:
 class IndexerStats:
     """Counts of one node's adaptive indexing, all written by the thread that
     hands work off and drains. `failures` also counts units that raised and
-    registrations the registry refused; `lost_races` counts only publishes
-    that lost to a concurrent writer of the same file."""
+    registrations the registry refused; `lost_races` counts publishes that
+    found a file at their final path (see `publish_block_once`)."""
 
     enqueued: int = 0
     rejected_full: int = 0  # work refused because the indexer was closed

@@ -21,9 +21,10 @@ a split's replicas live on its node (`InputSplit`), so the file is that
 node's `pseudo_replica_path(node_root, block_id, attribute)`.
 
 A published replica is never written in place: an append writes the merged
-replica to a temp file and renames it over the old one. No other unit
-touches that file meanwhile, because a job hands off at most one unit per
-block and drains before the next job (see `indexer`). The unit passes its
+replica to `.<attribute>.tmp` beside it and renames that over the old one.
+The name needs no nonce: one process owns the cluster directory, a job hands
+off at most one unit per block and drains before the next job (see
+`indexer`), and no attribute name starts with a dot. The unit passes its
 registration recorder as `registry`, so the wider entry is registered when
 the indexer drains (for a crash before that, see `Cluster._repair`).
 """
@@ -32,11 +33,10 @@ from __future__ import annotations
 
 import contextlib
 import os
-import uuid
 from pathlib import Path
 
 from .blocks import DataBlock
-from .blockfile import pseudo_replica_path, pseudo_temp_path, read_block, write_block
+from .blockfile import pseudo_replica_path, read_block, write_block
 from .registry import ReplicaRegistry
 
 
@@ -54,8 +54,8 @@ def append_aligned_columns(
     this raises FileNotFoundError. Appending an attribute that is already
     present is a no-op. When the merge covers the whole schema the permutation
     vector is removed and the registry entry is upgraded to a full pseudo
-    replica. A storage failure removes the temp file and re-raises, leaving the
-    old replica and its registry entry.
+    replica. A storage failure removes `.<attribute>.tmp` and re-raises,
+    leaving the old replica and its registry entry.
     """
     final = pseudo_replica_path(node_root, block_id, attribute)
     existing = read_block(final)
@@ -79,9 +79,9 @@ def append_aligned_columns(
         permutation=None if complete else existing.permutation,
     )
 
-    temp = pseudo_temp_path(node_root, block_id, attribute, uuid.uuid4().hex[:12])
+    temp = final.with_name(f".{attribute}.tmp")
+    write_block(merged, temp)  # removes the temp file if it fails
     try:
-        write_block(merged, temp)
         os.replace(temp, final)
     except OSError:
         with contextlib.suppress(OSError):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -80,13 +79,14 @@ def compute_rho(params: CostModelParams) -> float:
 
 
 def save_json(path: Path | str, data: dict) -> None:
-    """Write `data` as JSON to a temp file beside `path`, then rename it over `path`.
+    """Write `data` as JSON to `.<name>.tmp` beside `path`, then rename it over `path`.
 
     A crash or an error mid-write leaves the previous file in place, and an
-    error removes the temp file.
+    error removes the temp file (`Cluster.__init__` removes a crash's: one
+    process owns the cluster directory, so the name needs no nonce).
     """
     path = Path(path)
-    temp = path.with_name(f".{path.name}.tmp.{uuid.uuid4().hex[:12]}")
+    temp = path.with_name(f".{path.name}.tmp")
     try:
         with open(temp, "w") as f:
             json.dump(data, f, indent=2)

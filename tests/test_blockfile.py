@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import errno
 import math
 import os
 import threading
@@ -202,13 +203,49 @@ def test_pseudo_replica_path_convention(tmp_path):
 
 
 def test_publish_block_once_loser_cleans_up(tmp_path, simple_schema):
-    block = make_block(simple_schema, rows=20)
-    final = tmp_path / "target"
-    assert publish_block_once(block, final, tmp_path / ".t1") is True
-    assert publish_block_once(block, final, tmp_path / ".t2") is False
-    assert final.exists()
-    assert not (tmp_path / ".t1").exists()
-    assert not (tmp_path / ".t2").exists()
+    final = tmp_path / "blk_0" / "target"  # the first publish makes the directory
+    assert publish_block_once(make_block(simple_schema, rows=20, seed=1), final) is True
+    won = final.read_bytes()
+    assert publish_block_once(make_block(simple_schema, rows=30, seed=2), final) is False
+    assert final.read_bytes() == won
+    assert os.listdir(final.parent) == ["target"]
+
+
+@pytest.mark.parametrize("exclusive", [False, True])
+def test_a_write_that_fails_partway_leaves_no_file(tmp_path, simple_schema, monkeypatch, exclusive):
+    block = make_block(simple_schema, rows=1000)
+    path = tmp_path / "blk"
+    if not exclusive:
+        path.write_bytes(b"truncated by the open")
+    writev = os.writev
+
+    def fail_after_the_header(fd, buffers):
+        writev(fd, buffers[:1])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "writev", fail_after_the_header)
+    with pytest.raises(OSError, match="No space"):
+        write_block(block, path, exclusive=exclusive)
+    assert not path.exists()
+
+    def no_unlink(*args, **kwargs):
+        raise PermissionError("unlink refused")
+
+    monkeypatch.setattr(os, "unlink", no_unlink)
+    with pytest.raises(OSError, match="No space"):  # not hidden by the failed cleanup
+        write_block(block, path, exclusive=exclusive)
+
+
+def test_an_exclusive_write_never_removes_a_file_it_did_not_create(
+    tmp_path, simple_schema, monkeypatch
+):
+    path = tmp_path / "blk"
+    path.write_bytes(b"another writer's")
+    unlinked = []
+    monkeypatch.setattr(os, "unlink", lambda *args, **kwargs: unlinked.append(args))
+    with pytest.raises(FileExistsError):
+        write_block(make_block(simple_schema, rows=10), path, exclusive=True)
+    assert path.read_bytes() == b"another writer's" and not unlinked
 
 
 @given(st.integers(0, 2**31), st.sets(st.sampled_from(["a", "b", "c", "d"]), min_size=1))
@@ -599,6 +636,15 @@ def test_schema_lookups_match_a_positional_scan(names, probe):
     assert again == schema and hash(again) == hash(schema)
     with pytest.raises(SchemaError):
         Schema.of(*[(n, "int64") for n in names + names[:1]])
+
+
+@pytest.mark.parametrize("name", ["", "../x", "a/b", "a\0b", ".", "..", ".b.tmp", ".hidden"])
+def test_an_attribute_name_must_be_a_plain_file_name(name):
+    # Pseudo replicas are stored at pseudo/blk_<id>/<attribute>.
+    with pytest.raises(SchemaError, match="not a valid file name"):
+        Schema.of(("a", "int64"), (name, "int64"))
+    with pytest.raises(SchemaError, match="not a valid file name"):
+        Schema.from_json([{"name": name, "kind": "float64"}])
 
 
 def _open_descriptors() -> int:

@@ -1,11 +1,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from adaptidx.blocks import Schema
 from adaptidx.cli import main
 from adaptidx.cluster import Cluster
 from adaptidx.registry import ReplicaRegistry
+from adaptidx.workloads import Dataset
 
 
 def write_config(path, **overrides):
@@ -322,6 +325,28 @@ def test_truncated_dataset_upload_exits_2(tmp_path, capsys, keep):
     assert not root.exists()
 
 
+def test_upload_of_a_dataset_with_a_path_as_attribute_name_exits_2(tmp_path, capsys):
+    # Pseudo replicas are stored at pseudo/blk_<id>/<attribute>, so such a
+    # name would put them outside every pseudo directory, all at one path.
+    data = tmp_path / "data.adxd"
+    placeholder, name = b"zzzzzzzzzzzzzzzz", b"../../../escaped"
+    Dataset(Schema.of(("a", "int64"), (placeholder.decode(), "float64")),
+            {"a": np.arange(1000), placeholder.decode(): np.linspace(0, 1, 1000)}).to_file(data)
+    raw = data.read_bytes()
+    assert raw.count(placeholder) == 1
+    data.write_bytes(raw.replace(placeholder, name))
+    config = write_config(tmp_path / "config.json", nodes=2, replication=1)
+    (tmp_path / "work").mkdir()
+    root = tmp_path / "work" / "deep" / "cluster"
+    before = sorted(tmp_path.rglob("*"))
+    code = main(["upload", "--dataset", str(data), "--root", str(root), "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: attribute name '../../../escaped' is not a valid file name\n"
+    )
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_run_without_upload_fails(tmp_path, capsys):
     (tmp_path / "cluster").mkdir()
     write_config(tmp_path / "config.json")
@@ -556,13 +581,13 @@ def test_run_repairs_a_crashed_cluster_directory(tmp_path):
         f.write(lines[:40])
     orphans = sorted(root.glob("node_*/pseudo/blk_*/b"))
     assert len(orphans) == 4
-    orphans[0].with_name(".b.tmp.0a1b2c3d4e5f").write_bytes(b"half a replica")
+    orphans[0].with_name(".b.tmp").write_bytes(b"half a replica")
 
     assert main([*run, str(tmp_path / "second")]) == 0
     with open(tmp_path / "second.csv") as f:
         (row,) = csv.DictReader(f)
     assert (row["blocks_indexed_before"], row["blocks_indexed_after"]) == ("4", "8")
-    assert not list(root.rglob("*.tmp.*"))
+    assert not list(root.rglob(".*"))
     assert journal.read_bytes().endswith(b"\n")
     registry = ReplicaRegistry.load(journal)
     assert registry.indexed_block_count("b") == 8 == len(list(root.glob("node_*/pseudo/blk_*/b")))

@@ -2,6 +2,8 @@ import gc
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -13,10 +15,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from adaptidx.blocks import DataBlock
-from adaptidx.blockfile import read_block, read_header, write_block
+from adaptidx.blockfile import check_block_file, read_block, read_header, write_block
 from adaptidx.cluster import CLUSTER_CONFIG, REGISTRY_JOURNAL, Cluster, ClusterConfig
 import adaptidx.indexer as indexer_module
-from adaptidx.errors import ConfigError, RegistryError
+from adaptidx.errors import BlockFormatError, ConfigError, RegistryError
 from adaptidx.execution import JobSpec, Predicate, ScanKind
 from adaptidx.indexer import OfferPolicy, build_index
 from adaptidx.registry import ReplicaKind, ReplicaRegistry
@@ -210,21 +212,22 @@ def test_a_dropped_cluster_finishes_its_units_and_stops_its_threads(tmp_path, mo
 
 
 def test_a_second_owner_is_refused_while_publishes_are_in_flight(tmp_path, monkeypatch):
-    # Owner A's publishes stop between their temp write and their link. An
-    # open of the same root by B would repair the directory and delete A's
-    # temp files, so it must be refused while A holds the root.
+    # Owner A's publishes stop with their header written and their columns
+    # not. An open of the same root by B would repair the directory and
+    # delete A's half-written files, so it must be refused while A holds it.
     gate, paused = threading.Event(), []
-    link = os.link
+    writev = os.writev
 
-    def paused_link(*args, **kwargs):
-        paused.append(args)
+    def paused_writev(fd, buffers):
+        written = writev(fd, buffers[:1])
+        paused.append(fd)
         gate.wait(timeout=10)
-        return link(*args, **kwargs)
+        return written  # a short write: write_block resumes with the rest
 
     root = tmp_path / "c"
     owner = make_cluster(root, nodes=3, slots=1, replication=2, block_records=100)
     owner.upload_dataset(gen_synthetic(3_000, seed=15))  # 30 blocks
-    monkeypatch.setattr(os, "link", paused_link)
+    monkeypatch.setattr(os, "writev", paused_writev)
     job = JobSpec("a", Predicate("b", 0.0, 0.5), ("b",), policy=OfferPolicy(rho=1.0))
     outcome = []
     runner = threading.Thread(target=lambda: outcome.append(WorkloadRunner(owner).run_job(job)))
@@ -233,11 +236,14 @@ def test_a_second_owner_is_refused_while_publishes_are_in_flight(tmp_path, monke
         deadline = time.monotonic() + 10
         while not paused and time.monotonic() < deadline:
             time.sleep(0.01)
-        temps = sorted(root.glob("node_*/pseudo/blk_*/.b.tmp.*"))
-        assert temps
+        halves = {p: p.read_bytes() for p in root.glob("node_*/pseudo/blk_*/b")}
+        assert halves
+        for path in halves:
+            with pytest.raises(BlockFormatError):
+                check_block_file(path)
         with pytest.raises(RegistryError, match=str(root)):
             Cluster.open(root)
-        assert sorted(root.glob("node_*/pseudo/blk_*/.b.tmp.*"))[: len(temps)] == temps
+        assert {p: p.read_bytes() for p in halves} == halves
     finally:
         gate.set()
         runner.join(timeout=30)
@@ -246,7 +252,7 @@ def test_a_second_owner_is_refused_while_publishes_are_in_flight(tmp_path, monke
     owner.close()
     assert not metrics.failed and metrics.blocks_indexed_after == 30
     assert sum(s.lost_races + s.failures for s in stats) == 0
-    assert not list(root.glob("node_*/pseudo/blk_*/.b.tmp.*"))
+    assert not list(root.rglob(".*"))
     Cluster.open(root).close()  # once A has closed, B may open
 
 
@@ -683,7 +689,7 @@ def test_repair_after_any_crash_is_idempotent_deterministic_and_converges(
             journal[: uploaded + sum(map(len, lines[:kept]))] + torn
         )
         if temp is not None:
-            path = crashed / f"node_{temp[0]}" / "pseudo" / f"blk_{temp[1]}" / ".b.tmp.0a1b2c3d4e5f"
+            path = crashed / f"node_{temp[0]}" / "pseudo" / f"blk_{temp[1]}" / ".b.tmp"
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(b"half a replica")
         shutil.copytree(crashed, copy)
@@ -708,6 +714,156 @@ def test_repair_after_any_crash_is_idempotent_deterministic_and_converges(
             cluster.close()
             assert sum(s.lost_races + s.failures for s in stats) == 0
             _assert_registry_matches_files(cluster)
-            assert not list(crashed.rglob("*.tmp.*"))
+            assert not list(crashed.rglob(".*"))
         finally:
             os.chdir(cwd)
+
+
+# Runs one job on the cluster at argv[1] and dies with os._exit(17) at the
+# argv[2]-th mutating call (never when 0), as a crash would: an os.open for
+# writing, an os.writev (which first writes half its bytes), an os.replace,
+# an os.unlink, or a journal line (of which half is written). Prints the
+# number of mutating calls made.
+_CRASHING_JOB = """
+import builtins, itertools, os, sys
+from adaptidx import registry
+from adaptidx.cluster import Cluster
+from adaptidx.execution import JobSpec, Predicate
+from adaptidx.indexer import OfferPolicy
+from adaptidx.runner import WorkloadRunner
+
+root, crash_at, projection = sys.argv[1], int(sys.argv[2]), tuple(sys.argv[3].split(","))
+calls = itertools.count(1)  # next() on it is atomic: units run on the pool's threads
+
+def crashes():
+    return next(calls) == crash_at
+
+real_open, real_writev = os.open, os.writev
+real_replace, real_unlink = os.replace, os.unlink
+WRITING = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_TRUNC | os.O_APPEND
+
+def open_(path, flags, *args, **kwargs):
+    if flags & WRITING and crashes():
+        os._exit(17)
+    return real_open(path, flags, *args, **kwargs)
+
+def writev(fd, buffers):
+    if crashes():
+        data = b"".join(bytes(b) for b in buffers)
+        real_writev(fd, [data[: len(data) // 2]])
+        os._exit(17)
+    return real_writev(fd, buffers)
+
+def replace(*args, **kwargs):
+    if crashes():
+        os._exit(17)
+    return real_replace(*args, **kwargs)
+
+def unlink(*args, **kwargs):
+    if crashes():
+        os._exit(17)
+    return real_unlink(*args, **kwargs)
+
+class Journal:
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, line):
+        if crashes():
+            self.f.write(line[: len(line) // 2])
+            self.f.flush()
+            os._exit(17)
+        return self.f.write(line)
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+def journal_open(path, mode="r", *args, **kwargs):
+    f = builtins.open(path, mode, *args, **kwargs)
+    return Journal(f) if mode == "a" else f
+
+os.open, os.writev, os.replace, os.unlink = open_, writev, replace, unlink
+registry.open = journal_open  # the journal's appends go through it
+cluster = Cluster.open(root)
+job = JobSpec("crash", Predicate("b", 0.2, 0.6), projection, policy=OfferPolicy(rho=1.0))
+assert not WorkloadRunner(cluster).run_job(job).metrics.failed
+cluster.close()
+print(next(calls) - 1)
+"""
+
+
+def _run_crashing_job(root, crash_at, projection):
+    src = str(Path(indexer_module.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    args = [sys.executable, "-c", _CRASHING_JOB, str(root), str(crash_at), ",".join(projection)]
+    return subprocess.run(args, env=env, capture_output=True, text=True)
+
+
+def _every_byte(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("mode", ["invisible", "lazy", "repair"])
+def test_a_crash_at_any_write_of_an_adaptive_job_is_repaired(tmp_path, monkeypatch, mode):
+    # invisible: a job publishes a full pseudo replica of each of 4 blocks.
+    # lazy: after a job made partial replicas on b, a job projecting c
+    # completes each of them. Every node holds every block, so each
+    # completion is local. repair: the open before the job repairs what a
+    # crash left (3 unjournaled replicas, a short one and a temp file), and
+    # the job then publishes the block whose replica was short.
+    base = tmp_path / "base"
+    cluster = make_cluster(
+        base, nodes=2, slots=1, replication=2, block_records=500,
+        projection_mode="lazy" if mode == "lazy" else "invisible",
+    )
+    cluster.upload_dataset(gen_synthetic(2_000, seed=5))
+    uploaded = (base / REGISTRY_JOURNAL).stat().st_size
+    projection = ("b",)
+    if mode != "invisible":
+        assert not WorkloadRunner(cluster).run_job(_b_job("first")).metrics.failed
+        projection = ("b", "c") if mode == "lazy" else projection
+    cluster.close()
+    if mode == "repair":
+        os.truncate(base / REGISTRY_JOURNAL, uploaded)
+        (short,) = base.glob("node_*/pseudo/blk_0/b")
+        os.truncate(short, short.stat().st_size // 2)
+        short.with_name(".b.tmp").write_bytes(b"half a replica")
+
+    dry = _run_crashing_job(shutil.copytree(base, tmp_path / "dry"), 0, projection)
+    assert dry.returncode == 0, dry.stderr
+    calls = int(dry.stdout)
+    assert calls >= 8  # the three modes make 17, 16 and 8
+
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    for crash_at in range(1, calls + 1):
+        crashed = shutil.copytree(base, tmp_path / f"crash{crash_at}")
+        died = _run_crashing_job(crashed, crash_at, projection)
+        assert died.returncode == 17, (crash_at, died.stderr)
+        relative = os.path.relpath(crashed)
+
+        Cluster.open(relative).close()
+        repaired = _every_byte(crashed)
+        reopened = Cluster.open(relative)
+        reopened.close()
+        assert _every_byte(crashed) == repaired, crash_at
+        for _, info in reopened.registry.iter_replicas():
+            check_block_file(info.path)
+        assert not list(crashed.rglob(".*")), crash_at
+
+        cluster = Cluster.open(relative)
+        runner = WorkloadRunner(cluster)
+        replicas = cluster.registry.best_replicas
+        for n in range(4):
+            if len(replicas("b")) == cluster.registry.block_count and all(
+                set(projection) <= info.available_attributes
+                for info in replicas("b").values()
+            ):
+                break
+            assert n < 3, f"no convergence after a crash at call {crash_at}"
+            assert not runner.run_job(_b_job(f"r{n}", projection)).metrics.failed
+        stats = [indexer.stats for indexer in cluster.indexers.values()]
+        cluster.close()
+        assert sum(s.lost_races + s.failures for s in stats) == 0, crash_at
+        _assert_registry_matches_files(cluster)
+        shutil.rmtree(crashed)

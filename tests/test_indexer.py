@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 import time
 
@@ -269,18 +270,18 @@ def test_write_failure_leaves_no_trace(tmp_path, monkeypatch):
     sorted_block, _, _ = build_index(block, "d", 32)
     registry = fresh_registry(schema)
 
-    real_write = blockfile.write_block
+    writev = os.writev
 
-    def failing_write(b, path):
-        real_write(b, path)  # temp file hits disk, then the device "fails"
+    def failing_writev(fd, buffers):
+        writev(fd, buffers[:1])  # the header hits disk, then the device "fails"
         raise OSError("disk gone")
 
-    monkeypatch.setattr(blockfile, "write_block", failing_write)
+    monkeypatch.setattr(os, "writev", failing_writev)
     result = write_pseudo_replica(sorted_block, tmp_path, 0, registry)
     assert result == WriteResult.FAILED
     assert not pseudo_replica_path(tmp_path, 0, "d").exists()
     parent = tmp_path / "pseudo" / "blk_0"
-    assert not any(parent.iterdir())  # temp cleaned up
+    assert not any(parent.iterdir())  # the half-written file removed
     assert registry.find_index(0, "d") is None
 
 

@@ -356,7 +356,7 @@ def test_failed_completion_is_counted(tmp_path, monkeypatch):
 
     assert stats.failures == 1
     assert stats.completed == 0
-    assert not list((tmp_path / "node_0" / "pseudo").rglob("*.tmp.*"))
+    assert not list((tmp_path / "node_0" / "pseudo").rglob(".*"))
     assert registry.find_index(0, "d") == info_before
     assert blocks_equal(read_block(info_before.path), replica_before)
 
