@@ -35,8 +35,9 @@ looks up no schema and converts no numpy scalar, and does its one
 Every read helper takes an optional ReadCounter, charged exactly the bytes
 the format needs (the header's own length, not the probe's, read or not),
 which is what the simulated cost model bills; tests use it to verify
-projection isolation. A file that ends early raises BlockFormatError from
-every reader.
+projection isolation; an index scan charges it its own model (see
+`execution`). A file that ends early raises BlockFormatError from every
+reader.
 
 `write_block` creates a file with one `os.open` (making its directory only
 when that fails) and hands the header and the column arrays to `os.writev`
@@ -87,7 +88,9 @@ FileLike = Union[int, BinaryIO]  # a raw descriptor, or a binary file object
 
 @dataclass
 class ReadCounter:
-    """Accumulates bytes pulled from storage."""
+    """Bytes billed for storage reads, which the simulated cost model charges:
+    a read helper's own bytes, or an index scan's model of header, boundary
+    pages and projected ranges, never less than what the scan fetches."""
 
     bytes_read: int = 0
 

@@ -16,7 +16,9 @@ completion replaces a file an index scan reads, and the scan that hands it
 off drops the path. Each block is in exactly one split per job, so that scan
 is the path's last reader in the job. Page bounds come from the header's
 `page_starts` and dtypes from `column_dtypes`, so an index scan does its
-reads, each one `read_column_range` and `preadv`, and little beside them.
+reads, each one `read_column_range` and `preadv`, and little beside them;
+it fetches no sort-column byte twice, and is billed the record reader's
+model whatever it fetches (`_search_sort_column`).
 
 A task coerces its predicate's bounds once (`Predicate.bounds`), for index
 and full scans alike, so both paths select the same rows.
@@ -183,34 +185,48 @@ def _emit(
 
 
 def _refine_row_range(f, header, lo, hi, counter) -> tuple[int, int]:
-    """Exact qualifying row span [r_lo, r_hi) on a sorted, indexed block.
+    """Exact qualifying row span [r_lo, r_hi) on a sorted, indexed block."""
+    return _search_sort_column(f, header, lo, hi, counter, False)[:2]
 
-    Binary search over the page directory narrows the span to at most two
-    boundary pages, which are the only index-column pages fetched; their
-    row bounds come from the header's `page_starts`.
+
+def _search_sort_column(f, header, lo, hi, counter, keep):
+    """(r_lo, r_hi, rows): the exact qualifying row span on a sorted, indexed
+    block and, with `keep`, a copy of its sort-column rows.
+
+    Binary search over the page directory narrows the span to boundary pages
+    q - 1 (none when q == 0) and p (none when p < 0). Billed: both pages, also
+    when they are one, and with `keep` the span. Fetched: one read from page
+    q - 1 (row 0 when q == 0) through page p when that holds nothing unbilled,
+    that is with `keep` or when the pages are one or adjacent, else each page
+    alone; so no byte twice.
     """
     idx = header.index
-    if idx is None or header.record_count == 0:
-        return 0, 0
-    keys = idx.first_keys
+    if idx is None:
+        return 0, 0, None
     attr = idx.attribute
+    dtype = header.column_dtypes[attr]
     starts = header.page_starts
-
-    q = int(keys.searchsorted(lo, side="left"))
-    if q == 0:
-        r_lo = 0
-    else:
-        p_start = starts[q - 1]
-        vals = read_column_range(f, header, attr, p_start, starts[q], counter)
-        r_lo = p_start + int(vals.searchsorted(lo, side="left"))
-
-    p = int(keys.searchsorted(hi, side="right")) - 1
+    q = int(idx.first_keys.searchsorted(lo, side="left"))
+    p = int(idx.first_keys.searchsorted(hi, side="right")) - 1
+    start = starts[q - 1] if q else 0
+    billed = starts[q] - start if q else 0
     if p < 0:
-        return 0, 0
-    p_start = starts[p]
-    vals = read_column_range(f, header, attr, p_start, starts[p + 1], counter)
-    r_hi = p_start + int(vals.searchsorted(hi, side="right"))
-    return r_lo, max(r_hi, r_lo)
+        r_lo = r_hi = 0
+        lo_vals = np.empty(0, dtype)
+    else:
+        billed += starts[p + 1] - starts[p]
+        if q <= p + 1 and (keep or 0 < q and p <= q):
+            lo_vals = hi_vals = read_column_range(f, header, attr, start, starts[p + 1])
+            hi_start = start
+        else:
+            lo_vals = read_column_range(f, header, attr, start, starts[q]) if q else None
+            hi_start = starts[p]
+            hi_vals = read_column_range(f, header, attr, hi_start, starts[p + 1])
+        r_lo = start + int(lo_vals.searchsorted(lo, side="left")) if q else 0
+        r_hi = max(hi_start + int(hi_vals.searchsorted(hi, side="right")), r_lo)
+    if counter is not None:
+        counter.bytes_read += (billed + (r_hi - r_lo if keep else 0)) * dtype.itemsize
+    return r_lo, r_hi, lo_vals[r_lo - start : r_hi - start].copy() if keep else None
 
 
 def _scan_indexed_block(
@@ -228,12 +244,17 @@ def _scan_indexed_block(
     path = ref.replica.path
     fd, header = ctx.replicas.open(path, counter)
     try:
-        r_lo, r_hi = _refine_row_range(fd, header, bounds[0], bounds[1], counter)
+        sort = header.sort_attribute
+        r_lo, r_hi, rows = _search_sort_column(
+            fd, header, bounds[0], bounds[1], counter, sort in wanted
+        )
         offsets = header.column_offsets
         columns: dict[str, np.ndarray] = {}
         missing: list[str] = []
         for name in wanted:
-            if name in offsets:
+            if name == sort:
+                columns[name] = rows
+            elif name in offsets:
                 columns[name] = read_column_range(fd, header, name, r_lo, r_hi, counter)
             else:
                 missing.append(name)

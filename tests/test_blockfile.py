@@ -447,11 +447,22 @@ def test_index_scan_charges_header_boundary_pages_and_rows(tmp_path, low, high):
     assert result.bytes_read == expected
 
 
+def _sort_column_reads(pages, sort_projected):
+    """Sort-column reads of one index scan over boundary `pages`: one window
+    when the sort attribute is projected or the pages are one or adjacent,
+    else one read per page."""
+    if not pages:
+        return 0
+    return 1 if sort_projected or pages[-1] - pages[0] <= 1 else len(pages)
+
+
 def test_index_scans_keep_their_read_budget_on_an_upload_indexed_cluster(tmp_path, monkeypatch):
-    # Per indexed block: at most two boundary pages of the sort column and
-    # one range per projected column, every range through
+    # Per indexed block: the sort column's boundary pages, in one read when
+    # the sort attribute is projected or the pages are one or adjacent, and
+    # one range per other projected column, every range through
     # `execution.read_column_range` (the name the benchmark's tracer
-    # wraps), billed by the format's layout, header included, on every job.
+    # wraps). Billed by the format's layout and the record reader's model,
+    # header, both boundary pages and projected ranges, on every job.
     # The first job opens each replica and reads its header with one
     # `pread`; later jobs find both in the cluster's open replicas and
     # open, `pread` and close nothing.
@@ -476,8 +487,10 @@ def test_index_scans_keep_their_read_budget_on_an_upload_indexed_cluster(tmp_pat
             span = int(np.searchsorted(column, hi, "right") - np.searchsorted(column, lo, "left"))
             calls["open"] += first
             calls["pread"] += first
-            calls["read_column_range"] += len(pages) + len(projection)
-            calls["preadv"] += len(pages) + (len(projection) if span else 0)
+            sort_reads = _sort_column_reads(pages, "b" in projection)
+            others = [n for n in projection if n != "b"]
+            calls["read_column_range"] += sort_reads + len(others)
+            calls["preadv"] += sort_reads + (len(others) if span else 0)
             billed += _header_length(SYNTHETIC_SCHEMA, block.index.entry_count, 8)
             billed += sum(bounds[p + 1] - bounds[p] for p in pages) * 8
             billed += span * sum(block.schema.attribute(n).item_size for n in projection)
@@ -511,7 +524,8 @@ def test_index_scans_keep_their_read_budget_on_an_upload_indexed_cluster(tmp_pat
 
 def test_partial_replicas_keep_their_read_budget_on_a_lazy_cluster(tmp_path, monkeypatch):
     # A partial replica is served from the boundary pages and projected
-    # ranges it holds, then one `preadv` for its permutation and one
+    # ranges it holds, the sort column's in one read as it is projected,
+    # then one `preadv` for its permutation and one
     # full-column `preadv` per missing attribute of the normal replica,
     # billed by the format's layout, both headers included. A header is
     # parsed, with one `pread`, only when its replica is not open yet. Only
@@ -541,8 +555,9 @@ def test_partial_replicas_keep_their_read_budget_on_a_lazy_cluster(tmp_path, mon
             span = int(np.searchsorted(column, hi, "right") - np.searchsorted(column, lo, "left"))
             held = [n for n in projection if n in replica.schema]
             missing = [n for n in projection if n not in replica.schema]
-            calls["read_column_range"] += len(pages) + len(projection)
-            calls["preadv"] += len(pages) + (len(held) if span else 0)
+            sort_reads = _sort_column_reads(pages, "b" in projection)
+            calls["read_column_range"] += sort_reads + len(projection) - 1
+            calls["preadv"] += sort_reads + (len(held) - 1 if span else 0)
             billed += _header_length(
                 replica.schema, replica.index.entry_count, 8, perm=replica.permutation is not None
             )

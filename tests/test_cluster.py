@@ -719,20 +719,23 @@ def test_repair_after_any_crash_is_idempotent_deterministic_and_converges(
             os.chdir(cwd)
 
 
-# Runs one job on the cluster at argv[1] and dies with os._exit(17) at the
-# argv[2]-th mutating call (never when 0), as a crash would: an os.open for
-# writing, an os.writev (which first writes half its bytes), an os.replace,
-# an os.unlink, or a journal line (of which half is written). Prints the
-# number of mutating calls made.
+# Opens the cluster at argv[1] and runs argv[3] on it: one job projecting
+# its comma-separated attributes, or with "upload" the dataset's upload. Dies
+# with os._exit(17) at the argv[2]-th mutating call (never when 0), as a
+# crash would: an os.open for writing, an os.writev (which first writes half
+# its bytes), an os.replace, an os.unlink, a journal line (of which half is
+# written), or the open and the one write of a JSON file that `save_json`
+# replaces (which also writes half). Prints the number of mutating calls made.
 _CRASHING_JOB = """
 import builtins, itertools, os, sys
-from adaptidx import registry
+from adaptidx import policy, registry
 from adaptidx.cluster import Cluster
 from adaptidx.execution import JobSpec, Predicate
 from adaptidx.indexer import OfferPolicy
 from adaptidx.runner import WorkloadRunner
+from adaptidx.workloads import gen_synthetic
 
-root, crash_at, projection = sys.argv[1], int(sys.argv[2]), tuple(sys.argv[3].split(","))
+root, crash_at, action = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 calls = itertools.count(1)  # next() on it is atomic: units run on the pool's threads
 
 def crashes():
@@ -778,32 +781,79 @@ class Journal:
     def __getattr__(self, name):
         return getattr(self.f, name)
 
-def journal_open(path, mode="r", *args, **kwargs):
+class Whole:
+    # A small file written through a buffer reaches the OS in one write, at close.
+    def __init__(self, f):
+        self.f, self.parts = f, []
+
+    def write(self, text):
+        self.parts.append(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        text = "".join(self.parts)
+        if exc[0] is None and crashes():
+            self.f.write(text[: len(text) // 2])
+            self.f.flush()
+            os._exit(17)
+        self.f.write(text)
+        self.f.close()
+
+def text_open(path, mode="r", *args, **kwargs):
+    if mode == "w" and crashes():
+        os._exit(17)
     f = builtins.open(path, mode, *args, **kwargs)
-    return Journal(f) if mode == "a" else f
+    return Journal(f) if mode == "a" else Whole(f) if mode == "w" else f
 
 os.open, os.writev, os.replace, os.unlink = open_, writev, replace, unlink
-registry.open = journal_open  # the journal's appends go through it
+registry.open = policy.open = text_open  # the journal's appends, and save_json's writes
 cluster = Cluster.open(root)
-job = JobSpec("crash", Predicate("b", 0.2, 0.6), projection, policy=OfferPolicy(rho=1.0))
-assert not WorkloadRunner(cluster).run_job(job).metrics.failed
+if action == "upload":
+    cluster.upload_dataset(gen_synthetic(2_000, seed=5))
+else:
+    projection = tuple(action.split(","))
+    job = JobSpec("crash", Predicate("b", 0.2, 0.6), projection, policy=OfferPolicy(rho=1.0))
+    assert not WorkloadRunner(cluster).run_job(job).metrics.failed
 cluster.close()
 print(next(calls) - 1)
 """
 
 
-def _run_crashing_job(root, crash_at, projection):
+def _run_crashing_job(root, crash_at, action):
+    """Run `_CRASHING_JOB` on `root`; `action` is "upload" or a job's projection."""
     src = str(Path(indexer_module.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    args = [sys.executable, "-c", _CRASHING_JOB, str(root), str(crash_at), ",".join(projection)]
+    action = action if action == "upload" else ",".join(action)
+    args = [sys.executable, "-c", _CRASHING_JOB, str(root), str(crash_at), action]
     return subprocess.run(args, env=env, capture_output=True, text=True)
+
+
+def _assert_jobs_converge(root, projection):
+    """Jobs on b, at most three, leave every block indexed on b with
+    `projection` held, and lose no race and fail no build."""
+    cluster = Cluster.open(root)
+    runner = WorkloadRunner(cluster)
+    replicas = cluster.registry.best_replicas
+    for n in range(4):
+        if len(replicas("b")) == cluster.registry.block_count and all(
+            set(projection) <= info.available_attributes for info in replicas("b").values()
+        ):
+            break
+        assert n < 3, "no convergence"
+        assert not runner.run_job(_b_job(f"r{n}", projection)).metrics.failed
+    stats = [indexer.stats for indexer in cluster.indexers.values()]
+    cluster.close()
+    assert sum(s.lost_races + s.failures for s in stats) == 0
+    _assert_registry_matches_files(cluster)
 
 
 def _every_byte(root):
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("mode", ["invisible", "lazy", "repair"])
+@pytest.mark.parametrize("mode", ["invisible", "lazy", "repair", "retired_config"])
 def test_a_crash_at_any_write_of_an_adaptive_job_is_repaired(tmp_path, monkeypatch, mode):
     # invisible: a job publishes a full pseudo replica of each of 4 blocks.
     # lazy: after a job made partial replicas on b, a job projecting c
@@ -811,6 +861,9 @@ def test_a_crash_at_any_write_of_an_adaptive_job_is_repaired(tmp_path, monkeypat
     # completion is local. repair: the open before the job repairs what a
     # crash left (3 unjournaled replicas, a short one and a temp file), and
     # the job then publishes the block whose replica was short.
+    # retired_config: the open before an invisible job rewrites a
+    # cluster.json that carries a retired key, which every reopen after a
+    # crash leaves canonical.
     base = tmp_path / "base"
     cluster = make_cluster(
         base, nodes=2, slots=1, replication=2, block_records=500,
@@ -819,10 +872,14 @@ def test_a_crash_at_any_write_of_an_adaptive_job_is_repaired(tmp_path, monkeypat
     cluster.upload_dataset(gen_synthetic(2_000, seed=5))
     uploaded = (base / REGISTRY_JOURNAL).stat().st_size
     projection = ("b",)
-    if mode != "invisible":
+    if mode in ("lazy", "repair"):
         assert not WorkloadRunner(cluster).run_job(_b_job("first")).metrics.failed
         projection = ("b", "c") if mode == "lazy" else projection
     cluster.close()
+    canonical = (base / CLUSTER_CONFIG).read_bytes()
+    if mode == "retired_config":
+        raw = json.loads(canonical)
+        (base / CLUSTER_CONFIG).write_text(json.dumps({**raw, "build_queue_capacity": 4}))
     if mode == "repair":
         os.truncate(base / REGISTRY_JOURNAL, uploaded)
         (short,) = base.glob("node_*/pseudo/blk_0/b")
@@ -832,7 +889,7 @@ def test_a_crash_at_any_write_of_an_adaptive_job_is_repaired(tmp_path, monkeypat
     dry = _run_crashing_job(shutil.copytree(base, tmp_path / "dry"), 0, projection)
     assert dry.returncode == 0, dry.stderr
     calls = int(dry.stdout)
-    assert calls >= 8  # the three modes make 17, 16 and 8
+    assert calls >= 8  # the four modes make 19, 16, 8 and 22
 
     (tmp_path / "elsewhere").mkdir()
     monkeypatch.chdir(tmp_path / "elsewhere")
@@ -850,20 +907,41 @@ def test_a_crash_at_any_write_of_an_adaptive_job_is_repaired(tmp_path, monkeypat
         for _, info in reopened.registry.iter_replicas():
             check_block_file(info.path)
         assert not list(crashed.rglob(".*")), crash_at
+        assert (crashed / CLUSTER_CONFIG).read_bytes() == canonical, crash_at
+        _assert_jobs_converge(relative, projection)
+        shutil.rmtree(crashed)
+
+
+def test_a_crash_at_any_write_of_an_upload_leaves_no_dataset_and_a_retry_converges(
+    tmp_path, monkeypatch
+):
+    # The upload's every mutating call comes before the rename that moves its
+    # journal into place, the last one, so a crash at any of them, the rename
+    # included, leaves a cluster that reopens with no dataset. Reopened from
+    # another working directory, a retried upload leaves no temp file and
+    # the same bytes as an upload that never crashed, and jobs then converge.
+    base = tmp_path / "base"
+    make_cluster(base, nodes=2, slots=1, replication=2, block_records=500).close()
+    whole = shutil.copytree(base, tmp_path / "whole")
+    dry = _run_crashing_job(whole, 0, "upload")
+    assert dry.returncode == 0, dry.stderr
+    calls = int(dry.stdout)
+    assert calls >= 20  # 27: an open and a writev per replica file, journal lines, the rename
+    uploaded = _every_byte(whole)
+
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    for crash_at in range(1, calls + 1):
+        crashed = shutil.copytree(base, tmp_path / f"crash{crash_at}")
+        died = _run_crashing_job(crashed, crash_at, "upload")
+        assert died.returncode == 17, (crash_at, died.stderr)
+        relative = os.path.relpath(crashed)
 
         cluster = Cluster.open(relative)
-        runner = WorkloadRunner(cluster)
-        replicas = cluster.registry.best_replicas
-        for n in range(4):
-            if len(replicas("b")) == cluster.registry.block_count and all(
-                set(projection) <= info.available_attributes
-                for info in replicas("b").values()
-            ):
-                break
-            assert n < 3, f"no convergence after a crash at call {crash_at}"
-            assert not runner.run_job(_b_job(f"r{n}", projection)).metrics.failed
-        stats = [indexer.stats for indexer in cluster.indexers.values()]
+        assert cluster.registry is None, crash_at
+        cluster.upload_dataset(gen_synthetic(2_000, seed=5))
         cluster.close()
-        assert sum(s.lost_races + s.failures for s in stats) == 0, crash_at
-        _assert_registry_matches_files(cluster)
+        assert not list(crashed.rglob(".*")), crash_at
+        assert _every_byte(crashed) == uploaded, crash_at
+        _assert_jobs_converge(relative, ("b",))
         shutil.rmtree(crashed)

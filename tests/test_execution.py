@@ -3,14 +3,17 @@ import math
 import os
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
 
 import adaptidx.blockfile as blockfile
 import adaptidx.execution as execution
 from adaptidx.blocks import DataBlock, Schema
-from adaptidx.blockfile import read_header, write_block
+from adaptidx.blockfile import ReadCounter, read_header, write_block
 from adaptidx.cluster import REGISTRY_JOURNAL, Cluster
 from adaptidx.errors import BlockFormatError, SchemaError
 from adaptidx.execution import (
@@ -107,7 +110,9 @@ def _single_block_fixture(tmp_path, rows=4096, page=1024):
     write_block(sorted_block, pseudo_path)
 
     registry = ReplicaRegistry(schema, replication_factor=1)
-    normal = BlockReplicaInfo(0, ReplicaKind.NORMAL, None, frozenset(schema.names), str(normal_path))
+    normal = BlockReplicaInfo(
+        0, ReplicaKind.NORMAL, None, frozenset(schema.names), str(normal_path)
+    )
     registry.add_block(42, rows, [normal])
     pseudo = BlockReplicaInfo(0, ReplicaKind.PSEUDO, "d", frozenset(schema.names), str(pseudo_path))
     registry.register_index(42, pseudo)
@@ -625,3 +630,204 @@ def test_a_replica_truncated_inside_its_columns_fails_its_task_and_closes_it(tmp
     assert not mended.failed, mended.error
     assert (mended.records_emitted, mended.bytes_read) == (warm.records_emitted, warm.bytes_read)
     cluster.close()
+
+
+# -- the index scan's read plan ---------------------------------------------------
+
+# Per sort-key kind: the keys a block draws, with duplicates, and the
+# bounds a range draws, which reach between, below and above the keys.
+_PLAN_KEYS = {
+    "int64": (st.integers(-20, 20), list(range(-22, 23))),
+    "float64": (
+        st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, math.inf]),
+        [-math.inf, -2.0, -1.5, -1.2, -1.0, -0.7, -0.5, -0.2, 0.0, 0.1, 0.25, 0.4, 0.5,
+         0.6, 0.75, 0.9, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, math.inf],
+    ),
+    "string": (
+        st.sampled_from([b"a", b"ab", b"b", b"ba", b"bb", b"c", b"ca", b"d", b"e", b"f"]),
+        [b"", b"a", b"aa", b"ab", b"b", b"ba", b"bb", b"bc", b"c", b"ca", b"cz", b"d",
+         b"dd", b"e", b"f", b"g"],
+    ),
+}
+_PLAN_CASES = (
+    "q == 0", "p < 0", "same page", "adjacent pages", "far pages", "reversed", "empty int"
+)
+
+
+@st.composite
+def read_plans(draw):
+    """A replica's columns and page size, and a range of one case: pages
+    q - 1 and p are the boundary pages of the sorted column's directory."""
+    kind = draw(st.sampled_from(sorted(_PLAN_KEYS)))
+    keys, bounds = _PLAN_KEYS[kind]
+    rows = draw(st.integers(1, 200))
+    page = draw(st.sampled_from([1, 2, 3, 8, 32]))
+    schema = Schema.of(("v", "int64"), ("k", kind, 2), ("w", "float64"))
+    dtype = schema.attribute("k").dtype
+    column = np.array(draw(st.lists(keys, min_size=rows, max_size=rows)), dtype=dtype)
+    base = DataBlock(0, schema, {
+        "v": np.arange(rows, dtype="<i8"), "k": column, "w": np.arange(rows, dtype="<f8") / 8,
+    })
+    case = draw(st.sampled_from(_PLAN_CASES if kind == "int64" else _PLAN_CASES[:-1]))
+    if case == "empty int":
+        return base, page, 1, 0  # what `coerce_range` returns for a range holding no int64
+    first_keys = build_index(base, "k", page)[2].first_keys
+    candidates = np.array(bounds, dtype=dtype)
+    q = first_keys.searchsorted(candidates, side="left")[:, None]  # per low bound
+    p = first_keys.searchsorted(candidates, side="right")[None, :] - 1  # per high bound
+    gap = p - (q - 1)
+    ordered = candidates[:, None] <= candidates[None, :]
+    mask = {
+        "q == 0": (q == 0) & (p >= 0) & ordered,
+        "p < 0": (p < 0) & ordered,
+        "same page": (q > 0) & (gap == 0) & ordered,
+        "adjacent pages": (q > 0) & (gap == 1) & ordered,
+        "far pages": (q > 0) & (gap > 1) & ordered,
+        "reversed": (p >= 0) & (gap < 0),
+    }[case]
+    pairs = np.argwhere(mask)
+    assume(len(pairs))
+    i, j = pairs[draw(st.integers(0, len(pairs) - 1))]
+    if kind == "string":
+        return base, page, np.bytes_(bounds[i]), np.bytes_(bounds[j])
+    return base, page, bounds[i], bounds[j]
+
+
+def _page_by_page_row_range(f, header, lo, hi, counter):
+    """The record reader's model, one `read_column_range` per boundary page:
+    page q - 1 when q > 0, then page p when p >= 0."""
+    idx = header.index
+    keys, starts = idx.first_keys, header.page_starts
+    q = int(keys.searchsorted(lo, side="left"))
+    r_lo = 0
+    if q > 0:
+        vals = blockfile.read_column_range(
+            f, header, idx.attribute, starts[q - 1], starts[q], counter
+        )
+        r_lo = starts[q - 1] + int(vals.searchsorted(lo, side="left"))
+    p = int(keys.searchsorted(hi, side="right")) - 1
+    if p < 0:
+        return 0, 0
+    vals = blockfile.read_column_range(f, header, idx.attribute, starts[p], starts[p + 1], counter)
+    return r_lo, max(r_lo, starts[p] + int(vals.searchsorted(hi, side="right")))
+
+
+class _FetchLog:
+    """Stands in for `execution.read_column_range` and logs each fetched row
+    span as (column, on the indexed replica, start, stop)."""
+
+    def __init__(self):
+        self.spans = []
+
+    def __call__(self, f, header, name, start, stop, counter=None):
+        out = blockfile.read_column_range(f, header, name, start, stop, counter)
+        start, stop = max(start, 0), min(stop, header.record_count)
+        if stop > start:
+            self.spans.append((name, header.index is not None, start, stop))
+        return out
+
+    def sort_rows_fetched_once(self, sort):
+        spans = sorted((a, b) for name, indexed, a, b in self.spans if indexed and name == sort)
+        return all(b <= c for (_, b), (c, _) in zip(spans, spans[1:]))
+
+    def bytes(self, schema):
+        return sum((b - a) * schema.attribute(n).item_size for n, _, a, b in self.spans)
+
+
+@given(
+    read_plans(),
+    st.lists(st.sampled_from(["v", "k", "w"]), min_size=1, unique=True),
+    st.sampled_from([("v", "k", "w"), ("v", "k"), ("k",)]),
+)
+@settings(max_examples=200, deadline=None)
+def test_index_scan_reads_each_sort_column_byte_once_with_the_page_by_page_bill(
+    tmp_path_factory, plan, projection, held
+):
+    # The read plan against the record reader's page-by-page model: the same
+    # row span, rows and bill, from one window over the boundary pages or
+    # one read per page, and never a sort-column byte fetched twice or a
+    # byte fetched and not billed. Held columns short of the schema make
+    # a partial replica with a permutation vector over the normal replica.
+    base, page, lo, hi = plan
+    schema = base.schema
+    root = tmp_path_factory.mktemp("plan")
+    normal_path, pseudo_path = root / "normal", root / "pseudo"
+    write_block(base, normal_path)
+    sub = DataBlock(0, schema.subset(held), {n: base.columns[n] for n in held})
+    replica, perm, _ = build_index(sub, "k", page)
+    if len(held) < len(schema.names):
+        replica.permutation = perm
+    write_block(replica, pseudo_path)
+    sorted_base = build_index(base, "k", page)[0]
+    column = sorted_base.columns["k"]
+
+    # The helper, through a file object as criterion 5 calls it.
+    with open(pseudo_path, "rb", buffering=0) as f:
+        header = read_header(f)
+        reference = ReadCounter()
+        r_lo, r_hi = _page_by_page_row_range(f, header, lo, hi, reference)
+        for keep in (False, True):
+            log, billed = _FetchLog(), ReadCounter()
+            with mock.patch.object(execution, "read_column_range", log):
+                got = execution._search_sort_column(f, header, lo, hi, billed, keep)
+            expected = reference.bytes_read
+            if keep:
+                expected += (r_hi - r_lo) * column.itemsize
+                assert got[2].dtype == column.dtype
+                assert got[2].tobytes() == column[r_lo:r_hi].tobytes()
+            else:
+                assert got[2] is None
+            assert got[:2] == (r_lo, r_hi)
+            assert billed.bytes_read == expected
+            assert log.sort_rows_fetched_once("k") and log.bytes(schema) <= billed.bytes_read
+        assert execution._refine_row_range(f, header, lo, hi, None) == (r_lo, r_hi)
+    if lo <= hi:
+        assert r_hi - r_lo == int(((column >= lo) & (column <= hi)).sum())
+
+    # A whole index scan, when the range is one a predicate can give.
+    if lo > hi and (lo, hi) != (1, 0):
+        return
+    predicate = Predicate("k", 0.2, 0.8) if (lo, hi) == (1, 0) else Predicate("k", lo, hi)
+    assert predicate.bounds(schema) == (lo, hi)
+    registry = ReplicaRegistry(schema, replication_factor=1)
+    normal = BlockReplicaInfo(
+        0, ReplicaKind.NORMAL, None, frozenset(schema.names), str(normal_path)
+    )
+    registry.add_block(0, base.record_count, [normal])
+    kind = ReplicaKind.PSEUDO if replica.permutation is None else ReplicaKind.PARTIAL_PSEUDO
+    pseudo = BlockReplicaInfo(0, kind, "k", frozenset(held), str(pseudo_path))
+    registry.register_index(0, pseudo)
+    ctx = TaskContext(node_id=0, registry=registry, indexer=None, will_offer_blocks=frozenset())
+    split = InputSplit(0, (BlockRef(0, pseudo),), ScanKind.INDEX_SCAN)
+    log = _FetchLog()
+    with mock.patch.object(execution, "read_column_range", log):
+        result = record_reader_scan(split, job(predicate, tuple(projection)), ctx)
+    ctx.replicas.close()
+    assert not result.failed, result.error
+
+    wanted = [n for n in schema.names if n in projection]
+    missing = [n for n in wanted if n not in held]
+    expected = ReadCounter()
+    with open(pseudo_path, "rb", buffering=0) as f:
+        header = read_header(f, expected)
+        _page_by_page_row_range(f, header, lo, hi, expected)
+        for name in wanted:
+            if name in held:
+                blockfile.read_column_range(f, header, name, r_lo, r_hi, expected)
+        if missing:
+            blockfile.read_permutation(f, header, expected)
+    if missing:
+        with open(normal_path, "rb", buffering=0) as f:
+            header = read_header(f, expected)
+            for name in missing:
+                blockfile.read_column_range(f, header, name, 0, base.record_count, expected)
+    assert result.records_read == result.records_emitted == r_hi - r_lo
+    assert result.bytes_read == expected.bytes_read
+    assert log.sort_rows_fetched_once("k") and log.bytes(schema) <= result.bytes_read
+    emitted = {n: sorted_base.columns[n][r_lo:r_hi] for n in wanted}
+    if r_hi == r_lo:
+        assert result.emitted == []
+    else:
+        [columns] = result.emitted
+        assert list(columns) == wanted
+        assert all(columns[n].tobytes() == emitted[n].tobytes() for n in wanted)
