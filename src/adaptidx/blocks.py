@@ -267,8 +267,9 @@ class DataBlock:
             self.index.validate()
             if self.index.record_count != n:
                 raise SchemaError("index record count does not match block")
-            starts = self.index.start_records.astype(np.int64)
-            if n and np.any(col[starts] != self.index.first_keys):
+            keys = col[self.index.start_records.astype(np.int64)]
+            # NaN keys, which sort last, are equal here; bytes have no NaN.
+            if not np.array_equal(keys, self.index.first_keys, equal_nan=col.dtype.kind == "f"):
                 raise SchemaError("index keys are not a subsequence of the column")
         if self.permutation is not None and len(self.permutation) != n:
             raise SchemaError("permutation vector length does not match block")

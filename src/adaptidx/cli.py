@@ -59,7 +59,9 @@ def _cmd_upload(args: argparse.Namespace) -> int:
     _need_file(args.config, "cluster config")
     _need_file(args.dataset, "dataset")
     if (args.root / REGISTRY_JOURNAL).exists():
-        # Checked before Cluster() rewrites cluster.json.
+        # Refused before the dataset file is read, with one message whatever
+        # the config: Cluster() would replay the journal first, or refuse a
+        # different config with its own error.
         raise RegistryError(f"cluster {args.root} already holds a dataset")
     config = ClusterConfig.from_file(args.config)
     dataset = Dataset.from_file(args.dataset)

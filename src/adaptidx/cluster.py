@@ -16,8 +16,10 @@ One cluster object owns a directory at a time: `Cluster.__init__` takes an
 exclusive `flock` on the root directory itself and holds it until `close`,
 or until the cluster is collected. So index scans can keep each replica
 open from its first read until they hand off a lazy completion that
-rewrites it or the cluster closes (see `execution`), and `_repair` and the
-upload can delete what no journal names. Time is simulated
+rewrites it or the cluster closes (see `execution`), and the open can
+delete what no journal names. `Cluster.__init__` is the one reader of a
+cluster directory; `Cluster.open` only passes it the config the directory
+holds. Time is simulated
 deterministically: a task costs its bytes read times a configured per-byte
 cost, so the adaptive-indexing cost model can be checked exactly instead of
 against noisy wall clocks.
@@ -25,6 +27,7 @@ against noisy wall clocks.
 
 from __future__ import annotations
 
+import dataclasses
 import fcntl
 import json
 import os
@@ -47,11 +50,8 @@ from .policy import load_json, save_json
 from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 
 REGISTRY_JOURNAL = "registry.journal"
+UPLOAD_JOURNAL = f".{REGISTRY_JOURNAL}.tmp"  # renamed to REGISTRY_JOURNAL by the upload
 CLUSTER_CONFIG = "cluster.json"
-# Keys older cluster.json files may still carry; they are read and ignored.
-RETIRED_CONFIG_KEYS = frozenset(
-    {"balance_total_index_counts", "build_queue_capacity", "write_queue_capacity"}
-)
 # JSON value types accepted per ClusterConfig field annotation.
 _VALUE_KINDS = {"int": int, "Optional[int]": (int, type(None)), "float": (int, float), "str": str}
 
@@ -68,8 +68,8 @@ class ClusterConfig:
     per_byte_cost: float = 1e-8  # simulated seconds per byte read
     per_block_index_cost: float = 0.05  # simulated seconds per block indexed
     projection_mode: str = "invisible"  # or "lazy"
-    # Retired: accepted for older callers and ignored; indexer.QUEUE_CAPACITY
-    # sizes the cluster's indexing slots.
+    # Retired: accepted for older callers and ignored, and unknown keys in a
+    # cluster.json; indexer.QUEUE_CAPACITY sizes the cluster's indexing slots.
     build_queue_capacity: InitVar[Optional[int]] = None
     write_queue_capacity: InitVar[Optional[int]] = None
 
@@ -110,11 +110,9 @@ class ClusterConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"cluster config {path} must be a JSON object")
         aliases = {"nodes": "node_count", "replication": "replication_factor"}
-        fields = cls.__dataclass_fields__
+        fields = {f.name: f for f in dataclasses.fields(cls)}  # the InitVars are not
         known = {}
         for key, value in raw.items():
-            if key in RETIRED_CONFIG_KEYS:
-                continue
             name = aliases.get(key, key)
             if name not in fields:
                 raise ConfigError(f"unknown key {key!r} in cluster config {path}")
@@ -132,7 +130,7 @@ class ClusterConfig:
         """Write the config through `save_json`, unless `path` holds its text already.
 
         So reopening a cluster leaves a canonical cluster.json untouched, and
-        only an older one, say with retired keys, is replaced.
+        only a hand-written one, say with aliases, is replaced.
         """
         data = asdict(self)
         try:
@@ -145,6 +143,14 @@ class ClusterConfig:
 
 class Cluster:
     def __init__(self, config: ClusterConfig, root: Path | str):
+        """Open the cluster directory at `root`, creating it if needed.
+
+        A root with a `registry.journal` holds a dataset: unless its
+        cluster.json parses to an equal config (else ConfigError, and no file
+        changes), the journal is replayed, `_repair` runs and the indexers
+        start. A root without one holds no dataset, so the temp journal and
+        replica files a crashed upload left are deleted.
+        """
         self.config = config
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -155,34 +161,43 @@ class Cluster:
             os.close(fd)
             raise RegistryError(f"cluster {self.root} is already open elsewhere") from None
         self._unlock = weakref.finalize(self, os.close, fd)
-        for temp in self.root.glob(".*.json.tmp"):  # left by a crash in save_json
-            temp.unlink()
         self.registry: Optional[ReplicaRegistry] = None
         self.indexers: dict[int, AdaptiveIndexer] = {}
         self.open_replicas = OpenReplicas()  # used by map tasks, which run on one thread
         width = os.cpu_count() or 1
         self.pool = futures.ThreadPoolExecutor(width)  # the upload's and every indexer's
         self._slots = threading.Semaphore(indexer.QUEUE_CAPACITY * width)
-        for k in range(config.node_count):
-            (self.node_root(k) / "blocks").mkdir(parents=True, exist_ok=True)
-        config.save(self.root / CLUSTER_CONFIG)
+        try:
+            journal = self.root / REGISTRY_JOURNAL
+            has_dataset = journal.exists()
+            if not has_dataset:
+                self._remove_replica_files()
+            elif ClusterConfig.from_file(self.root / CLUSTER_CONFIG) != config:
+                raise ConfigError(
+                    f"cluster {self.root} holds a dataset under another config; "
+                    f"open it with its own {CLUSTER_CONFIG}"
+                )
+            for temp in self.root.glob(".*.json.tmp"):  # left by a crash in save_json
+                temp.unlink()
+            for k in range(config.node_count):
+                (self.node_root(k) / "blocks").mkdir(parents=True, exist_ok=True)
+            config.save(self.root / CLUSTER_CONFIG)
+            if has_dataset:
+                self.registry = ReplicaRegistry.load(journal)
+                self._repair()
+                self._start_indexers()
+        except BaseException:
+            self._unlock()  # so a failed open leaves the root free to reopen
+            raise
 
     @classmethod
     def open(cls, root: Path | str) -> "Cluster":
-        """Reopen a cluster directory: config, replayed registry journal, and
-        `_repair` of what a crash left in the nodes' pseudo directories."""
-        root = Path(root)
-        config = ClusterConfig.from_file(root / CLUSTER_CONFIG)
-        cluster = cls(config, root)
-        journal = root / REGISTRY_JOURNAL
-        if journal.exists():
-            cluster.registry = ReplicaRegistry.load(journal)
-            cluster._repair()
-            cluster._start_indexers()
-        return cluster
+        """Reopen a cluster directory under the config its cluster.json holds."""
+        return cls(ClusterConfig.from_file(Path(root) / CLUSTER_CONFIG), root)
 
     def _repair(self) -> None:
-        """Reconcile each node's `pseudo/blk_*/*` files with the journal.
+        """Reconcile each node's `pseudo/blk_*/*` files with the journal,
+        when a root that holds a dataset is opened.
 
         A crash can come after a replica file is published, or a lazy
         completion renamed over it, and before the job's drain journals it,
@@ -255,11 +270,11 @@ class Cluster:
         Once every write is done, the calling thread registers every block in
         block order. The journal is written under a temp name in the root and
         renamed into place after the last block, so a crash mid-upload leaves
-        no dataset, and a retry replaces the temp file and first deletes the
-        replica files the crash left. The node indexers start only after the
-        rename. If any replica fails, the registry is closed, the temp journal
-        and every replica file are removed and the first error in block order
-        is raised.
+        no dataset, and the next open deletes the temp file and the replica
+        files the crash left. The node indexers start only after the rename.
+        If any replica fails, the registry is closed, the temp journal and
+        every replica file are removed and the first error in block order is
+        raised.
         """
         schema: Schema = dataset.schema
         r = self.config.replication_factor
@@ -270,13 +285,9 @@ class Cluster:
         for attr in upload_index_attributes:
             schema.attribute(attr)  # raises SchemaError if unknown
 
-        journal = self.root / REGISTRY_JOURNAL
-        if self.registry is not None or journal.exists():
+        if self.registry is not None:
             raise RegistryError(f"cluster {self.root} already holds a dataset")
-        temp = self.root / f".{REGISTRY_JOURNAL}.tmp"
-        temp.unlink(missing_ok=True)
-        self._remove_replica_files()
-        self.registry = ReplicaRegistry(schema, r, journal_path=temp)
+        self.registry = ReplicaRegistry(schema, r, journal_path=self.root / UPLOAD_JOURNAL)
 
         per_block = self.config.records_per_block(schema)
         total = dataset.row_count
@@ -309,7 +320,7 @@ class Cluster:
                 write.result()
             for block_id, record_count, infos in blocks:
                 self.registry.add_block(block_id, record_count, infos)
-            self.registry.rename_journal(journal)
+            self.registry.rename_journal(self.root / REGISTRY_JOURNAL)
         except BaseException:
             # Cancel the writes not yet started and wait for the rest, so
             # none lands after the cleanup below.
@@ -318,14 +329,15 @@ class Cluster:
             futures.wait(writes)
             self.registry.close()
             self.registry = None
-            temp.unlink(missing_ok=True)
             self._remove_replica_files()
             raise
         self._start_indexers()
         return self.registry
 
     def _remove_replica_files(self) -> None:
-        """Delete the nodes' replica files; without a journal they belong to no dataset."""
+        """Delete the upload's temp journal and the nodes' replica files;
+        without a journal they belong to no dataset."""
+        (self.root / UPLOAD_JOURNAL).unlink(missing_ok=True)
         for path in self.root.glob("node_*/blocks/blk_*"):
             path.unlink()
         for pseudo in self.root.glob("node_*/pseudo"):

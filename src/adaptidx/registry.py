@@ -9,12 +9,11 @@ drains that indexer (`AdaptiveIndexer.drain`); the indexers' units on the
 pool only read it. Every mutation
 is appended to a journal file (one JSON record per line) so a cluster
 directory can be reopened and replayed; a torn last line
-(a crash mid-append) is dropped on load. A journal whose dataset record
-carries `"paths": "journal_dir"` stores replica paths under its directory
-relative to that directory, so the cluster can be reopened from any working
-directory or after being moved. Journals without the marker (written before
-it existed) keep their convention: paths as given, relative ones resolved
-against the working directory, both on load and on later appends.
+(a crash mid-append) is dropped on load. The journal's dataset record
+carries `"paths": "journal_dir"`: replica paths under the journal's
+directory are stored relative to it, so the cluster can be reopened from
+any working directory or after being moved. A journal without the marker
+is refused.
 
 Two derived tables, updated under the same lock by `add_block` and
 `register_index`, make the planner's lookups O(1): the number of adaptive
@@ -104,8 +103,6 @@ class BlockReplicaInfo:
 
     @classmethod
     def from_json(cls, d: dict) -> "BlockReplicaInfo":
-        # Older journals also carry "has_permutation_vector"; it is derived
-        # from the kind, so the key is ignored.
         return cls(
             node_id=d["node_id"],
             kind=ReplicaKind(d["kind"]),
@@ -125,10 +122,10 @@ class ReplicaRegistry:
         self.schema = schema
         self.replication_factor = replication_factor
         self._journal_path: Optional[Path] = None
-        self._journal_root: Optional[str] = None  # None: paths journaled as given
+        self._journal_root: Optional[str] = None  # the journal's directory, absolute
         self._journal: Optional[TextIO] = None  # append handle, opened on first use
         if journal_path:
-            self._attach_journal(Path(journal_path), journal_dir_paths=True)
+            self._attach_journal(Path(journal_path))
         self._lock = threading.RLock()
         self._replicas: dict[int, list[BlockReplicaInfo]] = {}
         self._record_counts: dict[int, int] = {}
@@ -155,12 +152,13 @@ class ReplicaRegistry:
         if not records or records[0].get("event") != "dataset":
             raise RegistryError(f"journal {journal_path} does not start with a dataset record")
         head = records[0]
-        journal_dir_paths = head.get("paths") == _JOURNAL_DIR_PATHS
+        if head.get("paths") != _JOURNAL_DIR_PATHS:
+            raise RegistryError(f"journal {journal_path} predates its path marker; cannot open it")
         # No journal path yet: replay must not re-journal what it reads.
         reg = cls(Schema.from_json(head["schema"]), head["replication"])
         for rec in records[1:]:
             info = BlockReplicaInfo.from_json(rec["replica"])
-            if journal_dir_paths and not os.path.isabs(info.path):
+            if not os.path.isabs(info.path):
                 info = replace(info, path=str(journal_path.parent / info.path))
             if rec["event"] == "block":
                 reg.add_block(rec["block_id"], rec["record_count"], [info])
@@ -168,22 +166,21 @@ class ReplicaRegistry:
                 reg.register_index(rec["block_id"], info)
             else:
                 raise RegistryError(f"unknown journal event {rec['event']!r}")
-        reg._attach_journal(journal_path, journal_dir_paths)
+        reg._attach_journal(journal_path)
         return reg
 
-    def _attach_journal(self, journal_path: Path, journal_dir_paths: bool) -> None:
+    def _attach_journal(self, journal_path: Path) -> None:
         self._journal_path = journal_path
-        self._journal_root = os.path.abspath(journal_path.parent) if journal_dir_paths else None
+        self._journal_root = os.path.abspath(journal_path.parent)
 
     def _append_journal(self, record: dict) -> None:
-        """Append one record as one flushed line. In a journal with the
-        `journal_dir` marker a replica path is stored relative to the
-        journal's directory when it lies under it, else absolute; an older
-        journal gets it as given."""
+        """Append one record as one flushed line. A replica path is stored
+        relative to the journal's directory when it lies under it, else
+        absolute."""
         if self._journal_path is None:
             return
         replica = record.get("replica")
-        if replica is not None and self._journal_root is not None:
+        if replica is not None:
             path = os.path.abspath(replica["path"])
             rel = os.path.relpath(path, self._journal_root)
             outside = rel == os.pardir or rel.startswith(os.pardir + os.sep)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,27 +38,6 @@ from .scheduler import (
 )
 
 CALIBRATION_FILE = "calibration.json"
-
-CSV_COLUMNS = [
-    "job_id",
-    "predicate_attribute",
-    "mode",
-    "index_scan_tasks",
-    "full_scan_tasks",
-    "blocks_total",
-    "blocks_indexed_before",
-    "blocks_indexed_after",
-    "blocks_offered",
-    "blocks_enqueued",
-    "blocks_rejected",
-    "rho_used",
-    "t_is_seconds",
-    "predicted_seconds",
-    "simulated_seconds",
-    "records_emitted",
-    "bytes_read",
-    "failed",
-]
 
 
 @dataclass
@@ -87,6 +66,10 @@ class JobMetrics:
     def row(self) -> dict:
         d = asdict(self)
         return {k: d[k] for k in CSV_COLUMNS}
+
+
+# The CSV report's columns: every metric but the text the JSON report adds.
+CSV_COLUMNS = [f.name for f in fields(JobMetrics) if f.name not in ("error", "warnings")]
 
 
 @dataclass
@@ -175,7 +158,7 @@ class WorkloadRunner:
         metrics.t_is_seconds = t_is
         if self._collect_failures(index_results, metrics):
             self.cluster.drain_indexers()  # land handed-off completions
-            return self._finalize(job, metrics, results)
+            return self._finalize(metrics, results)
 
         # Decide the offer rate for the full-scan phase.
         rho_used = self._decide_rate(job, metrics, t_is)
@@ -200,8 +183,6 @@ class WorkloadRunner:
         metrics.blocks_offered = sum(r.blocks_offered for r in full_results)
         metrics.blocks_rejected = sum(r.blocks_rejected for r in full_results)
         metrics.blocks_enqueued = metrics.blocks_offered - metrics.blocks_rejected
-        metrics.records_emitted = sum(r.records_emitted for r in results)
-        metrics.bytes_read = sum(r.bytes_read for r in results)
         metrics.blocks_indexed_after = registry.indexed_block_count(attr)
 
         t_overhead = (
@@ -212,7 +193,7 @@ class WorkloadRunner:
         if not failed:
             self._update_calibration(metrics, full_results, t_scan, t_overhead, rho_used)
             metrics.predicted_seconds = self._predict(metrics, t_is, rho_used)
-        return self._finalize(job, metrics, results)
+        return self._finalize(metrics, results)
 
     def _cost_params(self, metrics: JobMetrics, t_is: float) -> CostModelParams:
         cal = self.calibration
@@ -283,10 +264,9 @@ class WorkloadRunner:
             metrics.error = failures[0].error
         return bool(failures)
 
-    def _finalize(self, job: JobSpec, metrics: JobMetrics, results: list[TaskResult]) -> JobOutcome:
-        if metrics.failed:
-            metrics.records_emitted = sum(r.records_emitted for r in results)
-            metrics.bytes_read = sum(r.bytes_read for r in results)
+    def _finalize(self, metrics: JobMetrics, results: list[TaskResult]) -> JobOutcome:
+        metrics.records_emitted = sum(r.records_emitted for r in results)
+        metrics.bytes_read = sum(r.bytes_read for r in results)
         return JobOutcome(metrics=metrics, results=results)
 
 

@@ -473,45 +473,38 @@ def test_cluster_uploaded_with_relative_root_runs_from_another_directory(tmp_pat
     assert rows[0]["index_scan_tasks"] != "0" and rows[0]["failed"] == "False"
 
 
-def _to_pre_marker_journal(journal, root_as_given):
-    """Rewrite a journal as engines before the `paths` marker wrote it: no
-    marker, and replica paths as the cluster gave them (here cwd-relative)."""
-    records = [json.loads(line) for line in journal.read_text().splitlines()]
-    records[0].pop("paths", None)
-    for rec in records[1:]:
-        rec["replica"]["path"] = f"{root_as_given}/{rec['replica']['path']}"
-    journal.write_text("".join(json.dumps(rec) + "\n" for rec in records))
-
-
-def test_pre_marker_cluster_with_relative_root_runs_from_its_directory(tmp_path, monkeypatch):
-    data = tmp_path / "data.adxd"
-    assert main(["gen-synthetic", "--rows", "4000", "--seed", "7", "--out", str(data)]) == 0
-    config = write_config(tmp_path / "config.json")
-    monkeypatch.chdir(tmp_path)
-    assert main(["upload", "--dataset", str(data), "--root", "cl", "--config", str(config)]) == 0
-    journal = tmp_path / "cl" / "registry.journal"
-    _to_pre_marker_journal(journal, "cl")
-    assert '"cl/node_0/blocks/blk_0_r0"' in journal.read_text()
-
+def _run_args(tmp_path, root):
     jobs = write_jobs(
         tmp_path / "jobs.json",
-        [{"predicate": {"attribute": "b", "low": 0.1, "high": 0.3}, "projection": "all",
-          "offer_rate": 0.5}] * 2,
+        [{"predicate": {"attribute": "b", "low": 0.1, "high": 0.3}, "offer_rate": 0.5}],
     )
-    assert main(["run", "--root", "cl", "--jobs", str(jobs), "--report", "report"]) == 0
-    with open("report.csv") as f:
-        rows = list(csv.DictReader(f))
-    assert [r["failed"] for r in rows] == ["False", "False"]
-    assert int(rows[1]["blocks_indexed_after"]) == 8
-    # Appends keep the journal's own convention.
-    lines = [json.loads(line) for line in journal.read_text().splitlines()]
-    assert "paths" not in lines[0]
-    assert all(rec["replica"]["path"].startswith("cl/node_") for rec in lines[1:])
+    return ["run", "--root", str(root), "--jobs", str(jobs), "--report", str(tmp_path / "r")]
 
-    assert main(["run", "--root", "cl", "--jobs", str(jobs), "--report", "again"]) == 0
-    with open("again.csv") as f:
-        rows = list(csv.DictReader(f))
-    assert rows[0]["index_scan_tasks"] != "0" and rows[0]["failed"] == "False"
+
+def test_a_pre_marker_journal_exits_2_naming_it(tmp_path, capsys):
+    # Engines before the `paths` marker journaled replica paths as given.
+    root = gen_and_upload(tmp_path)
+    journal = root / "registry.journal"
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    del records[0]["paths"]
+    journal.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    before = journal.read_bytes()
+    capsys.readouterr()
+    assert main(_run_args(tmp_path, root)) == 2
+    assert capsys.readouterr().err == (
+        f"error: journal {journal} predates its path marker; cannot open it\n"
+    )
+    assert journal.read_bytes() == before
+
+
+@pytest.mark.parametrize("key", ["balance_total_index_counts", "build_queue_capacity"])
+def test_a_retired_cluster_config_key_exits_2_as_unknown(tmp_path, capsys, key):
+    root = gen_and_upload(tmp_path)
+    config = root / "cluster.json"
+    config.write_text(json.dumps({**json.loads(config.read_text()), key: 4}))
+    capsys.readouterr()
+    assert main(_run_args(tmp_path, root)) == 2
+    assert capsys.readouterr().err == f"error: unknown key {key!r} in cluster config {config}\n"
 
 
 def test_fractional_and_infinite_int64_bounds_run_and_nan_fails_the_job(tmp_path, capsys):

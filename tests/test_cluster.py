@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -328,9 +329,11 @@ def test_reopen_cluster_replays_registry(tmp_path):
     assert again.config.node_count == 3
     again.close()
 
-    # A fresh Cluster on the same root refuses a second dataset.
+    # A fresh Cluster on the same root and config opens the dataset and
+    # refuses a second one.
     journal = (root / REGISTRY_JOURNAL).read_bytes()
     fresh = make_cluster(root, nodes=3, replication=2, block_records=1000)
+    assert fresh.registry.block_ids == ids
     with pytest.raises(RegistryError, match="already holds a dataset"):
         fresh.upload_dataset(gen_synthetic(4_000, seed=7))
     fresh.close()
@@ -362,18 +365,73 @@ def test_unknown_config_key_rejected(tmp_path):
         ClusterConfig.from_file(path)
 
 
-def test_retired_config_key_still_opens(tmp_path):
+@pytest.mark.parametrize(
+    "key", ["balance_total_index_counts", "build_queue_capacity", "write_queue_capacity"]
+)
+def test_a_retired_config_key_is_an_unknown_key(tmp_path, key):
+    # Engines before the cluster-wide indexing slots wrote these keys.
     root = tmp_path / "c"
     make_cluster(root, nodes=3, slots=2, replication=2).close()
+    path = root / CLUSTER_CONFIG
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: 4}))
+    before = path.read_bytes()
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        ClusterConfig.from_file(path)
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        Cluster.open(root)
+    assert path.read_bytes() == before
+
+
+def _every_byte(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_constructing_over_a_dataset_with_another_config_is_refused_and_frees_the_root(tmp_path):
+    # Planned on 4 nodes, the blocks on nodes 2 and 3 would have no indexer
+    # under a 2-node config, and jobs would stop short of convergence.
+    root = tmp_path / "c"
+    cluster = make_cluster(root, nodes=4, slots=1, replication=1, block_records=500)
+    cluster.upload_dataset(gen_synthetic(4_000, seed=7))
+    cluster.close()
+    before = _every_byte(root)
+    with pytest.raises(ConfigError) as refused:
+        make_cluster(root, nodes=2, slots=1, replication=1, block_records=500)
+    assert str(refused.value).startswith(f"cluster {root} holds a dataset under another config")
+    assert _every_byte(root) == before
+
+    # The refused cluster released the lock, though `refused` keeps its frame.
+    cluster = Cluster.open(root)
+    runner = WorkloadRunner(cluster)
+    for n in range(4):
+        assert not runner.run_job(_b_job(f"j{n}")).metrics.failed
+    assert cluster.registry.indexed_block_count("b") == cluster.registry.block_count == 8
+    cluster.close()
+
+    # The config is compared as parsed: a hand-written one with aliases opens.
     raw = json.loads((root / CLUSTER_CONFIG).read_text())
-    capacities = {"build_queue_capacity": 4, "write_queue_capacity": 4}
-    assert not capacities.keys() & raw.keys()
-    for retired in ({"balance_total_index_counts": True}, capacities):
-        (root / CLUSTER_CONFIG).write_text(json.dumps({**raw, **retired}))
-        again = Cluster.open(root)
-        assert again.config.node_count == 3 and again.config.slots_per_node == 2
-        again.close()
-        assert json.loads((root / CLUSTER_CONFIG).read_text()) == raw  # rewritten without them
+    raw["nodes"], raw["replication"] = raw.pop("node_count"), raw.pop("replication_factor")
+    (root / CLUSTER_CONFIG).write_text(json.dumps(raw))
+    again = make_cluster(root, nodes=4, slots=1, replication=1, block_records=500)
+    assert again.registry.block_count == 8
+    again.close()
+
+
+def test_a_failed_open_frees_the_root(tmp_path):
+    root = tmp_path / "c"
+    cluster = make_cluster(root, nodes=3, replication=2)
+    cluster.upload_dataset(gen_synthetic(3_000, seed=8))
+    cluster.close()
+    journal = root / REGISTRY_JOURNAL
+    good = journal.read_bytes()
+    head, rest = good.split(b"\n", 1)
+    journal.write_bytes(head + b"\n{not json\n" + rest)
+    with pytest.raises(RegistryError, match=re.escape(f"journal {journal} line 2 is corrupt")) as failed:
+        Cluster.open(root)
+    journal.write_bytes(good)
+    again = Cluster.open(root)  # not "already open elsewhere", though `failed` lives
+    assert again.registry.block_count == 3
+    again.close()
+    assert failed.value is not None
 
 
 def test_open_leaves_a_canonical_config_untouched(tmp_path):
@@ -849,11 +907,7 @@ def _assert_jobs_converge(root, projection):
     _assert_registry_matches_files(cluster)
 
 
-def _every_byte(root):
-    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
-
-@pytest.mark.parametrize("mode", ["invisible", "lazy", "repair", "retired_config"])
+@pytest.mark.parametrize("mode", ["invisible", "lazy", "repair"])
 def test_a_crash_at_any_write_of_an_adaptive_job_is_repaired(tmp_path, monkeypatch, mode):
     # invisible: a job publishes a full pseudo replica of each of 4 blocks.
     # lazy: after a job made partial replicas on b, a job projecting c
@@ -861,9 +915,6 @@ def test_a_crash_at_any_write_of_an_adaptive_job_is_repaired(tmp_path, monkeypat
     # completion is local. repair: the open before the job repairs what a
     # crash left (3 unjournaled replicas, a short one and a temp file), and
     # the job then publishes the block whose replica was short.
-    # retired_config: the open before an invisible job rewrites a
-    # cluster.json that carries a retired key, which every reopen after a
-    # crash leaves canonical.
     base = tmp_path / "base"
     cluster = make_cluster(
         base, nodes=2, slots=1, replication=2, block_records=500,
@@ -877,9 +928,6 @@ def test_a_crash_at_any_write_of_an_adaptive_job_is_repaired(tmp_path, monkeypat
         projection = ("b", "c") if mode == "lazy" else projection
     cluster.close()
     canonical = (base / CLUSTER_CONFIG).read_bytes()
-    if mode == "retired_config":
-        raw = json.loads(canonical)
-        (base / CLUSTER_CONFIG).write_text(json.dumps({**raw, "build_queue_capacity": 4}))
     if mode == "repair":
         os.truncate(base / REGISTRY_JOURNAL, uploaded)
         (short,) = base.glob("node_*/pseudo/blk_0/b")
@@ -889,7 +937,7 @@ def test_a_crash_at_any_write_of_an_adaptive_job_is_repaired(tmp_path, monkeypat
     dry = _run_crashing_job(shutil.copytree(base, tmp_path / "dry"), 0, projection)
     assert dry.returncode == 0, dry.stderr
     calls = int(dry.stdout)
-    assert calls >= 8  # the four modes make 19, 16, 8 and 22
+    assert calls >= 8  # the three modes make 19, 16 and 8
 
     (tmp_path / "elsewhere").mkdir()
     monkeypatch.chdir(tmp_path / "elsewhere")
@@ -917,9 +965,10 @@ def test_a_crash_at_any_write_of_an_upload_leaves_no_dataset_and_a_retry_converg
 ):
     # The upload's every mutating call comes before the rename that moves its
     # journal into place, the last one, so a crash at any of them, the rename
-    # included, leaves a cluster that reopens with no dataset. Reopened from
-    # another working directory, a retried upload leaves no temp file and
-    # the same bytes as an upload that never crashed, and jobs then converge.
+    # included, leaves a cluster that reopens with no dataset, and the open
+    # alone deletes the temp journal and every replica file the crash left.
+    # Reopened from another working directory, a retried upload leaves the
+    # same bytes as an upload that never crashed, and jobs then converge.
     base = tmp_path / "base"
     make_cluster(base, nodes=2, slots=1, replication=2, block_records=500).close()
     whole = shutil.copytree(base, tmp_path / "whole")
@@ -939,6 +988,9 @@ def test_a_crash_at_any_write_of_an_upload_leaves_no_dataset_and_a_retry_converg
 
         cluster = Cluster.open(relative)
         assert cluster.registry is None, crash_at
+        assert not list(crashed.rglob(".*")), crash_at
+        assert not list(crashed.glob("node_*/blocks/blk_*")), crash_at
+        assert not list(crashed.glob("node_*/pseudo")), crash_at
         cluster.upload_dataset(gen_synthetic(2_000, seed=5))
         cluster.close()
         assert not list(crashed.rglob(".*")), crash_at

@@ -31,7 +31,7 @@ from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 from adaptidx.runner import WorkloadRunner
 
 from conftest import make_cluster, make_indexer
-from adaptidx.workloads import gen_synthetic
+from adaptidx.workloads import Dataset, gen_synthetic
 
 NINE = Schema.of(*[(f"c{i}", "int64") for i in range(9)])
 
@@ -443,6 +443,45 @@ def test_int64_bounds_select_the_integers_in_the_range_on_both_scan_paths(tmp_pa
         assert not outcome.metrics.failed, outcome.metrics.error
         assert outcome.metrics.records_emitted == len(expected)
         assert np.array_equal(_emitted_column(outcome.results, "a"), expected)
+
+
+def test_nan_sort_keys_index_at_upload_and_adaptively_and_scan_like_a_full_scan(tmp_path):
+    # NaN keys sort last, so whole pages of the sorted column start with NaN,
+    # which compares unequal to itself: the block's own check must still
+    # accept `build_index`'s output. The 4 rows [0.5, nan, 0.1, nan] at page
+    # size 2 are the smallest such block.
+    rows = 64
+    b = np.random.default_rng(4).random(rows)
+    b[:4] = [0.5, np.nan, 0.1, np.nan]
+    b[4::3] = np.nan
+    dataset = Dataset(Schema.of(("a", "int64"), ("b", "float64")),
+                      {"a": np.arange(rows, dtype="<i8"), "b": b})
+    expected = np.flatnonzero((b >= 0.2) & (b <= 0.7))
+    query = Predicate("b", 0.2, 0.7)
+
+    upload = make_cluster(tmp_path / "upload", nodes=2, replication=1, block_records=16,
+                          page_size=2)
+    upload.upload_dataset(dataset, ["b"])
+    adaptive = make_cluster(tmp_path / "adaptive", nodes=2, replication=1, block_records=16,
+                            page_size=2)
+    adaptive.upload_dataset(dataset)
+    outcomes = []
+    for cluster in (upload, adaptive):
+        runner = WorkloadRunner(cluster)
+        for n in range(2):
+            outcomes.append(runner.run_job(job(query, ("a", "b"), rho=1.0, job_id=f"j{n}")))
+        stats = [indexer.stats for indexer in cluster.indexers.values()]
+        assert sum(s.failures for s in stats) == 0
+        assert cluster.registry.indexed_block_count("b") == cluster.registry.block_count
+        cluster.close()
+
+    full_scan = outcomes[2]
+    assert full_scan.metrics.index_scan_tasks == 0
+    for outcome in outcomes:
+        assert not outcome.metrics.failed, outcome.metrics.error
+        assert np.array_equal(_emitted_column(outcome.results, "a"), expected)
+    for index_scan in (outcomes[0], outcomes[1], outcomes[3]):
+        assert index_scan.metrics.full_scan_tasks == 0
 
 
 def test_predicate_bounds_are_coerced_in_one_place():

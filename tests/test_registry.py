@@ -449,34 +449,17 @@ def test_journal_paths_do_not_depend_on_the_root(tmp_path):
     }
 
 
-def _pre_marker_journal(journal: Path, path: str) -> None:
-    """A journal as engines before the `paths` marker wrote it."""
+def test_a_journal_without_the_path_marker_is_refused(tmp_path):
+    # Engines before the `paths` marker journaled replica paths as given.
+    journal = tmp_path / "registry.journal"
     head = {"event": "dataset", "schema": SCHEMA.to_json(), "replication": 1}
     block = {"event": "block", "block_id": 0, "record_count": 100,
-             "replica": normal(0, path=path).to_json()}
+             "replica": normal(0, path="cl/node_0/blocks/blk_0_r0").to_json()}
     journal.write_text(json.dumps(head) + "\n" + json.dumps(block) + "\n")
-
-
-def test_journal_with_absolute_paths_still_opens(tmp_path):
-    journal = tmp_path / "registry.journal"
-    elsewhere = "/data/old_cluster/node_0/blocks/blk_0_r0"
-    _pre_marker_journal(journal, elsewhere)
-    again = ReplicaRegistry.load(journal)
-    assert again.normal_replicas(0)[0].path == elsewhere
-
-
-def test_pre_marker_journal_keeps_paths_as_given(tmp_path):
-    journal = tmp_path / "cl" / "registry.journal"
-    journal.parent.mkdir()
-    _pre_marker_journal(journal, "cl/node_0/blocks/blk_0_r0")
-    reg = ReplicaRegistry.load(journal)
-    assert reg.normal_replicas(0)[0].path == "cl/node_0/blocks/blk_0_r0"
-    reg.register_index(0, pseudo(0, "d", path="cl/node_0/pseudo/blk_0/d"))
-    last = json.loads(journal.read_text().splitlines()[-1])
-    assert last["replica"]["path"] == "cl/node_0/pseudo/blk_0/d"
-    again = ReplicaRegistry.load(journal)
-    assert again.find_index(0, "d").path == "cl/node_0/pseudo/blk_0/d"
-    assert "paths" not in json.loads(journal.read_text().splitlines()[0])
+    before = journal.read_bytes()
+    with pytest.raises(RegistryError, match=f"journal {journal} predates its path marker"):
+        ReplicaRegistry.load(journal)
+    assert journal.read_bytes() == before
 
 
 def test_replica_outside_the_journal_directory_is_journaled_absolute(tmp_path):
