@@ -28,9 +28,11 @@ neither. It trusts a file not to change under a path that has an entry,
 which holds because one Cluster owns the cluster directory (see
 `execution` and the lock in `cluster`). A parsed header also carries what a range read needs,
 computed once per parse: the column dtypes (from the memoised attribute
-table) and the index's page starts as Python ints, so `read_column_range`
-looks up no schema and converts no numpy scalar, and does its one
-`os.preadv` with no helper in between.
+table), the index's page starts as Python ints and its first keys as
+Python values (`page_keys`, cut before the first NaN), so an index scan
+searches the page directory with `bisect`, `read_column_range` looks up no
+schema and converts no numpy scalar, and does its one `os.preadv` with no
+helper in between.
 
 Every read helper takes an optional ReadCounter, charged exactly the bytes
 the format needs (the header's own length, not the probe's, read or not),
@@ -100,9 +102,12 @@ class BlockFileHeader:
     """A parsed header; read-only, because an OpenReplicas serves it to many reads.
 
     Besides the file's fields it carries what a range read needs, computed
-    once per parse: each column's dtype, and the index's page starts as
-    Python ints followed by `record_count`, so page p spans rows
-    [page_starts[p], page_starts[p + 1]).
+    once per parse: each column's dtype, the index's page starts as Python
+    ints followed by `record_count`, so page p spans rows
+    [page_starts[p], page_starts[p + 1]), and its first keys as Python
+    values (`page_keys`) for `bisect`. Float keys are cut before the first
+    NaN: numpy sorts NaN last and counts no NaN as below or at a bound, so
+    `bisect` over the cut keys finds what `searchsorted` over them all does.
     """
 
     block_id: int
@@ -112,6 +117,7 @@ class BlockFileHeader:
     column_dtypes: Mapping[str, np.dtype]
     index: Optional[SparseClusteredIndex]
     page_starts: tuple[int, ...]  # () without an index
+    page_keys: tuple  # () without an index
     perm_count: int
     perm_offset: int  # 0 when absent
 
@@ -297,6 +303,7 @@ def _parse_header(fd: int) -> tuple[BlockFileHeader, bytes]:
 
     index: Optional[SparseClusteredIndex] = None
     page_starts: tuple[int, ...] = ()
+    page_keys: tuple = ()
     index_present = buf[pos]
     pos += 1
     if index_present:
@@ -322,6 +329,11 @@ def _parse_header(fd: int) -> tuple[BlockFileHeader, bytes]:
             record_count=record_count,
         )
         page_starts = (*start_records.tolist(), record_count)
+        page_keys = tuple(first_keys.tolist())
+        if first_keys.dtype.kind == "f":
+            nan = np.isnan(first_keys)
+            if nan.any():  # NaN keys are last: `write_block` validates the order
+                page_keys = page_keys[: int(nan.argmax())]
 
     buf = _cover(fd, buf, pos + 1)
     perm_present = buf[pos]
@@ -342,6 +354,7 @@ def _parse_header(fd: int) -> tuple[BlockFileHeader, bytes]:
         column_dtypes=dtypes,
         index=index,
         page_starts=page_starts,
+        page_keys=page_keys,
         perm_count=perm_count,
         perm_offset=perm_offset,
     ), buf[:pos]

@@ -66,7 +66,8 @@ class Attribute:
         SchemaError. On an int64 attribute the bounds select the integers in
         the range: a fractional low rounds up and a fractional high rounds
         down, an infinite bound is an open end, and a range holding no int64
-        comes back with lo > hi, so it selects no row.
+        comes back with lo > hi, so it selects no row. A string bound loses
+        its trailing NUL bytes, which the column's comparisons ignore.
         """
         if self.kind == STRING:
             lo, hi = self._coerce_bytes(low), self._coerce_bytes(high)
@@ -88,7 +89,9 @@ class Attribute:
             value = value.encode("utf-8")
         if not isinstance(value, bytes):  # np.bytes_(n) would be n zero bytes
             raise self._incomparable(value)
-        return np.bytes_(value)
+        # Stripped, the bound orders the same in Python as in the column,
+        # which compares as if NUL-padded; `bisect` relies on that.
+        return np.bytes_(value.rstrip(b"\0"))
 
     def _coerce_number(self, value) -> int | float:
         """`value` as a float, or as an exact int when the attribute is int64
@@ -262,7 +265,15 @@ class DataBlock:
             if self.sort_attribute not in self.schema:
                 raise SchemaError(f"sort attribute {self.sort_attribute!r} not in schema")
             col = self.columns[self.sort_attribute]
-            if n > 1 and np.any(col[:-1] > col[1:]):
+            head = col
+            if col.dtype.kind == "f":
+                # Sorted as numpy sorts: non-decreasing, then only NaNs. A NaN
+                # elsewhere compares false with all, so `>` alone passes it.
+                nan = np.isnan(col)
+                head = col[: n - np.count_nonzero(nan)]
+                if nan[: len(head)].any():
+                    raise SchemaError(f"column {self.sort_attribute!r} has NaN before a number")
+            if np.any(head[:-1] > head[1:]):
                 raise SchemaError(f"column {self.sort_attribute!r} is not sorted")
             self.index.validate()
             if self.index.record_count != n:

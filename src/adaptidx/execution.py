@@ -14,18 +14,22 @@ next job opens the file again. As one Cluster owns the cluster
 directory (`cluster` locks it), a held descriptor never serves a replaced file: only a lazy
 completion replaces a file an index scan reads, and the scan that hands it
 off drops the path. Each block is in exactly one split per job, so that scan
-is the path's last reader in the job. Page bounds come from the header's
+is the path's last reader in the job. The page directory is searched with
+`bisect` over the header's `page_keys`, page bounds come from its
 `page_starts` and dtypes from `column_dtypes`, so an index scan does its
 reads, each one `read_column_range` and `preadv`, and little beside them;
 it fetches no sort-column byte twice, and is billed the record reader's
-model whatever it fetches (`_search_sort_column`).
+model whatever it fetches (`_search_sort_column`, the one search of a page
+directory).
 
 A task coerces its predicate's bounds once (`Predicate.bounds`), for index
-and full scans alike, so both paths select the same rows.
+and full scans alike, so both paths select the same rows; a coerced string
+bound has no trailing NUL, so Python orders it as the column does.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -193,9 +197,12 @@ def _search_sort_column(f, header, lo, hi, counter, keep):
     """(r_lo, r_hi, rows): the exact qualifying row span on a sorted, indexed
     block and, with `keep`, a copy of its sort-column rows.
 
-    Binary search over the page directory narrows the span to boundary pages
-    q - 1 (none when q == 0) and p (none when p < 0). Billed: both pages, also
-    when they are one, and with `keep` the span. Fetched: one read from page
+    `bisect` over the header's `page_keys` narrows the span to boundary pages
+    q - 1 (none when q == 0) and p (none when p < 0), and numpy searches the
+    rows fetched. String bounds come without trailing NULs
+    (`Attribute.coerce_range`), so both searches order them as the column
+    does. Billed: both pages, also when they are one, and with `keep` the
+    span. Fetched: one read from page
     q - 1 (row 0 when q == 0) through page p when that holds nothing unbilled,
     that is with `keep` or when the pages are one or adjacent, else each page
     alone; so no byte twice.
@@ -206,8 +213,8 @@ def _search_sort_column(f, header, lo, hi, counter, keep):
     attr = idx.attribute
     dtype = header.column_dtypes[attr]
     starts = header.page_starts
-    q = int(idx.first_keys.searchsorted(lo, side="left"))
-    p = int(idx.first_keys.searchsorted(hi, side="right")) - 1
+    q = bisect_left(header.page_keys, lo)
+    p = bisect_right(header.page_keys, hi) - 1
     start = starts[q - 1] if q else 0
     billed = starts[q] - start if q else 0
     if p < 0:

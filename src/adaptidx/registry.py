@@ -24,7 +24,8 @@ one lookup in the second, `best_replicas` a copy of one attribute's part,
 which the planner reads once per job, and `indexed_block_count` its size. Replicas are
 never removed, so a block never leaves the best table; a widening
 re-registration replaces its entry there, and when it lands on another node
-its count moves there.
+its count moves there. A mutation counter (`version`) counts the calls that
+changed the registry, so a runner reuses its last plan while it holds.
 
 The journal is appended through one handle per registry, opened by the
 first append after the journal is attached and closed by `close`
@@ -131,6 +132,7 @@ class ReplicaRegistry:
         self._record_counts: dict[int, int] = {}
         self._pseudo_counts: dict[tuple[int, str], int] = {}
         self._best: dict[str, dict[int, BlockReplicaInfo]] = {}
+        self._version = 0  # mutations so far; see `version`
         if self._journal_path is not None and not self._journal_path.exists():
             self._journal_path.parent.mkdir(parents=True, exist_ok=True)
             self._append_journal(
@@ -228,6 +230,7 @@ class ReplicaRegistry:
                 )
             self._replicas.setdefault(block_id, []).extend(replicas)
             self._record_counts[block_id] = record_count
+            self._version += 1
             for info in replicas:
                 if info.indexed_attribute is not None:
                     self._update_best(block_id, info.indexed_attribute)
@@ -272,6 +275,7 @@ class ReplicaRegistry:
             else:
                 entry.append(info)
             self._update_best(block_id, info.indexed_attribute)
+            self._version += 1
             key = (info.node_id, info.indexed_attribute)
             self._pseudo_counts[key] = self._pseudo_counts.get(key, 0) + 1
             self._append_journal(
@@ -289,6 +293,14 @@ class ReplicaRegistry:
         self.register_index(block_id, BlockReplicaInfo(node_id, kind, attribute, names, str(path)))
 
     # -- lookup ------------------------------------------------------------
+
+    @property
+    def version(self) -> int:
+        """The number of mutations so far: `add_block` calls, and
+        `register_index` calls that changed an entry. Equal versions of one
+        registry hold the same replicas."""
+        with self._lock:
+            return self._version
 
     @property
     def block_ids(self) -> list[int]:

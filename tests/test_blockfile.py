@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 
 import adaptidx.blockfile as blockfile
 import adaptidx.execution as execution
-from adaptidx.blocks import DataBlock, Schema, blocks_equal
+from adaptidx.blocks import DataBlock, Schema, SparseClusteredIndex, blocks_equal
 from adaptidx.blockfile import (
     OpenReplicas,
     ReadCounter,
@@ -85,6 +85,30 @@ def test_invalid_block_rejected_before_write(tmp_path, simple_schema):
     with pytest.raises(SchemaError):
         write_block(block, tmp_path / "bad")
     assert not (tmp_path / "bad").exists()
+
+
+def test_a_float_sort_column_must_put_its_nans_last(tmp_path):
+    # Every comparison with NaN is false, so `>` between neighbours alone
+    # passes [0.1, nan, 0.05, 0.2]; the page directory's search needs NaN last.
+    schema = Schema.of(("k", "float64"), ("v", "int64"))
+    column = np.array([0.1, np.nan, 0.05, 0.2])
+    index = SparseClusteredIndex.from_sorted_column("k", column, 4)
+    block = DataBlock(0, schema, {"k": column, "v": np.arange(4, dtype="<i8")}, index)
+    with pytest.raises(SchemaError, match="NaN before a number"):
+        block.validate()
+    with pytest.raises(SchemaError):
+        write_block(block, tmp_path / "bad")
+    assert not (tmp_path / "bad").exists()
+
+    # `build_index` puts NaN keys last, across page starts too.
+    rng = np.random.default_rng(2)
+    keys = rng.random(40)
+    keys[rng.choice(40, 15, replace=False)] = np.nan
+    for page in (1, 3, 4, 64):
+        indexed = build_index(DataBlock(0, schema, {"k": keys, "v": np.arange(40, dtype="<i8")}),
+                              "k", page)[0]
+        indexed.validate()
+        assert np.isnan(indexed.columns["k"][25:]).all()
 
 
 def test_bad_magic_raises(tmp_path):
@@ -619,16 +643,41 @@ def test_parsed_headers_carry_column_dtypes_and_page_starts(tmp_path, simple_sch
     write_block(indexed, tmp_path / "indexed")
     write_block(block, tmp_path / "plain")
     dtypes = {a.name: a.dtype for a in simple_schema.attributes}
-    for name, page_starts in (("indexed", (0, 64, 128, 192, 256, 300)), ("plain", ())):
+    page_keys = tuple(indexed.columns["b"][s] for s in (0, 64, 128, 192, 256))
+    for name, page_starts, keys in (
+        ("indexed", (0, 64, 128, 192, 256, 300), page_keys), ("plain", (), ())
+    ):
         with open(tmp_path / name, "rb", buffering=0) as f:
             for header in (read_header(f), OpenReplicas().open(f.name)[1]):
                 assert header.page_starts == page_starts
                 assert all(type(s) is int for s in header.page_starts)
+                assert header.page_keys == keys
+                assert all(type(k) is float for k in header.page_keys)
                 assert dict(header.column_dtypes) == dtypes
                 with pytest.raises(TypeError):
                     header.column_dtypes["a"] = np.dtype("<f8")
                 with pytest.raises(SchemaError):
                     read_column_range(f, header, "nope", 0, 10)
+
+    # Page keys are Python values of the key's kind; float keys stop before
+    # the first NaN page, as NaN sorts after every bound.
+    schema = Schema.of(("i", "int64"), ("f", "float64"), ("s", "string", 3))
+    floats = np.array([0.5, np.nan, 0.25, 1.0, np.nan, 0.75, np.nan, 0.0, 2.0, np.nan])
+    block = DataBlock(0, schema, {
+        "i": np.arange(10, dtype="<i8")[::-1].copy(),
+        "f": floats,
+        "s": np.array([b"b", b"ab", b"a", b"c", b"ab", b"b", b"abc", b"a", b"c", b"b"], "S3"),
+    })
+    for attr, kind, keys in (
+        ("i", int, (0, 3, 6, 9)),
+        ("f", float, (0.0, 0.75)),  # sorted: 0, .25, .5, .75, 1, 2, then 4 NaNs
+        ("s", bytes, (b"a", b"ab", b"b", b"c")),
+    ):
+        path = tmp_path / f"keys_{attr}"
+        write_block(build_index(block, attr, 3)[0], path)
+        header = blockfile.check_block_file(path)
+        assert header.page_keys == keys
+        assert all(type(k) is kind for k in header.page_keys)
 
 
 @given(

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 import adaptidx.blockfile as blockfile
@@ -484,6 +484,26 @@ def test_nan_sort_keys_index_at_upload_and_adaptively_and_scan_like_a_full_scan(
         assert index_scan.metrics.full_scan_tasks == 0
 
 
+def test_a_string_bound_with_trailing_nuls_selects_what_a_full_scan_does(tmp_path):
+    # A column compares as if NUL-padded, so b"w04\0" equals the key b"w04",
+    # but Python bytes order it after b"w04". The page directory's search
+    # must agree with the column: unstripped, the bound skipped the page
+    # holding the first three b"w04" rows and 2 of the 5 rows came back.
+    keys = np.array([b"w05", b"w04", b"w07", b"w04", b"w03", b"w06", b"w04", b"w04"], "S3")
+    dataset = Dataset(Schema.of(("a", "int64"), ("s", "string", 3)),
+                      {"a": np.arange(8, dtype="<i8"), "s": keys})
+    cluster = make_cluster(tmp_path / "c", nodes=1, replication=1, block_records=8, page_size=4)
+    cluster.upload_dataset(dataset, ["s"])
+    low, high = b"w04\0", b"w05"
+    expected = np.flatnonzero((keys >= np.bytes_(low)) & (keys <= np.bytes_(high)))
+    assert len(expected) == 5
+    outcome = WorkloadRunner(cluster).run_job(job(Predicate("s", low, high), ("a",)))
+    cluster.close()
+    assert not outcome.metrics.failed, outcome.metrics.error
+    assert outcome.metrics.index_scan_tasks == 1 and outcome.metrics.full_scan_tasks == 0
+    assert np.array_equal(_emitted_column(outcome.results, "a"), expected)
+
+
 def test_predicate_bounds_are_coerced_in_one_place():
     schema = Schema.of(("a", "int64"), ("b", "float64"), ("s", "string", 4))
     assert Predicate("a", 9.2, 9.9).bounds(schema) == (1, 0)  # empty, and no error
@@ -492,6 +512,9 @@ def test_predicate_bounds_are_coerced_in_one_place():
     assert Predicate("a", np.int64(2**62 + 1), 2**62 + 1).bounds(schema) == (2**62 + 1,) * 2
     assert Predicate("b", 1, math.inf).bounds(schema) == (1.0, math.inf)
     assert Predicate("s", "ab", b"b").bounds(schema) == (b"ab", b"b")
+    # Trailing NULs go, as the column ignores them; a bound wider than the
+    # column stays whole, as the column compares it whole.
+    assert Predicate("s", "ab\0", b"bcdefg\0\0").bounds(schema) == (b"ab", b"bcdefg")
     for pred, message in (
         (Predicate("a", math.nan, 3), "NaN"),
         (Predicate("b", 0.0, math.nan), "NaN"),
@@ -673,19 +696,23 @@ def test_a_replica_truncated_inside_its_columns_fails_its_task_and_closes_it(tmp
 
 # -- the index scan's read plan ---------------------------------------------------
 
-# Per sort-key kind: the keys a block draws, with duplicates, and the
-# bounds a range draws, which reach between, below and above the keys.
+# Per sort-key kind: the keys a block draws, with duplicates (and NaN,
+# which sorts last), and the bounds a range draws, which reach between,
+# below and above the keys. String bounds may end in NUL, which the S2
+# column ignores, or be wider than it.
 _PLAN_KEYS = {
     "int64": (st.integers(-20, 20), list(range(-22, 23))),
     "float64": (
-        st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, math.inf]),
+        st.sampled_from(
+            [-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, math.inf, math.nan]
+        ),
         [-math.inf, -2.0, -1.5, -1.2, -1.0, -0.7, -0.5, -0.2, 0.0, 0.1, 0.25, 0.4, 0.5,
          0.6, 0.75, 0.9, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, math.inf],
     ),
     "string": (
         st.sampled_from([b"a", b"ab", b"b", b"ba", b"bb", b"c", b"ca", b"d", b"e", b"f"]),
-        [b"", b"a", b"aa", b"ab", b"b", b"ba", b"bb", b"bc", b"c", b"ca", b"cz", b"d",
-         b"dd", b"e", b"f", b"g"],
+        [b"", b"a", b"aa", b"ab", b"ab\0", b"b", b"ba", b"bb", b"bbb", b"bc", b"c", b"ca",
+         b"cz", b"d", b"dd", b"e", b"f", b"g"],
     ),
 }
 _PLAN_CASES = (
@@ -693,25 +720,32 @@ _PLAN_CASES = (
 )
 
 
+def _plan_block(kind, keys):
+    """A block whose sort column `k` of `kind` holds `keys`, between two others."""
+    schema = Schema.of(("v", "int64"), ("k", kind, 2), ("w", "float64"))
+    rows = len(keys)
+    return DataBlock(0, schema, {
+        "v": np.arange(rows, dtype="<i8"),
+        "k": np.array(keys, dtype=schema.attribute("k").dtype),
+        "w": np.arange(rows, dtype="<f8") / 8,
+    })
+
+
 @st.composite
 def read_plans(draw):
     """A replica's columns and page size, and a range of one case: pages
-    q - 1 and p are the boundary pages of the sorted column's directory."""
+    q - 1 and p are the boundary pages of the sorted column's directory.
+    The bounds are raw, as a predicate holds them."""
     kind = draw(st.sampled_from(sorted(_PLAN_KEYS)))
     keys, bounds = _PLAN_KEYS[kind]
     rows = draw(st.integers(1, 200))
     page = draw(st.sampled_from([1, 2, 3, 8, 32]))
-    schema = Schema.of(("v", "int64"), ("k", kind, 2), ("w", "float64"))
-    dtype = schema.attribute("k").dtype
-    column = np.array(draw(st.lists(keys, min_size=rows, max_size=rows)), dtype=dtype)
-    base = DataBlock(0, schema, {
-        "v": np.arange(rows, dtype="<i8"), "k": column, "w": np.arange(rows, dtype="<f8") / 8,
-    })
+    base = _plan_block(kind, draw(st.lists(keys, min_size=rows, max_size=rows)))
     case = draw(st.sampled_from(_PLAN_CASES if kind == "int64" else _PLAN_CASES[:-1]))
     if case == "empty int":
         return base, page, 1, 0  # what `coerce_range` returns for a range holding no int64
     first_keys = build_index(base, "k", page)[2].first_keys
-    candidates = np.array(bounds, dtype=dtype)
+    candidates = np.array(bounds)  # S3 for strings: wider than the column
     q = first_keys.searchsorted(candidates, side="left")[:, None]  # per low bound
     p = first_keys.searchsorted(candidates, side="right")[None, :] - 1  # per high bound
     gap = p - (q - 1)
@@ -778,6 +812,13 @@ class _FetchLog:
     st.lists(st.sampled_from(["v", "k", "w"]), min_size=1, unique=True),
     st.sampled_from([("v", "k", "w"), ("v", "k"), ("k",)]),
 )
+# Two cases the draws reach only now and then: NaN page keys after the
+# numbers, and a low bound whose NUL the column ignores, equal to the first
+# key of a page whose previous page holds that key too.
+@example((_plan_block("float64", [0.5, 1.0, math.nan, math.nan]), 1, 0.0, 2.0),
+         ["k"], ("v", "k", "w"))
+@example((_plan_block("string", [b"a", b"ab", b"ab", b"ab"]), 2, np.bytes_(b"ab\0"),
+          np.bytes_(b"bbb")), ["v"], ("v", "k", "w"))
 @settings(max_examples=200, deadline=None)
 def test_index_scan_reads_each_sort_column_byte_once_with_the_page_by_page_bill(
     tmp_path_factory, plan, projection, held
@@ -789,6 +830,9 @@ def test_index_scan_reads_each_sort_column_byte_once_with_the_page_by_page_bill(
     # a partial replica with a permutation vector over the normal replica.
     base, page, lo, hi = plan
     schema = base.schema
+    # The helper takes each bound as a predicate coerces it, the reference
+    # (numpy over the page directory) takes them raw.
+    clo, chi = (Predicate("k", b, b).bounds(schema)[0] for b in (lo, hi))
     root = tmp_path_factory.mktemp("plan")
     normal_path, pseudo_path = root / "normal", root / "pseudo"
     write_block(base, normal_path)
@@ -808,7 +852,7 @@ def test_index_scan_reads_each_sort_column_byte_once_with_the_page_by_page_bill(
         for keep in (False, True):
             log, billed = _FetchLog(), ReadCounter()
             with mock.patch.object(execution, "read_column_range", log):
-                got = execution._search_sort_column(f, header, lo, hi, billed, keep)
+                got = execution._search_sort_column(f, header, clo, chi, billed, keep)
             expected = reference.bytes_read
             if keep:
                 expected += (r_hi - r_lo) * column.itemsize
@@ -819,15 +863,15 @@ def test_index_scan_reads_each_sort_column_byte_once_with_the_page_by_page_bill(
             assert got[:2] == (r_lo, r_hi)
             assert billed.bytes_read == expected
             assert log.sort_rows_fetched_once("k") and log.bytes(schema) <= billed.bytes_read
-        assert execution._refine_row_range(f, header, lo, hi, None) == (r_lo, r_hi)
-    if lo <= hi:
+        assert execution._refine_row_range(f, header, clo, chi, None) == (r_lo, r_hi)
+    if clo <= chi:
         assert r_hi - r_lo == int(((column >= lo) & (column <= hi)).sum())
 
     # A whole index scan, when the range is one a predicate can give.
-    if lo > hi and (lo, hi) != (1, 0):
+    if clo > chi and (clo, chi) != (1, 0):
         return
     predicate = Predicate("k", 0.2, 0.8) if (lo, hi) == (1, 0) else Predicate("k", lo, hi)
-    assert predicate.bounds(schema) == (lo, hi)
+    assert predicate.bounds(schema) == (clo, chi)
     registry = ReplicaRegistry(schema, replication_factor=1)
     normal = BlockReplicaInfo(
         0, ReplicaKind.NORMAL, None, frozenset(schema.names), str(normal_path)

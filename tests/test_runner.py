@@ -5,6 +5,8 @@ import time
 import pytest
 
 import adaptidx.lazy as lazy
+import adaptidx.runner as runner_module
+from adaptidx.cluster import Cluster
 from adaptidx.execution import JobSpec, Predicate
 from adaptidx.indexer import EAGER, OFFER_RATE, SELECTIVITY, OfferPolicy
 from adaptidx.registry import ReplicaKind
@@ -246,3 +248,47 @@ def test_policy_overrides_are_still_persisted(tmp_path, monkeypatch):
     on_disk = Calibration.load(tmp_path / "c" / CALIBRATION_FILE)
     assert (on_disk.t_fsw, on_disk.t_idx_overhead, on_disk.t_target) == (1.0, 0.5, 3.0)
     cluster.close()
+
+
+def test_a_job_plans_only_when_the_registry_has_changed(tmp_path, monkeypatch):
+    plans = []
+    original = runner_module.plan_job
+
+    def counting(job, registry, **kwargs):
+        plans.append(job.job_id)
+        return original(job, registry, **kwargs)
+
+    monkeypatch.setattr(runner_module, "plan_job", counting)
+    cluster = make_cluster(tmp_path / "c", nodes=4, slots=1, replication=2, block_records=500)
+    cluster.upload_dataset(gen_synthetic(8_000, seed=43), ["b"])  # 16 blocks, indexed on b
+    registry = cluster.registry
+    runner = WorkloadRunner(cluster)
+    warm = [runner.run_job(seq_job(j, 0.5)).metrics for j in range(1, 6)]
+    assert plans == ["job1"]
+    assert all(m.index_scan_tasks and not m.full_scan_tasks and not m.failed for m in warm)
+    # A reused plan reports what a freshly made one does.
+    fresh = WorkloadRunner(cluster).run_job(seq_job(5, 0.5)).metrics
+    assert plans == ["job1", "job5"] and fresh.row() == warm[-1].row()
+
+    runner.run_job(seq_job(6, 0.0, attr="c"))  # another attribute
+    runner.run_job(seq_job(7, 0.0, attr="c"))  # nothing changed since job6
+    assert plans[2:] == ["job6"]
+    version = registry.version
+    indexing = runner.run_job(seq_job(8, 0.5, attr="c")).metrics
+    assert plans[2:] == ["job6"] and indexing.blocks_indexed_after == 8
+    assert registry.version == version + 8  # one per replica the drain registered
+    runner.run_job(seq_job(9, 0.0, attr="c"))
+    assert plans[2:] == ["job6", "job9"]
+
+    # Registering a replica again without widening it changes nothing.
+    block_id, info = next((b, r) for b, r in registry.iter_replicas() if r.indexed_attribute == "c")
+    registry.register_index(block_id, info)
+    assert registry.version == version + 8
+    runner.run_job(seq_job(10, 0.0, attr="c"))
+    assert plans[2:] == ["job6", "job9"]
+    cluster.close()
+
+    reopened = Cluster.open(tmp_path / "c")
+    assert not WorkloadRunner(reopened).run_job(seq_job(11, 0.0, attr="c")).metrics.failed
+    assert plans[2:] == ["job6", "job9", "job11"]
+    reopened.close()
