@@ -25,8 +25,8 @@ uses; a file object's buffer would only be bypassed.
 An OpenReplicas table keeps replica files open across jobs, each with its
 parsed header: a miss opens the file and parses the header, a hit does
 neither. It trusts a file not to change under a path that has an entry,
-which holds because one Cluster owns the cluster directory (see
-`execution` and the lock in `cluster`). A parsed header also carries what a range read needs,
+which README's "Invariants" guarantee (see `execution`). A parsed header
+also carries what a range read needs,
 computed once per parse: the column dtypes (from the memoised attribute
 table), the index's page starts as Python ints and its first keys as
 Python values (`page_keys`, cut before the first NaN), so an index scan

@@ -7,19 +7,16 @@ the plan divided by the slot count. The real concurrency is one thread pool
 per cluster, as wide as the host has cores. The upload writes the normal
 replicas on it, sorting and indexing those with an upload-time index as
 HAIL does. After it, every node's Adaptive Indexer builds and writes
-adaptive indexes on it beside the map tasks, leaving their registration to
-the thread that drains it; `close` returns once every indexer has landed and
-registered the work it accepted, and then stops the pool. A cluster dropped
-without `close` takes its pool with it, and the pool's threads then exit.
+adaptive indexes on it beside the map tasks, and `drain_indexers` registers
+what they did; `close` returns once every indexer has landed and registered
+the work it accepted, and then stops the pool. A cluster dropped without
+`close` takes its pool with it, and the pool's threads then exit.
 
-One cluster object owns a directory at a time: `Cluster.__init__` takes an
-exclusive `flock` on the root directory itself and holds it until `close`,
-or until the cluster is collected. So index scans can keep each replica
-open from its first read until they hand off a lazy completion that
-rewrites it or the cluster closes (see `execution`), and the open can
-delete what no journal names. `Cluster.__init__` is the one reader of a
-cluster directory; `Cluster.open` only passes it the config the directory
-holds. Time is simulated
+One cluster object owns a directory at a time (README, "Invariants"):
+`Cluster.__init__` takes an exclusive `flock` on the root directory itself
+and holds it until `close`, or until the cluster is collected.
+`Cluster.__init__` is the one reader of a cluster directory; `Cluster.open`
+only passes it the config the directory holds. Time is simulated
 deterministically: a task costs its bytes read times a configured per-byte
 cost, so the adaptive-indexing cost model can be checked exactly instead of
 against noisy wall clocks.
@@ -349,9 +346,10 @@ class Cluster:
         self,
         assignments: Sequence,
         job: JobSpec,
-        will_offer_blocks: Optional[frozenset[int]] = None,
+        will_offer_blocks: frozenset[int] = frozenset(),
     ) -> list[TaskResult]:
-        """Run task assignments in plan order on the calling thread.
+        """Run task assignments in plan order on the calling thread; a full
+        scan offers its block only if it is in `will_offer_blocks`.
 
         Waves are simulated: n_slots tasks share a wave, so task i gets wave
         i // n_slots and wave count = ceil(tasks / n_slots). A hand-off that
@@ -393,7 +391,7 @@ class Cluster:
 
     def drain_indexers(self) -> None:
         """Drain the indexers node by node; each drain registers what its
-        units wrote, in hand-off order, so the journal's record order is fixed."""
+        units did, in hand-off order, so the journal's record order is fixed."""
         for node_indexer in self.indexers.values():
             node_indexer.drain()
 

@@ -10,17 +10,16 @@ An index scan reads the indexed replica, and the normal replica a partial
 one fills missing columns from, through the cluster's OpenReplicas, which
 keeps each open with its parsed header from job to job; every read is still
 billed the header's length. A read that raises drops its replica, so the
-next job opens the file again. As one Cluster owns the cluster
-directory (`cluster` locks it), a held descriptor never serves a replaced file: only a lazy
+next job opens the file again. A held descriptor never serves a replaced
+file, by invariants 1 and 2 in README ("Invariants"): only a lazy
 completion replaces a file an index scan reads, and the scan that hands it
-off drops the path. Each block is in exactly one split per job, so that scan
-is the path's last reader in the job. The page directory is searched with
-`bisect` over the header's `page_keys`, page bounds come from its
-`page_starts` and dtypes from `column_dtypes`, so an index scan does its
-reads, each one `read_column_range` and `preadv`, and little beside them;
-it fetches no sort-column byte twice, and is billed the record reader's
-model whatever it fetches (`_search_sort_column`, the one search of a page
-directory).
+off, the path's last reader in the job, drops the path. The page
+directory is searched with `bisect` over the header's `page_keys`, page
+bounds come from its `page_starts` and dtypes from `column_dtypes`, so an
+index scan does its reads, each one `read_column_range` and `preadv`, and
+little beside them; it fetches no sort-column byte twice, and is billed the
+record reader's model whatever it fetches (`_search_sort_column`, the one
+search of a page directory).
 
 A task coerces its predicate's bounds once (`Predicate.bounds`), for index
 and full scans alike, so both paths select the same rows; a coerced string
@@ -159,7 +158,7 @@ class TaskContext:
     node_id: int
     registry: ReplicaRegistry
     indexer: Optional[AdaptiveIndexer]
-    will_offer_blocks: Optional[frozenset[int]]  # offer candidates; None: every block
+    will_offer_blocks: frozenset[int]  # the full-scan blocks that are offer candidates
     projection_mode: str = "invisible"  # or "lazy"
     replicas: OpenReplicas = field(default_factory=OpenReplicas)  # index-scan reads
 
@@ -322,8 +321,7 @@ def _scan_full_block(
     counter: ReadCounter,
     bounds: tuple,
 ) -> None:
-    offers = ctx.will_offer_blocks
-    candidate = offers is None or ref.block_id in offers
+    candidate = ref.block_id in ctx.will_offer_blocks
 
     # Lazy projection reads only what the job needs, even for offered blocks.
     widen = candidate and ctx.projection_mode != "lazy"

@@ -10,20 +10,15 @@ readers, and the slots only bound memory. Waiting costs no simulated time:
 the cost model charges a fixed per-block indexing cost for every enqueued
 block. The pool runs beside the map tasks, which run on the calling thread.
 
-A unit (`_index_one`) returns the stats it counts in and the registrations
-it recorded instead of writing either. `drain` walks the units in hand-off
-order on the calling thread, tallies `IndexerStats` and applies the
-registrations, and `Cluster.drain_indexers` drains node by node, so every
-stats field and the journal have one writer thread, and the journal's order
-does not follow thread timing. `close` refuses further work, then drains.
-
-Units of one node may run at once because no two touch the same file: a
-job's plan is fixed before any task runs and each block is in exactly one
-split per job, so a job hands off at most one unit per block; pseudo paths
-are per node; and every job drains before the next is planned. For the
-same reason nothing reads a registration before the drain applies it. What
-a crash before the drain leaves on disk, `Cluster._repair` registers or
-deletes at the next open.
+A unit (`_index_one`) writes neither stats nor the registry: it returns
+the stats it counts in and the one registration it made, if any. `drain`
+walks the units in hand-off order on the calling thread, tallies
+`IndexerStats` and registers, and `Cluster.drain_indexers` drains node by
+node, so the journal's order does not follow thread timing. `close` refuses
+further work, then drains. Units of one node may run at once, and nothing
+reads a registration before the drain applies it, by the invariants in
+README ("Invariants"); what a crash before the drain leaves on disk,
+`Cluster._repair` registers or deletes at the next open.
 
 The work carries the map task's own DataBlock, not a copy. `hand_off` marks
 its columns read-only, so a later write by the map task raises ValueError at
@@ -37,8 +32,8 @@ directory over the sorted column.
 A full scan offers its block when the block is an offer candidate and
 `OfferPolicy.admits` its qualifying fraction (`execution._scan_full_block`).
 The candidates are picked at plan time by `scheduler.choose_offer_blocks` in
-constant and eager mode; in selectivity mode every block is one, and `admits`
-alone decides.
+constant and eager mode; in selectivity mode every full-scanned block is
+one, and `admits` alone decides.
 """
 
 from __future__ import annotations
@@ -159,23 +154,18 @@ class WriteResult(Enum):
     FAILED = "failed"
 
 
-def write_pseudo_replica(
-    sorted_block: DataBlock,
-    node_root: Path | str,
-    node_id: int,
-    registry: ReplicaRegistry,
-    nonce: Optional[str] = None,
-) -> WriteResult:
-    """Persist an indexed block as a pseudo replica and register it.
+def _publish(
+    sorted_block: DataBlock, node_root: Path | str, node_id: int
+) -> tuple[WriteResult, Optional[tuple]]:
+    """Create an indexed block's pseudo replica at its final path; returns
+    the outcome and, for WON alone, the registration that names the file:
+    the arguments of `ReplicaRegistry.register_pseudo`.
 
-    The replica is created at its final path only if no file is there
-    (`publish_block_once`), so of concurrent writers for the same (block,
-    attribute) exactly one wins, and the others report LOST and touch no
-    file. Storage failures abandon the block silently (FAILED): indexing
-    must never jeopardize the job that piggybacked it. `registry` may be an
-    indexer's `_Registrations`, which holds the registration until the
-    indexer drains (for a crash before that, see `Cluster._repair`). `nonce`
-    is ignored; it is kept for callers that pass one.
+    The file is created only if none is there (`publish_block_once`), so of
+    concurrent writers for the same (block, attribute) exactly one wins, and
+    the others report LOST and touch no file. Storage failures abandon the
+    block silently (FAILED): indexing must never jeopardize the job that
+    piggybacked it.
     """
     attribute = sorted_block.sort_attribute
     if attribute is None:
@@ -184,14 +174,28 @@ def write_pseudo_replica(
     try:
         won = publish_block_once(sorted_block, final)
     except OSError:
-        return WriteResult.FAILED
+        return WriteResult.FAILED, None
     if not won:
-        return WriteResult.LOST
-
-    registry.register_pseudo(
+        return WriteResult.LOST, None
+    return WriteResult.WON, (
         sorted_block.block_id, node_id, attribute, sorted_block.schema.names, final
     )
-    return WriteResult.WON
+
+
+def write_pseudo_replica(
+    sorted_block: DataBlock,
+    node_root: Path | str,
+    node_id: int,
+    registry: ReplicaRegistry,
+    nonce: Optional[str] = None,
+) -> WriteResult:
+    """Publish an indexed block as a pseudo replica (see `_publish`) and
+    register it when it wins. `nonce` is ignored; it is kept for callers
+    that pass one."""
+    result, registration = _publish(sorted_block, node_root, node_id)
+    if registration is not None:
+        registry.register_pseudo(*registration)
+    return result
 
 
 # -- the per-node indexer ----------------------------------------------------
@@ -231,20 +235,6 @@ class IndexerStats:
 # The IndexerStats field a publish's outcome counts in.
 _WRITE_STAT = {WriteResult.WON: "written", WriteResult.LOST: "lost_races",
                WriteResult.FAILED: "failures"}
-
-
-class _Registrations:
-    """What a unit hands `write_pseudo_replica` and
-    `lazy.append_aligned_columns` in place of the registry: the registry's
-    schema, and a `register_pseudo` that keeps its arguments in `pending`,
-    in call order, for the indexer to apply when it drains."""
-
-    def __init__(self, registry: ReplicaRegistry) -> None:
-        self.schema = registry.schema
-        self.pending: list[tuple] = []
-
-    def register_pseudo(self, *args) -> None:
-        self.pending.append(args)
 
 
 class AdaptiveIndexer:
@@ -293,22 +283,18 @@ class AdaptiveIndexer:
 
     def drain(self) -> None:
         """Wait for every accepted unit, in hand-off order, counting what it
-        did and applying its registrations; a unit that raised, or a
+        did and applying its registration; a unit that raised, or a
         registration the registry refuses, counts as a failure."""
         units, self._units = self._units, []
         for unit in units:
             try:
-                counted, registrations = unit.result()
+                counted, registration = unit.result()
+                for name in counted:
+                    setattr(self.stats, name, getattr(self.stats, name) + 1)
+                if registration is not None:
+                    self.registry.register_pseudo(*registration)
             except Exception:
                 self.stats.failures += 1
-                continue
-            for name in counted:
-                setattr(self.stats, name, getattr(self.stats, name) + 1)
-            for args in registrations.pending:
-                try:
-                    self.registry.register_pseudo(*args)
-                except Exception:
-                    self.stats.failures += 1
 
     def close(self) -> None:
         """Refuse further work and return once all accepted work has landed
@@ -316,23 +302,25 @@ class AdaptiveIndexer:
         self._closed = True
         self.drain()
 
-    def _index_one(self, work: IndexWork) -> tuple[tuple[str, ...], _Registrations]:
+    def _index_one(self, work: IndexWork) -> tuple[tuple[str, ...], Optional[tuple]]:
         """Run one unit on a pool thread; returns the IndexerStats fields it
-        counts in and the registrations it recorded."""
-        registrations = _Registrations(self.registry)
+        counts in and the registration (`register_pseudo`'s arguments) of
+        the replica it published or widened, if any."""
         block = work.block
         if work.kind == COMPLETE:
             # Looked up on the module at call time, so wrappers installed on
             # lazy.append_aligned_columns see every completion.
-            changed = lazy.append_aligned_columns(
-                self.node_root, self.node_id, registrations, block.block_id,
-                work.attribute, block,
+            names = lazy.append_aligned_columns(
+                self.node_root, self.registry.schema, block.block_id, work.attribute, block
             )
-            return ("completed",) if changed else (), registrations
+            if names is None:
+                return (), None
+            path = pseudo_replica_path(self.node_root, block.block_id, work.attribute)
+            return ("completed",), (block.block_id, self.node_id, work.attribute, names, path)
         # A subset of the schema makes a partial replica, which keeps the
         # permutation vector so later jobs can align the missing columns.
         sorted_block, perm, _ = build_index(block, work.attribute, self.page_size_records)
         if set(block.schema.names) != set(self.registry.schema.names):
             sorted_block.permutation = perm
-        result = write_pseudo_replica(sorted_block, self.node_root, self.node_id, registrations)
-        return ("built", _WRITE_STAT[result]), registrations
+        result, registration = _publish(sorted_block, self.node_root, self.node_id)
+        return ("built", _WRITE_STAT[result]), registration

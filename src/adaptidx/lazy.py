@@ -22,11 +22,9 @@ node's `pseudo_replica_path(node_root, block_id, attribute)`.
 
 A published replica is never written in place: an append writes the merged
 replica to `.<attribute>.tmp` beside it and renames that over the old one.
-The name needs no nonce: one process owns the cluster directory, a job hands
-off at most one unit per block and drains before the next job (see
-`indexer`), and no attribute name starts with a dot. The unit passes its
-registration recorder as `registry`, so the wider entry is registered when
-the indexer drains (for a crash before that, see `Cluster._repair`).
+The name needs no nonce, by invariants 1 to 3 in README ("Invariants"), and
+no attribute name starts with a dot. The append returns the merged
+replica's attribute names, and the indexer's drain registers them.
 """
 
 from __future__ import annotations
@@ -34,46 +32,45 @@ from __future__ import annotations
 import contextlib
 import os
 from pathlib import Path
+from typing import Optional
 
-from .blocks import DataBlock
+from .blocks import DataBlock, Schema
 from .blockfile import pseudo_replica_path, read_block, write_block
-from .registry import ReplicaRegistry
 
 
 def append_aligned_columns(
     node_root: Path | str,
-    node_id: int,
-    registry: ReplicaRegistry,
+    schema: Schema,
     block_id: int,
     attribute: str,
     aligned: DataBlock,
-) -> bool:
-    """Append already-aligned columns to a partial replica; returns True on change.
+) -> Optional[tuple[str, ...]]:
+    """Append already-aligned columns to a partial replica; returns the merged
+    replica's attribute names, or None when nothing was appended.
 
     The replica is the node's own file at `pseudo_replica_path`; without one
     this raises FileNotFoundError. Appending an attribute that is already
-    present is a no-op. When the merge covers the whole schema the permutation
-    vector is removed and the registry entry is upgraded to a full pseudo
-    replica. A storage failure removes `.<attribute>.tmp` and re-raises,
-    leaving the old replica and its registry entry.
+    present is a no-op. When the merge covers the whole `schema` (the
+    dataset's) the permutation vector is removed. A storage failure removes
+    `.<attribute>.tmp` and re-raises, leaving the old replica.
     """
     final = pseudo_replica_path(node_root, block_id, attribute)
     existing = read_block(final)
     new_names = [n for n in aligned.schema.names if n not in existing.schema.names]
     if not new_names:
-        return False
+        return None
 
     merged_names = set(existing.schema.names) | set(new_names)
-    schema = registry.schema.subset(merged_names)
+    merged_schema = schema.subset(merged_names)
     columns = {}
-    for name in schema.names:
+    for name in merged_schema.names:
         src = existing.columns.get(name)
         columns[name] = src if src is not None else aligned.columns[name]
-    complete = merged_names == set(registry.schema.names)
+    complete = merged_names == set(schema.names)
 
     merged = DataBlock(
         block_id=block_id,
-        schema=schema,
+        schema=merged_schema,
         columns=columns,
         index=existing.index,
         permutation=None if complete else existing.permutation,
@@ -87,6 +84,4 @@ def append_aligned_columns(
         with contextlib.suppress(OSError):
             os.unlink(temp)
         raise
-
-    registry.register_pseudo(block_id, node_id, attribute, schema.names, final)
-    return True
+    return merged_schema.names

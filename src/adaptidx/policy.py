@@ -82,8 +82,8 @@ def save_json(path: Path | str, data: dict) -> None:
     """Write `data` as JSON to `.<name>.tmp` beside `path`, then rename it over `path`.
 
     A crash or an error mid-write leaves the previous file in place, and an
-    error removes the temp file (`Cluster.__init__` removes a crash's: one
-    process owns the cluster directory, so the name needs no nonce).
+    error removes the temp file (`Cluster.__init__` removes a crash's; the
+    name needs no nonce, by invariant 1 in README, "Invariants").
     """
     path = Path(path)
     temp = path.with_name(f".{path.name}.tmp")

@@ -2,18 +2,17 @@
 
 The registry is the single shared mutable structure in the engine. All
 mutations and lookups take one lock, which gives register/lookup linearizable
-semantics. In the engine one thread writes it: the thread that uploads and
-runs the map tasks, which registers the upload once the cluster's thread pool
-has written every replica, and registers what each indexer wrote when it
-drains that indexer (`AdaptiveIndexer.drain`); the indexers' units on the
-pool only read it. Every mutation
-is appended to a journal file (one JSON record per line) so a cluster
-directory can be reopened and replayed; a torn last line
-(a crash mid-append) is dropped on load. The journal's dataset record
-carries `"paths": "journal_dir"`: replica paths under the journal's
-directory are stored relative to it, so the cluster can be reopened from
-any working directory or after being moved. A journal without the marker
-is refused.
+semantics. In the engine one thread writes it, the map thread: the upload,
+the repair at open and, while jobs run, only `AdaptiveIndexer.drain`
+(README, "Invariants"); the indexers' units on the pool only read its
+schema. Every mutation is appended to a journal file (one JSON record per
+line) so a cluster directory can be reopened and replayed; a torn last line
+(a crash mid-append) is dropped on load, and any other line that is not a
+record of the journal's shape raises RegistryError naming its line. The
+journal's dataset record carries `"paths": "journal_dir"`: replica paths
+under the journal's directory are stored relative to it, so the cluster can
+be reopened from any working directory or after being moved. A journal
+without the marker is refused.
 
 Two derived tables, updated under the same lock by `add_block` and
 `register_index`, make the planner's lookups O(1): the number of adaptive
@@ -30,8 +29,8 @@ changed the registry, so a runner reuses its last plan while it holds.
 The journal is appended through one handle per registry, opened by the
 first append after the journal is attached and closed by `close`
 (`Cluster.close` calls it); each record is one line, flushed as it is
-written. A replica's file is published before its journal line, never
-after; `Cluster._repair` reconciles the two after a crash.
+written. A replica's file is published before its journal line (README,
+"Invariants"); `Cluster._repair` reconciles the two after a crash.
 """
 
 from __future__ import annotations
@@ -151,23 +150,27 @@ class ReplicaRegistry:
         """Rebuild a registry by replaying its journal."""
         journal_path = Path(journal_path)
         records = _read_journal(journal_path)
-        if not records or records[0].get("event") != "dataset":
+        number, head = records[0] if records else (0, None)
+        if not isinstance(head, dict) or head.get("event") != "dataset":
             raise RegistryError(f"journal {journal_path} does not start with a dataset record")
-        head = records[0]
         if head.get("paths") != _JOURNAL_DIR_PATHS:
             raise RegistryError(f"journal {journal_path} predates its path marker; cannot open it")
-        # No journal path yet: replay must not re-journal what it reads.
-        reg = cls(Schema.from_json(head["schema"]), head["replication"])
-        for rec in records[1:]:
-            info = BlockReplicaInfo.from_json(rec["replica"])
-            if not os.path.isabs(info.path):
-                info = replace(info, path=str(journal_path.parent / info.path))
-            if rec["event"] == "block":
-                reg.add_block(rec["block_id"], rec["record_count"], [info])
-            elif rec["event"] == "register":
-                reg.register_index(rec["block_id"], info)
-            else:
-                raise RegistryError(f"unknown journal event {rec['event']!r}")
+        try:
+            # No journal path yet: replay must not re-journal what it reads.
+            reg = cls(Schema.from_json(head["schema"]), head["replication"])
+            for number, rec in records[1:]:
+                info = BlockReplicaInfo.from_json(rec["replica"])
+                if not os.path.isabs(info.path):
+                    info = replace(info, path=str(journal_path.parent / info.path))
+                if rec["event"] == "block":
+                    reg.add_block(rec["block_id"], rec["record_count"], [info])
+                elif rec["event"] == "register":
+                    reg.register_index(rec["block_id"], info)
+                else:
+                    raise ValueError(f"unknown event {rec['event']!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            where = f"journal {journal_path} line {number}"
+            raise RegistryError(f"{where} is malformed: {type(exc).__name__}: {exc}") from None
         reg._attach_journal(journal_path)
         return reg
 
@@ -359,8 +362,9 @@ class ReplicaRegistry:
                 yield block_id, r
 
 
-def _read_journal(path: Path) -> list[dict]:
-    """Parse a journal, dropping a torn last line left by a crash mid-append.
+def _read_journal(path: Path) -> list[tuple[int, object]]:
+    """Parse a journal into (line number, record) pairs, dropping a torn last
+    line left by a crash mid-append.
 
     Each append writes one record followed by its newline, so a crash can
     tear only the last line, which then has no newline: an unparsable one is
@@ -376,12 +380,12 @@ def _read_journal(path: Path) -> list[dict]:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            records.append((number, json.loads(line)))
         except ValueError as exc:
             raise RegistryError(f"journal {path} line {number} is corrupt: {exc}") from None
     if tail.strip():
         try:
-            records.append(json.loads(tail))
+            records.append((len(lines) + 1, json.loads(tail)))
         except ValueError:
             with open(path, "r+b") as f:
                 f.truncate(len(data) - len(tail))

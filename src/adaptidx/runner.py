@@ -168,15 +168,15 @@ class WorkloadRunner:
 
         # Decide the offer rate for the full-scan phase.
         rho_used = self._decide_rate(job, metrics, t_is)
-        will_offer = None
-        if job.policy.mode != SELECTIVITY:
+        scanned = full_scan_blocks_per_node(full_assignments)
+        if job.policy.mode == SELECTIVITY:  # every full-scanned block is a candidate
+            will_offer = frozenset(b for blocks in scanned.values() for b in blocks)
+        else:
             metrics.rho_used = rho_used
             quota = min(
                 math.ceil(rho_used * metrics.blocks_total), len(full_assignments)
             )
-            will_offer = choose_offer_blocks(
-                full_scan_blocks_per_node(full_assignments), quota
-            )
+            will_offer = choose_offer_blocks(scanned, quota)
 
         # Phase 2: full scans, offering blocks to the indexers as they finish.
         full_results = self.cluster.run_wave(full_assignments, job, will_offer)

@@ -457,7 +457,7 @@ def test_index_scan_charges_header_boundary_pages_and_rows(tmp_path, low, high):
     registry = ReplicaRegistry(schema, replication_factor=1)
     info = BlockReplicaInfo(0, ReplicaKind.NORMAL, "d", frozenset(schema.names), str(path))
     registry.add_block(0, rows, [info])
-    ctx = TaskContext(0, registry, indexer=None, will_offer_blocks=None)
+    ctx = TaskContext(0, registry, indexer=None, will_offer_blocks=frozenset())
     job = JobSpec("scan", Predicate("d", low, high), ("s", "e"), collect_output=False)
     result = record_reader_scan(InputSplit(0, (BlockRef(0, info),), ScanKind.INDEX_SCAN), job, ctx)
 

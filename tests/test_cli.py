@@ -497,6 +497,21 @@ def test_a_pre_marker_journal_exits_2_naming_it(tmp_path, capsys):
     assert journal.read_bytes() == before
 
 
+def test_a_malformed_journal_record_exits_2_naming_its_line(tmp_path, capsys):
+    root = gen_and_upload(tmp_path)
+    journal = root / "registry.journal"
+    with open(journal, "a") as f:
+        f.write('{"event": "register", "block_id": 0}\n')
+    line = len(journal.read_text().splitlines())
+    before = journal.read_bytes()
+    capsys.readouterr()
+    assert main(_run_args(tmp_path, root)) == 2
+    assert capsys.readouterr().err == (
+        f"error: journal {journal} line {line} is malformed: KeyError: 'replica'\n"
+    )
+    assert journal.read_bytes() == before
+
+
 @pytest.mark.parametrize("key", ["balance_total_index_counts", "build_queue_capacity"])
 def test_a_retired_cluster_config_key_exits_2_as_unknown(tmp_path, capsys, key):
     root = gen_and_upload(tmp_path)

@@ -137,13 +137,14 @@ def test_wave_index_is_plan_position_over_slots(tmp_path):
 def test_full_queues_and_a_slow_writer_do_not_deadlock_the_map_thread(tmp_path, monkeypatch):
     # One slot per pool thread and a slowed write step: every offer waits
     # for a slot that only the pool can free.
-    original = indexer_module.write_pseudo_replica
+    original, calls = indexer_module.publish_block_once, []
 
     def slowed(*args):
+        calls.append(args[0].block_id)
         time.sleep(0.005)
         return original(*args)
 
-    monkeypatch.setattr(indexer_module, "write_pseudo_replica", slowed)
+    monkeypatch.setattr(indexer_module, "publish_block_once", slowed)
     monkeypatch.setattr(indexer_module, "QUEUE_CAPACITY", 1)
     cluster = make_cluster(tmp_path / "c", nodes=3, slots=2, replication=2, block_records=100)
     cluster.upload_dataset(gen_synthetic(4_000, seed=12))  # 40 blocks
@@ -160,6 +161,7 @@ def test_full_queues_and_a_slow_writer_do_not_deadlock_the_map_thread(tmp_path, 
     stats = [ix.stats for ix in cluster.indexers.values()]
     assert sum(s.rejected_full for s in stats) == 0
     assert sum(s.written for s in stats) == 40
+    assert sorted(calls) == list(range(40))  # every unit ran the slowed step
     cluster.close()
 
 
@@ -184,19 +186,21 @@ def test_a_dropped_cluster_finishes_its_units_and_stops_its_threads(tmp_path, mo
     # the units keep the pool alive until they finish; then its threads exit.
     # What they published is registered by the next open.
     gate = threading.Event()
-    original = indexer_module.write_pseudo_replica
+    original, calls = indexer_module.publish_block_once, []
 
     def stalled(*args):
+        calls.append(args[0].block_id)
         gate.wait(timeout=10)
         return original(*args)
 
-    monkeypatch.setattr(indexer_module, "write_pseudo_replica", stalled)
+    monkeypatch.setattr(indexer_module, "publish_block_once", stalled)
     root = tmp_path / "c"
     before = set(threading.enumerate())
     cluster = make_cluster(root, nodes=3, slots=1, replication=2, block_records=100)
     cluster.upload_dataset(gen_synthetic(1_000, seed=14))  # 10 blocks
     job = JobSpec("drop", Predicate("b", 0.0, 0.5), ("b",), policy=OfferPolicy(rho=1.0))
-    results = cluster.run_wave(plan_job(job, cluster.registry), job)  # no drain
+    assignments = plan_job(job, cluster.registry)
+    results = cluster.run_wave(assignments, job, frozenset(range(10)))  # no drain
     assert sum(r.blocks_offered for r in results) == 10
     threads = set(threading.enumerate()) - before
     del cluster, results
@@ -206,6 +210,7 @@ def test_a_dropped_cluster_finishes_its_units_and_stops_its_threads(tmp_path, mo
     for t in threads:
         t.join(timeout=10)
     assert not any(t.is_alive() for t in threads)
+    assert sorted(calls) == list(range(10))  # every unit ran the stalled step
     assert len(list(root.glob("node_*/pseudo/blk_*/b"))) == 10
     reopened = Cluster.open(root)
     assert reopened.registry.indexed_block_count("b") == 10

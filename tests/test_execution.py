@@ -214,7 +214,7 @@ def test_selectivity_mode_reads_full_schema_and_filters_offers(tmp_path):
     indexer = make_indexer(0, tmp_path / "node_0", registry, page_size_records=1024)
     policy = OfferPolicy(mode=SELECTIVITY, selectivity_threshold=0.8)
     ctx.indexer = indexer
-    ctx.will_offer_blocks = None
+    ctx.will_offer_blocks = frozenset({42})  # the runner offers every full-scanned block
 
     # ~25% of rows qualify: below the threshold, so no offer
     j = JobSpec("s", Predicate("d", 0, 1023), ("a",), policy=policy)
@@ -250,13 +250,15 @@ class _HandOffRecorder:
 # d holds 0..4095, so [0, 1023] qualifies 25% of the rows and [0, 3700] 90%.
 @pytest.mark.parametrize("high", [1023, 3700], ids=["below_threshold", "above_threshold"])
 @pytest.mark.parametrize(
-    "offers", [None, frozenset(), frozenset({42})], ids=["all", "none", "picked"]
+    "offers",
+    [frozenset(range(100)), frozenset(), frozenset({42})],
+    ids=["all", "none", "picked"],
 )
 @pytest.mark.parametrize("mode", [OFFER_RATE, EAGER, SELECTIVITY])
 def test_offer_rule_matrix(tmp_path, monkeypatch, mode, offers, high):
-    # A full-scanned block is offered when it is a plan-time candidate (None
-    # makes every block one) and the policy admits its qualifying fraction;
-    # under invisible projection a candidate reads the whole schema.
+    # A full-scanned block is offered when it is a plan-time candidate (in
+    # `offers`) and the policy admits its qualifying fraction; under
+    # invisible projection a candidate reads the whole schema.
     schema, base, registry, normal, pseudo, ctx = _single_block_fixture(tmp_path)
     indexer = _HandOffRecorder()
     ctx.indexer = indexer
@@ -273,7 +275,7 @@ def test_offer_rule_matrix(tmp_path, monkeypatch, mode, offers, high):
     j = JobSpec("m", Predicate("d", 0, high), ("a",), policy=policy)
     result = record_reader_scan(InputSplit(0, (BlockRef(42, normal),), ScanKind.FULL_SCAN), j, ctx)
 
-    candidate = offers is None or 42 in offers
+    candidate = 42 in offers
     admitted = mode != SELECTIVITY or high == 3700
     assert result.blocks_offered == len(indexer.work) == int(candidate and admitted)
     assert reads == [schema.names if candidate else ("a", "d")]

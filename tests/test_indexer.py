@@ -335,22 +335,25 @@ def _stalled_handoffs(tmp_path, monkeypatch, kind):
     producer and the list of block ids the pool has finished, in order."""
     schema = Schema.of(("d", "int64"), ("x", "float64"))
     monkeypatch.setattr(indexer_module, "QUEUE_CAPACITY", 1)
-    indexer = make_indexer(0, tmp_path, fresh_registry(schema))
+    registry = fresh_registry(schema)
+    for block_id in range(1, 5):
+        registry.add_block(block_id, 20, registry.replicas(0))
+    indexer = make_indexer(0, tmp_path, registry)
     gate = threading.Event()
     written = []
 
-    def stalled_append(node_root, node_id, registry, block_id, attribute, aligned):
+    def stalled_append(node_root, schema, block_id, attribute, aligned):
         gate.wait(timeout=10)
         written.append(block_id)
-        return True
+        return schema.names
 
-    def stalled_publish(sorted_block, node_root, node_id, registry):
+    def stalled_publish(sorted_block, final_path):
         gate.wait(timeout=10)
         written.append(sorted_block.block_id)
-        return WriteResult.WON
+        return True
 
     monkeypatch.setattr(lazy, "append_aligned_columns", stalled_append)
-    monkeypatch.setattr(indexer_module, "write_pseudo_replica", stalled_publish)
+    monkeypatch.setattr(indexer_module, "publish_block_once", stalled_publish)
     work = make_work if kind == BUILD else _completion
     blocks = [make_block(schema, 20, seed=i, block_id=i) for i in range(5)]
     producer = threading.Thread(target=lambda: [indexer.hand_off(work(b)) for b in blocks])
@@ -374,6 +377,7 @@ def test_handoff_waits_for_queue_space(tmp_path, monkeypatch, kind):
     assert sorted(written) == [0, 1, 2, 3, 4]  # the two stalled units may finish either way
     landed = indexer.stats.written if kind == BUILD else indexer.stats.completed
     assert indexer.stats.enqueued == landed == 5
+    assert indexer.registry.indexed_block_count("d") == 5  # the drain registered each unit
     assert indexer.stats.rejected_full == indexer.stats.failures == 0
     indexer.close()
 

@@ -199,8 +199,8 @@ def test_append_is_idempotent(tmp_path):
     oracle_sorted, _, _ = build_index(base, "d", 64)
     sub = SCHEMA.subset(["c"])
     aligned = DataBlock(0, sub, {"c": oracle_sorted.columns["c"]})
-    assert append_aligned_columns(tmp_path / "node_0", 0, registry, 0, "d", aligned) is True
-    assert append_aligned_columns(tmp_path / "node_0", 0, registry, 0, "d", aligned) is False
+    assert append_aligned_columns(tmp_path / "node_0", SCHEMA, 0, "d", aligned) == ("b", "c", "d")
+    assert append_aligned_columns(tmp_path / "node_0", SCHEMA, 0, "d", aligned) is None
 
 
 def test_close_lands_a_completion_without_drain(tmp_path, monkeypatch):
@@ -208,9 +208,10 @@ def test_close_lands_a_completion_without_drain(tmp_path, monkeypatch):
     # must wait until the completion it accepted is registered.
     base, registry = fixture_registry(tmp_path)
     index_on_d(tmp_path, registry, _subset(base, ["b", "d"]))
-    original = lazy.append_aligned_columns
+    original, calls = lazy.append_aligned_columns, []
 
     def slowed(*args):
+        calls.append(args)
         time.sleep(0.2)
         return original(*args)
 
@@ -223,7 +224,7 @@ def test_close_lands_a_completion_without_drain(tmp_path, monkeypatch):
     indexer.close()
     info = registry.find_index(0, "d")
     assert info.kind == ReplicaKind.PSEUDO and info.available_attributes == set(SCHEMA.names)
-    assert indexer.stats.completed == 1
+    assert indexer.stats.completed == len(calls) == 1
 
 
 def _files(root):
@@ -435,9 +436,10 @@ def test_lazy_sequence_reports_repeat_exactly(tmp_path, monkeypatch, module, sta
     # slowed down, so the units outnumber the slots: both kinds of work must
     # wait for a slot instead of being dropped, or the reports vary with
     # thread timing.
-    original = getattr(module, stage)
+    original, calls = getattr(module, stage), []
 
     def slowed(*args):
+        calls.append(args)
         time.sleep(0.01)
         return original(*args)
 
@@ -463,5 +465,7 @@ def test_lazy_sequence_reports_repeat_exactly(tmp_path, monkeypatch, module, sta
         cluster.close()
         assert sum(s.rejected_full for s in stats) == 0
         assert sum(s.completed for s in stats) > 0
+        assert calls  # the slowed step ran
+        calls.clear()
         reports.append(write_reports(rows, tmp_path / f"report_{run}")[0].read_bytes())
     assert reports[0] == reports[1]

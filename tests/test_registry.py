@@ -363,6 +363,30 @@ def test_corrupt_journal_line_names_its_line(tmp_path):
         ReplicaRegistry.load(journal)
 
 
+def _replica_without_kind():
+    replica = pseudo(1, "d").to_json()
+    del replica["kind"]
+    return {"event": "register", "block_id": 0, "replica": replica}
+
+
+@pytest.mark.parametrize(
+    "record",
+    [{"event": "register", "block_id": 0}, 3, _replica_without_kind()],
+    ids=["no_replica", "not_an_object", "replica_without_kind"],
+)
+def test_a_malformed_journal_record_names_its_line(tmp_path, record):
+    # Each line parses as JSON but is not a journal record of any kind.
+    journal = tmp_path / "registry.journal"
+    reg = ReplicaRegistry(SCHEMA, replication_factor=2, journal_path=journal)
+    reg.add_block(0, 100, [normal(0), normal(1)])
+    reg.close()
+    with open(journal, "a") as f:
+        f.write(json.dumps(record) + "\n")
+    lines = len(journal.read_text().splitlines())
+    with pytest.raises(RegistryError, match=f"line {lines} is malformed"):
+        ReplicaRegistry.load(journal)
+
+
 def test_torn_last_journal_line_is_dropped(tmp_path):
     journal = tmp_path / "registry.journal"
     reg = ReplicaRegistry(SCHEMA, replication_factor=2, journal_path=journal)
