@@ -30,6 +30,7 @@ missing or mistyped one.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -97,6 +98,8 @@ def _check_keys(doc: dict, allowed: frozenset[str], where: str) -> None:
 def _number(value, key: str, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: {key!r} must be a number, got {value!r}")
+    if not math.isfinite(value):  # JSON as Python reads it has NaN and Infinity
+        raise ConfigError(f"{where}: {key!r} must be finite, got {value!r}")
     return float(value)
 
 

@@ -8,9 +8,10 @@ per cluster, as wide as the host has cores. The upload writes the normal
 replicas on it, sorting and indexing those with an upload-time index as
 HAIL does. After it, every node's Adaptive Indexer builds and writes
 adaptive indexes on it beside the map tasks, and `drain_indexers` registers
-what they did; `close` returns once every indexer has landed and registered
-the work it accepted, and then stops the pool. A cluster dropped without
-`close` takes its pool with it, and the pool's threads then exit.
+what they did. `close` ends the cluster: it drains the indexers, so every
+unit handed off has landed and been registered, and stops the pool; a
+closed cluster runs and uploads nothing. A cluster dropped without `close`
+takes its pool with it, and the pool's threads then exit.
 
 One cluster object owns a directory at a time (README, "Invariants"):
 `Cluster.__init__` takes an exclusive `flock` on the root directory itself
@@ -108,11 +109,16 @@ class ClusterConfig:
             raise ConfigError(f"cluster config {path} must be a JSON object")
         aliases = {"nodes": "node_count", "replication": "replication_factor"}
         fields = {f.name: f for f in dataclasses.fields(cls)}  # the InitVars are not
-        known = {}
+        known, keys = {}, {}
         for key, value in raw.items():
             name = aliases.get(key, key)
             if name not in fields:
                 raise ConfigError(f"unknown key {key!r} in cluster config {path}")
+            if name in keys:
+                raise ConfigError(
+                    f"keys {keys[name]!r} and {key!r} in cluster config {path} name one field"
+                )
+            keys[name] = key
             if isinstance(value, bool) or not isinstance(value, _VALUE_KINDS[fields[name].type]):
                 raise ConfigError(
                     f"key {key!r} in cluster config {path} must be {fields[name].type}, "
@@ -158,6 +164,7 @@ class Cluster:
             os.close(fd)
             raise RegistryError(f"cluster {self.root} is already open elsewhere") from None
         self._unlock = weakref.finalize(self, os.close, fd)
+        self._closed = False
         self.registry: Optional[ReplicaRegistry] = None
         self.indexers: dict[int, AdaptiveIndexer] = {}
         self.open_replicas = OpenReplicas()  # used by map tasks, which run on one thread
@@ -271,8 +278,9 @@ class Cluster:
         files the crash left. The node indexers start only after the rename.
         If any replica fails, the registry is closed, the temp journal and
         every replica file are removed and the first error in block order is
-        raised.
+        raised. A closed cluster raises AdaptidxError and touches no file.
         """
+        self._check_open()
         schema: Schema = dataset.schema
         r = self.config.replication_factor
         if len(upload_index_attributes) > r:
@@ -356,8 +364,9 @@ class Cluster:
         waits for an indexer slot cannot deadlock, because the pool's threads
         free it without the map thread. Task failures become
         failure results, not exceptions: there is no re-execution, the job
-        simply fails.
+        simply fails. A closed cluster raises AdaptidxError and runs nothing.
         """
+        self._check_open()
         contexts: dict[int, TaskContext] = {}
         results: list[TaskResult] = []
         n_slots = self.config.n_slots
@@ -366,7 +375,7 @@ class Cluster:
                 contexts[a.node_id] = TaskContext(
                     node_id=a.node_id,
                     registry=self.registry,
-                    indexer=self.indexers.get(a.node_id),
+                    indexer=self.indexers[a.node_id],
                     will_offer_blocks=will_offer_blocks,
                     projection_mode=self.config.projection_mode,
                     replicas=self.open_replicas,
@@ -395,12 +404,19 @@ class Cluster:
         for node_indexer in self.indexers.values():
             node_indexer.drain()
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise AdaptidxError(f"cluster {self.root} is closed")
+
     def close(self) -> None:
-        """Close every indexer, once it has landed its accepted work, then
-        the pool, the registry's journal handle, every open replica and the
-        directory lock."""
-        for node_indexer in self.indexers.values():
-            node_indexer.close()
+        """End the cluster: drain the indexers, so every unit handed off has
+        landed and been registered, then stop the pool and close the
+        registry's journal handle, every open replica and the directory
+        lock. A second call does nothing."""
+        if self._closed:
+            return
+        self.drain_indexers()
+        self._closed = True
         self.pool.shutdown()
         if self.registry is not None:
             self.registry.close()

@@ -142,7 +142,6 @@ class TaskResult:
     records_emitted: int = 0
     bytes_read: int = 0
     blocks_offered: int = 0
-    blocks_rejected: int = 0  # offers refused by a closed indexer
     completions_skipped: int = 0
     remote_column_reads: int = 0
     failed: bool = False
@@ -157,7 +156,7 @@ class TaskContext:
 
     node_id: int
     registry: ReplicaRegistry
-    indexer: Optional[AdaptiveIndexer]
+    indexer: AdaptiveIndexer
     will_offer_blocks: frozenset[int]  # the full-scan blocks that are offer candidates
     projection_mode: str = "invisible"  # or "lazy"
     replicas: OpenReplicas = field(default_factory=OpenReplicas)  # index-scan reads
@@ -298,11 +297,10 @@ def _scan_indexed_block(
     if normal.node_id != ctx.node_id:
         result.completions_skipped += 1
         return
-    if ctx.indexer is not None:
-        sub = ctx.registry.schema.subset(missing)
-        completion = DataBlock(ref.block_id, sub, {n: aligned[n] for n in sub.names})
-        if ctx.indexer.hand_off(IndexWork(COMPLETE, ref.replica.indexed_attribute, completion)):
-            ctx.replicas.drop(path)  # the completion renames a wider file over it
+    sub = ctx.registry.schema.subset(missing)
+    completion = DataBlock(ref.block_id, sub, {n: aligned[n] for n in sub.names})
+    ctx.indexer.hand_off(IndexWork(COMPLETE, ref.replica.indexed_attribute, completion))
+    ctx.replicas.drop(path)  # the completion renames a wider file over it
 
 
 def _normal_replica_for(ctx: TaskContext, block_id: int) -> BlockReplicaInfo:
@@ -339,14 +337,13 @@ def _scan_full_block(
     selected = {name: block.columns[name][mask] for name in block.schema.names if name in projected}
     _emit(job, result, selected, qualifying)
 
-    if not candidate or ctx.indexer is None or not job.policy.admits(fraction):
+    if not candidate or not job.policy.admits(fraction):
         return
 
     # Hand over only after the map function consumed the block; the hand-off
     # freezes its columns.
     result.blocks_offered += 1
-    if not ctx.indexer.hand_off(IndexWork(BUILD, job.predicate.attribute, block)):
-        result.blocks_rejected += 1
+    ctx.indexer.hand_off(IndexWork(BUILD, job.predicate.attribute, block))
 
 
 def record_reader_scan(split: InputSplit, job: JobSpec, ctx: TaskContext) -> TaskResult:

@@ -4,20 +4,21 @@ Per node there is one indexer, which owns no thread. Every unit of work, a
 full scan's BUILD offer or an index scan's lazy COMPLETE, enters through
 `hand_off`, which waits for one of the cluster-wide slots that bound the
 units in flight and submits the unit to the cluster's thread pool; it
-refuses work only once the indexer is closed. So the plan alone decides
-which blocks get indexed, never how far the pool has fallen behind the
-readers, and the slots only bound memory. Waiting costs no simulated time:
-the cost model charges a fixed per-block indexing cost for every enqueued
-block. The pool runs beside the map tasks, which run on the calling thread.
+refuses no work. So the plan alone decides which blocks get indexed, never
+how far the pool has fallen behind the readers, and the slots only bound
+memory. Waiting costs no simulated time: the cost model charges a fixed
+per-block indexing cost for every enqueued block. The pool runs beside the
+map tasks, which run on the calling thread.
 
 A unit (`_index_one`) writes neither stats nor the registry: it returns
 the stats it counts in and the one registration it made, if any. `drain`
 walks the units in hand-off order on the calling thread, tallies
 `IndexerStats` and registers, and `Cluster.drain_indexers` drains node by
-node, so the journal's order does not follow thread timing. `close` refuses
-further work, then drains. Units of one node may run at once, and nothing
-reads a registration before the drain applies it, by the invariants in
-README ("Invariants"); what a crash before the drain leaves on disk,
+node, so the journal's order does not follow thread timing; `Cluster.close`
+drains them too, before it marks the cluster closed, and a closed cluster
+runs no job. Units of one node may run at once, and nothing reads a
+registration before the drain applies it, by the invariants in README
+("Invariants"); what a crash before the drain leaves on disk,
 `Cluster._repair` registers or deletes at the next open.
 
 The work carries the map task's own DataBlock, not a copy. `hand_off` marks
@@ -138,6 +139,10 @@ class OfferPolicy:
     def __post_init__(self) -> None:
         if self.mode not in (OFFER_RATE, EAGER, SELECTIVITY):
             raise ConfigError(f"unknown offer mode {self.mode!r}")
+        for name in ("rho", "selectivity_threshold"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:  # also refuses NaN
+                raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
 
     def admits(self, qualifying_fraction: float) -> bool:
         """Whether a full-scanned offer candidate goes to the indexer: always,
@@ -219,12 +224,12 @@ class IndexWork:
 @dataclass
 class IndexerStats:
     """Counts of one node's adaptive indexing, all written by the thread that
-    hands work off and drains. `failures` also counts units that raised and
+    hands work off and drains. `enqueued` counts every unit handed off, for
+    the indexer refuses none; `failures` also counts units that raised and
     registrations the registry refused; `lost_races` counts publishes that
     found a file at their final path (see `publish_block_once`)."""
 
     enqueued: int = 0
-    rejected_full: int = 0  # work refused because the indexer was closed
     built: int = 0
     written: int = 0
     completed: int = 0
@@ -258,19 +263,12 @@ class AdaptiveIndexer:
         self._pool = pool
         self._slots = slots  # shared by every node's indexer
         self._units: list[Future] = []  # in hand-off order, until drained
-        self._closed = False
 
-    def hand_off(self, work: IndexWork) -> bool:
-        """Submit one unit of work, waiting for a slot.
-
-        Returns False, counted in `stats.rejected_full`, only when the
-        indexer is closed. Accepted work has its block's columns marked
-        read-only first. One thread hands work off, drains and closes the
+    def hand_off(self, work: IndexWork) -> None:
+        """Submit one unit of work, waiting for a slot; its block's columns
+        are marked read-only first. One thread hands work off and drains the
         indexer: the engine's map thread, which runs every map task.
         """
-        if self._closed:
-            self.stats.rejected_full += 1
-            return False
         for column in work.block.columns.values():
             column.setflags(write=False)
         slots = self._slots
@@ -279,10 +277,9 @@ class AdaptiveIndexer:
         unit.add_done_callback(lambda _: slots.release())
         self._units.append(unit)
         self.stats.enqueued += 1
-        return True
 
     def drain(self) -> None:
-        """Wait for every accepted unit, in hand-off order, counting what it
+        """Wait for every unit handed off, in hand-off order, counting what it
         did and applying its registration; a unit that raised, or a
         registration the registry refuses, counts as a failure."""
         units, self._units = self._units, []
@@ -295,12 +292,6 @@ class AdaptiveIndexer:
                     self.registry.register_pseudo(*registration)
             except Exception:
                 self.stats.failures += 1
-
-    def close(self) -> None:
-        """Refuse further work and return once all accepted work has landed
-        and been registered."""
-        self._closed = True
-        self.drain()
 
     def _index_one(self, work: IndexWork) -> tuple[tuple[str, ...], Optional[tuple]]:
         """Run one unit on a pool thread; returns the IndexerStats fields it

@@ -103,13 +103,29 @@ class BlockReplicaInfo:
 
     @classmethod
     def from_json(cls, d: dict) -> "BlockReplicaInfo":
+        """The replica `to_json` wrote; a field of another JSON type raises TypeError."""
+        names = d["available_attributes"]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise TypeError(f"'available_attributes' must be a list of str, got {names!r}")
         return cls(
-            node_id=d["node_id"],
-            kind=ReplicaKind(d["kind"]),
-            indexed_attribute=d["indexed_attribute"],
-            available_attributes=frozenset(d["available_attributes"]),
-            path=d["path"],
+            node_id=_typed(d, "node_id", "int"),
+            kind=ReplicaKind(_typed(d, "kind", "str")),
+            indexed_attribute=_typed(d, "indexed_attribute", "str or null"),
+            available_attributes=frozenset(names),
+            path=_typed(d, "path", "str"),
         )
+
+
+_JSON_TYPES = {"int": int, "str": str, "str or null": (str, type(None))}
+
+
+def _typed(record: dict, key: str, kind: str):
+    """`record[key]` if its JSON type is `kind`, else TypeError; no field is
+    a bool, which Python counts as an int."""
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise TypeError(f"{key!r} must be {kind}, got {value!r}")
+    return value
 
 
 class ReplicaRegistry:
@@ -162,10 +178,11 @@ class ReplicaRegistry:
                 info = BlockReplicaInfo.from_json(rec["replica"])
                 if not os.path.isabs(info.path):
                     info = replace(info, path=str(journal_path.parent / info.path))
+                block_id = _typed(rec, "block_id", "int")
                 if rec["event"] == "block":
-                    reg.add_block(rec["block_id"], rec["record_count"], [info])
+                    reg.add_block(block_id, _typed(rec, "record_count", "int"), [info])
                 elif rec["event"] == "register":
-                    reg.register_index(rec["block_id"], info)
+                    reg.register_index(block_id, info)
                 else:
                     raise ValueError(f"unknown event {rec['event']!r}")
         except (KeyError, TypeError, ValueError) as exc:

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cluster import Cluster, ClusterConfig
-from .errors import AdaptidxError
+from .errors import AdaptidxError, ConfigError
 from .execution import JobSpec, Predicate, ScanKind, TaskResult
 from .indexer import EAGER, SELECTIVITY, OfferPolicy
 from .policy import Calibration, CostModelParams, compute_rho, predict_T_job
@@ -53,7 +53,7 @@ class JobMetrics:
     blocks_indexed_after: int = 0
     blocks_offered: int = 0
     blocks_enqueued: int = 0
-    blocks_rejected: int = 0
+    blocks_rejected: int = 0  # always 0; kept as a column of the reports
     rho_used: Optional[float] = None
     t_is_seconds: float = 0.0
     predicted_seconds: Optional[float] = None
@@ -112,7 +112,12 @@ class WorkloadRunner:
         t_idx_overhead: Optional[float] = None,
         target_seconds: Optional[float] = None,
     ) -> None:
-        """User-supplied cost-model values take precedence over measurement."""
+        """User-supplied cost-model values take precedence over measurement.
+        Each must be non-negative, as in calibration.json, else ConfigError."""
+        given = {"t_fsw": t_fsw, "t_idx_overhead": t_idx_overhead, "target_seconds": target_seconds}
+        for name, value in given.items():
+            if value is not None and not value >= 0:  # also refuses NaN
+                raise ConfigError(f"policy {name!r} must be non-negative, got {value!r}")
         if t_fsw is not None:
             self.calibration.t_fsw = t_fsw
         if t_idx_overhead is not None:
@@ -187,8 +192,7 @@ class WorkloadRunner:
         self.cluster.drain_indexers()
 
         metrics.blocks_offered = sum(r.blocks_offered for r in full_results)
-        metrics.blocks_rejected = sum(r.blocks_rejected for r in full_results)
-        metrics.blocks_enqueued = metrics.blocks_offered - metrics.blocks_rejected
+        metrics.blocks_enqueued = metrics.blocks_offered
         metrics.blocks_indexed_after = registry.indexed_block_count(attr)
 
         t_overhead = (

@@ -44,7 +44,7 @@ from adaptidx.workloads import (
     gen_uservisits_like,
 )
 
-from conftest import make_block, make_cluster
+from conftest import make_block, make_cluster, make_indexer
 
 
 def test_round_trip_three_attributes(tmp_path, simple_schema):
@@ -457,7 +457,7 @@ def test_index_scan_charges_header_boundary_pages_and_rows(tmp_path, low, high):
     registry = ReplicaRegistry(schema, replication_factor=1)
     info = BlockReplicaInfo(0, ReplicaKind.NORMAL, "d", frozenset(schema.names), str(path))
     registry.add_block(0, rows, [info])
-    ctx = TaskContext(0, registry, indexer=None, will_offer_blocks=frozenset())
+    ctx = TaskContext(0, registry, make_indexer(0, tmp_path, registry), frozenset())
     job = JobSpec("scan", Predicate("d", low, high), ("s", "e"), collect_output=False)
     result = record_reader_scan(InputSplit(0, (BlockRef(0, info),), ScanKind.INDEX_SCAN), job, ctx)
 

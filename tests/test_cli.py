@@ -178,6 +178,15 @@ def test_unknown_job_key_exits_2(tmp_path, capsys):
         ("job", "job 2 must be a JSON object"),
         (dict(good, rho="x"), "job 2: 'rho' must be a number, got 'x'"),
         (dict(good, projection=5), "job 2: 'projection' must be \"all\" or a list"),
+        # Python's json reads NaN and Infinity; a NaN rate once crashed the
+        # run with a traceback, and a NaN threshold offered nothing.
+        (dict(good, offer_rate=float("nan")), "job 2: 'offer_rate' must be finite, got nan"),
+        (dict(good, rho=float("inf")), "job 2: 'rho' must be finite, got inf"),
+        (dict(good, selectivity_threshold=float("nan")),
+         "job 2: 'selectivity_threshold' must be finite, got nan"),
+        (dict(good, offer_rate=-3), "rho must be in [0, 1], got -3.0"),
+        (dict(good, offer_rate=1.5), "rho must be in [0, 1], got 1.5"),
+        (dict(good, selectivity_threshold=-0.1), "selectivity_threshold must be in [0, 1]"),
     ]:
         write_jobs(jobs, [good, bad])
         code = main(["run", "--root", str(root), "--jobs", str(jobs), "--report", str(report)])
@@ -188,6 +197,8 @@ def test_unknown_job_key_exits_2(tmp_path, capsys):
 
 def test_unknown_policy_key_exits_2(tmp_path, capsys):
     root = gen_and_upload(tmp_path)
+    eager = {"predicate": {"attribute": "b", "low": 0.1, "high": 0.2}, "projection": "all",
+             "eager": True}
     jobs = write_jobs(
         tmp_path / "jobs.json",
         [{"predicate": {"attribute": "b", "low": 0.1, "high": 0.2}, "projection": "all"}],
@@ -210,12 +221,26 @@ def test_unknown_policy_key_exits_2(tmp_path, capsys):
         ({"jobs": {"predicate": {}}}, "jobs file must be a list of jobs"),
         ({"policy": [], "jobs": []}, "'policy' in the jobs file must be a JSON object"),
         ({"policy": {"t_fsw": "x"}, "jobs": []}, "policy: 't_fsw' must be a number, got 'x'"),
+        # A negative t_fsw once failed the first eager job after its
+        # index-scan phase, and no report was written.
+        ({"policy": {"t_fsw": -1}, "jobs": [eager]}, "policy 't_fsw' must be non-negative, got -1"),
+        ({"policy": {"t_idx_overhead": -0.5}, "jobs": [eager]},
+         "policy 't_idx_overhead' must be non-negative, got -0.5"),
+        ({"policy": {"target_seconds": -2}, "jobs": [eager]},
+         "policy 'target_seconds' must be non-negative, got -2"),
+        ({"policy": {"target_seconds": float("nan")}, "jobs": [eager]},
+         "policy: 'target_seconds' must be finite, got nan"),
+        ({"policy": {"rho": float("-inf")}, "jobs": [eager]}, "policy: 'rho' must be finite"),
+        ({"policy": {"rho": 2}, "jobs": [eager]}, "rho must be in [0, 1], got 2.0"),
+        ({"policy": {"selectivity_threshold": 1.01}, "jobs": [eager]},
+         "selectivity_threshold must be in [0, 1], got 1.01"),
     ]:
         jobs.write_text(json.dumps(raw))
         code = main(["run", "--root", str(root), "--jobs", str(jobs),
                      "--report", str(tmp_path / "report")])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
     jobs.write_text('{"jobs": [')
     assert main(["run", "--root", str(root), "--jobs", str(jobs)]) == 2
@@ -275,6 +300,9 @@ def test_malformed_cluster_config_exits_2(tmp_path, capsys):
         ({"nodes": 3, "per_byte_cost": -1e-8}, "per_byte_cost must be non-negative"),
         ({"nodes": 3, "per_byte_cost": float("nan")}, "per_byte_cost must be non-negative"),
         ({"nodes": 3, "per_block_index_cost": -0.5}, "per_block_index_cost must be non-negative"),
+        ({"nodes": 2, "node_count": 3}, "keys 'nodes' and 'node_count' in cluster config"),
+        ({"nodes": 3, "replication_factor": 2, "replication": 3},
+         "keys 'replication_factor' and 'replication' in cluster config"),
         ([3], "must be a JSON object"),
     ]:
         config.write_text(json.dumps(raw))

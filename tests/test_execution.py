@@ -119,7 +119,7 @@ def _single_block_fixture(tmp_path, rows=4096, page=1024):
     ctx = TaskContext(
         node_id=0,
         registry=registry,
-        indexer=None,
+        indexer=make_indexer(0, tmp_path / "node_0", registry),
         will_offer_blocks=frozenset(),
     )
     return schema, base, registry, normal, pseudo, ctx
@@ -159,7 +159,6 @@ def test_full_scan_zero_matches_still_offers(tmp_path):
     assert result.records_read == base.record_count
     assert result.blocks_offered == 1
     indexer.drain()
-    indexer.close()
 
 
 def test_full_scan_missing_file_fails_task(tmp_path):
@@ -233,7 +232,6 @@ def test_selectivity_mode_reads_full_schema_and_filters_offers(tmp_path):
     )
     assert result2.blocks_offered == 1
     indexer.drain()
-    indexer.close()
 
 
 class _HandOffRecorder:
@@ -244,7 +242,6 @@ class _HandOffRecorder:
 
     def hand_off(self, work):
         self.work.append(work)
-        return True
 
 
 # d holds 0..4095, so [0, 1023] qualifies 25% of the rows and [0, 3700] 90%.
@@ -315,29 +312,11 @@ def test_full_queue_makes_the_offering_task_wait(tmp_path, monkeypatch):
     producer.join(timeout=10)
     assert not producer.is_alive()
     indexer.drain()
-    indexer.close()
     third = results[2]
     assert not any(r.failed for r in results)
-    assert (third.blocks_offered, third.blocks_rejected) == (1, 0)
+    assert third.blocks_offered == 1
     assert third.records_read == base.record_count
     assert registry.find_index(42, "a") is not None
-
-
-def test_offer_to_a_closed_indexer_is_rejected_but_task_succeeds(tmp_path):
-    schema, base, registry, normal, pseudo, ctx = _single_block_fixture(tmp_path)
-    indexer = make_indexer(0, tmp_path / "node_0", registry)
-    indexer.close()
-    ctx.indexer = indexer
-    ctx.will_offer_blocks = frozenset({42})
-
-    j = job(Predicate("a", 0, 100), projection=("a",), rho=1.0)
-    split = InputSplit(0, (BlockRef(42, normal),), ScanKind.FULL_SCAN)
-    result = record_reader_scan(split, j, ctx)
-    assert not result.failed
-    assert (result.blocks_offered, result.blocks_rejected) == (1, 1)
-    assert result.records_read == base.record_count
-    assert indexer.stats.rejected_full == 1
-    assert registry.find_index(42, "a") is None
 
 
 def test_io_monotonicity_property(tmp_path):
@@ -888,12 +867,14 @@ def test_index_scan_reads_each_sort_column_byte_once_with_the_page_by_page_bill(
     kind = ReplicaKind.PSEUDO if replica.permutation is None else ReplicaKind.PARTIAL_PSEUDO
     pseudo = BlockReplicaInfo(0, kind, "k", frozenset(held), str(pseudo_path))
     registry.register_index(0, pseudo)
-    ctx = TaskContext(node_id=0, registry=registry, indexer=None, will_offer_blocks=frozenset())
+    indexer = make_indexer(0, root, registry)
+    ctx = TaskContext(node_id=0, registry=registry, indexer=indexer, will_offer_blocks=frozenset())
     split = InputSplit(0, (BlockRef(0, pseudo),), ScanKind.INDEX_SCAN)
     log = _FetchLog()
     with mock.patch.object(execution, "read_column_range", log):
         result = record_reader_scan(split, job(predicate, tuple(projection)), ctx)
     ctx.replicas.close()
+    indexer.drain()  # a completion finds no replica at the node's layout path
     assert not result.failed, result.error
 
     wanted = [n for n in schema.names if n in projection]

@@ -297,13 +297,12 @@ def test_indexer_processes_offer_end_to_end(tmp_path):
     registry = fresh_registry(schema)
     indexer = make_indexer(0, tmp_path, registry, page_size_records=32)
     block = make_block(schema, 300, seed=1)
-    assert indexer.hand_off(make_work(block)) is True
+    indexer.hand_off(make_work(block))
     indexer.drain()
     assert indexer.stats.written == 1
     assert registry.find_index(0, "d") is not None
     got = read_block(pseudo_replica_path(tmp_path, 0, "d"))
     assert np.all(got.columns["d"][:-1] <= got.columns["d"][1:])
-    indexer.close()
 
 
 def test_handed_off_columns_are_read_only(tmp_path):
@@ -312,11 +311,10 @@ def test_handed_off_columns_are_read_only(tmp_path):
     indexer = make_indexer(0, tmp_path, registry, page_size_records=32)
     block = make_block(schema, 100, seed=6)
     offered = DataBlock(0, schema, {n: c.copy() for n, c in block.columns.items()})
-    assert indexer.hand_off(make_work(block))
+    indexer.hand_off(make_work(block))
     with pytest.raises(ValueError):
         block.columns["d"][0] += 1  # the write fails where it happens
     indexer.drain()
-    indexer.close()
     assert indexer.stats.written == 1
     assert indexer.stats.failures == 0
     expected, _, _ = build_index(offered, "d")
@@ -378,8 +376,7 @@ def test_handoff_waits_for_queue_space(tmp_path, monkeypatch, kind):
     landed = indexer.stats.written if kind == BUILD else indexer.stats.completed
     assert indexer.stats.enqueued == landed == 5
     assert indexer.registry.indexed_block_count("d") == 5  # the drain registered each unit
-    assert indexer.stats.rejected_full == indexer.stats.failures == 0
-    indexer.close()
+    assert indexer.stats.failures == 0
 
 
 def test_failed_build_is_counted_and_the_worker_keeps_going(tmp_path):
@@ -387,7 +384,7 @@ def test_failed_build_is_counted_and_the_worker_keeps_going(tmp_path):
     registry = fresh_registry(schema)
     indexer = make_indexer(0, tmp_path, registry, page_size_records=32)
     block = make_block(schema, 50, seed=3)
-    assert indexer.hand_off(IndexWork(BUILD, "missing", block))  # raises on the pool
+    indexer.hand_off(IndexWork(BUILD, "missing", block))  # raises on the pool
     drainer = threading.Thread(target=indexer.drain)
     drainer.start()
     drainer.join(timeout=10)
@@ -395,9 +392,8 @@ def test_failed_build_is_counted_and_the_worker_keeps_going(tmp_path):
     assert indexer.stats.failures == 1
     assert indexer.stats.built == indexer.stats.written == 0
 
-    assert indexer.hand_off(make_work(make_block(schema, 50, seed=4)))
+    indexer.hand_off(make_work(make_block(schema, 50, seed=4)))
     indexer.drain()
-    indexer.close()
     assert indexer.stats.written == 1 and indexer.stats.failures == 1
     assert registry.find_index(0, "d") is not None
 
@@ -415,7 +411,7 @@ def test_registrations_land_at_drain_and_a_refused_one_is_a_failure(tmp_path):
         return outcome
 
     indexer._index_one = gated
-    assert indexer.hand_off(make_work(make_block(schema, 50, seed=1)))
+    indexer.hand_off(make_work(make_block(schema, 50, seed=1)))
     deadline = time.monotonic() + 10
     while not pseudo_replica_path(tmp_path, 0, "d").exists() and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -428,20 +424,9 @@ def test_registrations_land_at_drain_and_a_refused_one_is_a_failure(tmp_path):
 
     # Block 5 is unknown to the registry: the file is written, the
     # registration refused when the drain applies it.
-    assert indexer.hand_off(make_work(make_block(schema, 50, seed=2, block_id=5)))
+    indexer.hand_off(make_work(make_block(schema, 50, seed=2, block_id=5)))
     indexer.drain()
-    indexer.close()
     assert pseudo_replica_path(tmp_path, 5, "d").exists()
     assert (indexer.stats.written, indexer.stats.failures) == (2, 1)
     assert [b for b, _ in registry.iter_replicas()] == [0, 0]
 
-
-def test_closed_indexer_refuses_completions(tmp_path):
-    schema = Schema.of(("d", "int64"), ("x", "float64"))
-    indexer = make_indexer(0, tmp_path, fresh_registry(schema))
-    indexer.close()
-    block = make_block(schema, 20)
-    assert indexer.hand_off(_completion(block)) is False
-    assert block.columns["d"].flags.writeable  # refused work is not frozen
-    assert indexer.stats.enqueued == 0
-    assert indexer.stats.rejected_full == 1

@@ -56,9 +56,8 @@ def _subset(block, names):
 def index_on_d(tmp_path, registry, block, node=0):
     """Hand `block` to node's Adaptive Indexer as a BUILD on d; returns its stats."""
     indexer = make_indexer(node, tmp_path / f"node_{node}", registry, page_size_records=64)
-    assert indexer.hand_off(IndexWork(BUILD, "d", block))
+    indexer.hand_off(IndexWork(BUILD, "d", block))
     indexer.drain()
-    indexer.close()
     return indexer.stats
 
 
@@ -77,7 +76,6 @@ def lazy_index_scan(tmp_path, registry, projection, node=0, lo=-1000, hi=1000):
     split = InputSplit(node, (BlockRef(0, info),), ScanKind.INDEX_SCAN)
     result = record_reader_scan(split, job, ctx)
     indexer.drain()
-    indexer.close()
     return result, indexer.stats
 
 
@@ -204,10 +202,18 @@ def test_append_is_idempotent(tmp_path):
 
 
 def test_close_lands_a_completion_without_drain(tmp_path, monkeypatch):
-    # A caller may hand work off and close without draining, so close alone
-    # must wait until the completion it accepted is registered.
-    base, registry = fixture_registry(tmp_path)
-    index_on_d(tmp_path, registry, _subset(base, ["b", "d"]))
+    # A caller may hand work off and close the cluster without draining, so
+    # `Cluster.close` alone must wait until the completion is registered.
+    cluster = make_cluster(tmp_path / "c", nodes=1, slots=1, replication=1,
+                           block_records=600, page_size=64)
+    registry = cluster.upload_dataset(gen_synthetic(600, seed=1))
+    schema = registry.schema
+    base = read_block(registry.normal_replicas(0)[0].path)
+    indexer = cluster.indexers[0]
+    held = schema.subset(["b", "d"])
+    partial = DataBlock(0, held, {n: base.columns[n] for n in held.names})
+    indexer.hand_off(IndexWork(BUILD, "d", partial))
+    cluster.drain_indexers()
     original, calls = lazy.append_aligned_columns, []
 
     def slowed(*args):
@@ -216,14 +222,13 @@ def test_close_lands_a_completion_without_drain(tmp_path, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(lazy, "append_aligned_columns", slowed)
-    indexer = make_indexer(0, tmp_path / "node_0", registry, page_size_records=64)
     oracle_sorted, _, _ = build_index(base, "d", 64)
-    aligned = DataBlock(0, SCHEMA.subset(["a", "c"]),
-                        {n: oracle_sorted.columns[n] for n in ("a", "c")})
-    assert indexer.hand_off(IndexWork(COMPLETE, "d", aligned))
-    indexer.close()
+    rest = schema.subset(["a", "c", "e", "f"])
+    aligned = DataBlock(0, rest, {n: oracle_sorted.columns[n] for n in rest.names})
+    indexer.hand_off(IndexWork(COMPLETE, "d", aligned))
+    cluster.close()
     info = registry.find_index(0, "d")
-    assert info.kind == ReplicaKind.PSEUDO and info.available_attributes == set(SCHEMA.names)
+    assert info.kind == ReplicaKind.PSEUDO and info.available_attributes == set(schema.names)
     assert indexer.stats.completed == len(calls) == 1
 
 
@@ -245,9 +250,8 @@ def test_completion_without_the_nodes_replica_fails_and_changes_nothing(
     files = _files(tmp_path)
     indexer = make_indexer(node, tmp_path / f"node_{node}", registry, page_size_records=64)
     aligned = DataBlock(0, SCHEMA.subset(["c"]), {"c": base.columns["c"].copy()})
-    assert indexer.hand_off(IndexWork(COMPLETE, attribute, aligned))
+    indexer.hand_off(IndexWork(COMPLETE, attribute, aligned))
     indexer.drain()
-    indexer.close()
     assert (indexer.stats.failures, indexer.stats.completed) == (1, 0)
     assert list(registry.iter_replicas()) == entries
     assert _files(tmp_path) == files
@@ -329,7 +333,6 @@ def test_only_a_replica_whose_completion_is_handed_off_is_closed(tmp_path, monke
         indexer.drain()
         entries.append(ctx.replicas._entries.get(info.path))
         parsed.append(len(parses) - before)
-    indexer.close()
     if normal == "remote":
         assert skipped == [1, 1, 1] and indexer.stats.enqueued == 0
         assert parsed == [2, 0, 0]  # the partial and the normal replica, once each
@@ -463,7 +466,6 @@ def test_lazy_sequence_reports_repeat_exactly(tmp_path, monkeypatch, module, sta
             rows.append(runner.run_job(job).metrics)
         stats = [indexer.stats for indexer in cluster.indexers.values()]
         cluster.close()
-        assert sum(s.rejected_full for s in stats) == 0
         assert sum(s.completed for s in stats) > 0
         assert calls  # the slowed step ran
         calls.clear()

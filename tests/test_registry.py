@@ -369,10 +369,31 @@ def _replica_without_kind():
     return {"event": "register", "block_id": 0, "replica": replica}
 
 
+def _register(**fields):
+    return {"event": "register", "block_id": 0, "replica": pseudo(1, "d").to_json() | fields}
+
+
 @pytest.mark.parametrize(
     "record",
-    [{"event": "register", "block_id": 0}, 3, _replica_without_kind()],
-    ids=["no_replica", "not_an_object", "replica_without_kind"],
+    [
+        {"event": "register", "block_id": 0},
+        3,
+        _replica_without_kind(),
+        # Once loaded as a second block '0' beside block 0, whose
+        # `total_records` then raised a raw TypeError.
+        {"event": "block", "block_id": "0", "record_count": "10", "replica": normal(0).to_json()},
+        {"event": "block", "block_id": 1, "record_count": True, "replica": normal(0).to_json()},
+        _register(node_id="1"),
+        _register(kind=1),
+        _register(indexed_attribute=3),
+        _register(available_attributes="abd"),
+        _register(path=None),
+    ],
+    ids=[
+        "no_replica", "not_an_object", "replica_without_kind", "string_block_id",
+        "bool_record_count", "string_node_id", "int_kind", "int_indexed_attribute",
+        "attributes_not_a_list", "null_path",
+    ],
 )
 def test_a_malformed_journal_record_names_its_line(tmp_path, record):
     # Each line parses as JSON but is not a journal record of any kind.

@@ -253,7 +253,7 @@ def test_upload_units_stay_out_of_indexer_stats(tmp_path):
         for name in (f.name for f in dataclasses.fields(IndexerStats))
     }
     assert totals == {
-        "enqueued": 20, "rejected_full": 0, "built": 20, "written": 20,
+        "enqueued": 20, "built": 20, "written": 20,
         "completed": 0, "lost_races": 0, "failures": 0,
     }
 
