@@ -1,17 +1,17 @@
 """Simulated cluster substrate: nodes, replica placement, and map waves.
 
-Nodes are directories under one storage root; "network transfer" is a byte
-counter, not sockets. Map slots and waves are simulated bookkeeping: tasks run
-one after another on the calling thread, and a task's wave is its position in
-the plan divided by the slot count. The real concurrency is one thread pool
-per cluster, as wide as the host has cores. The upload writes the normal
-replicas on it, sorting and indexing those with an upload-time index as
-HAIL does. After it, every node's Adaptive Indexer builds and writes
-adaptive indexes on it beside the map tasks, and `drain_indexers` registers
-what they did. `close` ends the cluster: it drains the indexers, so every
-unit handed off has landed and been registered, and stops the pool; a
-closed cluster runs and uploads nothing. A cluster dropped without `close`
-takes its pool with it, and the pool's threads then exit.
+Nodes are directories under one storage root. Map slots and waves are
+simulated bookkeeping: tasks run one after another on the calling thread,
+and a task's wave is its position in the plan divided by the slot count.
+The real concurrency is one thread pool per cluster, as wide as the host
+has cores. The upload writes the normal replicas on it, sorting and
+indexing those with an upload-time index as HAIL does. After it, every
+node's Adaptive Indexer builds and writes adaptive indexes on it beside the
+map tasks, and `drain_indexers` registers what they did. `close` ends the
+cluster: it drains the indexers, so every unit handed off has landed and
+been registered, and stops the pool; a closed cluster runs and uploads
+nothing. A cluster dropped without `close` takes its pool with it, and the
+pool's threads then exit.
 
 One cluster object owns a directory at a time (README, "Invariants"):
 `Cluster.__init__` takes an exclusive `flock` on the root directory itself
@@ -151,8 +151,9 @@ class Cluster:
         A root with a `registry.journal` holds a dataset: unless its
         cluster.json parses to an equal config (else ConfigError, and no file
         changes), the journal is replayed, `_repair` runs and the indexers
-        start. A root without one holds no dataset, so the temp journal and
-        replica files a crashed upload left are deleted.
+        start; a journal that places a replica on a node the config lacks
+        raises RegistryError. A root without one holds no dataset, so the
+        temp journal and replica files a crashed upload left are deleted.
         """
         self.config = config
         self.root = Path(root)
@@ -188,6 +189,12 @@ class Cluster:
             config.save(self.root / CLUSTER_CONFIG)
             if has_dataset:
                 self.registry = ReplicaRegistry.load(journal)
+                for block_id, info in self.registry.iter_replicas():
+                    if info.node_id >= config.node_count:
+                        raise RegistryError(
+                            f"block {block_id} has a replica on node {info.node_id}, "
+                            f"which cluster {self.root} lacks"
+                        )
                 self._repair()
                 self._start_indexers()
         except BaseException:

@@ -6,12 +6,14 @@ that touches only qualifying rows, while unindexed blocks fall back to a full
 scan and are offered to the node's Adaptive Indexer afterwards. Map functions
 never see the difference.
 
-An index scan reads the indexed replica, and the normal replica a partial
-one fills missing columns from, through the cluster's OpenReplicas, which
-keeps each open with its parsed header from job to job; every read is still
-billed the header's length. A read that raises drops its replica, so the
-next job opens the file again. A held descriptor never serves a replaced
-file, by invariants 1 and 2 in README ("Invariants"): only a lazy
+A map task reads only its own node's replicas (invariant 6 in README,
+"Invariants"): an index scan reads the indexed replica and, for a partial
+one, the node's normal replica it was sorted from, else its task fails. It
+reads them through the cluster's OpenReplicas, which keeps each open with
+its parsed header from job to job; every read is still billed the header's
+length. A read that raises, or a file not sorted on the attribute its entry
+names, drops its replica, so the next job opens the file again. A held
+descriptor never serves a replaced file, by invariants 1 and 2: only a lazy
 completion replaces a file an index scan reads, and the scan that hands it
 off, the path's last reader in the job, drops the path. The page
 directory is searched with `bisect` over the header's `page_keys`, page
@@ -43,7 +45,7 @@ from .blockfile import (
     read_column_range,
     read_permutation,
 )
-from .errors import SchemaError
+from .errors import BlockFormatError, RegistryError, SchemaError
 from .indexer import (
     BUILD,
     COMPLETE,
@@ -142,8 +144,8 @@ class TaskResult:
     records_emitted: int = 0
     bytes_read: int = 0
     blocks_offered: int = 0
-    completions_skipped: int = 0
-    remote_column_reads: int = 0
+    completions_skipped: int = 0  # always 0; kept for the benchmark's counters
+    remote_column_reads: int = 0  # always 0; kept for the benchmark's counters
     failed: bool = False
     error: str = ""
     emitted: list[dict[str, np.ndarray]] = field(default_factory=list)
@@ -205,10 +207,7 @@ def _search_sort_column(f, header, lo, hi, counter, keep):
     that is with `keep` or when the pages are one or adjacent, else each page
     alone; so no byte twice.
     """
-    idx = header.index
-    if idx is None:
-        return 0, 0, None
-    attr = idx.attribute
+    attr = header.sort_attribute
     dtype = header.column_dtypes[attr]
     starts = header.page_starts
     q = bisect_left(header.page_keys, lo)
@@ -250,6 +249,10 @@ def _scan_indexed_block(
     fd, header = ctx.replicas.open(path, counter)
     try:
         sort = header.sort_attribute
+        if sort != ref.replica.indexed_attribute:
+            raise BlockFormatError(
+                f"{path} is sorted on {sort!r}, not on {ref.replica.indexed_attribute!r}"
+            )
         r_lo, r_hi, rows = _search_sort_column(
             fd, header, bounds[0], bounds[1], counter, sort in wanted
         )
@@ -263,8 +266,6 @@ def _scan_indexed_block(
                 columns[name] = read_column_range(fd, header, name, r_lo, r_hi, counter)
             else:
                 missing.append(name)
-        # Partial pseudo replica: serve missing attributes from the normal
-        # replica, realigned on the fly with the stored permutation vector.
         perm = read_permutation(fd, header, counter) if missing else None
     except Exception:
         ctx.replicas.drop(path)
@@ -275,7 +276,13 @@ def _scan_indexed_block(
         _emit(job, result, columns, count)
         return
 
-    normal = _normal_replica_for(ctx, ref.block_id)
+    # Partial pseudo replica: serve missing attributes from the node's normal
+    # replica, the one it was sorted from (invariant 6), realigned with the
+    # stored permutation vector.
+    normals = ctx.registry.normal_replicas(ref.block_id)
+    normal = next((r for r in normals if r.node_id == ctx.node_id), None)
+    if normal is None:
+        raise RegistryError(f"block {ref.block_id} has no normal replica on node {ctx.node_id}")
     fd, nheader = ctx.replicas.open(normal.path, counter)
     try:
         raw = [read_column_range(fd, nheader, n, 0, nheader.record_count, counter) for n in missing]
@@ -283,8 +290,6 @@ def _scan_indexed_block(
         ctx.replicas.drop(normal.path)
         raise
     aligned = {name: apply_permutation(perm, column) for name, column in zip(missing, raw)}
-    if normal.node_id != ctx.node_id:
-        result.remote_column_reads += len(missing)
 
     # Copies, because `aligned` is handed to the indexer below and frozen.
     for name in missing:
@@ -292,23 +297,11 @@ def _scan_indexed_block(
     columns = {n: columns[n] for n in wanted}
     _emit(job, result, columns, count)
 
-    # Incremental completion: append the freshly aligned attributes to the
-    # partial replica, but only when the normal replica was local.
-    if normal.node_id != ctx.node_id:
-        result.completions_skipped += 1
-        return
+    # Incremental completion: append the aligned attributes to the partial replica.
     sub = ctx.registry.schema.subset(missing)
     completion = DataBlock(ref.block_id, sub, {n: aligned[n] for n in sub.names})
     ctx.indexer.hand_off(IndexWork(COMPLETE, ref.replica.indexed_attribute, completion))
     ctx.replicas.drop(path)  # the completion renames a wider file over it
-
-
-def _normal_replica_for(ctx: TaskContext, block_id: int) -> BlockReplicaInfo:
-    normals = ctx.registry.normal_replicas(block_id)
-    local = [r for r in normals if r.node_id == ctx.node_id]
-    if local:
-        return local[0]
-    return min(normals, key=lambda r: r.node_id)
 
 
 def _scan_full_block(

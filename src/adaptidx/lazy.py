@@ -5,15 +5,15 @@ attributes the triggering job projected (already aligned), the sparse index,
 and the permutation vector that maps normal-replica row positions to sorted
 positions. The node's Adaptive Indexer builds it like any pseudo replica,
 keeping the vector because the schema is incomplete. Later index scans that
-project additional attributes read them from the normal replica and align
-them with the stored vector to serve the job; when that normal replica is
-local, the record reader hands the aligned columns to the indexer, whose
-unit appends them here on the cluster's pool. The hand-off is the indexer's
-only enqueue path (`AdaptiveIndexer.hand_off`, as for a full scan's BUILD
-offer): it waits for a slot, so only a remote normal replica skips a
-completion. Once every
-schema attribute is present the permutation vector is dropped and the replica
-is promoted to a full pseudo replica.
+project additional attributes read them from the node's normal replica, the
+one it was sorted from (invariant 6 in README, "Invariants"), and align them
+with the stored vector to serve the job; the record reader then hands the
+aligned columns to the indexer, whose unit appends them here on the
+cluster's pool. The hand-off is the indexer's only enqueue path
+(`AdaptiveIndexer.hand_off`, as for a full scan's BUILD offer): it waits for
+a slot, so every such scan completes its replica. Once every schema
+attribute is present the permutation vector is dropped and the replica is
+promoted to a full pseudo replica.
 
 A completion finds its replica by layout, not by a registry lookup: it is
 handed to the indexer of the node whose split read the partial replica, and

@@ -8,11 +8,12 @@ the repair at open and, while jobs run, only `AdaptiveIndexer.drain`
 schema. Every mutation is appended to a journal file (one JSON record per
 line) so a cluster directory can be reopened and replayed; a torn last line
 (a crash mid-append) is dropped on load, and any other line that is not a
-record of the journal's shape raises RegistryError naming its line. The
-journal's dataset record carries `"paths": "journal_dir"`: replica paths
-under the journal's directory are stored relative to it, so the cluster can
-be reopened from any working directory or after being moved. A journal
-without the marker is refused.
+record of the journal's shape, holds a negative id or count, or is refused
+by the registry, raises RegistryError naming its line. The journal's
+dataset record carries `"paths": "journal_dir"`: replica paths under the
+journal's directory are stored relative to it, so the cluster can be
+reopened from any working directory or after being moved. A journal without
+the marker is refused.
 
 Two derived tables, updated under the same lock by `add_block` and
 `register_index`, make the planner's lookups O(1): the number of adaptive
@@ -46,7 +47,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .blocks import Schema
-from .errors import RegistryError, SchemaError
+from .errors import AdaptidxError, RegistryError, SchemaError
 
 
 class ReplicaKind(str, Enum):
@@ -121,10 +122,13 @@ _JSON_TYPES = {"int": int, "str": str, "str or null": (str, type(None))}
 
 def _typed(record: dict, key: str, kind: str):
     """`record[key]` if its JSON type is `kind`, else TypeError; no field is
-    a bool, which Python counts as an int."""
+    a bool, which Python counts as an int, and no int is negative
+    (ValueError)."""
     value = record[key]
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise TypeError(f"{key!r} must be {kind}, got {value!r}")
+    if kind == "int" and value < 0:
+        raise ValueError(f"{key!r} must be non-negative, got {value!r}")
     return value
 
 
@@ -185,7 +189,7 @@ class ReplicaRegistry:
                     reg.register_index(block_id, info)
                 else:
                     raise ValueError(f"unknown event {rec['event']!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AdaptidxError) as exc:
             where = f"journal {journal_path} line {number}"
             raise RegistryError(f"{where} is malformed: {type(exc).__name__}: {exc}") from None
         reg._attach_journal(journal_path)

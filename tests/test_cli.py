@@ -540,6 +540,26 @@ def test_a_malformed_journal_record_exits_2_naming_its_line(tmp_path, capsys):
     assert journal.read_bytes() == before
 
 
+def test_a_journal_replica_on_a_node_the_config_lacks_exits_2_naming_it(tmp_path, capsys):
+    # The journal loads; before, `run` then died with a raw KeyError from
+    # the wave that looked up node 7's indexer.
+    root = gen_and_upload(tmp_path)
+    journal = root / "registry.journal"
+    replica = {"node_id": 7, "kind": "pseudo", "indexed_attribute": "b",
+               "available_attributes": ["a", "b", "c", "d", "e", "f"],
+               "path": "node_7/pseudo/blk_0/b"}
+    with open(journal, "a") as f:
+        f.write(json.dumps({"event": "register", "block_id": 0, "replica": replica}) + "\n")
+    before = journal.read_bytes()
+    capsys.readouterr()
+    assert main(_run_args(tmp_path, root)) == 2
+    assert capsys.readouterr().err == (
+        f"error: block 0 has a replica on node 7, which cluster {root} lacks\n"
+    )
+    assert journal.read_bytes() == before
+    assert not (root / "node_7").exists()
+
+
 @pytest.mark.parametrize("key", ["balance_total_index_counts", "build_queue_capacity"])
 def test_a_retired_cluster_config_key_exits_2_as_unknown(tmp_path, capsys, key):
     root = gen_and_upload(tmp_path)

@@ -26,7 +26,9 @@ from adaptidx.execution import (
     invisible_projection_columns,
     record_reader_scan,
 )
-from adaptidx.indexer import EAGER, OFFER_RATE, OfferPolicy, SELECTIVITY, build_index
+from adaptidx.indexer import (
+    EAGER, OFFER_RATE, OfferPolicy, SELECTIVITY, build_index, write_pseudo_replica,
+)
 from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 from adaptidx.runner import WorkloadRunner
 
@@ -672,6 +674,53 @@ def test_a_replica_truncated_inside_its_columns_fails_its_task_and_closes_it(tmp
     mended = runner.run_job(job(Predicate("b", 0.0, 1.0), ("c",), job_id="mended")).metrics
     assert not mended.failed, mended.error
     assert (mended.records_emitted, mended.bytes_read) == (warm.records_emitted, warm.bytes_read)
+    cluster.close()
+
+
+def test_a_partial_replica_off_its_normal_replicas_node_fails_its_task_and_hands_off_nothing(
+    tmp_path,
+):
+    # Block 0's normal replicas are on node 0, sorted on a, and node 1. A
+    # partial replica on d sorted from node 1's rows but filed on node 2 has
+    # no normal replica to fill from there; node 0's rows are in another
+    # order, so filling from it would emit other rows' values.
+    cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=500,
+                           page_size=64, projection_mode="lazy")
+    cluster.upload_dataset(gen_synthetic(1000, seed=5), ["a"])
+    source = next(r for r in cluster.registry.normal_replicas(0) if r.node_id == 1)
+    sorted_block, perm, _ = build_index(execution.read_block(source.path, ("b", "d")), "d", 64)
+    sorted_block.permutation = perm
+    write_pseudo_replica(sorted_block, cluster.node_root(2), 2, cluster.registry)
+    entries = list(cluster.registry.iter_replicas())
+
+    outcome = WorkloadRunner(cluster).run_job(job(Predicate("d", 0.2, 0.6), ("c",), job_id="fill"))
+    assert outcome.metrics.failed
+    failed = [r for r in outcome.results if r.failed]
+    assert len(failed) == 1 and failed[0].block_ids == (0,)
+    assert "RegistryError: block 0 has no normal replica on node 2" in failed[0].error
+    assert cluster.indexers[2].stats.enqueued == 0
+    assert list(cluster.registry.iter_replicas()) == entries
+    cluster.close()
+
+
+def test_a_replica_sorted_on_another_attribute_than_its_entry_fails_its_task_naming_it(
+    tmp_path,
+):
+    # An entry indexed on b whose file is sorted on c: searching c's column
+    # with b's bounds would emit some other set of rows.
+    cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=500, page_size=64)
+    cluster.upload_dataset(gen_synthetic(1000, seed=5))
+    normal = cluster.registry.normal_replicas(0)[0]
+    path = cluster.node_root(normal.node_id) / "pseudo" / "blk_0" / "b"
+    write_block(build_index(execution.read_block(normal.path), "c", 64)[0], path)
+    cluster.registry.register_pseudo(0, normal.node_id, "b", normal.available_attributes, path)
+
+    outcome = WorkloadRunner(cluster).run_job(job(Predicate("b", 0.2, 0.6), ("b", "c")))
+    assert outcome.metrics.failed
+    failed = [r for r in outcome.results if r.failed]
+    assert len(failed) == 1 and failed[0].block_ids == (0,)
+    assert f"BlockFormatError: {path} is sorted on 'c', not on 'b'" in failed[0].error
+    assert str(path) not in cluster.open_replicas._entries  # dropped, not kept open
     cluster.close()
 
 

@@ -10,6 +10,7 @@ import adaptidx.lazy as lazy
 from adaptidx.blocks import DataBlock, Schema, blocks_equal
 from adaptidx.blockfile import OpenReplicas, pseudo_replica_path, read_block, read_header, write_block
 from adaptidx.cluster import Cluster
+from adaptidx.errors import RegistryError
 from adaptidx.execution import (
     BlockRef,
     InputSplit,
@@ -290,15 +291,17 @@ def test_completions_after_reopening_from_another_directory(tmp_path, monkeypatc
         assert read_block(info.path).schema.names == names
 
 
-def test_completion_skipped_without_local_normal(tmp_path):
+def test_a_lazy_scan_without_a_local_normal_replica_fails_and_changes_nothing(tmp_path):
+    # Node 1 holds the partial replica but no normal replica of its block;
+    # node 0's is not the one it was sorted from, so nothing is read from it.
     base, registry = fixture_registry(tmp_path)
     index_on_d(tmp_path, registry, _subset(base, ["b", "d"]), node=1)
-    # node 1 holds the partial but not the normal replica
-    result, stats = lazy_index_scan(tmp_path, registry, ["c"], node=1)
-    assert result.remote_column_reads == 1
-    assert result.completions_skipped == 1
-    assert stats.enqueued == 0
-    assert registry.find_index(0, "d").available_attributes == {"b", "d"}
+    entries = list(registry.iter_replicas())
+    files = _files(tmp_path)
+    with pytest.raises(RegistryError, match="block 0 has no normal replica on node 1"):
+        lazy_index_scan(tmp_path, registry, ["c"], node=1)
+    assert list(registry.iter_replicas()) == entries
+    assert _files(tmp_path) == files
 
 
 @pytest.mark.parametrize("normal", ["local", "remote"])
@@ -306,8 +309,9 @@ def test_only_a_replica_whose_completion_is_handed_off_is_closed(tmp_path, monke
     # The normal replica is on node 0. A local one lets the first scan hand
     # off a completion, which renames a wider file over the partial replica,
     # so the scan closes it and the next scan opens the new file, once. A
-    # remote one hands off nothing, so the replica stays open and its header
-    # is parsed once.
+    # remote one fails every scan before it opens the normal replica or hands
+    # anything off, so the partial replica stays open and its header is
+    # parsed once.
     node = 0 if normal == "local" else 1
     base, registry = fixture_registry(tmp_path)
     index_on_d(tmp_path, registry, _subset(base, ["b", "d"]), node=node)
@@ -326,19 +330,23 @@ def test_only_a_replica_whose_completion_is_handed_off_is_closed(tmp_path, monke
     ctx = TaskContext(node, registry, indexer, frozenset(), "lazy", OpenReplicas())
     job = JobSpec("scan", Predicate("d", -1000, 1000), ("c",), policy=OfferPolicy(rho=0.0))
     split = InputSplit(node, (BlockRef(0, info),), ScanKind.INDEX_SCAN)
-    entries, parsed, skipped = [], [], []
+    entries, parsed = [], []
     for _ in range(3):
         before = len(parses)
-        skipped.append(record_reader_scan(split, job, ctx).completions_skipped)
+        if normal == "remote":
+            with pytest.raises(RegistryError):
+                record_reader_scan(split, job, ctx)
+        else:
+            record_reader_scan(split, job, ctx)
         indexer.drain()
         entries.append(ctx.replicas._entries.get(info.path))
         parsed.append(len(parses) - before)
     if normal == "remote":
-        assert skipped == [1, 1, 1] and indexer.stats.enqueued == 0
-        assert parsed == [2, 0, 0]  # the partial and the normal replica, once each
+        assert indexer.stats.enqueued == 0
+        assert parsed == [1, 0, 0]  # the partial replica, once
         assert entries[0] is not None and entries[0] is entries[1] is entries[2]
     else:
-        assert skipped == [0, 0, 0] and indexer.stats.completed == 1
+        assert indexer.stats.completed == 1
         assert parsed == [2, 1, 0]  # the completed replica is opened once
         assert entries[0] is None and entries[1] is entries[2]
         assert entries[1][1].schema.names == ("b", "c", "d")

@@ -388,15 +388,27 @@ def _register(**fields):
         _register(indexed_attribute=3),
         _register(available_attributes="abd"),
         _register(path=None),
+        # Records of the right shape that the registry refuses; before, their
+        # errors named no line.
+        {"event": "register", "block_id": 5, "replica": pseudo(1, "d").to_json()},
+        _register(available_attributes=["a", "b", "d", "z"]),
+        {"event": "block", "block_id": 1, "record_count": 10, "replica": pseudo(0, "d").to_json()},
+        {"event": "block", "block_id": 0, "record_count": 100, "replica": normal(2).to_json()},
+        # Negative ids and counts; before, `block_id: -3` loaded.
+        {"event": "block", "block_id": -3, "record_count": 10, "replica": normal(0).to_json()},
+        {"event": "block", "block_id": 1, "record_count": -10, "replica": normal(0).to_json()},
+        _register(node_id=-1),
     ],
     ids=[
         "no_replica", "not_an_object", "replica_without_kind", "string_block_id",
         "bool_record_count", "string_node_id", "int_kind", "int_indexed_attribute",
-        "attributes_not_a_list", "null_path",
+        "attributes_not_a_list", "null_path", "unknown_block", "attribute_outside_schema",
+        "pseudo_in_block_event", "normal_beyond_replication", "negative_block_id",
+        "negative_record_count", "negative_node_id",
     ],
 )
 def test_a_malformed_journal_record_names_its_line(tmp_path, record):
-    # Each line parses as JSON but is not a journal record of any kind.
+    # Each line parses as JSON but is not a journal record the registry takes.
     journal = tmp_path / "registry.journal"
     reg = ReplicaRegistry(SCHEMA, replication_factor=2, journal_path=journal)
     reg.add_block(0, 100, [normal(0), normal(1)])

@@ -260,8 +260,10 @@ def drawn_sequences(draw):
 
 def drawn_outputs(work: Path, layout: dict, jobs: list, reopen: bool = False) -> dict:
     """Run `jobs` on a new cluster under `work`, closing and reopening it
-    halfway with `reopen`; returns the files `run_outputs` compares and the
-    indexer stats summed over the cluster's nodes and both openings."""
+    halfway with `reopen`, and check at each close that every adaptive
+    replica sits on a node holding a normal replica of its block; returns
+    the files `run_outputs` compares and the indexer stats summed over the
+    cluster's nodes and both openings."""
     root = work / "c"
     cluster = make_cluster(root, slots=1, block_records=100, page_size=32, **layout)
     rows, stats = [], Counter()
@@ -270,6 +272,12 @@ def drawn_outputs(work: Path, layout: dict, jobs: list, reopen: bool = False) ->
         cluster.close()
         for ix in cluster.indexers.values():
             stats.update(dataclasses.asdict(ix.stats))
+        # Invariant 6: an adaptive replica sits beside a normal replica of its block.
+        registry = cluster.registry
+        for block_id, info in registry.iter_replicas():
+            if info.kind != ReplicaKind.NORMAL:
+                nodes = {r.node_id for r in registry.normal_replicas(block_id)}
+                assert info.node_id in nodes, (block_id, info)
 
     try:
         cluster.upload_dataset(gen_synthetic(2_000, seed=41))

@@ -1,6 +1,6 @@
 """The scripts import only names the library still provides, the experiment
-scripts run end to end on small inputs, and the line counter partitions
-every line of the package."""
+scripts run end to end on small inputs, the line counter partitions every
+line of the package, and the output hasher gives one tree one digest."""
 
 import importlib.util
 import sys
@@ -72,3 +72,18 @@ def test_line_counts_of_a_hand_counted_module():
     )
     count_lines = _load(REPO / "scripts" / "count_lines.py").count_lines
     assert count_lines(source) == {"code": 4, "docstring": 4, "comment": 1, "blank": 2}
+
+
+def test_hash_outputs_prints_the_same_digests_on_two_runs_of_one_tree(capsys):
+    main = _load(REPO / "scripts" / "hash_outputs.py").main
+    outputs = []
+    for _ in range(2):
+        main(["--size", "tiny"])
+        out, err = capsys.readouterr()
+        assert "FAIL" not in err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "cold_converge", "lazy_uservisits", "warm_index_scan", "all",
+    ]
