@@ -10,20 +10,29 @@ JSON reports, `registry.journal`, `cluster.json`, `calibration.json` when a
 job wrote one, the block files and `pseudo/`. The last line is the digest
 over all workloads. Nothing is written under the tree.
 
-Two trees whose outputs are byte-identical print the same lines:
+Two trees whose outputs are byte-identical print the same lines. With
+`--base REV`, the script compares a git revision of this repository with
+`--src` in one command: it extracts REV with `git archive` into a temporary
+directory, hashes that tree and `--src` each in a subprocess of its own,
+prints both sets of lines, then `identical`, or `differ:` and the workloads
+whose digests differ, and exits 1 on a difference:
 
-    python scripts/hash_outputs.py --src ../parent > parent.txt
-    python scripts/hash_outputs.py > change.txt && diff parent.txt change.txt
+    python scripts/hash_outputs.py --base HEAD~1
 
-Usage: python scripts/hash_outputs.py [--src DIR] [--size full|tiny] [--seed 7]
+Usage: python scripts/hash_outputs.py [--src DIR] [--base REV] [--size full|tiny] [--seed 7]
 """
 
 import argparse
 import hashlib
 import importlib.util
+import io
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class _NoGauge:
@@ -55,14 +64,41 @@ def digest_tree(root: Path, digest) -> int:
     return len(files)
 
 
-def main(argv=None) -> None:
+def compare(base: str, src: Path, size: str, seed: int) -> int:
+    """Print the digests of revision `base` and of tree `src`, then whether
+    they are identical; returns 0 if they are, else 1."""
+    digests = []
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", base],
+                                 check=True, stdout=subprocess.PIPE).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        for label, tree in ((f"base {base}", Path(tmp)), (f"src {src}", src)):
+            out = subprocess.run(
+                [sys.executable, __file__, "--src", str(tree), "--size", size, "--seed", str(seed)],
+                check=True, stdout=subprocess.PIPE, text=True,
+            ).stdout
+            print(label)
+            print(out, end="")
+            digests.append(dict(line.split(" ", 1) for line in out.splitlines()))
+    old, new = digests
+    differ = sorted(n for n in old.keys() | new.keys() if n != "all" and old.get(n) != new.get(n))
+    print("differ: " + " ".join(differ) if differ else "identical")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent,
+    parser.add_argument("--src", type=Path, default=REPO,
                         help="the source tree whose bench/ and src/ run (default: this one)")
+    parser.add_argument("--base", metavar="REV",
+                        help="also hash git revision REV of this repository and compare")
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
+    if args.base is not None:
+        return compare(args.base, args.src.resolve(), args.size, args.seed)
 
     run = _load_bench(args.src.resolve())
     from suite import WORKLOADS
@@ -97,7 +133,8 @@ def main(argv=None) -> None:
     finally:
         WorkloadRunner.run_job = run_job
     print(f"all {count} files sha256 {total.hexdigest()}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

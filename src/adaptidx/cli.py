@@ -40,6 +40,7 @@ from .execution import JobSpec, Predicate
 from .indexer import EAGER, OFFER_RATE, SELECTIVITY, OfferPolicy
 from .policy import load_json
 from .runner import WorkloadRunner, write_reports
+from .scheduler import format_plan
 from .workloads import Dataset, gen_synthetic, gen_uservisits_like
 
 
@@ -126,9 +127,12 @@ def _parse_job(doc: dict, index: int, defaults: dict, schema) -> JobSpec:
         doc.get("selectivity_threshold", defaults.get("selectivity_threshold", 0.8)),
         "selectivity_threshold", where,
     )
+    eager = doc.get("eager", False)
+    if not isinstance(eager, bool):  # "false" and 0 would pick a mode by truthiness
+        raise ConfigError(f"{where}: 'eager' must be true or false, got {eager!r}")
     if "offer_rate" in doc:
         mode, rho = OFFER_RATE, _number(doc["offer_rate"], "offer_rate", where)
-    elif doc.get("eager"):
+    elif eager:
         mode = EAGER
     elif "selectivity_threshold" in doc:
         mode = SELECTIVITY
@@ -179,8 +183,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rows = []
         failed = False
         for job in jobs:
-            outcome = runner.run_job(job, plan_dump=args.plan_dump)
+            outcome = runner.run_job(job)
             rows.append(outcome.metrics)
+            if args.plan_dump and outcome.plan:
+                print(format_plan(outcome.plan))
             print(
                 f"{outcome.metrics.job_id}: indexed {outcome.metrics.blocks_indexed_after}"
                 f"/{outcome.metrics.blocks_total} blocks, "
@@ -266,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--root", type=Path, required=True)
     r.add_argument("--jobs", type=Path, required=True)
     r.add_argument("--report", type=Path, default=Path("run_report"))
-    r.add_argument("--plan-dump", action="store_true", help="print planned assignments")
+    r.add_argument("--plan-dump", action="store_true", help="print each job's planned blocks")
     r.set_defaults(fn=_cmd_run)
 
     rep = sub.add_parser("report", help="pretty-print a JSON run report")

@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import fcntl
 import json
+import math
 import os
 import shutil
 import threading
@@ -89,8 +90,8 @@ class ClusterConfig:
                 raise ConfigError(f"{name} must be at least 1, got {value!r}")
         for name in ("per_byte_cost", "per_block_index_cost"):
             value = getattr(self, name)
-            if not value >= 0:  # also refuses NaN
-                raise ConfigError(f"{name} must be non-negative, got {value!r}")
+            if not (value >= 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be non-negative and finite, got {value!r}")
 
     @property
     def n_slots(self) -> int:

@@ -39,11 +39,16 @@ class CostModelParams:
     def __post_init__(self) -> None:
         if self.n_slots < 1:
             raise ConfigError("n_slots must be >= 1")
+        if self.n_blocks < 0 or self.n_idx_blocks < 0:
+            raise ConfigError(
+                f"block counts must be non-negative, got {self.n_blocks} and {self.n_idx_blocks}"
+            )
         if self.n_idx_blocks > self.n_blocks:
             raise ConfigError("cannot have more indexed blocks than blocks")
         for name in ("t_fsw", "t_idx_overhead", "T_is", "T_target"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be non-negative and finite, got {value!r}")
 
 
 def n_fsw(params: CostModelParams) -> int:
@@ -147,5 +152,7 @@ class Calibration:
                     f"calibration {path}: {name!r} must be null or a non-negative number, "
                     f"got {value!r}"
                 )
+            if value is not None and not math.isfinite(value):  # Python's json reads Infinity
+                raise ConfigError(f"calibration {path}: {name!r} must be finite, got {value!r}")
             values[name] = value
         return cls(**values)

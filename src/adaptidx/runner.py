@@ -3,12 +3,13 @@
 Each job runs in two phases. Indexed splits go first, which yields the
 measured index-scan time T_is; the offer rate for the remaining full scans is
 then fixed by the job's `OfferPolicy.mode` (constant, eager via the cost
-model, or selectivity-driven) and the full-scan waves run with it. After the
-node indexers drain, the registry delta gives the blocks actually indexed by
-the job. A job whose index-scan phase fails skips the full scans but still
-drains, so every job's accepted index work has landed when it returns and the
-next job plans from a settled registry. A runner makes a new plan only when
-the registry has changed since its last one, or the predicate attribute has.
+model, or selectivity-driven) and the full-scan waves run with it. A job
+whose index-scan phase fails skips the full scans. Every planned job then
+ends the same way: the node indexers drain, so its accepted index work has
+landed and the next job plans from a settled registry; the registry gives
+the blocks indexed; and a job with no failed task calibrates the cost model
+at the rate it offered. A runner makes a new plan only when the registry has
+changed since its last one, or the predicate attribute has.
 
 Simulated job time = T_is + sum of full-scan wave times + indexing overhead,
 where each wave costs its slowest task and the overhead charges the
@@ -31,12 +32,7 @@ from .errors import AdaptidxError, ConfigError
 from .execution import JobSpec, Predicate, ScanKind, TaskResult
 from .indexer import EAGER, SELECTIVITY, OfferPolicy
 from .policy import Calibration, CostModelParams, compute_rho, predict_T_job
-from .scheduler import (
-    choose_offer_blocks,
-    format_plan,
-    full_scan_blocks_per_node,
-    plan_job,
-)
+from .scheduler import TaskAssignment, choose_offer_blocks, full_scan_blocks_per_node, plan_job
 
 CALIBRATION_FILE = "calibration.json"
 
@@ -77,6 +73,7 @@ CSV_COLUMNS = [f.name for f in fields(JobMetrics) if f.name not in ("error", "wa
 class JobOutcome:
     metrics: JobMetrics
     results: list[TaskResult]
+    plan: tuple[TaskAssignment, ...]  # in plan order; () for a job that failed validation
 
 
 def _phase_time(results: Sequence[TaskResult], per_byte_cost: float) -> float:
@@ -127,7 +124,7 @@ class WorkloadRunner:
 
     # -- single job ----------------------------------------------------------
 
-    def run_job(self, job: JobSpec, plan_dump: bool = False) -> JobOutcome:
+    def run_job(self, job: JobSpec) -> JobOutcome:
         registry = self.cluster.registry
         config = self.cluster.config
         attr = job.predicate.attribute
@@ -143,7 +140,7 @@ class WorkloadRunner:
         except AdaptidxError as exc:
             metrics.failed = True
             metrics.error = str(exc)
-            return JobOutcome(metrics=metrics, results=[])
+            return JobOutcome(metrics=metrics, results=[], plan=())
         metrics.blocks_indexed_before = registry.indexed_block_count(attr)
 
         # A plan depends on the registry's replicas, the attribute and the
@@ -153,57 +150,49 @@ class WorkloadRunner:
             planned = plan_job(job, registry, max_blocks_per_split=config.max_blocks_per_split)
             self._plan = (key, tuple(planned))
         assignments = self._plan[1]
-        if plan_dump:
-            print(format_plan(assignments))
         index_assignments = [a for a in assignments if a.split.scan_kind == ScanKind.INDEX_SCAN]
         full_assignments = [a for a in assignments if a.split.scan_kind == ScanKind.FULL_SCAN]
         metrics.index_scan_tasks = len(index_assignments)
         metrics.full_scan_tasks = len(full_assignments)
 
-        results: list[TaskResult] = []
-
         # Phase 1: serve indexed blocks and measure T_is.
-        index_results = self.cluster.run_wave(index_assignments, job)
-        results.extend(index_results)
-        t_is = _phase_time(index_results, config.per_byte_cost)
-        metrics.t_is_seconds = t_is
-        if self._collect_failures(index_results, metrics):
-            self.cluster.drain_indexers()  # land handed-off completions
-            return self._finalize(metrics, results)
+        results = self.cluster.run_wave(index_assignments, job)
+        t_is = _phase_time(results, config.per_byte_cost)
+        full_results: list[TaskResult] = []
+        if not self._collect_failures(results, metrics):
+            # Phase 2: full scans, offering the picked blocks to the indexers
+            # as they finish. Selectivity mode picks every full-scanned block.
+            metrics.rho_used = self._decide_rate(job, metrics, t_is)
+            quota = len(full_assignments)
+            if metrics.rho_used is not None:
+                quota = min(math.ceil(metrics.rho_used * metrics.blocks_total), quota)
+            will_offer = choose_offer_blocks(full_scan_blocks_per_node(full_assignments), quota)
+            full_results = self.cluster.run_wave(full_assignments, job, will_offer)
+            results += full_results
+            self._collect_failures(full_results, metrics)
 
-        # Decide the offer rate for the full-scan phase.
-        rho_used = self._decide_rate(job, metrics, t_is)
-        scanned = full_scan_blocks_per_node(full_assignments)
-        if job.policy.mode == SELECTIVITY:  # every full-scanned block is a candidate
-            will_offer = frozenset(b for blocks in scanned.values() for b in blocks)
-        else:
-            metrics.rho_used = rho_used
-            quota = min(
-                math.ceil(rho_used * metrics.blocks_total), len(full_assignments)
-            )
-            will_offer = choose_offer_blocks(scanned, quota)
-
-        # Phase 2: full scans, offering blocks to the indexers as they finish.
-        full_results = self.cluster.run_wave(full_assignments, job, will_offer)
-        results.extend(full_results)
-        t_scan = _phase_time(full_results, config.per_byte_cost)
-        failed = self._collect_failures(full_results, metrics)
-
-        self.cluster.drain_indexers()
+        self.cluster.drain_indexers()  # lands the job's offers and handed-off completions
 
         metrics.blocks_offered = sum(r.blocks_offered for r in full_results)
         metrics.blocks_enqueued = metrics.blocks_offered
         metrics.blocks_indexed_after = registry.indexed_block_count(attr)
 
-        t_overhead = (
-            metrics.blocks_enqueued * config.per_block_index_cost / config.n_slots
-        )
+        t_scan = _phase_time(full_results, config.per_byte_cost)
+        t_overhead = metrics.blocks_enqueued * config.per_block_index_cost / config.n_slots
+        metrics.t_is_seconds = t_is
         metrics.simulated_seconds = t_is + t_scan + t_overhead
+        metrics.records_emitted = sum(r.records_emitted for r in results)
+        metrics.bytes_read = sum(r.bytes_read for r in results)
 
-        if not failed:
-            self._update_calibration(metrics, full_results, t_scan, t_overhead, rho_used)
-            metrics.predicted_seconds = self._predict(metrics, t_is, rho_used)
-        return self._finalize(metrics, results)
+        if not metrics.failed:
+            # The cost model sees the rate the job offered at; selectivity
+            # mode's is the fraction of the blocks it offered.
+            rho = metrics.rho_used
+            if rho is None:
+                rho = metrics.blocks_offered / metrics.blocks_total if metrics.blocks_total else 0.0
+            self._update_calibration(metrics, full_results, t_scan, t_overhead, rho)
+            metrics.predicted_seconds = self._predict(metrics, t_is, rho)
+        return JobOutcome(metrics=metrics, results=results, plan=assignments)
 
     def _cost_params(self, metrics: JobMetrics, t_is: float) -> CostModelParams:
         cal = self.calibration
@@ -217,7 +206,10 @@ class WorkloadRunner:
             T_target=cal.t_target or 0.0,
         )
 
-    def _decide_rate(self, job: JobSpec, metrics: JobMetrics, t_is: float) -> float:
+    def _decide_rate(self, job: JobSpec, metrics: JobMetrics, t_is: float) -> Optional[float]:
+        """The job's offer rate; None in selectivity mode, which has none."""
+        if job.policy.mode == SELECTIVITY:
+            return None
         if job.policy.mode != EAGER:
             return job.policy.rho
         if not self.calibration.usable:
@@ -236,7 +228,7 @@ class WorkloadRunner:
         full_results: Sequence[TaskResult],
         t_scan: float,
         t_overhead: float,
-        rho_used: float,
+        rho: float,
     ) -> None:
         cal = self.calibration
         waves = _wave_count(full_results)
@@ -248,7 +240,7 @@ class WorkloadRunner:
                 (metrics.blocks_total - metrics.blocks_indexed_before) / slots
             )
             wave_equivalents = min(
-                rho_used * math.ceil(metrics.blocks_total / slots), unindexed_waves
+                rho * math.ceil(metrics.blocks_total / slots), unindexed_waves
             )
             if wave_equivalents > 0:
                 cal.t_idx_overhead = t_overhead / wave_equivalents
@@ -258,13 +250,11 @@ class WorkloadRunner:
             cal.save(self._cal_path)
             self._persisted = replace(cal)
 
-    def _predict(self, metrics: JobMetrics, t_is: float, rho_used: float) -> Optional[float]:
+    def _predict(self, metrics: JobMetrics, t_is: float, rho: float) -> Optional[float]:
         cal = self.calibration
         if cal.t_fsw is None or cal.t_idx_overhead is None:
             return None
-        return predict_T_job(
-            self._cost_params(metrics, t_is), min(max(rho_used, 0.0), 1.0)
-        )
+        return predict_T_job(self._cost_params(metrics, t_is), rho)
 
     @staticmethod
     def _collect_failures(results: Sequence[TaskResult], metrics: JobMetrics) -> bool:
@@ -273,11 +263,6 @@ class WorkloadRunner:
             metrics.failed = True
             metrics.error = failures[0].error
         return bool(failures)
-
-    def _finalize(self, metrics: JobMetrics, results: list[TaskResult]) -> JobOutcome:
-        metrics.records_emitted = sum(r.records_emitted for r in results)
-        metrics.bytes_read = sum(r.bytes_read for r in results)
-        return JobOutcome(metrics=metrics, results=results)
 
 
 def run_eager_sequence(

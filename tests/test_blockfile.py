@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import math
 import os
+import re
 import threading
 
 import numpy as np
@@ -85,6 +86,63 @@ def test_invalid_block_rejected_before_write(tmp_path, simple_schema):
     with pytest.raises(SchemaError):
         write_block(block, tmp_path / "bad")
     assert not (tmp_path / "bad").exists()
+
+
+def _sorted_block(**changes) -> DataBlock:
+    """Ten rows sorted on `k`, with a four-row-page index, then `changes`."""
+    schema = Schema.of(("k", "int64"), ("v", "float64"))
+    keys = np.arange(10, dtype="<i8")
+    block = DataBlock(0, schema, {"k": keys, "v": np.linspace(0, 1, 10)},
+                      SparseClusteredIndex.from_sorted_column("k", keys, 4))
+    return dataclasses.replace(block, **changes)
+
+
+def _index(**changes) -> SparseClusteredIndex:
+    return dataclasses.replace(_sorted_block().index, **changes)
+
+
+_EMPTY = {"k": np.empty(0, "<i8"), "v": np.empty(0, "<f8")}
+
+
+# One block per refusal of DataBlock.validate and SparseClusteredIndex.validate
+# that no other test reaches: a cheaper check must still refuse each.
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        # SparseClusteredIndex.validate
+        (_sorted_block(columns=_EMPTY, index=_index(record_count=0)),
+         "empty index must have no entries"),
+        (_sorted_block(index=_index(first_keys=np.empty(0, "<i8"),
+                                    start_records=np.empty(0, np.uint64))),
+         "non-empty index must have entries"),
+        (_sorted_block(index=_index(start_records=np.array([1, 4, 8], np.uint64))),
+         "first index entry must start at record 0"),
+        (_sorted_block(index=_index(start_records=np.array([0, 4, 4], np.uint64))),
+         "index entry starts must be strictly increasing"),
+        (_sorted_block(index=_index(first_keys=np.array([0, 8, 4], "<i8"))),
+         "index first keys must be non-decreasing"),
+        (_sorted_block(index=_index(start_records=np.array([0, 4, 10], np.uint64))),
+         "last index entry starts beyond record count"),
+        # DataBlock.validate
+        (_sorted_block(columns={"k": np.arange(10, dtype="<i8")}),
+         "columns do not match schema attributes"),
+        (_sorted_block(columns={"k": np.arange(10, dtype="<i4"), "v": np.zeros(10)}),
+         "column 'k' dtype int32 != schema int64"),
+        (_sorted_block(index=_index(attribute="zz")), "sort attribute 'zz' not in schema"),
+        (_sorted_block(columns={"k": np.arange(10, dtype="<i8")[::-1].copy(), "v": np.zeros(10)}),
+         "column 'k' is not sorted"),
+        (_sorted_block(index=_index(record_count=11)), "index record count does not match block"),
+        (_sorted_block(index=_index(first_keys=np.array([0, 5, 8], "<i8"))),
+         "index keys are not a subsequence of the column"),
+        (_sorted_block(permutation=np.arange(9, dtype="<i8")),
+         "permutation vector length does not match block"),
+    ],
+    ids=lambda case: case if isinstance(case, str) else None,
+)
+def test_write_block_refuses_a_malformed_block_and_leaves_no_file(tmp_path, block, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        write_block(block, tmp_path / "bad")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_float_sort_column_must_put_its_nans_last(tmp_path):

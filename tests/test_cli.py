@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from adaptidx.blocks import Schema
 from adaptidx.cli import main
 from adaptidx.cluster import Cluster
+from adaptidx.execution import JobSpec, Predicate
 from adaptidx.registry import ReplicaRegistry
+from adaptidx.scheduler import format_plan, plan_job
 from adaptidx.workloads import Dataset
 
 
@@ -187,6 +190,9 @@ def test_unknown_job_key_exits_2(tmp_path, capsys):
         (dict(good, offer_rate=-3), "rho must be in [0, 1], got -3.0"),
         (dict(good, offer_rate=1.5), "rho must be in [0, 1], got 1.5"),
         (dict(good, selectivity_threshold=-0.1), "selectivity_threshold must be in [0, 1]"),
+        # A truthy string once ran the job in eager mode, and 0 in constant mode.
+        (dict(good, eager="false"), "job 2: 'eager' must be true or false, got 'false'"),
+        (dict(good, eager=0), "job 2: 'eager' must be true or false, got 0"),
     ]:
         write_jobs(jobs, [good, bad])
         code = main(["run", "--root", str(root), "--jobs", str(jobs), "--report", str(report)])
@@ -256,6 +262,7 @@ def test_unknown_policy_key_exits_2(tmp_path, capsys):
         ('{"t_fsw": "fast"}', "'t_fsw' must be null or a non-negative number, got 'fast'"),
         ('{"t_target": true}', "'t_target' must be null or a non-negative number, got True"),
         ('{"t_idx_overhead": -1}', "'t_idx_overhead' must be null or a non-negative number"),
+        ('{"t_fsw": Infinity}', "'t_fsw' must be finite, got inf"),
     ]:
         calibration.write_text(text)
         code = main(["run", "--root", str(root), "--jobs", str(jobs),
@@ -300,6 +307,12 @@ def test_malformed_cluster_config_exits_2(tmp_path, capsys):
         ({"nodes": 3, "per_byte_cost": -1e-8}, "per_byte_cost must be non-negative"),
         ({"nodes": 3, "per_byte_cost": float("nan")}, "per_byte_cost must be non-negative"),
         ({"nodes": 3, "per_block_index_cost": -0.5}, "per_block_index_cost must be non-negative"),
+        # An infinite cost once wrote Infinity into calibration.json, and the
+        # next eager job died on a NaN rate.
+        ({"nodes": 3, "per_byte_cost": float("inf")},
+         "per_byte_cost must be non-negative and finite, got inf"),
+        ({"nodes": 3, "per_block_index_cost": float("inf")},
+         "per_block_index_cost must be non-negative and finite, got inf"),
         ({"nodes": 2, "node_count": 3}, "keys 'nodes' and 'node_count' in cluster config"),
         ({"nodes": 3, "replication_factor": 2, "replication": 3},
          "keys 'replication_factor' and 'replication' in cluster config"),
@@ -647,3 +660,40 @@ def test_run_repairs_a_crashed_cluster_directory(tmp_path):
     assert journal.read_bytes().endswith(b"\n")
     registry = ReplicaRegistry.load(journal)
     assert registry.indexed_block_count("b") == 8 == len(list(root.glob("node_*/pseudo/blk_*/b")))
+
+
+def test_run_plan_dump_prints_each_jobs_planned_blocks_before_its_summary(tmp_path, capsys):
+    root = gen_and_upload(tmp_path)
+    first = {"id": "first", "predicate": {"attribute": "b", "low": 0.1, "high": 0.3},
+             "projection": "all", "offer_rate": 0.5}
+    jobs = write_jobs(tmp_path / "jobs.json", [first])
+    report = tmp_path / "report"
+    assert main(["run", "--root", str(root), "--jobs", str(jobs), "--report", str(report)]) == 0
+    capsys.readouterr()
+
+    # Half the blocks are indexed on b now, so the next plan has both kinds.
+    cluster = Cluster.open(root)
+    try:
+        job = JobSpec("second", Predicate("b", 0.4, 0.6), ("b",))
+        plan = plan_job(job, cluster.registry,
+                        max_blocks_per_split=cluster.config.max_blocks_per_split)
+        blocks = cluster.registry.block_count
+    finally:
+        cluster.close()
+    expected = format_plan(plan).splitlines()
+    assert len(expected) == blocks
+    assert {line.split()[2] for line in expected} == {"kind=index", "kind=full"}
+
+    # A job that fails validation has no plan, so no plan line.
+    second = dict(first, id="second", predicate={"attribute": "b", "low": 0.4, "high": 0.6})
+    bad = dict(first, id="bad", predicate={"attribute": "zz", "low": 0, "high": 1})
+    write_jobs(jobs, [second, bad])
+    code = main(["run", "--root", str(root), "--jobs", str(jobs), "--report", str(report),
+                 "--plan-dump"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:blocks] == expected
+    assert all(re.fullmatch(r"block=\d+ node=\d+ kind=(index|full)", line) for line in expected)
+    assert lines[blocks].startswith("second: indexed ")
+    assert lines[blocks + 1].startswith("bad: indexed ")
+    assert lines[blocks + 2].startswith("report: ") and len(lines) == blocks + 3

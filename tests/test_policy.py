@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -69,6 +71,32 @@ def test_invalid_params_rejected():
         params(t_fsw=-1.0)
     with pytest.raises(ConfigError):
         predict_T_job(params(), 1.5)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        # A NaN time once made compute_rho return NaN, past its clamp; an
+        # infinite one, a rate solved from nonsense.
+        (dict(t_fsw=float("nan")), "t_fsw must be non-negative and finite, got nan"),
+        (dict(t_fsw=float("inf")), "t_fsw must be non-negative and finite, got inf"),
+        (dict(t_idx_overhead=float("inf")), "t_idx_overhead must be non-negative and finite"),
+        (dict(T_is=float("inf")), "T_is must be non-negative and finite, got inf"),
+        (dict(T_target=float("inf")), "T_target must be non-negative and finite, got inf"),
+        (dict(n_blocks=-10, n_idx_blocks=-20), "block counts must be non-negative"),
+        (dict(n_idx_blocks=-1), "block counts must be non-negative, got 100 and -1"),
+    ],
+)
+def test_non_finite_times_and_negative_block_counts_rejected(bad, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        params(**bad)
+
+
+def test_calibration_load_refuses_a_non_finite_value(tmp_path):
+    path = tmp_path / "calibration.json"
+    path.write_text('{"t_fsw": 0.5, "t_idx_overhead": Infinity, "t_target": null}')
+    with pytest.raises(ConfigError, match="'t_idx_overhead' must be finite, got inf"):
+        Calibration.load(path)
 
 
 @given(

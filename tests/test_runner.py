@@ -6,6 +6,7 @@ import pytest
 
 import adaptidx.lazy as lazy
 import adaptidx.runner as runner_module
+from adaptidx.blockfile import read_header
 from adaptidx.cluster import Cluster
 from adaptidx.execution import JobSpec, Predicate
 from adaptidx.indexer import EAGER, OFFER_RATE, SELECTIVITY, OfferPolicy
@@ -292,3 +293,54 @@ def test_a_job_plans_only_when_the_registry_has_changed(tmp_path, monkeypatch):
     assert not WorkloadRunner(reopened).run_job(seq_job(11, 0.0, attr="c")).metrics.failed
     assert plans[2:] == ["job6", "job9", "job11"]
     reopened.close()
+
+
+def test_a_job_whose_index_scan_fails_still_reports_its_indexed_blocks_and_index_scan_time(
+    tmp_path,
+):
+    cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=500, page_size=64)
+    cluster.upload_dataset(gen_synthetic(4000, seed=5), ["b"])
+    info = cluster.registry.find_index(3, "b")
+    with open(info.path, "rb", buffering=0) as f:
+        header = read_header(f)
+    os.truncate(info.path, header.column_offsets["c"] + 8)  # inside column c
+    runner = WorkloadRunner(cluster)
+    job = JobSpec("cut", Predicate("b", 0.0, 1.0), ("c",), policy=OfferPolicy(rho=1.0))
+    outcome = runner.run_job(job)
+    metrics = outcome.metrics
+    try:
+        assert metrics.failed and "truncated block file" in metrics.error
+        assert metrics.full_scan_tasks == 0 and metrics.blocks_offered == 0
+        assert metrics.blocks_indexed_after == cluster.registry.indexed_block_count("b") == 8
+        assert metrics.t_is_seconds > 0
+        assert metrics.simulated_seconds == metrics.t_is_seconds
+        assert metrics.bytes_read == sum(r.bytes_read for r in outcome.results) > 0
+        assert metrics.predicted_seconds is None
+        assert not (tmp_path / "c" / CALIBRATION_FILE).exists()  # a failed job does not calibrate
+    finally:
+        cluster.close()
+
+
+def test_a_selectivity_job_calibrates_at_the_fraction_it_offered(tmp_path):
+    # Both jobs offer all 12 blocks, so they cost the same and measure the
+    # same per-wave indexing overhead; selectivity mode has no rate of its
+    # own, and its policy's rho (0.1 by default) must not enter the model.
+    metrics, overheads = [], []
+    for name, policy in [
+        ("selectivity", OfferPolicy(mode=SELECTIVITY, selectivity_threshold=0.5)),
+        ("constant", OfferPolicy(rho=1.0)),
+    ]:
+        cluster = make_cluster(tmp_path / name, nodes=3, slots=1, replication=2,
+                               block_records=500, per_block_index_cost=0.05)
+        cluster.upload_dataset(gen_synthetic(6_000, seed=37))  # 12 blocks
+        runner = WorkloadRunner(cluster)
+        job = JobSpec(name, Predicate("a", 10, 10), ("a",), policy=policy)
+        metrics.append(runner.run_job(job).metrics)
+        overheads.append(Calibration.load(tmp_path / name / CALIBRATION_FILE).t_idx_overhead)
+        cluster.close()
+    selective, constant = metrics
+    assert not selective.failed and not constant.failed
+    assert selective.blocks_offered == constant.blocks_offered == selective.blocks_total == 12
+    assert selective.rho_used is None and constant.rho_used == 1.0
+    assert overheads[0] == overheads[1] == pytest.approx(12 * 0.05 / 3 / 4)
+    assert selective.predicted_seconds == pytest.approx(constant.predicted_seconds)

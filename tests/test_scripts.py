@@ -3,7 +3,10 @@ scripts run end to end on small inputs, the line counter partitions every
 line of the package, and the output hasher gives one tree one digest."""
 
 import importlib.util
+import io
+import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -87,3 +90,16 @@ def test_hash_outputs_prints_the_same_digests_on_two_runs_of_one_tree(capsys):
     assert [line.split()[0] for line in lines] == [
         "cold_converge", "lazy_uservisits", "warm_index_scan", "all",
     ]
+
+
+def test_hash_outputs_finds_a_revision_identical_to_its_own_archive(tmp_path, capsys):
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "HEAD"], capture_output=True)
+    if archive.returncode:
+        pytest.skip("the source tree is not a git checkout")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(tmp_path, filter="data")
+    main = _load(REPO / "scripts" / "hash_outputs.py").main
+    assert main(["--base", "HEAD", "--src", str(tmp_path), "--size", "tiny"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "base HEAD" and lines[5] == f"src {tmp_path.resolve()}"
+    assert lines[1:5] == lines[6:10] and lines[-1] == "identical"
