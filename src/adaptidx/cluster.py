@@ -51,8 +51,15 @@ from .registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 REGISTRY_JOURNAL = "registry.journal"
 UPLOAD_JOURNAL = f".{REGISTRY_JOURNAL}.tmp"  # renamed to REGISTRY_JOURNAL by the upload
 CLUSTER_CONFIG = "cluster.json"
-# JSON value types accepted per ClusterConfig field annotation.
+# Value types accepted per ClusterConfig field annotation; never a bool.
 _VALUE_KINDS = {"int": int, "Optional[int]": (int, type(None)), "float": (int, float), "str": str}
+
+
+def _check_kind(field: dataclasses.Field, value, what: str) -> None:
+    """Refuse, with ConfigError naming it as `what`, a value of the wrong
+    type for a ClusterConfig field."""
+    if isinstance(value, bool) or not isinstance(value, _VALUE_KINDS[field.type]):
+        raise ConfigError(f"{what} must be {field.type}, got {value!r}")
 
 
 @dataclass
@@ -73,6 +80,8 @@ class ClusterConfig:
     write_queue_capacity: InitVar[Optional[int]] = None
 
     def __post_init__(self, *_retired) -> None:
+        for field in dataclasses.fields(self):  # so cluster.json reads back what it holds
+            _check_kind(field, getattr(self, field.name), field.name)
         if self.node_count < 1:
             raise ConfigError("need at least one node")
         if self.slots_per_node < 1:
@@ -120,11 +129,7 @@ class ClusterConfig:
                     f"keys {keys[name]!r} and {key!r} in cluster config {path} name one field"
                 )
             keys[name] = key
-            if isinstance(value, bool) or not isinstance(value, _VALUE_KINDS[fields[name].type]):
-                raise ConfigError(
-                    f"key {key!r} in cluster config {path} must be {fields[name].type}, "
-                    f"got {value!r}"
-                )
+            _check_kind(fields[name], value, f"key {key!r} in cluster config {path}")
             known[name] = value
         if "node_count" not in known:
             raise ConfigError(f"cluster config {path} needs 'nodes'")

@@ -141,6 +141,8 @@ class OfferPolicy:
             raise ConfigError(f"unknown offer mode {self.mode!r}")
         for name in ("rho", "selectivity_threshold"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
             if not 0 <= value <= 1:  # also refuses NaN
                 raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
 

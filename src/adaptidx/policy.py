@@ -11,7 +11,15 @@ rate that spends a runtime budget T_target on indexing gives
     rho = (T_target - T_is - t_fsw * n_fsw) / (t_idx * ceil(n_blocks / n_slots))
 
 The min() is evaluated in real arithmetic; only the resulting duration is a
-float quantity, never rounded to whole waves.
+float quantity, never rounded to whole waves. `indexing_waves` is that min().
+
+`Calibration.fill` inverts the model on one job's measurements: the
+full-scan phase time t_scan, the indexing overhead t_overhead and the job
+time t_job give
+
+    t_fsw = t_scan / n_fsw,  t_idx = t_overhead / indexing_waves,  T_target = t_job
+
+each set only while unset, and not from a count or an overhead of 0.
 """
 
 from __future__ import annotations
@@ -60,13 +68,18 @@ def total_waves(params: CostModelParams) -> int:
     return math.ceil(params.n_blocks / params.n_slots)
 
 
+def indexing_waves(params: CostModelParams, rho: float) -> float:
+    """The waves' worth of indexing overhead at offer rate `rho`: the
+    multiplier of t_idx in the model."""
+    return min(rho * total_waves(params), n_fsw(params))
+
+
 def predict_T_job(params: CostModelParams, rho: float) -> float:
     """Predicted job runtime for a given offer rate."""
     if not 0.0 <= rho <= 1.0:
         raise ConfigError(f"rho must be in [0, 1], got {rho}")
-    waves = n_fsw(params)
-    overhead = params.t_idx_overhead * min(rho * total_waves(params), waves)
-    return params.T_is + params.t_fsw * waves + overhead
+    overhead = params.t_idx_overhead * indexing_waves(params, rho)
+    return params.T_is + params.t_fsw * n_fsw(params) + overhead
 
 
 def compute_rho(params: CostModelParams) -> float:
@@ -111,6 +124,16 @@ def load_json(path: Path | str, what: str):
             raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
+def check_time(value, what: str, expected: str) -> None:
+    """Refuse, with ConfigError naming it as `what`, a cost-model time that is
+    not a finite non-negative int or float: it must be `expected`."""
+    # `not value >= 0` also refuses NaN.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
+        raise ConfigError(f"{what} must be {expected}, got {value!r}")
+    if not math.isfinite(value):  # Python's json reads Infinity
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+
+
 @dataclass
 class Calibration:
     """Measured wave costs, persisted next to the registry journal."""
@@ -127,6 +150,20 @@ class Calibration:
             and self.t_target is not None
         )
 
+    def fill(
+        self, params: CostModelParams, rho: float, t_scan: float, t_overhead: float, t_job: float
+    ) -> None:
+        """Set each unset value from a job's measurements at offer rate `rho`,
+        by the inverse in the module docstring; reads only the block and slot
+        counts of `params`."""
+        waves, indexing = n_fsw(params), indexing_waves(params, rho)
+        if self.t_fsw is None and waves > 0:
+            self.t_fsw = t_scan / waves
+        if self.t_idx_overhead is None and t_overhead > 0 and indexing > 0:
+            self.t_idx_overhead = t_overhead / indexing
+        if self.t_target is None:
+            self.t_target = t_job
+
     def save(self, path: Path | str) -> None:
         """Replace `path` through `save_json`: a crash leaves the previous calibration."""
         save_json(
@@ -136,23 +173,16 @@ class Calibration:
 
     @classmethod
     def load(cls, path: Path | str) -> "Calibration":
-        """Read a saved calibration; a malformed file raises ConfigError naming it."""
+        """Read a saved calibration, an empty one if `path` does not exist; a
+        malformed file raises ConfigError naming it."""
+        if not os.path.exists(path):
+            return cls()
         raw = load_json(path, "calibration")
         if not isinstance(raw, dict):
             raise ConfigError(f"calibration {path} must be a JSON object")
         values = {}
         for name in ("t_fsw", "t_idx_overhead", "t_target"):
-            value = raw.get(name)
-            if value is not None and (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not value >= 0  # also refuses NaN
-            ):
-                raise ConfigError(
-                    f"calibration {path}: {name!r} must be null or a non-negative number, "
-                    f"got {value!r}"
-                )
-            if value is not None and not math.isfinite(value):  # Python's json reads Infinity
-                raise ConfigError(f"calibration {path}: {name!r} must be finite, got {value!r}")
-            values[name] = value
+            value = values[name] = raw.get(name)
+            if value is not None:
+                check_time(value, f"calibration {path}: {name!r}", "null or a non-negative number")
         return cls(**values)

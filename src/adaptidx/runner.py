@@ -28,10 +28,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cluster import Cluster, ClusterConfig
-from .errors import AdaptidxError, ConfigError
+from .errors import AdaptidxError
 from .execution import JobSpec, Predicate, ScanKind, TaskResult
 from .indexer import EAGER, SELECTIVITY, OfferPolicy
-from .policy import Calibration, CostModelParams, compute_rho, predict_T_job
+from .policy import Calibration, CostModelParams, check_time, compute_rho, predict_T_job
 from .scheduler import TaskAssignment, choose_offer_blocks, full_scan_blocks_per_node, plan_job
 
 CALIBRATION_FILE = "calibration.json"
@@ -85,10 +85,6 @@ def _phase_time(results: Sequence[TaskResult], per_byte_cost: float) -> float:
     return sum(n * per_byte_cost for n in waves.values())
 
 
-def _wave_count(results: Sequence[TaskResult]) -> int:
-    return len({r.wave_index for r in results})
-
-
 class WorkloadRunner:
     def __init__(self, cluster: Cluster):
         if cluster.registry is None:
@@ -96,12 +92,8 @@ class WorkloadRunner:
         self.cluster = cluster
         self._plan: tuple = (None, ())  # the last plan made: (its key, its assignments)
         self._cal_path = cluster.root / CALIBRATION_FILE
-        if self._cal_path.exists():
-            self.calibration = Calibration.load(self._cal_path)
-            self._persisted: Optional[Calibration] = replace(self.calibration)
-        else:
-            self.calibration = Calibration()
-            self._persisted = None  # what calibration.json holds, None if absent
+        self.calibration = Calibration.load(self._cal_path)
+        self._persisted = replace(self.calibration)  # what calibration.json holds
 
     def apply_policy_overrides(
         self,
@@ -110,11 +102,12 @@ class WorkloadRunner:
         target_seconds: Optional[float] = None,
     ) -> None:
         """User-supplied cost-model values take precedence over measurement.
-        Each must be non-negative, as in calibration.json, else ConfigError."""
+        Each must be a finite non-negative number, as in calibration.json,
+        else ConfigError and no value changes."""
         given = {"t_fsw": t_fsw, "t_idx_overhead": t_idx_overhead, "target_seconds": target_seconds}
         for name, value in given.items():
-            if value is not None and not value >= 0:  # also refuses NaN
-                raise ConfigError(f"policy {name!r} must be non-negative, got {value!r}")
+            if value is not None:
+                check_time(value, f"policy {name!r}", "non-negative")
         if t_fsw is not None:
             self.calibration.t_fsw = t_fsw
         if t_idx_overhead is not None:
@@ -190,8 +183,14 @@ class WorkloadRunner:
             rho = metrics.rho_used
             if rho is None:
                 rho = metrics.blocks_offered / metrics.blocks_total if metrics.blocks_total else 0.0
-            self._update_calibration(metrics, full_results, t_scan, t_overhead, rho)
-            metrics.predicted_seconds = self._predict(metrics, t_is, rho)
+            cal = self.calibration
+            params = self._cost_params(metrics, t_is)
+            cal.fill(params, rho, t_scan, t_overhead, metrics.simulated_seconds)
+            if cal != self._persisted:  # only a filled-in field or an override
+                cal.save(self._cal_path)
+                self._persisted = replace(cal)
+            if cal.t_fsw is not None and cal.t_idx_overhead is not None:
+                metrics.predicted_seconds = predict_T_job(self._cost_params(metrics, t_is), rho)
         return JobOutcome(metrics=metrics, results=results, plan=assignments)
 
     def _cost_params(self, metrics: JobMetrics, t_is: float) -> CostModelParams:
@@ -200,8 +199,8 @@ class WorkloadRunner:
             n_slots=self.cluster.config.n_slots,
             n_blocks=metrics.blocks_total,
             n_idx_blocks=metrics.blocks_indexed_before,
-            t_fsw=cal.t_fsw,
-            t_idx_overhead=cal.t_idx_overhead,
+            t_fsw=cal.t_fsw or 0.0,
+            t_idx_overhead=cal.t_idx_overhead or 0.0,
             T_is=t_is,
             T_target=cal.t_target or 0.0,
         )
@@ -221,40 +220,6 @@ class WorkloadRunner:
                 )
             return job.policy.rho
         return compute_rho(self._cost_params(metrics, t_is))
-
-    def _update_calibration(
-        self,
-        metrics: JobMetrics,
-        full_results: Sequence[TaskResult],
-        t_scan: float,
-        t_overhead: float,
-        rho: float,
-    ) -> None:
-        cal = self.calibration
-        waves = _wave_count(full_results)
-        if cal.t_fsw is None and waves > 0:
-            cal.t_fsw = t_scan / waves
-        if cal.t_idx_overhead is None and t_overhead > 0:
-            slots = self.cluster.config.n_slots
-            unindexed_waves = math.ceil(
-                (metrics.blocks_total - metrics.blocks_indexed_before) / slots
-            )
-            wave_equivalents = min(
-                rho * math.ceil(metrics.blocks_total / slots), unindexed_waves
-            )
-            if wave_equivalents > 0:
-                cal.t_idx_overhead = t_overhead / wave_equivalents
-        if cal.t_target is None:
-            cal.t_target = metrics.simulated_seconds
-        if cal != self._persisted:  # only a filled-in field or an override
-            cal.save(self._cal_path)
-            self._persisted = replace(cal)
-
-    def _predict(self, metrics: JobMetrics, t_is: float, rho: float) -> Optional[float]:
-        cal = self.calibration
-        if cal.t_fsw is None or cal.t_idx_overhead is None:
-            return None
-        return predict_T_job(self._cost_params(metrics, t_is), rho)
 
     @staticmethod
     def _collect_failures(results: Sequence[TaskResult], metrics: JobMetrics) -> bool:
@@ -371,11 +336,12 @@ def derive_eager_timing(
 
 
 def write_reports(rows: Sequence[JobMetrics], prefix: Path | str) -> tuple[Path, Path]:
-    """Write <prefix>.csv and <prefix>.json; returns both paths."""
+    """Write <prefix>.csv and <prefix>.json, the prefix kept whole (dots
+    included); returns both paths."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = prefix.with_suffix(".csv")
-    json_path = prefix.with_suffix(".json")
+    csv_path = prefix.with_name(prefix.name + ".csv")
+    json_path = prefix.with_name(prefix.name + ".json")
     with open(csv_path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
         writer.writeheader()

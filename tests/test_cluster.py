@@ -35,6 +35,22 @@ def test_replication_needs_enough_nodes():
         ClusterConfig(node_count=2, replication_factor=3)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(node_count=True), "node_count must be int, got True"),
+        (dict(node_count=3, block_records=2.5), "block_records must be int, got 2.5"),
+        (dict(node_count=3, slots_per_node=1.5), "slots_per_node must be int, got 1.5"),
+    ],
+)
+def test_a_config_value_its_cluster_json_would_refuse_is_refused(tmp_path, kw, message):
+    # Each was once taken, written into a cluster.json that Cluster.open
+    # then refused, so the directory never reopened.
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        Cluster(ClusterConfig(replication_factor=1, **kw), tmp_path / "c")
+    assert not (tmp_path / "c").exists()
+
+
 def test_upload_places_replicas_on_distinct_nodes(tmp_path):
     cluster = make_cluster(tmp_path / "c", nodes=4, replication=3, block_records=1000)
     registry = cluster.upload_dataset(gen_synthetic(10_000, seed=1))

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import threading
 import time
 
@@ -191,6 +192,22 @@ def test_unknown_offer_mode_rejected():
         assert OfferPolicy(mode=mode).mode == mode
     with pytest.raises(ConfigError, match="unknown offer mode 'offer_rate'"):
         OfferPolicy(mode="offer_rate")
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        # A bool rate once ran as rate 1 and was reported as True; a string
+        # raised a raw TypeError.
+        (dict(rho=True), "rho must be a number, got True"),
+        (dict(rho="0.5"), "rho must be a number, got '0.5'"),
+        (dict(selectivity_threshold=False), "selectivity_threshold must be a number, got False"),
+        (dict(selectivity_threshold="0.8"), "selectivity_threshold must be a number, got '0.8'"),
+    ],
+)
+def test_a_rate_that_is_not_a_number_is_refused(kw, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        OfferPolicy(**kw)
 
 
 @given(

@@ -5,7 +5,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from adaptidx.errors import ConfigError
-from adaptidx.policy import Calibration, CostModelParams, compute_rho, n_fsw, predict_T_job
+from adaptidx.policy import (
+    Calibration,
+    CostModelParams,
+    compute_rho,
+    indexing_waves,
+    n_fsw,
+    predict_T_job,
+)
 
 
 def params(**kw):
@@ -42,6 +49,12 @@ def test_predict_hand_evaluated_example():
 def test_predict_min_clamps_at_full_scan_waves():
     p = params(n_idx_blocks=80)  # n_fsw = 2 < rho * 10
     assert predict_T_job(p, 1.0) == pytest.approx(p.T_is + p.t_fsw * 2 + p.t_idx_overhead * 2)
+
+
+def test_indexing_waves_examples():
+    assert indexing_waves(params(), 0.5) == pytest.approx(5.0)  # 0.5 * 10 waves
+    assert indexing_waves(params(), 1.0) == 8  # capped at the 8 full-scan waves
+    assert indexing_waves(params(), 0.0) == 0.0
 
 
 def test_compute_rho_closed_form_example():
@@ -182,3 +195,70 @@ def test_calibration_save_failure_keeps_previous_file(tmp_path, monkeypatch):
 
     assert Calibration.load(path) == Calibration(t_fsw=1.5, t_idx_overhead=0.25, t_target=12.0)
     assert [p.name for p in tmp_path.iterdir()] == ["calibration.json"]
+
+
+def test_calibration_load_of_a_missing_file_is_empty(tmp_path):
+    assert Calibration.load(tmp_path / "calibration.json") == Calibration()
+    assert not (tmp_path / "calibration.json").exists()
+
+
+def test_fill_inverts_the_hand_evaluated_example():
+    # The example of test_predict_hand_evaluated_example, read backwards:
+    # 80 s over 8 full-scan waves, 10 s over min(0.5 * 10, 8) = 5 waves.
+    cal = Calibration()
+    cal.fill(params(t_fsw=0.0, t_idx_overhead=0.0), 0.5, 80.0, 10.0, 100.0)
+    assert cal == Calibration(t_fsw=10.0, t_idx_overhead=2.0, t_target=100.0)
+
+
+def test_fill_sets_nothing_from_a_count_or_an_overhead_of_zero():
+    cal = Calibration()
+    cal.fill(params(n_idx_blocks=100), 0.5, 0.0, 10.0, 20.0)  # no full-scan wave
+    assert cal == Calibration(t_target=20.0)
+    cal = Calibration()
+    cal.fill(params(), 0.5, 80.0, 0.0, 90.0)  # nothing offered
+    assert cal == Calibration(t_fsw=10.0, t_target=90.0)
+    cal = Calibration()
+    cal.fill(params(), 0.0, 80.0, 10.0, 90.0)  # rate 0: no indexing wave
+    assert cal == Calibration(t_fsw=10.0, t_target=90.0)
+
+
+_counts = (
+    st.integers(1, 50),
+    st.integers(0, 500),
+    st.integers(0, 500),
+    st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+    st.floats(0.0, 200.0),
+    st.floats(0.0, 500.0),
+    st.floats(1e-3, 50.0),
+)
+
+
+@given(*_counts)
+@settings(max_examples=200, deadline=None)
+def test_fill_then_predict_gives_back_the_measured_job(
+    slots, blocks, idx, rho, t_is, t_scan, t_overhead
+):
+    idx = min(idx, blocks)
+    counts = CostModelParams(slots, blocks, idx, 0.0, 0.0, t_is, 0.0)
+    cal = Calibration()
+    t_job = t_is + t_scan + t_overhead
+    cal.fill(counts, rho, t_scan, t_overhead, t_job)
+    assert cal.t_target == t_job
+    if n_fsw(counts) > 0 and indexing_waves(counts, rho) > 0:
+        p = CostModelParams(slots, blocks, idx, cal.t_fsw, cal.t_idx_overhead, t_is, cal.t_target)
+        assert predict_T_job(p, rho) == pytest.approx(t_job)
+
+
+@given(*_counts, st.sampled_from(["t_fsw", "t_idx_overhead", "t_target"]), st.floats(0.0, 9.0))
+@settings(max_examples=100, deadline=None)
+def test_fill_never_overwrites_a_set_value(
+    slots, blocks, idx, rho, t_is, t_scan, t_overhead, name, value
+):
+    idx = min(idx, blocks)
+    counts = CostModelParams(slots, blocks, idx, 0.0, 0.0, t_is, 0.0)
+    cal = Calibration(**{name: value})
+    cal.fill(counts, rho, t_scan, t_overhead, t_is + t_scan + t_overhead)
+    assert getattr(cal, name) == value
+    full = Calibration(t_fsw=1.0, t_idx_overhead=2.0, t_target=3.0)
+    full.fill(counts, rho, t_scan, t_overhead, t_is + t_scan + t_overhead)
+    assert full == Calibration(t_fsw=1.0, t_idx_overhead=2.0, t_target=3.0)

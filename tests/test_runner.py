@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import time
 
 import pytest
@@ -8,11 +9,12 @@ import adaptidx.lazy as lazy
 import adaptidx.runner as runner_module
 from adaptidx.blockfile import read_header
 from adaptidx.cluster import Cluster
+from adaptidx.errors import ConfigError
 from adaptidx.execution import JobSpec, Predicate
 from adaptidx.indexer import EAGER, OFFER_RATE, SELECTIVITY, OfferPolicy
 from adaptidx.registry import ReplicaKind
 from adaptidx.policy import Calibration
-from adaptidx.runner import CALIBRATION_FILE, CSV_COLUMNS, WorkloadRunner, write_reports
+from adaptidx.runner import CALIBRATION_FILE, CSV_COLUMNS, JobMetrics, WorkloadRunner, write_reports
 from adaptidx.workloads import gen_synthetic
 
 from conftest import make_cluster
@@ -102,6 +104,50 @@ def test_user_overrides_feed_the_model(tmp_path):
     cluster.close()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(t_fsw=math.inf), "policy 't_fsw' must be finite, got inf"),
+        (dict(t_fsw=True), "policy 't_fsw' must be non-negative, got True"),
+        (dict(t_idx_overhead=math.inf), "policy 't_idx_overhead' must be finite, got inf"),
+        (dict(target_seconds=False), "policy 'target_seconds' must be non-negative, got False"),
+        (dict(t_fsw=1.0, t_idx_overhead="0.5"),
+         "policy 't_idx_overhead' must be non-negative, got '0.5'"),
+    ],
+)
+def test_an_override_calibration_json_would_refuse_is_refused(tmp_path, overrides, message):
+    # An infinite t_fsw was once saved as Infinity before the job raised, and
+    # a bool as true; either way no later runner could read calibration.json.
+    cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=500)
+    cluster.upload_dataset(gen_synthetic(4000, seed=5))
+    runner = WorkloadRunner(cluster)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        runner.apply_policy_overrides(**overrides)
+    assert runner.calibration == Calibration()
+    assert not runner.run_job(seq_job(1, 0.5)).metrics.failed
+    assert Calibration.load(tmp_path / "c" / CALIBRATION_FILE) == runner.calibration
+    assert WorkloadRunner(cluster).calibration == runner.calibration
+    cluster.close()
+
+
+def test_calibration_divides_the_scan_time_by_the_full_scan_waves(tmp_path):
+    cluster = make_cluster(tmp_path / "c", nodes=3, slots=2, replication=2, block_records=500)
+    cluster.upload_dataset(gen_synthetic(8_000, seed=23))  # 16 blocks
+    assert not WorkloadRunner(cluster).run_job(seq_job(1, 0.5)).metrics.failed
+    (tmp_path / "c" / CALIBRATION_FILE).unlink()  # calibrate again, on a partly indexed dataset
+    runner = WorkloadRunner(cluster)
+    m = runner.run_job(seq_job(2, 0.25)).metrics
+    assert not m.failed and m.index_scan_tasks > 0
+    assert m.full_scan_tasks == m.blocks_total - m.blocks_indexed_before == 8
+    config = cluster.config
+    t_overhead = m.blocks_enqueued * config.per_block_index_cost / config.n_slots
+    t_scan = m.simulated_seconds - m.t_is_seconds - t_overhead
+    assert runner.calibration.t_fsw == pytest.approx(
+        t_scan / math.ceil(m.full_scan_tasks / config.n_slots)  # 2 waves of 6 slots
+    )
+    cluster.close()
+
+
 def test_fully_indexed_dataset_offers_nothing(tmp_path):
     cluster = make_cluster(tmp_path / "c", nodes=3, slots=1, replication=2, block_records=500)
     cluster.upload_dataset(gen_synthetic(3_000, seed=31), ["b"])
@@ -161,6 +207,17 @@ def test_report_files_round_trip(tmp_path):
     data = json_mod.loads(json_path.read_text())
     assert [r["job_id"] for r in data["jobs"]] == ["job1", "job2"]
     cluster.close()
+
+
+def test_a_dotted_report_prefix_is_kept_whole(tmp_path):
+    # r.2 once wrote r.csv and r.json, over the reports of r.1.
+    rows = [JobMetrics("job1", "b", OFFER_RATE)]
+    for prefix in ("r.1", "r.2"):
+        paths = write_reports(rows, tmp_path / prefix)
+        assert [p.name for p in paths] == [f"{prefix}.csv", f"{prefix}.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "r.1.csv", "r.1.json", "r.2.csv", "r.2.json",
+    ]
 
 
 def test_a_job_whose_index_scan_fails_lands_its_hand_offs_before_returning(

@@ -1,6 +1,7 @@
 """The scripts import only names the library still provides, the experiment
 scripts run end to end on small inputs, the line counter partitions every
-line of the package, and the output hasher gives one tree one digest."""
+line of the package and compares it with a revision, and the output hasher
+gives one tree one digest."""
 
 import importlib.util
 import io
@@ -32,20 +33,26 @@ def test_script_imports(path):
 
 
 @pytest.mark.parametrize(
-    "name, args, header",
+    "name, args, header, reports",
     [
-        ("run_convergence.py", ["--rows", "4000", "--jobs", "2"], "rate job1 job2"),
-        ("run_projection_sweep.py", ["--rows", "2000"], "projected attributes byte share overhead"),
-        ("run_eager.py", ["--jobs", "2"], "job eager rate 0.1 rate 1.0"),
+        ("run_convergence.py", ["--rows", "4000", "--jobs", "2"], "rate job1 job2",
+         [f"convergence_rho_{rho}.csv" for rho in ("0.1", "0.25", "0.5", "1.0")]),
+        ("run_projection_sweep.py", ["--rows", "2000"], "projected attributes byte share overhead",
+         []),
+        ("run_eager.py", ["--jobs", "2"], "job eager rate 0.1 rate 1.0", []),
     ],
     ids=["convergence", "projection_sweep", "eager"],
 )
-def test_experiment_script_runs_end_to_end(tmp_path, monkeypatch, capsys, name, args, header):
+def test_experiment_script_runs_end_to_end(
+    tmp_path, monkeypatch, capsys, name, args, header, reports
+):
     main = _load(REPO / "scripts" / name).main
     monkeypatch.setattr(sys, "argv", [name, "--workdir", str(tmp_path), *args])
     main()
     lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
     assert header in lines
+    # One CSV report per rate: a dotted name once lost its rate to the suffix.
+    assert sorted(p.name for p in (tmp_path / "reports").glob("*.csv")) == reports
 
 
 def test_line_counts_partition_every_module():
@@ -75,6 +82,23 @@ def test_line_counts_of_a_hand_counted_module():
     )
     count_lines = _load(REPO / "scripts" / "count_lines.py").count_lines
     assert count_lines(source) == {"code": 4, "docstring": 4, "comment": 1, "blank": 2}
+
+
+def test_line_counts_of_a_revision_against_its_own_archive(tmp_path, capsys):
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "HEAD", "src/adaptidx"],
+                             capture_output=True)
+    if archive.returncode:
+        pytest.skip("the source tree is not a git checkout")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(tmp_path, filter="data")
+    script = _load(REPO / "scripts" / "count_lines.py")
+    script.main(["--base", "HEAD", str(tmp_path / "src" / "adaptidx")])
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    modules = sorted((tmp_path / "src" / "adaptidx").glob("*.py"))
+    assert lines[0] == ["module", "HEAD", "src", "delta"]
+    assert [row[0] for row in lines[1:]] == [p.name for p in modules] + ["total"]
+    assert all(row[1] == row[2] and row[3] == "+0" for row in lines[1:])
+    assert lines[-1][1] == str(sum(script.count_lines(p.read_text())["code"] for p in modules))
 
 
 def test_hash_outputs_prints_the_same_digests_on_two_runs_of_one_tree(capsys):
