@@ -7,7 +7,7 @@ units in flight and submits the unit to the cluster's thread pool; it
 refuses no work. So the plan alone decides which blocks get indexed, never
 how far the pool has fallen behind the readers, and the slots only bound
 memory. Waiting costs no simulated time: the cost model charges a fixed
-per-block indexing cost for every enqueued block. The pool runs beside the
+per-block indexing cost for every offered block. The pool runs beside the
 map tasks, which run on the calling thread.
 
 A unit (`_index_one`) writes neither stats nor the registry: it returns

@@ -19,7 +19,8 @@ time t_job give
 
     t_fsw = t_scan / n_fsw,  t_idx = t_overhead / indexing_waves,  T_target = t_job
 
-each set only while unset, and not from a count or an overhead of 0.
+each set only while unset, and not from a count or an overhead of 0, nor
+to a value that is not finite.
 """
 
 from __future__ import annotations
@@ -90,10 +91,11 @@ def compute_rho(params: CostModelParams) -> float:
     a fully affordable job reports rho = 1 even when few blocks remain.
     """
     budget = params.T_target - params.T_is - params.t_fsw * n_fsw(params)
+    if budget <= 0.0:  # also an overflowed scan term, which a huge t_idx would turn to NaN
+        return 0.0
     if params.t_idx_overhead <= 0.0:
-        return 1.0 if budget > 0 else 0.0
-    rho = budget / (params.t_idx_overhead * total_waves(params))
-    return min(max(rho, 0.0), 1.0)
+        return 1.0
+    return min(budget / (params.t_idx_overhead * total_waves(params)), 1.0)
 
 
 def save_json(path: Path | str, data: dict) -> None:
@@ -155,14 +157,16 @@ class Calibration:
     ) -> None:
         """Set each unset value from a job's measurements at offer rate `rho`,
         by the inverse in the module docstring; reads only the block and slot
-        counts of `params`."""
+        counts of `params`. A value that is not finite stays unset, for a
+        later job to fill."""
         waves, indexing = n_fsw(params), indexing_waves(params, rho)
-        if self.t_fsw is None and waves > 0:
-            self.t_fsw = t_scan / waves
-        if self.t_idx_overhead is None and t_overhead > 0 and indexing > 0:
-            self.t_idx_overhead = t_overhead / indexing
-        if self.t_target is None:
-            self.t_target = t_job
+        for name, value in (
+            ("t_fsw", t_scan / waves if waves > 0 else None),
+            ("t_idx_overhead", t_overhead / indexing if t_overhead > 0 and indexing > 0 else None),
+            ("t_target", t_job),
+        ):
+            if getattr(self, name) is None and value is not None and math.isfinite(value):
+                setattr(self, name, value)
 
     def save(self, path: Path | str) -> None:
         """Replace `path` through `save_json`: a crash leaves the previous calibration."""

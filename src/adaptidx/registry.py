@@ -336,10 +336,6 @@ class ReplicaRegistry:
         with self._lock:
             return len(self._replicas)
 
-    def record_count(self, block_id: int) -> int:
-        with self._lock:
-            return self._record_counts[block_id]
-
     @property
     def total_records(self) -> int:
         with self._lock:

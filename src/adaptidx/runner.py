@@ -8,8 +8,9 @@ whose index-scan phase fails skips the full scans. Every planned job then
 ends the same way: the node indexers drain, so its accepted index work has
 landed and the next job plans from a settled registry; the registry gives
 the blocks indexed; and a job with no failed task calibrates the cost model
-at the rate it offered. A runner makes a new plan only when the registry has
-changed since its last one, or the predicate attribute has.
+at the fraction of the blocks it offered. A runner makes a new plan only
+when the registry has changed since its last one, or the predicate
+attribute has.
 
 Simulated job time = T_is + sum of full-scan wave times + indexing overhead,
 where each wave costs its slowest task and the overhead charges the
@@ -48,8 +49,6 @@ class JobMetrics:
     blocks_indexed_before: int = 0
     blocks_indexed_after: int = 0
     blocks_offered: int = 0
-    blocks_enqueued: int = 0
-    blocks_rejected: int = 0  # always 0; kept as a column of the reports
     rho_used: Optional[float] = None
     t_is_seconds: float = 0.0
     predicted_seconds: Optional[float] = None
@@ -167,29 +166,26 @@ class WorkloadRunner:
         self.cluster.drain_indexers()  # lands the job's offers and handed-off completions
 
         metrics.blocks_offered = sum(r.blocks_offered for r in full_results)
-        metrics.blocks_enqueued = metrics.blocks_offered
         metrics.blocks_indexed_after = registry.indexed_block_count(attr)
 
         t_scan = _phase_time(full_results, config.per_byte_cost)
-        t_overhead = metrics.blocks_enqueued * config.per_block_index_cost / config.n_slots
+        t_overhead = metrics.blocks_offered * config.per_block_index_cost / config.n_slots
         metrics.t_is_seconds = t_is
         metrics.simulated_seconds = t_is + t_scan + t_overhead
         metrics.records_emitted = sum(r.records_emitted for r in results)
         metrics.bytes_read = sum(r.bytes_read for r in results)
 
         if not metrics.failed:
-            # The cost model sees the rate the job offered at; selectivity
-            # mode's is the fraction of the blocks it offered.
-            rho = metrics.rho_used
-            if rho is None:
-                rho = metrics.blocks_offered / metrics.blocks_total if metrics.blocks_total else 0.0
+            # The cost model sees the fraction of the blocks the job offered.
+            rho = metrics.blocks_offered / metrics.blocks_total if metrics.blocks_total else 0.0
             cal = self.calibration
-            params = self._cost_params(metrics, t_is)
-            cal.fill(params, rho, t_scan, t_overhead, metrics.simulated_seconds)
+            # fill reads only the counts, and takes no T_is, which may have overflowed
+            cal.fill(self._cost_params(metrics, 0.0), rho, t_scan, t_overhead,
+                     metrics.simulated_seconds)
             if cal != self._persisted:  # only a filled-in field or an override
                 cal.save(self._cal_path)
                 self._persisted = replace(cal)
-            if cal.t_fsw is not None and cal.t_idx_overhead is not None:
+            if cal.t_fsw is not None and cal.t_idx_overhead is not None and math.isfinite(t_is):
                 metrics.predicted_seconds = predict_T_job(self._cost_params(metrics, t_is), rho)
         return JobOutcome(metrics=metrics, results=results, plan=assignments)
 
@@ -219,6 +215,8 @@ class WorkloadRunner:
                     "eager mode without calibration; falling back to constant rate"
                 )
             return job.policy.rho
+        if not math.isfinite(t_is):  # the index scans alone overran any budget
+            return 0.0
         return compute_rho(self._cost_params(metrics, t_is))
 
     @staticmethod
@@ -228,35 +226,6 @@ class WorkloadRunner:
             metrics.failed = True
             metrics.error = failures[0].error
         return bool(failures)
-
-
-def run_eager_sequence(
-    cluster: Cluster,
-    attribute: str,
-    initial_rho: float,
-    max_jobs: int,
-    predicate_for_job,
-) -> list[JobMetrics]:
-    """Run eager-mode jobs on one attribute until the index completes."""
-    runner = WorkloadRunner(cluster)
-    rows: list[JobMetrics] = []
-    schema = cluster.registry.schema
-    for j in range(1, max_jobs + 1):
-        low, high = predicate_for_job(j)
-        job = JobSpec(
-            job_id=f"job{j}",
-            predicate=Predicate(attribute, low, high),
-            projection=schema.names,
-            policy=OfferPolicy(mode=EAGER, rho=initial_rho),
-            collect_output=False,
-        )
-        outcome = runner.run_job(job)
-        rows.append(outcome.metrics)
-        if outcome.metrics.failed:
-            break
-        if outcome.metrics.blocks_indexed_after >= outcome.metrics.blocks_total:
-            break
-    return rows
 
 
 def derive_eager_timing(
@@ -283,10 +252,17 @@ def derive_eager_timing(
     dataset = gen_synthetic(n_blocks * rows_per_block, seed=97)
     block_bytes = rows_per_block * dataset.schema.row_width
     t_fsw_estimate = block_bytes * per_byte_cost
-
-    def predicate_for_job(j: int) -> tuple[float, float]:
-        # disjoint, highly selective ranges on a uniform attribute
-        return 0.001 * j, 0.001 * j + 0.0004
+    # Eager jobs on b over disjoint, highly selective ranges of a uniform attribute.
+    jobs = [
+        JobSpec(
+            job_id=f"job{j}",
+            predicate=Predicate("b", 0.001 * j, 0.001 * j + 0.0004),
+            projection=dataset.schema.names,
+            policy=OfferPolicy(mode=EAGER, rho=initial_rho),
+            collect_output=False,
+        )
+        for j in range(1, target_jobs + 4)
+    ]
 
     for i, ratio in enumerate(r / 100 for r in range(118, 155, 2)):
         candidate = t_fsw_estimate / ratio
@@ -302,33 +278,28 @@ def derive_eager_timing(
         )
         cluster = Cluster(config, root)
         cluster.upload_dataset(dataset)
-        rows = run_eager_sequence(
-            cluster, "b", initial_rho, target_jobs + 3, predicate_for_job
-        )
+        runner = WorkloadRunner(cluster)
+        rows: list[JobMetrics] = []
+        for job in jobs:
+            rows.append(runner.run_job(job).metrics)
+            last = rows[-1]
+            if last.failed or last.blocks_indexed_after >= last.blocks_total:
+                break
         cluster.close()
-        if any(m.failed for m in rows):
-            continue
         rhos = [m.rho_used for m in rows]
-        converged_at = next(
-            (
-                m_idx + 1
-                for m_idx, m in enumerate(rows)
-                if m.blocks_indexed_after >= m.blocks_total
-            ),
-            None,
-        )
-        ok = (
-            converged_at == target_jobs
+        if (
+            not last.failed
+            and last.blocks_indexed_after >= last.blocks_total
+            and len(rows) == target_jobs
             and all(b >= a - 1e-12 for a, b in zip(rhos, rhos[1:]))
-            and abs(rhos[target_jobs - 1] - 1.0) < 1e-9
-        )
-        if ok:
+            and abs(rhos[-1] - 1.0) < 1e-9
+        ):
             return {
                 "per_byte_cost": per_byte_cost,
                 "per_block_index_cost": candidate,
                 "scan_index_ratio": ratio,
                 "rho_sequence": rhos,
-                "jobs_to_converge": converged_at,
+                "jobs_to_converge": target_jobs,
             }
     raise AdaptidxError(
         f"no per-block index cost in the searched grid converges in {target_jobs} jobs"

@@ -1,15 +1,22 @@
 import csv
 import json
+import math
 import re
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from adaptidx.blocks import Schema
 from adaptidx.cli import main
 from adaptidx.cluster import Cluster
 from adaptidx.execution import JobSpec, Predicate
 from adaptidx.registry import ReplicaRegistry
+from adaptidx.runner import WorkloadRunner
 from adaptidx.scheduler import format_plan, plan_job
 from adaptidx.workloads import Dataset
 
@@ -697,3 +704,66 @@ def test_run_plan_dump_prints_each_jobs_planned_blocks_before_its_summary(tmp_pa
     assert lines[blocks].startswith("second: indexed ")
     assert lines[blocks + 1].startswith("bad: indexed ")
     assert lines[blocks + 2].startswith("report: ") and len(lines) == blocks + 3
+
+
+_BLOCKS = 20  # of the property's dataset: 2_000 rows of 100
+_COSTS = st.sampled_from([0.0, 1e-8, 0.05, sys.float_info.max]) | st.floats(0, sys.float_info.max)
+# 0, 1, the subnormals and one ulp either side of each block boundary k / _BLOCKS
+_RATES = st.sampled_from([0.0, 1.0, 5e-324, 1e-320]) | st.integers(1, _BLOCKS - 1).flatmap(
+    lambda k: st.sampled_from([math.nextafter(k / _BLOCKS, 0), k / _BLOCKS,
+                               math.nextafter(k / _BLOCKS, 1)])
+)
+_MODES = ("offer_rate", "eager", "selectivity_threshold")
+
+
+@pytest.fixture(scope="module")
+def property_dataset(tmp_path_factory):
+    data = tmp_path_factory.mktemp("property") / "data.adxd"
+    assert main(["gen-synthetic", "--rows", "2000", "--seed", "5", "--out", str(data)]) == 0
+    return data
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    costs=st.tuples(_COSTS, _COSTS),
+    slots=st.integers(1, 2),
+    jobs=st.lists(st.tuples(st.sampled_from(_MODES), _RATES), min_size=1, max_size=2),
+    policy=st.fixed_dictionaries(
+        {}, optional={"t_fsw": _COSTS, "t_idx_overhead": _COSTS, "target_seconds": _COSTS}
+    ),
+)
+@example(costs=(1e-8, 0.05), slots=1, jobs=[("offer_rate", 1e-320), ("offer_rate", 0.3)],
+         policy={})
+@example(costs=(1e-8, sys.float_info.max), slots=1, jobs=[("offer_rate", 0.5)], policy={})
+@example(costs=(sys.float_info.max, 0.05), slots=1, jobs=[("eager", 0.5)], policy={})
+@example(costs=(sys.float_info.max, 0.05), slots=1, jobs=[("offer_rate", 0.5), ("eager", 0.5)],
+         policy={"t_fsw": 1.0, "t_idx_overhead": 1.0, "target_seconds": 1.0})
+@example(costs=(1e-8, 0.05), slots=2, jobs=[("eager", 0.5)],
+         policy={"t_fsw": sys.float_info.max, "t_idx_overhead": sys.float_info.max,
+                 "target_seconds": sys.float_info.max})
+def test_whatever_a_run_writes_reopens_and_reports(property_dataset, costs, slots, jobs, policy):
+    # Any public input a run accepts leaves a cluster directory and a report
+    # that every later command can read.
+    per_byte_cost, per_block_index_cost = costs
+    docs = [
+        {"predicate": {"attribute": "b", "low": 0.1 * j, "high": 0.1 * j + 0.05},
+         "projection": "all", "rho": rate} | {mode: True if mode == "eager" else rate}
+        for j, (mode, rate) in enumerate(jobs)
+    ]
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        config = write_config(work / "config.json", slots_per_node=slots, block_records=100,
+                              per_byte_cost=per_byte_cost,
+                              per_block_index_cost=per_block_index_cost)
+        root, report = work / "cluster", work / "report"
+        assert main(["upload", "--dataset", str(property_dataset), "--root", str(root),
+                     "--config", str(config)]) == 0
+        write_jobs(work / "jobs.json", docs, policy)
+        assert main(["run", "--root", str(root), "--jobs", str(work / "jobs.json"),
+                     "--report", str(report)]) == 0
+        cluster = Cluster.open(root)
+        try:
+            WorkloadRunner(cluster)
+        finally:
+            cluster.close()
+        assert main(["report", "--json", f"{report}.json"]) == 0

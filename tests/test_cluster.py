@@ -97,7 +97,10 @@ def test_block_bytes_budget_overrides_record_count(tmp_path):
     registry = cluster.upload_dataset(gen_synthetic(1_000, seed=4))
     # 4800 bytes / 48-byte rows = 100 records per block
     assert registry.block_count == 10
-    assert registry.record_count(0) == 100
+    for block_id in registry.block_ids:
+        for info in registry.replicas(block_id):
+            with open(info.path, "rb", buffering=0) as f:
+                assert read_header(f).record_count == 100
     cluster.close()
 
 
@@ -172,7 +175,7 @@ def test_full_queues_and_a_slow_writer_do_not_deadlock_the_map_thread(tmp_path, 
     assert not worker.is_alive(), "run_job did not finish: hand-off deadlocked"
     metrics = outcome[0].metrics
     assert not metrics.failed
-    assert metrics.blocks_offered == metrics.blocks_enqueued == 40
+    assert metrics.blocks_offered == 40
     assert metrics.blocks_indexed_after == 40 == cluster.registry.indexed_block_count("b")
     stats = [ix.stats for ix in cluster.indexers.values()]
     assert sum(s.written for s in stats) == 40

@@ -1,4 +1,6 @@
+import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,22 @@ def test_fill_sets_nothing_from_a_count_or_an_overhead_of_zero():
     cal = Calibration()
     cal.fill(params(), 0.0, 80.0, 10.0, 90.0)  # rate 0: no indexing wave
     assert cal == Calibration(t_fsw=10.0, t_target=90.0)
+
+
+def test_fill_sets_no_value_that_is_not_finite():
+    big = sys.float_info.max
+    cal = Calibration()
+    cal.fill(params(), 0.5, math.inf, 10.0, math.inf)  # an overflowed scan phase
+    assert cal == Calibration(t_idx_overhead=2.0)
+    cal = Calibration()
+    cal.fill(params(), 0.01, 80.0, big, big)  # big / 0.1 indexing waves overflows
+    assert cal == Calibration(t_fsw=10.0, t_target=big)
+
+
+def test_compute_rho_with_an_overflowed_scan_term_is_zero():
+    # t_fsw * n_fsw overflows: the budget is -inf, and t_idx * waves is inf too
+    big = sys.float_info.max
+    assert compute_rho(params(t_fsw=big, t_idx_overhead=big, T_target=big)) == 0.0
 
 
 _counts = (

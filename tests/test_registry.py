@@ -137,7 +137,9 @@ def test_journal_replay_round_trip(tmp_path):
     assert again.schema == SCHEMA
     assert again.replication_factor == 2
     assert again.block_ids == [0, 1]
-    assert again.record_count(0) == 100
+    blocks = [json.loads(line) for line in journal.read_text().splitlines()]
+    counts = {r["block_id"]: r["record_count"] for r in blocks if r.get("event") == "block"}
+    assert counts == {0: 100, 1: 100} and again.total_records == 200
     for block_id in (0, 1):
         a = {(r.node_id, r.kind, r.indexed_attribute) for r in reg.replicas(block_id)}
         b = {(r.node_id, r.kind, r.indexed_attribute) for r in again.replicas(block_id)}

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -140,7 +141,7 @@ def test_calibration_divides_the_scan_time_by_the_full_scan_waves(tmp_path):
     assert not m.failed and m.index_scan_tasks > 0
     assert m.full_scan_tasks == m.blocks_total - m.blocks_indexed_before == 8
     config = cluster.config
-    t_overhead = m.blocks_enqueued * config.per_block_index_cost / config.n_slots
+    t_overhead = m.blocks_offered * config.per_block_index_cost / config.n_slots
     t_scan = m.simulated_seconds - m.t_is_seconds - t_overhead
     assert runner.calibration.t_fsw == pytest.approx(
         t_scan / math.ceil(m.full_scan_tasks / config.n_slots)  # 2 waves of 6 slots
@@ -376,6 +377,62 @@ def test_a_job_whose_index_scan_fails_still_reports_its_indexed_blocks_and_index
         assert not (tmp_path / "c" / CALIBRATION_FILE).exists()  # a failed job does not calibrate
     finally:
         cluster.close()
+
+
+def test_a_subnormal_rate_calibrates_from_the_block_it_offered(tmp_path):
+    # ceil(1e-320 * 40) offers one block; the model's rate is 1/40, not 1e-320,
+    # whose wave count would divide the overhead into inf.
+    cluster = make_cluster(tmp_path / "c", nodes=3, replication=2, block_records=100)
+    cluster.upload_dataset(gen_synthetic(4000, seed=5))  # 40 blocks
+    runner = WorkloadRunner(cluster)
+    for j, rho in [(1, 1e-320), (2, 0.3)]:
+        metrics = runner.run_job(seq_job(j, rho)).metrics
+        assert not metrics.failed, metrics.error
+    cluster.close()
+    saved = json.loads((tmp_path / "c" / CALIBRATION_FILE).read_text())
+    assert all(math.isfinite(value) for value in saved.values())
+    reopened = Cluster.open(tmp_path / "c")
+    try:
+        assert WorkloadRunner(reopened).calibration.usable
+    finally:
+        reopened.close()
+
+
+def test_a_rate_rounded_up_to_a_block_calibrates_the_configured_index_cost(tmp_path):
+    # rho 0.001 offers ceil(0.4) = 1 of 400 blocks: 1/20 of a wave on 20 slots,
+    # which the model counts as 0.001 * 20 = 0.02 waves at that rate.
+    cluster = make_cluster(tmp_path / "c", nodes=20, slots=1, replication=1, block_records=100)
+    cluster.upload_dataset(gen_synthetic(40_000, seed=5))  # 400 blocks
+    runner, every = WorkloadRunner(cluster), cluster.registry.schema.names
+    first = runner.run_job(seq_job(1, 0.001, proj=every)).metrics
+    assert not first.failed and first.blocks_offered == 1
+    assert runner.calibration.t_idx_overhead == pytest.approx(0.05)
+    second = runner.run_job(seq_job(2, 0.3, proj=every)).metrics
+    assert not second.failed and second.blocks_offered == 120
+    assert second.predicted_seconds == pytest.approx(second.simulated_seconds)
+    cluster.close()
+
+
+def test_an_overhead_that_overflows_stays_unset_and_the_job_returns(tmp_path):
+    cluster = make_cluster(tmp_path / "c", nodes=1, slots=1, replication=1, block_records=500,
+                           per_block_index_cost=1e308)
+    cluster.upload_dataset(gen_synthetic(4000, seed=5))  # 8 blocks
+    runner = WorkloadRunner(cluster)
+    metrics = runner.run_job(seq_job(1, 0.5)).metrics
+    assert not metrics.failed and metrics.blocks_offered == 4
+    assert metrics.simulated_seconds == math.inf and metrics.predicted_seconds is None
+    cal = runner.calibration
+    assert cal.t_fsw > 0 and cal.t_idx_overhead is None and cal.t_target is None
+    assert Calibration.load(tmp_path / "c" / CALIBRATION_FILE) == cal
+    cluster.close()
+
+    reopened = Cluster.open(tmp_path / "c")
+    try:
+        again = WorkloadRunner(reopened)
+        assert again.calibration == cal
+        assert not again.run_job(seq_job(2, 0.5)).metrics.failed
+    finally:
+        reopened.close()
 
 
 def test_a_selectivity_job_calibrates_at_the_fraction_it_offered(tmp_path):

@@ -247,7 +247,7 @@ def test_upload_units_stay_out_of_indexer_stats(tmp_path):
     job = JobSpec("j", Predicate("a", 1, 10), ("a",), policy=OfferPolicy(rho=1.0))
     metrics = WorkloadRunner(cluster).run_job(job).metrics
     cluster.close()
-    assert metrics.blocks_enqueued == 20 and not metrics.failed
+    assert metrics.blocks_offered == 20 and not metrics.failed
     totals = {
         name: sum(getattr(ix.stats, name) for ix in cluster.indexers.values())
         for name in (f.name for f in dataclasses.fields(IndexerStats))
