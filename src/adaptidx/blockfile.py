@@ -140,46 +140,30 @@ def write_block(block: DataBlock, path: Path | str, exclusive: bool = False) -> 
     raised. A write that fails after the open removes the file."""
     block.validate()
     schema = block.schema
-    n_attrs = len(schema.attributes)
-
-    attr_table_len = sum(
-        2 + len(a.name.encode("utf-8")) + _ATTR_FIXED.size for a in schema.attributes
-    )
-    index_len = 1
-    if block.index is not None:
-        key_size = schema.attribute(block.index.attribute).item_size
-        index_len += _INDEX_HEAD.size + block.index.entry_count * (key_size + 8)
-    perm_len = 1 + (8 + 8 * block.record_count if block.permutation is not None else 0)
-    header_len = _PREFIX.size + attr_table_len + index_len + perm_len
-
-    parts = [_PREFIX.pack(MAGIC, FORMAT_VERSION, block.block_id, block.record_count, n_attrs)]
-    offset = header_len
-    for a in schema.attributes:
-        name = a.name.encode("utf-8")
-        col_len = block.record_count * a.item_size
-        parts.append(struct.pack("<H", len(name)))
-        parts.append(name)
-        parts.append(_ATTR_FIXED.pack(_TAG_BY_KIND[a.kind], offset, col_len))
-        offset += col_len
-
+    n = block.record_count
+    tail = [b"\x00"]  # the index section, then the permutation section
     if block.index is not None:
         idx = block.index
-        attr = schema.attribute(idx.attribute)
-        parts.append(b"\x01")
-        parts.append(_INDEX_HEAD.pack(schema.ordinal(idx.attribute), idx.page_size_records, idx.entry_count))
-        entries = np.empty(idx.entry_count, dtype=_entry_dtype(attr))
+        entries = np.empty(idx.entry_count, dtype=_entry_dtype(schema.attribute(idx.attribute)))
         entries["key"] = idx.first_keys
         entries["start"] = idx.start_records
-        parts.append(entries.tobytes())
-    else:
-        parts.append(b"\x00")
-
+        ordinal = schema.ordinal(idx.attribute)
+        tail = [b"\x01", _INDEX_HEAD.pack(ordinal, idx.page_size_records, idx.entry_count),
+                entries.tobytes()]
     if block.permutation is not None:
-        parts.append(b"\x01")
-        parts.append(struct.pack("<Q", block.record_count))
-        parts.append(block.permutation.astype("<u8", copy=False).tobytes())
+        tail += [b"\x01", _U64.pack(n), block.permutation.astype("<u8", copy=False).tobytes()]
     else:
-        parts.append(b"\x00")
+        tail.append(b"\x00")
+
+    names = [a.name.encode("utf-8") for a in schema.attributes]
+    offset = _PREFIX.size + sum(_U16.size + len(name) + _ATTR_FIXED.size for name in names)
+    offset += sum(map(len, tail))
+    parts = [_PREFIX.pack(MAGIC, FORMAT_VERSION, block.block_id, n, len(names))]
+    for a, name in zip(schema.attributes, names):
+        col_len = n * a.item_size
+        parts += (_U16.pack(len(name)), name, _ATTR_FIXED.pack(_TAG_BY_KIND[a.kind], offset, col_len))
+        offset += col_len
+    parts += tail
 
     buffers = [b"".join(parts)]
     for a in schema.attributes:

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 from .blocks import DataBlock, Schema
 from .blockfile import OpenReplicas, check_block_file, write_block
 from .errors import AdaptidxError, BlockFormatError, ConfigError, RegistryError
-from .execution import JobSpec, TaskContext, TaskResult, record_reader_scan
+from .execution import InputSplit, JobSpec, TaskContext, TaskResult, record_reader_scan
 from . import indexer
 from .indexer import AdaptiveIndexer, build_index
 from .policy import load_json, save_json
@@ -380,36 +380,25 @@ class Cluster:
         simply fails. A closed cluster raises AdaptidxError and runs nothing.
         """
         self._check_open()
-        contexts: dict[int, TaskContext] = {}
+        ctx = TaskContext(self.registry, self.indexers, will_offer_blocks,
+                          self.config.projection_mode, self.open_replicas)
         results: list[TaskResult] = []
         n_slots = self.config.n_slots
         for position, a in enumerate(assignments):
-            if a.node_id not in contexts:
-                contexts[a.node_id] = TaskContext(
-                    node_id=a.node_id,
-                    registry=self.registry,
-                    indexer=self.indexers[a.node_id],
-                    will_offer_blocks=will_offer_blocks,
-                    projection_mode=self.config.projection_mode,
-                    replicas=self.open_replicas,
-                )
-            res = self._run_task(a, job, contexts[a.node_id])
+            res = self._run_task(a.split, job, ctx)
             res.wave_index = position // n_slots
             results.append(res)
         return results
 
     @staticmethod
-    def _run_task(assignment, job: JobSpec, ctx: TaskContext) -> TaskResult:
+    def _run_task(split: InputSplit, job: JobSpec, ctx: TaskContext) -> TaskResult:
         try:
-            return record_reader_scan(assignment.split, job, ctx)
+            return record_reader_scan(split, job, ctx)
         except Exception as exc:  # noqa: BLE001 - task panics become failures
-            return TaskResult(
-                node_id=assignment.node_id,
-                scan_kind=assignment.split.scan_kind,
-                block_ids=tuple(ref.block_id for ref in assignment.split.blocks),
-                failed=True,
-                error=f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=3)}",
-            )
+            res = TaskResult.for_split(split)
+            res.failed = True
+            res.error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=3)}"
+            return res
 
     def drain_indexers(self) -> None:
         """Drain the indexers node by node; each drain registers what its

@@ -3,8 +3,9 @@
 The record reader is where replica switching happens: a split built over an
 indexed replica (normal or pseudo) is served by a sparse-index range lookup
 that touches only qualifying rows, while unindexed blocks fall back to a full
-scan and are offered to the node's Adaptive Indexer afterwards. Map functions
-never see the difference.
+scan and are offered to the node's Adaptive Indexer afterwards. Either way a
+task emits the same thing: the projected columns of its qualifying rows, in
+schema order.
 
 A map task reads only its own node's replicas (invariant 6 in README,
 "Invariants"): an index scan reads the indexed replica and, for a partial
@@ -33,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -83,7 +84,6 @@ class JobSpec:
     job_id: str
     predicate: Predicate
     projection: tuple[str, ...]
-    map_fn: Optional[Callable[[dict], Optional[dict]]] = None
     policy: OfferPolicy = field(default_factory=OfferPolicy)
     collect_output: bool = True
 
@@ -101,7 +101,7 @@ def invisible_projection_columns(
 
     Non-offered blocks read the job's projection plus the predicate attribute;
     offered blocks read the whole schema so the index replica comes out
-    complete. The map function still receives only the projected attributes.
+    complete. The task still emits only the projected attributes.
     """
     if will_offer:
         return schema.names
@@ -149,16 +149,21 @@ class TaskResult:
     failed: bool = False
     error: str = ""
     emitted: list[dict[str, np.ndarray]] = field(default_factory=list)
-    emitted_rows: list[dict] = field(default_factory=list)
+
+    @classmethod
+    def for_split(cls, split: InputSplit) -> "TaskResult":
+        """The empty result of a task over `split`."""
+        return cls(split.node_id, split.scan_kind, tuple(ref.block_id for ref in split.blocks))
 
 
 @dataclass
 class TaskContext:
-    """Per-node execution context handed to every task of a job."""
+    """The execution context of one wave, built once and shared by its
+    tasks. A task's node is its split's, on which every replica of the split
+    lives (`InputSplit`); the task hands off to `indexers[node]`."""
 
-    node_id: int
     registry: ReplicaRegistry
-    indexer: AdaptiveIndexer
+    indexers: Mapping[int, AdaptiveIndexer]
     will_offer_blocks: frozenset[int]  # the full-scan blocks that are offer candidates
     projection_mode: str = "invisible"  # or "lazy"
     replicas: OpenReplicas = field(default_factory=OpenReplicas)  # index-scan reads
@@ -170,22 +175,11 @@ def _emit(
     columns: dict[str, np.ndarray],
     count: int,
 ) -> None:
-    """Feed `count` selected rows to the map function and collect its output.
-
-    `columns` holds exactly the projected attributes, in schema order.
-    """
-    if job.map_fn is None:
-        result.records_emitted += count
-        if job.collect_output and count:
-            result.emitted.append(columns)
-        return
-    for i in range(count):
-        record = {name: col[i] for name, col in columns.items()}
-        out = job.map_fn(record)
-        if out is not None:
-            result.records_emitted += 1
-            if job.collect_output:
-                result.emitted_rows.append(out)
+    """Emit `count` selected rows; `columns` holds exactly the projected
+    attributes, in schema order."""
+    result.records_emitted += count
+    if job.collect_output and count:
+        result.emitted.append(columns)
 
 
 def _refine_row_range(f, header, lo, hi, counter) -> tuple[int, int]:
@@ -279,10 +273,11 @@ def _scan_indexed_block(
     # Partial pseudo replica: serve missing attributes from the node's normal
     # replica, the one it was sorted from (invariant 6), realigned with the
     # stored permutation vector.
+    node = ref.replica.node_id
     normals = ctx.registry.normal_replicas(ref.block_id)
-    normal = next((r for r in normals if r.node_id == ctx.node_id), None)
+    normal = next((r for r in normals if r.node_id == node), None)
     if normal is None:
-        raise RegistryError(f"block {ref.block_id} has no normal replica on node {ctx.node_id}")
+        raise RegistryError(f"block {ref.block_id} has no normal replica on node {node}")
     fd, nheader = ctx.replicas.open(normal.path, counter)
     try:
         raw = [read_column_range(fd, nheader, n, 0, nheader.record_count, counter) for n in missing]
@@ -300,7 +295,7 @@ def _scan_indexed_block(
     # Incremental completion: append the aligned attributes to the partial replica.
     sub = ctx.registry.schema.subset(missing)
     completion = DataBlock(ref.block_id, sub, {n: aligned[n] for n in sub.names})
-    ctx.indexer.hand_off(IndexWork(COMPLETE, ref.replica.indexed_attribute, completion))
+    ctx.indexers[node].hand_off(IndexWork(COMPLETE, ref.replica.indexed_attribute, completion))
     ctx.replicas.drop(path)  # the completion renames a wider file over it
 
 
@@ -311,6 +306,7 @@ def _scan_full_block(
     result: TaskResult,
     counter: ReadCounter,
     bounds: tuple,
+    wanted: tuple[str, ...],
 ) -> None:
     candidate = ref.block_id in ctx.will_offer_blocks
 
@@ -326,17 +322,15 @@ def _scan_full_block(
     mask = (column >= bounds[0]) & (column <= bounds[1])
     qualifying = int(mask.sum())
     fraction = qualifying / n if n else 0.0
-    projected = set(job.projection)
-    selected = {name: block.columns[name][mask] for name in block.schema.names if name in projected}
-    _emit(job, result, selected, qualifying)
+    _emit(job, result, {name: block.columns[name][mask] for name in wanted}, qualifying)
 
     if not candidate or not job.policy.admits(fraction):
         return
 
-    # Hand over only after the map function consumed the block; the hand-off
-    # freezes its columns.
+    # Hand over only after the selected rows were copied out of the block; the
+    # hand-off freezes its columns.
     result.blocks_offered += 1
-    ctx.indexer.hand_off(IndexWork(BUILD, job.predicate.attribute, block))
+    ctx.indexers[ref.replica.node_id].hand_off(IndexWork(BUILD, job.predicate.attribute, block))
 
 
 def record_reader_scan(split: InputSplit, job: JobSpec, ctx: TaskContext) -> TaskResult:
@@ -347,21 +341,14 @@ def record_reader_scan(split: InputSplit, job: JobSpec, ctx: TaskContext) -> Tas
     whole block (widened per the projection mode), filter, and then offer the
     block for indexing when the policy admits it.
     """
-    result = TaskResult(
-        node_id=split.node_id,
-        scan_kind=split.scan_kind,
-        block_ids=tuple(ref.block_id for ref in split.blocks),
-    )
+    result = TaskResult.for_split(split)
     counter = ReadCounter()
     schema = ctx.registry.schema
     bounds = job.predicate.bounds(schema)
-    if split.scan_kind == ScanKind.INDEX_SCAN:
-        projected = set(job.projection)
-        wanted = tuple(n for n in schema.names if n in projected)
-        for ref in split.blocks:
-            _scan_indexed_block(ref, job, ctx, result, counter, bounds, wanted)
-    else:
-        for ref in split.blocks:
-            _scan_full_block(ref, job, ctx, result, counter, bounds)
+    projected = set(job.projection)
+    wanted = tuple(n for n in schema.names if n in projected)
+    scan = _scan_indexed_block if split.scan_kind == ScanKind.INDEX_SCAN else _scan_full_block
+    for ref in split.blocks:
+        scan(ref, job, ctx, result, counter, bounds, wanted)
     result.bytes_read = counter.bytes_read
     return result

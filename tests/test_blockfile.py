@@ -4,6 +4,7 @@ import errno
 import math
 import os
 import re
+import struct
 import threading
 
 import numpy as np
@@ -453,6 +454,53 @@ def test_truncated_file_raises_block_format_error(tmp_path, long_header, indexed
                 read_column_range(f, header, name, 0, 40)
 
 
+# One indexed attribute "k": the version is at byte 4, k's type tag after the
+# 24-byte prefix and its 2-byte length and 1-byte name, and the index's
+# attribute ordinal after the 20-byte attribute table and the index flag.
+@pytest.mark.parametrize(
+    "offset, value, message",
+    [
+        (4, struct.pack("<H", 2), "unsupported format version 2"),
+        (24 + 2 + 1, bytes([9]), "unknown type tag 9 for attribute 'k'"),
+        (24 + 20 + 1, struct.pack("<H", 1), "index attribute ordinal 1 out of range"),
+    ],
+    ids=["format_version", "type_tag", "index_ordinal"],
+)
+def test_a_header_field_the_format_does_not_define_is_refused(tmp_path, offset, value, message):
+    block, _, _ = build_index(make_block(Schema.of(("k", "int64")), rows=16), "k", 8)
+    path = tmp_path / "blk"
+    write_block(block, path)
+    data = bytearray(path.read_bytes())
+    data[offset : offset + len(value)] = value
+    path.write_bytes(data)
+    with open(path, "rb", buffering=0) as f, pytest.raises(BlockFormatError, match=message):
+        read_header(f)
+    with pytest.raises(BlockFormatError, match=message):
+        read_block(path)
+
+
+def test_read_permutation_refuses_a_header_without_a_vector_and_a_cut_vector(tmp_path):
+    # A cut file fails on its first column read, before its vector is read,
+    # so the vector is read here on its own.
+    block, perm, _ = build_index(make_block(Schema.of(("k", "int64")), rows=40), "k", 8)
+    plain = tmp_path / "plain"
+    write_block(block, plain)
+    with open(plain, "rb", buffering=0) as f, pytest.raises(
+        BlockFormatError, match="no permutation-vector section"
+    ):
+        read_permutation(f, read_header(f))
+    block.permutation = perm
+    cut = tmp_path / "cut"
+    write_block(block, cut)
+    with open(cut, "rb", buffering=0) as f:
+        os.truncate(cut, read_header(f).perm_offset + 8 * 10 + 3)
+        header = read_header(f)  # the header itself is whole
+        counter = ReadCounter()
+        with pytest.raises(BlockFormatError, match="truncated block file: wanted 320 bytes"):
+            read_permutation(f, header, counter)
+    assert counter.bytes_read == 0
+
+
 # Name lengths that put the header's last byte, the perm_present flag, at
 # offsets 4095-4097: just inside, just past and one past the 4 KiB probe.
 @pytest.mark.parametrize(
@@ -515,7 +563,7 @@ def test_index_scan_charges_header_boundary_pages_and_rows(tmp_path, low, high):
     registry = ReplicaRegistry(schema, replication_factor=1)
     info = BlockReplicaInfo(0, ReplicaKind.NORMAL, "d", frozenset(schema.names), str(path))
     registry.add_block(0, rows, [info])
-    ctx = TaskContext(0, registry, make_indexer(0, tmp_path, registry), frozenset())
+    ctx = TaskContext(registry, {0: make_indexer(0, tmp_path, registry)}, frozenset())
     job = JobSpec("scan", Predicate("d", low, high), ("s", "e"), collect_output=False)
     result = record_reader_scan(InputSplit(0, (BlockRef(0, info),), ScanKind.INDEX_SCAN), job, ctx)
 
@@ -767,6 +815,20 @@ def test_an_attribute_name_must_be_a_plain_file_name(name):
         Schema.of(("a", "int64"), (name, "int64"))
     with pytest.raises(SchemaError, match="not a valid file name"):
         Schema.from_json([{"name": name, "kind": "float64"}])
+
+
+@pytest.mark.parametrize(
+    "specs, message",
+    [
+        ([("a", "int32")], "unknown attribute kind 'int32'"),
+        ([("a", "int64"), ("s", "string", 0)], "string attribute 's' needs width > 0"),
+        ([], "schema must have at least one attribute"),
+    ],
+    ids=["unknown_kind", "zero_width_string", "no_attributes"],
+)
+def test_a_schema_the_format_cannot_hold_is_refused(specs, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        Schema.of(*specs)
 
 
 def _open_descriptors() -> int:

@@ -767,3 +767,10 @@ def test_whatever_a_run_writes_reopens_and_reports(property_dataset, costs, slot
         finally:
             cluster.close()
         assert main(["report", "--json", f"{report}.json"]) == 0
+
+
+def test_report_of_a_run_with_no_jobs_says_it_is_empty(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"jobs": []}))
+    assert main(["report", "--json", str(report)]) == 0
+    assert capsys.readouterr().out == "empty report\n"

@@ -18,6 +18,7 @@ import hypothesis.strategies as st
 from adaptidx.blocks import DataBlock
 from adaptidx.blockfile import check_block_file, read_block, read_header, write_block
 from adaptidx.cluster import CLUSTER_CONFIG, REGISTRY_JOURNAL, Cluster, ClusterConfig
+import adaptidx.cluster as cluster_module
 import adaptidx.indexer as indexer_module
 from adaptidx.errors import AdaptidxError, BlockFormatError, ConfigError, RegistryError
 from adaptidx.execution import JobSpec, Predicate, ScanKind
@@ -41,11 +42,14 @@ def test_replication_needs_enough_nodes():
         (dict(node_count=True), "node_count must be int, got True"),
         (dict(node_count=3, block_records=2.5), "block_records must be int, got 2.5"),
         (dict(node_count=3, slots_per_node=1.5), "slots_per_node must be int, got 1.5"),
+        (dict(node_count=0), "need at least one node"),
+        (dict(node_count=3, slots_per_node=0), "need at least one map slot per node"),
+        (dict(node_count=3, projection_mode="eager"), "unknown projection mode 'eager'"),
     ],
 )
 def test_a_config_value_its_cluster_json_would_refuse_is_refused(tmp_path, kw, message):
-    # Each was once taken, written into a cluster.json that Cluster.open
-    # then refused, so the directory never reopened.
+    # The first three were once taken, written into a cluster.json that
+    # Cluster.open then refused, so the directory never reopened.
     with pytest.raises(ConfigError, match=re.escape(message)):
         Cluster(ClusterConfig(replication_factor=1, **kw), tmp_path / "c")
     assert not (tmp_path / "c").exists()
@@ -118,17 +122,19 @@ def test_wave_counting_balanced_tasks(tmp_path):
     cluster.close()
 
 
-def test_run_wave_runs_every_task_on_the_calling_thread(tmp_path):
+def test_run_wave_runs_every_task_on_the_calling_thread(tmp_path, monkeypatch):
     cluster = make_cluster(tmp_path / "c", nodes=5, slots=2, replication=2, block_records=100)
     cluster.upload_dataset(gen_synthetic(2_500, seed=5))
     seen_threads, seen_counts = set(), set()
+    scan = cluster_module.record_reader_scan
 
-    def map_fn(record):
+    def probed_scan(split, job, ctx):
         seen_threads.add(threading.get_ident())
         seen_counts.add(threading.active_count())
-        return record
+        return scan(split, job, ctx)
 
-    job = JobSpec("t", Predicate("a", 10, 10), ("a",), map_fn=map_fn,
+    monkeypatch.setattr(cluster_module, "record_reader_scan", probed_scan)
+    job = JobSpec("t", Predicate("a", 10, 10), ("a",),
                   policy=OfferPolicy(rho=0.0), collect_output=False)
     assignments = plan_job(job, cluster.registry)
     before = threading.active_count()

@@ -31,6 +31,7 @@ from adaptidx.indexer import (
 )
 from adaptidx.registry import BlockReplicaInfo, ReplicaKind, ReplicaRegistry
 from adaptidx.runner import WorkloadRunner
+from adaptidx.scheduler import plan_job
 
 from conftest import make_cluster, make_indexer
 from adaptidx.workloads import Dataset, gen_synthetic
@@ -119,9 +120,8 @@ def _single_block_fixture(tmp_path, rows=4096, page=1024):
     pseudo = BlockReplicaInfo(0, ReplicaKind.PSEUDO, "d", frozenset(schema.names), str(pseudo_path))
     registry.register_index(42, pseudo)
     ctx = TaskContext(
-        node_id=0,
         registry=registry,
-        indexer=make_indexer(0, tmp_path / "node_0", registry),
+        indexers={0: make_indexer(0, tmp_path / "node_0", registry)},
         will_offer_blocks=frozenset(),
     )
     return schema, base, registry, normal, pseudo, ctx
@@ -152,7 +152,7 @@ def test_index_scan_unaligned_range_is_exact(tmp_path):
 def test_full_scan_zero_matches_still_offers(tmp_path):
     schema, base, registry, normal, pseudo, ctx = _single_block_fixture(tmp_path)
     indexer = make_indexer(0, tmp_path / "node_0", registry, page_size_records=1024)
-    ctx.indexer = indexer
+    ctx.indexers[0] = indexer
     ctx.will_offer_blocks = frozenset({42})
     j = job(Predicate("a", 5000, 6000), projection=("a",), rho=1.0)  # matches nothing
     split = InputSplit(0, (BlockRef(42, normal),), ScanKind.FULL_SCAN)
@@ -187,34 +187,23 @@ def test_index_scan_bytes_below_full_scan_bytes(tmp_path):
         assert indexed.bytes_read < full.bytes_read
 
 
-def test_custom_map_fn_sees_only_projected_fields(tmp_path):
+def test_a_task_emits_only_the_projected_columns(tmp_path):
     schema, base, registry, normal, pseudo, ctx = _single_block_fixture(tmp_path)
-    seen = []
-
-    def map_fn(record):
-        seen.append(set(record))
-        return record if record["a"] % 2 == 0 else None
-
-    j = JobSpec(
-        job_id="m",
-        predicate=Predicate("d", 0, 99),
-        projection=("a", "b"),
-        map_fn=map_fn,
-        policy=OfferPolicy(rho=0.0),
-    )
-    split = InputSplit(0, (BlockRef(42, pseudo),), ScanKind.INDEX_SCAN)
-    result = record_reader_scan(split, j, ctx)
-    assert seen and all(s == {"a", "b"} for s in seen)
-    evens = int(np.sum(base.columns["a"][base.columns["d"] <= 99] % 2 == 0))
-    assert result.records_emitted == evens
-    assert result.records_emitted <= result.records_read
+    j = job(Predicate("d", 0, 99), projection=("b", "a"), job_id="m")
+    for replica, kind in ((pseudo, ScanKind.INDEX_SCAN), (normal, ScanKind.FULL_SCAN)):
+        result = record_reader_scan(InputSplit(0, (BlockRef(42, replica),), kind), j, ctx)
+        assert result.emitted and all(list(part) == ["a", "b"] for part in result.emitted)
+        assert result.records_emitted == 100
+        for name in ("a", "b"):
+            got = np.concatenate([part[name] for part in result.emitted])
+            assert np.array_equal(np.sort(got), np.sort(base.columns[name][base.columns["d"] <= 99]))
 
 
 def test_selectivity_mode_reads_full_schema_and_filters_offers(tmp_path):
     schema, base, registry, normal, pseudo, ctx = _single_block_fixture(tmp_path)
     indexer = make_indexer(0, tmp_path / "node_0", registry, page_size_records=1024)
     policy = OfferPolicy(mode=SELECTIVITY, selectivity_threshold=0.8)
-    ctx.indexer = indexer
+    ctx.indexers[0] = indexer
     ctx.will_offer_blocks = frozenset({42})  # the runner offers every full-scanned block
 
     # ~25% of rows qualify: below the threshold, so no offer
@@ -260,7 +249,7 @@ def test_offer_rule_matrix(tmp_path, monkeypatch, mode, offers, high):
     # invisible projection a candidate reads the whole schema.
     schema, base, registry, normal, pseudo, ctx = _single_block_fixture(tmp_path)
     indexer = _HandOffRecorder()
-    ctx.indexer = indexer
+    ctx.indexers[0] = indexer
     ctx.will_offer_blocks = offers
     reads = []
     read_block = execution.read_block
@@ -292,7 +281,7 @@ def test_full_queue_makes_the_offering_task_wait(tmp_path, monkeypatch):
     gate = threading.Event()
     original = indexer._index_one
     indexer._index_one = lambda work: (gate.wait(10), original(work))[1]
-    ctx.indexer = indexer
+    ctx.indexers[0] = indexer
     ctx.will_offer_blocks = frozenset({42})
 
     j = job(Predicate("a", 0, 100), projection=("a",), rho=1.0)
@@ -677,6 +666,43 @@ def test_a_replica_truncated_inside_its_columns_fails_its_task_and_closes_it(tmp
     cluster.close()
 
 
+def test_a_normal_replica_cut_inside_a_column_a_fill_reads_fails_its_task_and_closes_it(
+    tmp_path,
+):
+    # One block on one node. A lazy job leaves a partial replica of (a, d)
+    # sorted on d; the next job projects c, which the fill reads from the
+    # node's normal replica, cut inside column c.
+    cluster = make_cluster(tmp_path / "c", nodes=1, slots=1, replication=1, block_records=1000,
+                           page_size=64, projection_mode="lazy")
+    cluster.upload_dataset(gen_synthetic(1000, seed=5))
+    build = job(Predicate("d", 0.2, 0.6), ("a",), rho=1.0, job_id="build")
+    assert not WorkloadRunner(cluster).run_job(build).metrics.failed
+    [partial] = [r for r in cluster.registry.replicas(0) if r.kind == ReplicaKind.PARTIAL_PSEUDO]
+    [normal] = cluster.registry.normal_replicas(0)
+    with open(normal.path, "rb", buffering=0) as f:
+        os.truncate(normal.path, read_header(f).column_offsets["c"] + 8)
+    entries = list(cluster.registry.iter_replicas())
+
+    fill = job(Predicate("d", 0.2, 0.6), ("c",), job_id="fill")
+    [result] = cluster.run_wave(plan_job(fill, cluster.registry), fill)
+    cluster.drain_indexers()
+    assert result.failed and "BlockFormatError: truncated block file" in result.error
+    assert normal.path not in cluster.open_replicas._entries
+    assert partial.path in cluster.open_replicas._entries
+    assert cluster.indexers[0].stats.enqueued == 1  # the build's offer alone
+    assert list(cluster.registry.iter_replicas()) == entries
+    cluster.close()
+
+
+def test_a_job_projecting_an_attribute_outside_the_schema_fails_before_its_plan(tmp_path):
+    cluster = make_cluster(tmp_path / "c", nodes=2, replication=1, block_records=500)
+    cluster.upload_dataset(gen_synthetic(1000, seed=5))
+    outcome = WorkloadRunner(cluster).run_job(job(Predicate("a", 0, 10), ("a", "zz")))
+    assert outcome.metrics.failed and outcome.plan == () and outcome.results == []
+    assert outcome.metrics.error == "projected attribute 'zz' not in schema"
+    cluster.close()
+
+
 def test_a_partial_replica_off_its_normal_replicas_node_fails_its_task_and_hands_off_nothing(
     tmp_path,
 ):
@@ -917,7 +943,7 @@ def test_index_scan_reads_each_sort_column_byte_once_with_the_page_by_page_bill(
     pseudo = BlockReplicaInfo(0, kind, "k", frozenset(held), str(pseudo_path))
     registry.register_index(0, pseudo)
     indexer = make_indexer(0, root, registry)
-    ctx = TaskContext(node_id=0, registry=registry, indexer=indexer, will_offer_blocks=frozenset())
+    ctx = TaskContext(registry=registry, indexers={0: indexer}, will_offer_blocks=frozenset())
     split = InputSplit(0, (BlockRef(0, pseudo),), ScanKind.INDEX_SCAN)
     log = _FetchLog()
     with mock.patch.object(execution, "read_column_range", log):

@@ -447,3 +447,8 @@ def test_registrations_land_at_drain_and_a_refused_one_is_a_failure(tmp_path):
     assert (indexer.stats.written, indexer.stats.failures) == (2, 1)
     assert [b for b, _ in registry.iter_replicas()] == [0, 0]
 
+
+def test_publish_refuses_a_block_without_a_sort_attribute(tmp_path, simple_schema):
+    with pytest.raises(SchemaError, match="pseudo replicas require a sorted, indexed block"):
+        indexer_module._publish(make_block(simple_schema, rows=10), tmp_path, 0)
+    assert list(tmp_path.iterdir()) == []

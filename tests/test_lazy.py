@@ -67,9 +67,8 @@ def lazy_index_scan(tmp_path, registry, projection, node=0, lo=-1000, hi=1000):
     info = registry.find_index(0, "d")
     indexer = make_indexer(node, tmp_path / f"node_{node}", registry, page_size_records=64)
     ctx = TaskContext(
-        node_id=node,
         registry=registry,
-        indexer=indexer,
+        indexers={node: indexer},
         will_offer_blocks=frozenset(),
         projection_mode="lazy",
     )
@@ -327,7 +326,7 @@ def test_only_a_replica_whose_completion_is_handed_off_is_closed(tmp_path, monke
 
     monkeypatch.setattr(blockfile, "_parse_header", counted)
     indexer = make_indexer(node, tmp_path / f"node_{node}", registry, page_size_records=64)
-    ctx = TaskContext(node, registry, indexer, frozenset(), "lazy", OpenReplicas())
+    ctx = TaskContext(registry, {node: indexer}, frozenset(), "lazy", OpenReplicas())
     job = JobSpec("scan", Predicate("d", -1000, 1000), ("c",), policy=OfferPolicy(rho=0.0))
     split = InputSplit(node, (BlockRef(0, info),), ScanKind.INDEX_SCAN)
     entries, parsed = [], []

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import sys
 import tempfile
 import threading
@@ -59,6 +60,15 @@ def test_register_is_idempotent(registry):
 def test_register_unknown_block(registry):
     with pytest.raises(RegistryError):
         registry.register_index(99, pseudo(0, "d"))
+
+
+def test_a_normal_replica_is_not_an_index_and_an_unknown_block_has_no_replicas(registry):
+    before = registry.replicas(42)
+    with pytest.raises(RegistryError, match="register_index only accepts pseudo replicas"):
+        registry.register_index(42, normal(0, path="other"))
+    with pytest.raises(RegistryError, match="unknown block 7"):
+        registry.replicas(7)
+    assert registry.replicas(42) == before
 
 
 def test_find_index_misses_other_attribute(registry):
@@ -400,13 +410,17 @@ def _register(**fields):
         {"event": "block", "block_id": -3, "record_count": 10, "replica": normal(0).to_json()},
         {"event": "block", "block_id": 1, "record_count": -10, "replica": normal(0).to_json()},
         _register(node_id=-1),
+        # A full pseudo replica that lacks attributes, and an event no
+        # engine writes.
+        _register(available_attributes=["a", "d"]),
+        {"event": "drop", "block_id": 0, "replica": pseudo(1, "d").to_json()},
     ],
     ids=[
         "no_replica", "not_an_object", "replica_without_kind", "string_block_id",
         "bool_record_count", "string_node_id", "int_kind", "int_indexed_attribute",
         "attributes_not_a_list", "null_path", "unknown_block", "attribute_outside_schema",
         "pseudo_in_block_event", "normal_beyond_replication", "negative_block_id",
-        "negative_record_count", "negative_node_id",
+        "negative_record_count", "negative_node_id", "partial_full_pseudo", "unknown_event",
     ],
 )
 def test_a_malformed_journal_record_names_its_line(tmp_path, record):
@@ -523,6 +537,15 @@ def test_a_journal_without_the_path_marker_is_refused(tmp_path):
     with pytest.raises(RegistryError, match=f"journal {journal} predates its path marker"):
         ReplicaRegistry.load(journal)
     assert journal.read_bytes() == before
+
+
+def test_a_journal_that_does_not_start_with_a_dataset_record_is_refused(tmp_path):
+    journal = tmp_path / "registry.journal"
+    block = {"event": "block", "block_id": 0, "record_count": 100, "replica": normal(0).to_json()}
+    journal.write_text(json.dumps(block) + "\n")
+    message = f"journal {journal} does not start with a dataset record"
+    with pytest.raises(RegistryError, match=re.escape(message)):
+        ReplicaRegistry.load(journal)
 
 
 def test_replica_outside_the_journal_directory_is_journaled_absolute(tmp_path):

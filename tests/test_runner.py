@@ -10,7 +10,7 @@ import adaptidx.lazy as lazy
 import adaptidx.runner as runner_module
 from adaptidx.blockfile import read_header
 from adaptidx.cluster import Cluster
-from adaptidx.errors import ConfigError
+from adaptidx.errors import AdaptidxError, ConfigError
 from adaptidx.execution import JobSpec, Predicate
 from adaptidx.indexer import EAGER, OFFER_RATE, SELECTIVITY, OfferPolicy
 from adaptidx.registry import ReplicaKind
@@ -458,3 +458,10 @@ def test_a_selectivity_job_calibrates_at_the_fraction_it_offered(tmp_path):
     assert selective.rho_used is None and constant.rho_used == 1.0
     assert overheads[0] == overheads[1] == pytest.approx(12 * 0.05 / 3 / 4)
     assert selective.predicted_seconds == pytest.approx(constant.predicted_seconds)
+
+
+def test_a_runner_needs_an_uploaded_dataset(tmp_path):
+    cluster = make_cluster(tmp_path / "c")
+    with pytest.raises(AdaptidxError, match="cluster has no dataset; upload one first"):
+        WorkloadRunner(cluster)
+    cluster.close()

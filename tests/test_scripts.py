@@ -1,8 +1,10 @@
 """The scripts import only names the library still provides, the experiment
 scripts run end to end on small inputs, the line counter partitions every
-line of the package and compares it with a revision, and the output hasher
-gives one tree one digest."""
+line of the package and compares it with a revision, the output hasher
+gives one tree one digest, and the line census tells run lines from unrun
+ones."""
 
+import ast
 import importlib.util
 import io
 import subprocess
@@ -127,3 +129,24 @@ def test_hash_outputs_finds_a_revision_identical_to_its_own_archive(tmp_path, ca
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "base HEAD" and lines[5] == f"src {tmp_path.resolve()}"
     assert lines[1:5] == lines[6:10] and lines[-1] == "identical"
+
+
+def test_line_census_of_a_cli_session(tmp_path):
+    census = _load(REPO / "scripts" / "line_census.py")
+    executed, outcomes = census.trace([("cli", lambda: census.cli_session(tmp_path))])
+    assert outcomes == {"cli": repr([0] * 12)}
+    unrun = census.unrun(executed)
+
+    def statements(module, function):
+        tree = ast.parse((census.PACKAGE / module).read_text())
+        return [(line, stmt) for line, name, stmt in census.function_lines(tree) if name == function]
+
+    def unrun_lines(module, function):
+        return [line for line, name, _ in unrun[module][1] if name == function]
+
+    # Nothing in the engine checksums a block; the report prints every row.
+    checksum = statements("blocks.py", "DataBlock.checksum")
+    assert checksum and unrun_lines("blocks.py", "DataBlock.checksum") == [l for l, _ in checksum]
+    [(loop, stmt)] = [(l, s) for l, s in statements("cli.py", "_cmd_report") if isinstance(s, ast.For)]
+    rows = {loop} | {inner.lineno for inner in stmt.body}
+    assert not rows & set(unrun_lines("cli.py", "_cmd_report"))
